@@ -22,6 +22,7 @@ import csv
 import json
 import sys
 import warnings
+from itertools import compress
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -51,6 +52,7 @@ from .simbench import (
     ALL_METHODS,
     DgpSpec,
     StudyConfig,
+    _ensure_methods,
     oracle_psi_curve,
     oracle_tau0,
     run_study,
@@ -65,6 +67,7 @@ _DGP_ALIASES = {
 }
 
 _FIT_METHODS = ("onestep", "tmle", "rs", "plugin", "wplugin", "icp")
+_BLOCK_ROWS = 1024  # CSV rows converted at a time; bounds the tokens held in memory
 
 
 def _fmt(x: float) -> str:
@@ -84,16 +87,18 @@ def ingest_csv(path: str) -> ObservedSample:
     """Read an observed sample from CSV.
 
     Column ``a`` must be 0 or 1; ``score`` must be blank exactly when a=0
-    (a value there is ignored with a warning); covariates are ``x1..xp``.
-    Errors carry 1-based file line numbers.
+    (values there are ignored with one warning per file); covariates are
+    ``x1..xp`` in any order.  Errors carry 1-based file line numbers.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        if len(set(header)) < len(header):
+            raise DataError(f"{path}: duplicate header names in {header}")
         cols = {name: i for i, name in enumerate(header)}
         if "a" not in cols or "score" not in cols:
             raise DataError(f"{path}: header must contain 'a' and 'score'")
@@ -103,54 +108,81 @@ def ingest_csv(path: str) -> ObservedSample:
         if p == 0 or sorted(x_names) != sorted(expected):
             raise DataError(
                 f"{path}: covariate columns must be exactly x1..xp, got {x_names}")
-        x_cols = [cols[name] for name in expected]
+        layout = (path, header, cols["a"], cols["score"], [cols[n] for n in expected])
+        blocks, block = [], []
+        try:
+            for record in enumerate(reader, start=2):
+                if record[1]:
+                    block.append(record)
+                if len(block) == _BLOCK_ROWS:
+                    blocks.append(_convert_block(layout, block))
+                    block = []
+        except (csv.Error, UnicodeDecodeError):
+            if block:  # report an invalid row read before the unreadable one
+                _convert_block(layout, block)
+            raise
+        if block:
+            blocks.append(_convert_block(layout, block))
 
-        a_vals, scores, xs = [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{line_no}: expected {len(header)} fields")
-            a_raw = row[cols["a"]].strip()
-            if a_raw not in ("0", "1"):
-                raise DataError(f"{path}:{line_no}: 'a' must be 0 or 1, got {a_raw!r}")
-            a = int(a_raw)
-            s_raw = row[cols["score"]].strip()
-            if a == 1:
-                if s_raw == "":
-                    raise DataError(f"{path}:{line_no}: source row is missing its score")
-                score = _parse_float(s_raw, path, line_no, "score")
-            else:
-                if s_raw != "":
-                    warnings.warn(
-                        f"{path}:{line_no}: score on a target row is ignored",
-                        CsvSchemaWarning, stacklevel=2)
-                score = np.nan
-            x_row = [_parse_float(row[c].strip(), path, line_no, header[c])
-                     for c in x_cols]
-            a_vals.append(a)
-            scores.append(score)
-            xs.append(x_row)
-
-    if not a_vals:
+    if not blocks:
         raise DataError(f"{path}: no data rows")
-    a_arr = np.array(a_vals, dtype=np.int8)
-    if (a_arr == 1).sum() == 0 or (a_arr == 0).sum() == 0:
+    a, score, x, stray = (np.concatenate(parts) for parts in zip(*blocks))
+    if stray.size:
+        warnings.warn(f"{path}: score ignored on {stray.size} target row(s) "
+                      f"(first at line {stray[0]})", CsvSchemaWarning, stacklevel=2)
+    if (a == 1).sum() == 0 or (a == 0).sum() == 0:
         raise DataError(f"{path}: need at least one source (a=1) and one "
                         "target (a=0) row")
-    return ObservedSample(a=a_arr, x=np.array(xs, dtype=float),
-                          score=np.array(scores, dtype=float))
+    return ObservedSample(a=a, x=x, score=score)
 
 
-def _parse_float(text: str, path: str, line_no: int, col: str) -> float:
+def _convert_block(layout, block):
+    """Convert and validate a block by column: (a, score, x, stray-score lines).
+    A block that fails is checked row by row, raising its first row's error."""
+    _, header, a_col, s_col, x_cols = layout
+    lines, rows = zip(*block)
     try:
-        val = float(text)
+        if set(map(len, rows)) != {len(header)}:
+            raise ValueError
+        fields = list(zip(*rows))
+        a_raw = list(map(str.strip, fields[a_col]))
+        src = np.array(a_raw) == "1"
+        score = np.full(len(rows), np.nan)
+        score[src] = np.fromiter(map(float, compress(fields[s_col], src)), float)
+        x = np.column_stack([np.fromiter(map(float, fields[c]), float) for c in x_cols])
+        if not ({"0", "1"}.issuperset(a_raw) and np.isfinite(score[src]).all()
+                and np.isfinite(x).all()):
+            raise ValueError
     except ValueError:
-        raise DataError(f"{path}:{line_no}: column {col!r} has a malformed "
-                        f"number {text!r}") from None
-    if not np.isfinite(val):
-        raise DataError(f"{path}:{line_no}: column {col!r} must be finite")
-    return val
+        for line_no, row in block:
+            _check_row(layout, line_no, row)
+        # Every row is valid, so float() refused padding that strip() removes
+        # (ASCII \x1c-\x1f): convert the stripped tokens instead.
+        return _convert_block(layout, [(n, [t.strip() for t in row]) for n, row in block])
+    stray = ~src & np.fromiter(map(bool, map(str.strip, fields[s_col])), bool)
+    return src.astype(np.int8), score, x, np.array(lines)[stray]
+
+
+def _check_row(layout, line_no: int, row) -> None:
+    """Raise the DataError for the first invalid field of one row, if any."""
+    path, header, a_col, s_col, x_cols = layout
+    where = f"{path}:{line_no}"
+    if len(row) != len(header):
+        raise DataError(f"{where}: expected {len(header)} fields")
+    a_raw = row[a_col].strip()
+    if a_raw not in ("0", "1"):
+        raise DataError(f"{where}: 'a' must be 0 or 1, got {a_raw!r}")
+    if a_raw == "1" and not row[s_col].strip():
+        raise DataError(f"{where}: source row is missing its score")
+    for c in ([s_col] if a_raw == "1" else []) + x_cols:
+        text = row[c].strip()
+        try:
+            value = float(text)
+        except ValueError:
+            raise DataError(f"{where}: column {header[c]!r} has a malformed "
+                            f"number {text!r}") from None
+        if not np.isfinite(value):
+            raise DataError(f"{where}: column {header[c]!r} must be finite")
 
 
 def emit_csv(sample: ObservedSample, path: str) -> None:
@@ -321,6 +353,20 @@ def _table_rows(table: CoverageTable, selected_tau, sentinel):
 
 def cmd_fit(args) -> int:
     _require_output(args)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        meta, rows, summary = _fit(args)
+    meta["warnings"] = sorted({str(w.message) for w in caught})
+    _write_table_csv(args.output, rows, ["tau", "psi_hat", "se", "cub", "selected"])
+    _write_meta(args.output + ".meta.json", meta)
+    for message in meta["warnings"]:
+        print(f"warning: {message}", file=sys.stderr)
+    print(summary)
+    return 0
+
+
+def _fit(args):
+    """Run the ``fit`` command's method: (meta, table rows, summary line)."""
     sample = ingest_csv(args.input)
     grid = _parse_grid(args.grid)
     targets = _validate_targets(args)
@@ -339,7 +385,6 @@ def cmd_fit(args) -> int:
         "alpha_error": targets.alpha_error,
         "alpha_conf": targets.alpha_conf,
         "grid": [float(t) for t in grid],
-        "warnings": [],
     }
 
     if args.method == "icp":
@@ -366,15 +411,11 @@ def cmd_fit(args) -> int:
             "calibration_size": cal.m,
             "order_statistic": res.k,
         })
-        _write_table_csv(args.output, rows, ["tau", "psi_hat", "se", "cub", "selected"])
-        _write_meta(args.output + ".meta.json", meta)
         if res.is_sentinel:
-            print(f"icp: no certifiable order statistic among {cal.m} "
-                  "calibration scores; sentinel 0 recorded")
-        else:
-            print(f"icp: selected tau={res.tau:.4g} "
-                  f"(order statistic {res.k} of {cal.m})")
-        return 0
+            return meta, rows, (f"icp: no certifiable order statistic among "
+                                f"{cal.m} calibration scores; sentinel 0 recorded")
+        return meta, rows, (f"icp: selected tau={res.tau:.4g} "
+                            f"(order statistic {res.k} of {cal.m})")
 
     if args.method == "rs":
         run = rs_prepare(sample, _rs_config(args), grid, g_spec, e_spec, root)
@@ -383,46 +424,33 @@ def cmd_fit(args) -> int:
                      "n_accepted": run.n_accepted})
     else:
         folds = make_folds(sample.n, args.folds, root.child("folds"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            fits = fit_nuisances(sample, folds, grid, g_spec, e_spec,
-                                 args.delta, root.child("nuisance"))
-            estimate = {
-                "onestep": onestep_estimate,
-                "tmle": tmle_estimate,
-                "plugin": plugin_estimate,
-                "wplugin": weighted_plugin_estimate,
-            }[args.method]
-            table = estimate(sample, folds, grid, fits, targets)
-        meta["warnings"] = sorted({str(w.message) for w in caught})
+        fits = fit_nuisances(sample, folds, grid, g_spec, e_spec,
+                             args.delta, root.child("nuisance"))
+        estimate = {
+            "onestep": onestep_estimate,
+            "tmle": tmle_estimate,
+            "plugin": plugin_estimate,
+            "wplugin": weighted_plugin_estimate,
+        }[args.method]
+        table = estimate(sample, folds, grid, fits, targets)
         if args.method == "tmle":
             meta["tmle_fallback_count"] = int(table.extras["fallback"].sum())
             meta["tmle_clipping"] = table.extras["ls_clip"]
 
     decision = select_threshold(table, targets)
-    meta.update({
-        "selected_tau": decision.tau_hat,
-        "sentinel": decision.is_sentinel,
-    })
+    meta.update({"selected_tau": decision.tau_hat, "sentinel": decision.is_sentinel})
     rows = _table_rows(table, decision.tau_hat, decision.is_sentinel)
-    _write_table_csv(args.output, rows, ["tau", "psi_hat", "se", "cub", "selected"])
-    _write_meta(args.output + ".meta.json", meta)
     if decision.is_sentinel:
-        print(f"{args.method}: no certifiable threshold "
-              f"(alpha_error={targets.alpha_error:.4g}); sentinel 0 recorded")
-    else:
-        i = list(table.taus).index(decision.tau_hat)
-        print(f"{args.method}: selected tau={decision.tau_hat:.4g} "
-              f"(psi_hat={table.psi[i]:.4g}, cub={table.cub[i]:.4g})")
-    return 0
+        return meta, rows, (f"{args.method}: no certifiable threshold "
+                            f"(alpha_error={targets.alpha_error:.4g}); sentinel 0 recorded")
+    i = list(table.taus).index(decision.tau_hat)
+    return meta, rows, (f"{args.method}: selected tau={decision.tau_hat:.4g} "
+                        f"(psi_hat={table.psi[i]:.4g}, cub={table.cub[i]:.4g})")
 
 
 def cmd_simulate(args) -> int:
     _require_output(args)
-    methods = tuple(m.strip() for m in args.method.split(",") if m.strip())
-    for m in methods:
-        if m not in ALL_METHODS:
-            raise ConfigurationError(f"unknown method {m!r}")
+    methods = _ensure_methods(m.strip() for m in args.method.split(",") if m.strip())
     grid = _parse_grid(args.grid)
     targets = _validate_targets(args)
     g_spec, e_spec = _learner_specs(args)

@@ -1,10 +1,16 @@
+import csv
 import json
+import os
+import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shiftset import DataError, DgpSpec, RngStream, dgp_draw
+from shiftset import DataError, DgpSpec, ObservedSample, RngStream, cli, dgp_draw
 from shiftset.cli import CsvSchemaWarning, emit_csv, ingest_csv, main
 
 
@@ -41,6 +47,32 @@ class TestIngestCsv:
             s = ingest_csv(p)
         assert np.isnan(s.score[1])
 
+    def test_target_row_scores_warn_once_per_file(self, tmp_path):
+        p = write(tmp_path / "d.csv", "a,score,x1\n1,0.7,0.1\n0,,1\n"
+                  + "0,0.4,-0.2\n" * 500)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = ingest_csv(p)
+        assert np.isnan(s.score[s.a == 0]).all()
+        assert len(caught) == 1
+        w = caught[0]
+        assert issubclass(w.category, CsvSchemaWarning)
+        assert "500 target row(s)" in str(w.message) and "line 4" in str(w.message)
+        assert w.filename == __file__  # attributed to the caller
+
+    def test_utf8_bom_header(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbfa,score,x1\r\n1,0.7,0.1\r\n0,,-0.2\r\n")
+        s = ingest_csv(str(p))
+        assert (s.n_source, s.n_target, s.p) == (1, 1, 1)
+
+    @pytest.mark.parametrize("header", ["a,a,score,x1", "a,score,x1,x1",
+                                        "a,score,score,x1", "a, a ,score,x1"])
+    def test_duplicate_header_rejected(self, tmp_path, header):
+        p = write(tmp_path / "d.csv", header + "\n" + "1,1,0.7,0.1\n0,0,,0.2\n")
+        with pytest.raises(DataError, match="csv: duplicate header names"):
+            ingest_csv(p)
+
     def test_malformed_number_carries_row(self, tmp_path):
         p = write(tmp_path / "d.csv", "a,score,x1\n1,0.7,0.1\n0,,oops\n")
         with pytest.raises(DataError, match=":3"):
@@ -60,6 +92,250 @@ class TestIngestCsv:
         np.testing.assert_array_equal(back.x, sample.x)
         np.testing.assert_array_equal(back.score[back.is_source],
                                       sample.score[sample.is_source])
+
+
+# ---------------------------------------------------------------------------
+# The ingest contract, pinned against a row-by-row reference reader
+# ---------------------------------------------------------------------------
+
+def reference_ingest_csv(path):
+    """Row-by-row reader: one float(), strip() and isfinite per cell.
+
+    The column-wise ``ingest_csv`` must accept exactly the files this accepts,
+    with byte-identical arrays, and reject the others with the same message.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        cols = {name: i for i, name in enumerate(header)}
+        if "a" not in cols or "score" not in cols:
+            raise DataError(f"{path}: header must contain 'a' and 'score'")
+        x_names = [h for h in header if h not in ("a", "score")]
+        p = len(x_names)
+        expected = [f"x{j}" for j in range(1, p + 1)]
+        if p == 0 or sorted(x_names) != sorted(expected):
+            raise DataError(
+                f"{path}: covariate columns must be exactly x1..xp, got {x_names}")
+        x_cols = [cols[name] for name in expected]
+
+        a_vals, scores, xs = [], [], []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{line_no}: expected {len(header)} fields")
+            a_raw = row[cols["a"]].strip()
+            if a_raw not in ("0", "1"):
+                raise DataError(f"{path}:{line_no}: 'a' must be 0 or 1, got {a_raw!r}")
+            a = int(a_raw)
+            s_raw = row[cols["score"]].strip()
+            if a == 1:
+                if s_raw == "":
+                    raise DataError(f"{path}:{line_no}: source row is missing its score")
+                score = _reference_float(s_raw, path, line_no, "score")
+            else:
+                if s_raw != "":
+                    warnings.warn(
+                        f"{path}:{line_no}: score on a target row is ignored",
+                        CsvSchemaWarning, stacklevel=2)
+                score = np.nan
+            x_row = [_reference_float(row[c].strip(), path, line_no, header[c])
+                     for c in x_cols]
+            a_vals.append(a)
+            scores.append(score)
+            xs.append(x_row)
+
+    if not a_vals:
+        raise DataError(f"{path}: no data rows")
+    a_arr = np.array(a_vals, dtype=np.int8)
+    if (a_arr == 1).sum() == 0 or (a_arr == 0).sum() == 0:
+        raise DataError(f"{path}: need at least one source (a=1) and one "
+                        "target (a=0) row")
+    return ObservedSample(a=a_arr, x=np.array(xs, dtype=float),
+                          score=np.array(scores, dtype=float))
+
+
+def _reference_float(text, path, line_no, col):
+    try:
+        val = float(text)
+    except ValueError:
+        raise DataError(f"{path}:{line_no}: column {col!r} has a malformed "
+                        f"number {text!r}") from None
+    if not np.isfinite(val):
+        raise DataError(f"{path}:{line_no}: column {col!r} must be finite")
+    return val
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: its exact arrays, or its exception."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CsvSchemaWarning)
+        try:
+            s = reader(path)
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+    return ("ok", s.a.dtype.str, s.a.tobytes(), s.x.dtype.str, s.x.shape,
+            s.x.flags.c_contiguous, s.x.tobytes(), s.score.tobytes())
+
+
+def assert_matches_reference(path):
+    got = outcome(ingest_csv, path)
+    assert got == outcome(reference_ingest_csv, path)
+    return got
+
+
+H = "a,score,x1,x2\n"
+
+DIALECT_CASES = {
+    # name: (file text, None if accepted else a substring of the error)
+    "quoted": (H + '"1","0.5","0.25","-1"\n"0","","3","4"\n', None),
+    "spaces": (H + " 1 , 0.5 ,\t0.25,-1 \n0, , 3 ,4\n", None),
+    "crlf": ("a,score,x1,x2\r\n1,0.5,1,2\r\n0,,3,4\r\n", None),
+    "blank_lines": (H + "1,0.5,1,2\n\n\n0,,3,4\n", None),
+    "blank_lines_then_error": (H + "1,0.5,1,2\n\n\n0,,3,4\n1,0.2,oops,4\n",
+                               ":6: column 'x1' has a malformed number 'oops'"),
+    "whitespace_only_line": (H + "1,0.5,1,2\n  \n0,,3,4\n", ":3: expected 4 fields"),
+    "x_out_of_order": ("a,score,x2,x1\n1,0.5,1,2\n0,,3,4\n", None),
+    "header_spaces": (" a , score ,x1 , x2\n1,0.5,1,2\n0,,3,4\n", None),
+    "a_float": (H + "1,0.5,1,2\n1.0,0.5,1,2\n0,,3,4\n", ":3: 'a' must be 0 or 1, got '1.0'"),
+    "a_two": (H + "1,0.5,1,2\n0,,3,4\n2,0.5,1,2\n", ":4: 'a' must be 0 or 1, got '2'"),
+    "a_padded": (H + " 1,0.5,1,2\n0 ,,3,4\n", None),
+    "score_nan": (H + "1,nan,1,2\n0,,3,4\n", ":2: column 'score' must be finite"),
+    "score_inf": (H + "0,,3,4\n1,inf,1,2\n", ":3: column 'score' must be finite"),
+    "score_overflow": (H + "0,,3,4\n1,1e999,1,2\n", ":3: column 'score' must be finite"),
+    "x_nan": (H + "1,0.5,1,nan\n0,,3,4\n", ":2: column 'x2' must be finite"),
+    "x_inf": (H + "1,0.5,1,2\n0,,-inf,4\n", ":3: column 'x1' must be finite"),
+    "x_overflow": (H + "1,0.5,1,2\n0,,3,1e999\n", ":3: column 'x2' must be finite"),
+    "score_missing": (H + "0,,3,4\n1, ,1,2\n", ":3: source row is missing its score"),
+    "score_malformed": (H + "1,0.5x,1,2\n0,,3,4\n",
+                        ":2: column 'score' has a malformed number '0.5x'"),
+    "x_blank": (H + "1,0.5,1,\n0,,3,4\n", ":2: column 'x2' has a malformed number ''"),
+    "target_score_ignored": (H + "1,0.5,1,2\n0,nan,3,4\n0,oops,3,4\n", None),
+    "short_row": (H + "1,0.5,1,2\n0,,3\n", ":3: expected 4 fields"),
+    "long_row": (H + "1,0.5,1,2,9\n0,,3,4\n", ":2: expected 4 fields"),
+    "first_error_wins": (H + "1,0.5,1,nan\n2,0.5,1,2\n", ":2: column 'x2' must be finite"),
+    "a_before_x": (H + "7,0.5,oops,2\n0,,3,4\n", ":2: 'a' must be 0 or 1"),
+    "underscore_digits": (H + "1,0.5,1_000,2\n0,,3,4\n", None),
+    "exponent_and_sign": (H + "1,+5E-1,-1e+2,.5\n0,,3.,-0\n", None),
+    "ascii_separator_padding": (H + "1,0.5,\x1c1,2\x1f\n0,,3,4\n", None),
+    "quoted_newline_counts_one_line": (H + '1,0.5,"1\n",2\n0,,3,x\n',
+                                       ":3: column 'x2' has a malformed number 'x'"),
+    "empty_file": ("", "empty file"),
+    "header_only": (H, "no data rows"),
+    "header_then_blank_lines": (H + "\n\n", "no data rows"),
+    "no_target": (H + "1,0.5,1,2\n", "need at least one source"),
+    "no_covariates": ("a,score\n1,0.5\n0,\n", "x1..xp"),
+    "covariate_gap": ("a,score,x1,x3\n1,0.5,1,2\n0,,3,4\n", "x1..xp"),
+}
+
+
+class TestIngestContract:
+    # ``_BLOCK_ROWS`` is patched with raising=False so that these tests also
+    # run against a row-at-a-time reader that has no blocks.
+    @pytest.mark.parametrize("case", sorted(DIALECT_CASES))
+    def test_dialect_matches_reference(self, tmp_path, case):
+        text, error = DIALECT_CASES[case]
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        got = assert_matches_reference(str(p))
+        if error is None:
+            assert got[0] == "ok"
+        else:
+            assert got[0] == "DataError" and error in got[1]
+
+    def test_column_order_and_values(self, tmp_path):
+        p = write(tmp_path / "d.csv",
+                  'a,score,x2,x1\n" 1",0.5,"1_000",2\n0,,3,-4\n')
+        s = ingest_csv(p)
+        np.testing.assert_array_equal(s.x, [[2.0, 1000.0], [-4.0, 3.0]])
+        np.testing.assert_array_equal(s.a, [1, 0])
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64, 100_000])
+    @pytest.mark.parametrize("bad", ["first", "last"])
+    def test_many_blocks_bad_cell(self, tmp_path, monkeypatch, block_rows, bad):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows, raising=False)
+        rows = [f"{i % 2},{'0.5' if i % 2 else ''},{i},{-i}" for i in range(200)]
+        rows[0 if bad == "first" else -1] = "1,0.5,7,inf"
+        p = tmp_path / "d.csv"
+        p.write_text(H + "\n".join(rows[:100]) + "\n\n" + "\n".join(rows[100:]) + "\n")
+        got = assert_matches_reference(str(p))
+        line = 2 if bad == "first" else 202
+        assert got[1].endswith(f":{line}: column 'x2' must be finite")
+
+    def test_many_blocks_valid(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7, raising=False)
+        sample = dgp_draw(DgpSpec("highdim-sparse"), 100, RngStream(5).child("d"))
+        path = str(tmp_path / "d.csv")
+        emit_csv(sample, path)
+        assert assert_matches_reference(path)[0] == "ok"
+
+    def test_bad_row_reported_before_unreadable_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 100, raising=False)
+        p = write(tmp_path / "d.csv", H + "1,0.5,1,oops\n0,,3,4\n0,," + "9" * 80 + ",1\n")
+        old_limit = csv.field_size_limit(40)
+        try:
+            assert assert_matches_reference(p)[0] == "DataError"
+        finally:
+            csv.field_size_limit(old_limit)
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def observed_samples(draw):
+    n = draw(st.integers(2, 25))
+    p = draw(st.integers(1, 4))
+    a = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)
+             .filter(lambda v: 0 < sum(v) < len(v)))
+    x = draw(st.lists(finite_floats, min_size=n * p, max_size=n * p))
+    score = [draw(finite_floats) if ai else np.nan for ai in a]
+    return ObservedSample(a=np.array(a, dtype=np.int8),
+                          x=np.array(x, dtype=float).reshape(n, p),
+                          score=np.array(score, dtype=float))
+
+
+BAD_TOKENS = ["", " ", "nan", "-inf", "1e999", "oops", "1.0", "2", "0x1",
+              "1_000", " 1 ", "\x1c1", "--1", "1e", "١٢", '"', "\n"]
+
+
+class TestIngestProperties:
+    @given(observed_samples(), st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_byte_identical(self, sample, block_rows):
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_ROWS", block_rows, raising=False)
+            path = os.path.join(d, "s.csv")
+            emit_csv(sample, path)
+            back = ingest_csv(path)
+        assert back.a.dtype == sample.a.dtype and back.x.shape == sample.x.shape
+        assert back.a.tobytes() == sample.a.tobytes()
+        assert back.x.tobytes() == sample.x.tobytes()
+        assert back.score.tobytes() == sample.score.tobytes()
+
+    @given(observed_samples(), st.integers(1, 8), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_one_corrupt_cell_matches_reference(self, sample, block_rows, data):
+        i = data.draw(st.integers(0, sample.n - 1))
+        col = data.draw(st.integers(-1, sample.p + 1))
+        token = data.draw(st.sampled_from(BAD_TOKENS) | st.text(max_size=4))
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_ROWS", block_rows, raising=False)
+            path = os.path.join(d, "s.csv")
+            emit_csv(sample, path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            if col < 0:
+                rows[i + 1].pop()
+            else:
+                rows[i + 1][col] = token
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows(rows)
+            assert_matches_reference(path)
 
 
 @pytest.fixture
@@ -118,6 +394,23 @@ class TestCmdFit:
         for r in rows:
             for col in ("tau", "psi_hat", "se", "cub"):
                 assert np.isfinite(float(r[col]))
+
+    @pytest.mark.parametrize("method", ["onestep", "rs", "icp"])
+    def test_csv_warning_reaches_meta(self, tmp_path, method, capsys):
+        sample = dgp_draw(DgpSpec("lowdim"), 400, RngStream(17).child("d"))
+        path = str(tmp_path / "stray.csv")
+        emit_csv(sample, path)
+        lines = open(path).read().splitlines()
+        target = next(i for i, ln in enumerate(lines) if ln.startswith("0,"))
+        lines[target] = lines[target].replace("0,,", "0,0.5,", 1)
+        open(path, "w").write("\n".join(lines) + "\n")
+        code, out = self.run_fit(tmp_path, path, method)
+        assert code == 0
+        meta = json.load(open(out + ".meta.json"))
+        stray = [w for w in meta["warnings"] if "target row" in w]
+        assert stray == [f"{path}: score ignored on 1 target row(s) "
+                         f"(first at line {target + 1})"]
+        assert stray[0] in capsys.readouterr().err
 
     def test_wcp_rejected_for_fit(self, tmp_path, sample_csv):
         with pytest.raises(SystemExit):
