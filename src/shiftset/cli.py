@@ -25,7 +25,7 @@ import warnings
 from itertools import compress
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .conformal import CalibrationSet, inductive_cp_threshold
 from .core import (
@@ -402,7 +402,7 @@ def _fit(args):
             k, m = res.k, cal.m
             psi_hat = k / (m + 1)
             se = float(np.sqrt(k * (m + 1 - k) / ((m + 1) ** 2 * (m + 2))))
-            cub = float(beta_dist.ppf(1 - targets.alpha_conf, k, m + 1 - k))
+            cub = float(betaincinv(k, m + 1 - k, 1 - targets.alpha_conf))
         rows = [[_fmt(res.tau), _fmt(psi_hat), _fmt(se), _fmt(cub),
                  "0" if res.is_sentinel else "1"]]
         meta.update({

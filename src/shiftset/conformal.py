@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import binom
+from scipy.special import betainc
 
 from .core import ConfigurationError, DomainError, RiskTargets
 
@@ -59,8 +59,9 @@ def inductive_cp_threshold(cal: CalibrationSet, targets: RiskTargets) -> IcpThre
     statistic.
     """
     m = cal.m
-    # Pr(Bin(m, a) >= k) for k = 1..m, decreasing in k.
-    tail = binom.sf(np.arange(m), m, targets.alpha_error)
+    # Pr(Bin(m, a) >= k) = I_a(k, m - k + 1) for k = 1..m, decreasing in k.
+    ks = np.arange(1, m + 1)
+    tail = betainc(ks, m - ks + 1, targets.alpha_error)
     feasible = tail >= 1.0 - targets.alpha_conf
     if not feasible.any():
         return IcpThreshold(SENTINEL_TAU, None, True)

@@ -28,7 +28,13 @@ from .core import (
     UnfittableFoldError,
     miscoverage_vector,
 )
-from .learners import BinaryLearnerSpec, ConstantPredictor, FittedPredictor, fit_binary
+from .learners import (
+    BinaryLearnerSpec,
+    ConstantPredictor,
+    FittedPredictor,
+    fit_binary,
+    fit_binary_grid,
+)
 
 
 def odds_weight(g, gamma):
@@ -120,14 +126,8 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
         g_rng = rng.child("propensity", v)
         g_preds.append(fit_binary(g_spec, sample.x[train], (a_tr == 1).astype(float), g_rng))
 
-        scores = sample.score[src]
-        Xs = sample.x[src]
-        fold_e = []
-        for ti, tau in enumerate(grid):
-            labels = miscoverage_vector(scores, tau)
-            e_rng = rng.child("cond-error", v * len(grid) + ti)
-            fold_e.append(fit_binary(e_spec, Xs, labels, e_rng))
-        e_preds.append(tuple(fold_e))
+        labels = np.array([miscoverage_vector(sample.score[src], tau) for tau in grid])
+        e_preds.append(fit_binary_grid(e_spec, sample.x[src], labels))
         fingerprints.append(tuple(int(i) for i in train))
 
     return NuisanceFits(

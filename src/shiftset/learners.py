@@ -5,11 +5,13 @@ logistic regression fit by iteratively reweighted least squares, and
 gradient-boosted decision stumps.  Both return probabilities in [0, 1].
 Constant labels short-circuit to an exactly-constant predictor before any
 learner runs, which keeps conditional-error fits exact at thresholds beyond
-the observed score range.
+the observed score range.  ``fit_binary_grid`` fits a stack of label vectors
+on one design, as the per-threshold conditional-error models need.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -23,6 +25,11 @@ LEARNER_KINDS = ("logistic-ridge", "boosted-stumps", "constant")
 # Boosted-stump probabilities are clamped away from {0, 1} so that downstream
 # odds transforms stay finite.
 _STUMP_CLAMP = 1e-6
+# Elements in one (columns, features, rows) array of a stump-fitting round;
+# label columns beyond it are grown in further batches.
+_STUMP_BLOCK = 1 << 17
+# Log-odds terms, (stumps + 1) x rows, evaluated at once by a stump predictor.
+_PREDICT_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,8 +54,14 @@ class BinaryLearnerSpec:
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise ConfigurationError(f"unknown learner kind {self.kind!r}")
-        if self.ridge < 0:
-            raise ConfigurationError("ridge strength must be nonnegative")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ConfigurationError("ridge strength must be finite and nonnegative")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ConfigurationError("tol must be finite and positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigurationError("learning_rate must be finite and positive")
+        if not (math.isfinite(self.min_child_weight) and self.min_child_weight >= 0):
+            raise ConfigurationError("min_child_weight must be finite and nonnegative")
         if self.max_iter < 1 or self.rounds < 1:
             raise ConfigurationError("iteration caps must be at least 1")
         if not (0.0 <= self.constant_value <= 1.0):
@@ -133,10 +146,22 @@ class BoostedStumpsPredictor(FittedPredictor):
         self.p = int(p)
 
     def _predict(self, X):
-        raw = np.full(X.shape[0], self.base_logodds)
-        for j, thr, lv, rv in zip(self.features, self.thresholds,
-                                  self.left_values, self.right_values):
-            raw += np.where(X[:, j] <= thr, lv, rv)
+        rows = max(2, _PREDICT_TERMS // (self.features.size + 1))
+        XT = np.ascontiguousarray(X.T)
+        raw = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], rows):
+            block = XT[self.features, start:start + rows]
+            m = block.shape[1]
+            if m == 1:
+                # numpy sums down a lone column pairwise, not row by row.
+                block = np.repeat(block, 2, axis=1)
+            # Row 0 is the base; summing down the rows adds the stumps in
+            # round order, as a loop over them would.
+            terms = np.empty((self.features.size + 1, block.shape[1]))
+            terms[0] = self.base_logodds
+            _leaves(block <= self.thresholds[:, None], self.left_values,
+                    self.right_values, out=terms[1:].view(np.int64))
+            raw[start:start + m] = np.add.reduce(terms, axis=0)[:m]
         return np.clip(expit(raw), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP)
 
 
@@ -153,23 +178,44 @@ def fit_binary(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray,
     the configured learner.  IRLS that diverges falls back to an
     intercept-only fit with a warning; it never raises.
     """
+    return _fit_stack(spec, X, np.asarray(z, dtype=float).reshape(1, -1))[0]
+
+
+def fit_binary_grid(spec: BinaryLearnerSpec, X: np.ndarray,
+                    Z: np.ndarray) -> tuple[FittedPredictor, ...]:
+    """Fit one model per row of the label stack ``Z``, all on the design ``X``.
+
+    Each predictor equals what :func:`fit_binary` returns for that row.
+    Boosted stumps share one presort of ``X`` and grow every ensemble in the
+    same rounds; logistic fits run one IRLS per row.
+    """
+    return _fit_stack(spec, X, np.atleast_2d(np.asarray(Z, dtype=float)))
+
+
+def _fit_stack(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if X.shape[0] != z.shape[0]:
+    Z = np.ascontiguousarray(Z)
+    if X.shape[0] != Z.shape[1]:
         raise DataError("X and z must have the same number of rows")
     if X.shape[0] < 1:
         raise DataError("cannot fit on an empty sample")
-    if np.any((z != 0.0) & (z != 1.0)):
+    if np.any((Z != 0.0) & (Z != 1.0)):
         raise DataError("labels must be binary")
 
-    if np.all(z == z[0]):
-        return ConstantPredictor(float(z[0]), p=X.shape[1])
-
+    p = X.shape[1]
+    constant = np.all(Z == Z[:, :1], axis=1)
+    preds = [ConstantPredictor(float(z[0]), p=p) if c else None
+             for z, c in zip(Z, constant)]
+    todo = np.flatnonzero(~constant)
     if spec.kind == "constant":
-        return ConstantPredictor(float(np.mean(z)), p=X.shape[1])
-    if spec.kind == "logistic-ridge":
-        return _fit_logistic_irls(spec, X, z)
-    return _fit_boosted_stumps(spec, X, z)
+        fitted = [ConstantPredictor(float(np.mean(Z[i])), p=p) for i in todo]
+    elif spec.kind == "logistic-ridge":
+        fitted = [_fit_logistic_irls(spec, X, Z[i]) for i in todo]
+    else:
+        fitted = _fit_boosted_stumps(spec, X, Z[todo]) if todo.size else []
+    for i, pred in zip(todo, fitted):
+        preds[i] = pred
+    return tuple(preds)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +267,7 @@ def _fit_logistic_irls(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray):
 
     if not ok:
         warnings.warn("IRLS diverged; falling back to an intercept-only fit",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
         zbar = float(np.clip(np.mean(z), 1e-10, 1 - 1e-10))
         return LogisticRidgePredictor(logit(zbar), np.zeros(p), p,
                                       x_mean, x_scale, fallback=True)
@@ -239,51 +285,85 @@ def _penalized_deviance(design, z, beta, penalty):
 # Gradient-boosted stumps
 # ---------------------------------------------------------------------------
 
-def _fit_boosted_stumps(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray):
+def _fit_boosted_stumps(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
+    """One boosted-stump ensemble per row of ``Z`` (no row constant).
+
+    Each feature is sorted once.  Every round evaluates, for all growing
+    ensembles and all features at once, the exact second-order gain of each
+    split between distinct neighbouring values; an ensemble takes its best
+    split (first position within a feature, then first feature, on ties) and
+    stops growing at its first round without a valid split.
+    """
     n, p = X.shape
-    zbar = float(np.clip(np.mean(z), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP))
-    base = float(logit(zbar))
-    raw = np.full(n, base)
+    XT = np.ascontiguousarray(X.T)
+    order = np.argsort(XT, axis=1, kind="stable")
+    xs = np.take_along_axis(XT, order, axis=1)
+    # A split after sorted position k needs xs[k] < xs[k + 1].
+    splittable = np.zeros((p, n), dtype=bool)
+    splittable[:, :-1] = xs[:, :-1] < xs[:, 1:]
+    step = max(1, _STUMP_BLOCK // (p * n))
+    return [pred for start in range(0, Z.shape[0], step)
+            for pred in _grow_stumps(spec, XT, order.ravel(), xs, splittable,
+                                     Z[start:start + step])]
 
-    order = [np.argsort(X[:, j], kind="stable") for j in range(p)]
-    features, thresholds, lvals, rvals = [], [], [], []
 
-    for _ in range(spec.rounds):
-        prob = expit(raw)
-        grad = z - prob
-        hess = np.clip(prob * (1.0 - prob), 1e-12, None)
-        total_g, total_h = grad.sum(), hess.sum()
+def _grow_stumps(spec, XT, order, xs, splittable, Z):
+    p, n = XT.shape
+    L = Z.shape[0]
+    base = logit(np.clip(Z.mean(axis=1), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP))
+    raw = np.repeat(base[:, None], n, axis=1)
+    mcw, lr = spec.min_child_weight, spec.learning_rate
+    features = np.zeros((L, spec.rounds), dtype=np.int64)
+    thresholds, lvals, rvals = np.zeros((3, L, spec.rounds))
+    grown = np.zeros(L, dtype=np.int64)
+    live = np.arange(L)
 
-        best = None  # (gain, feature, threshold, gl, hl)
-        for j in range(p):
-            idx = order[j]
-            xs = X[idx, j]
-            gl = np.cumsum(grad[idx])[:-1]
-            hl = np.cumsum(hess[idx])[:-1]
-            valid = xs[:-1] < xs[1:]  # split only between distinct values
-            valid &= (hl >= spec.min_child_weight)
-            valid &= (total_h - hl >= spec.min_child_weight)
-            if not valid.any():
-                continue
-            gr = total_g - gl
-            hr = total_h - hl
-            gain = gl**2 / hl + gr**2 / hr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(spec.rounds):
+            prob = expit(raw)
+            gh = np.empty((2,) + raw.shape)
+            np.subtract(Z, prob, out=gh[0])
+            np.clip(prob * (1.0 - prob), 1e-12, None, out=gh[1])
+            g_tot, h_tot = gh.sum(axis=2)
+            # Left-child sums after each sorted position, shape (live, p, n).
+            gl, hl = np.cumsum(gh.take(order, axis=2).reshape(2, -1, p, n), axis=3)
+            gr = g_tot[:, None, None] - gl
+            hr = h_tot[:, None, None] - hl
+            valid = (hl >= mcw) & (hr >= mcw) & splittable
+            gain = np.square(gl)
+            gain /= hl
+            np.square(gr, out=gr)
+            gr /= hr
+            gain += gr
             gain[~valid] = -np.inf
-            k = int(np.argmax(gain))
-            if best is None or gain[k] > best[0]:
-                thr = 0.5 * (xs[k] + xs[k + 1])
-                best = (float(gain[k]), j, thr, float(gl[k]), float(hl[k]))
+            gain = gain.reshape(live.size, -1)
+            best = gain.argmax(axis=1)
+            rows = np.flatnonzero(gain[np.arange(live.size), best] > -np.inf)
+            if rows.size < live.size:
+                live, raw, Z = live[rows], raw[rows], Z[rows]
+                if not live.size:
+                    break
+            j, k = np.divmod(best[rows], n)
+            g_left, h_left = gl[rows, j, k], hl[rows, j, k]
+            thr = 0.5 * (xs[j, k] + xs[j, k + 1])
+            lv = lr * g_left / h_left
+            rv = lr * (g_tot[rows] - g_left) / (h_tot[rows] - h_left)
+            features[live, r] = j
+            thresholds[live, r] = thr
+            lvals[live, r] = lv
+            rvals[live, r] = rv
+            grown[live] += 1
+            raw += _leaves(XT[j] <= thr[:, None], lv, rv)
 
-        if best is None:
-            break
-        _, j, thr, gl, hl = best
-        gr, hr = total_g - gl, total_h - hl
-        left_val = spec.learning_rate * gl / hl
-        right_val = spec.learning_rate * gr / hr
-        features.append(j)
-        thresholds.append(thr)
-        lvals.append(left_val)
-        rvals.append(right_val)
-        raw += np.where(X[:, j] <= thr, left_val, right_val)
+    return [BoostedStumpsPredictor(base[i], features[i, :m], thresholds[i, :m],
+                                   lvals[i, :m], rvals[i, :m], p)
+            for i, m in enumerate(grown)]
 
-    return BoostedStumpsPredictor(base, features, thresholds, lvals, rvals, p)
+
+def _leaves(goes_left, left, right, out=None):
+    """``np.where(goes_left, left[:, None], right[:, None])``, exact and
+    branch-free: the mask times the xor of the two leaves' bits, xored with
+    the right leaf's bits, is the chosen leaf's bits."""
+    flip = (left.view(np.int64) ^ right.view(np.int64))[:, None]
+    bits = np.bitwise_xor(goes_left * flip, right.view(np.int64)[:, None], out=out)
+    return bits.view(np.float64)

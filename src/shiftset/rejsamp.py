@@ -27,7 +27,7 @@ from .core import (
     miscoverage_vector,
 )
 from .crossfit import odds_weight
-from .learners import BinaryLearnerSpec, FittedPredictor, fit_binary
+from .learners import BinaryLearnerSpec, FittedPredictor, fit_binary, fit_binary_grid
 from .onestep import CoverageTable, normal_upper_quantile
 
 # Exact 0/1 propensity outputs would blow up the odds transform; the RS path
@@ -104,13 +104,8 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
                         (a_train == 1).astype(float), rng.child("rs-g"))
 
     src_train = train_idx[a_train == 1]
-    scores_train = sample.score[src_train]
-    X_src_train = sample.x[src_train]
-    e_preds = tuple(
-        fit_binary(e_spec, X_src_train, miscoverage_vector(scores_train, tau),
-                   rng.child("rs-e", ti))
-        for ti, tau in enumerate(grid)
-    )
+    labels = np.array([miscoverage_vector(sample.score[src_train], tau) for tau in grid])
+    e_preds = fit_binary_grid(e_spec, sample.x[src_train], labels)
 
     g_test = np.clip(g_pred.predict(sample.x[test_idx]), _G_GUARD, 1.0 - _G_GUARD)
     what_test = odds_weight(g_test, gamma_train)

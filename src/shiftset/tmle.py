@@ -63,7 +63,13 @@ class TargetedPredictor(FittedPredictor):
         e = self.fits.cond_error(self.v, self.tau, X)
         if self.mode == "constant":
             return e
-        w = odds_weight(self.fits.propensity(self.v, X), self.gamma)
+        return self._fluctuate(e, odds_weight(self.fits.propensity(self.v, X), self.gamma))
+
+    def _fluctuate(self, e: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Fluctuated values from conditional errors ``e`` and weights ``w``
+        at the same points."""
+        if self.mode == "constant":
+            return e
         if self.mode == "logistic":
             off = logit(np.clip(e, _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
             return expit(off + self.beta * w)
@@ -116,8 +122,14 @@ def target_fold(sample: ObservedSample, folds: FoldPlan, v: int, tau: float,
                 fits: NuisanceFits) -> TargetedFoldFit:
     """Fluctuate one fold's conditional-error fit at one threshold."""
     ctx = _FoldContext(sample, folds, fits, v)
-    e_vals = fits.cond_error(v, tau, ctx.X)
+    return _target(ctx, fits, tau, fits.cond_error(v, tau, ctx.X))
 
+
+def _target(ctx: _FoldContext, fits: NuisanceFits, tau: float,
+            e_vals: np.ndarray) -> TargetedFoldFit:
+    """:func:`target_fold` given the fold's context and ``e_vals``, the
+    conditional-error predictions at the fold's units."""
+    v = ctx.v
     if fits.is_constant_fit(v, tau):
         const = float(e_vals[0]) if e_vals.size else 0.0
         if const in (0.0, 1.0):
@@ -170,18 +182,18 @@ def tmle_estimate(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
         ctx = _FoldContext(sample, folds, fits, v)
         gammas[v] = ctx.gamma
         for ti, tau in enumerate(grid):
-            fit = target_fold(sample, folds, v, tau, fits)
+            e_vals = fits.cond_error(v, tau, ctx.X)
+            fit = _target(ctx, fits, tau, e_vals)
             fallback[v, ti] = fit.fallback
             betas[v, ti] = fit.beta
-            raw = fit.predictor.predict_raw(ctx.X)
+            raw = fit.predictor._fluctuate(e_vals, ctx.w)
             clipped = np.clip(raw, 0.0, 1.0)
             z = ctx.labels(tau)
             psi_v = float(clipped[~ctx.src].mean())
             d = np.where(ctx.src, ctx.w * (z - raw) / ctx.gamma,
                          (raw - psi_v) / (1.0 - ctx.gamma))
             psi_by_fold[v, ti] = psi_v
-            plugin_by_fold[v, ti] = float(
-                fits.cond_error(v, tau, ctx.X)[~ctx.src].mean())
+            plugin_by_fold[v, ti] = float(e_vals[~ctx.src].mean())
             sigma2_by_fold[v, ti] = float(np.mean(d * d))
 
     extras = {

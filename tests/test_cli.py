@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import tempfile
@@ -428,6 +429,11 @@ class TestCmdFit:
         assert code == 0
         assert time.time() - t0 < 60
 
+    def test_nan_ridge_rejected(self, tmp_path, sample_csv, capsys):
+        code, _ = self.run_fit(tmp_path, sample_csv, "onestep", ("--ridge", "nan"))
+        assert code == 1
+        assert "ConfigurationError" in capsys.readouterr().err
+
     def test_estimation_error_maps_to_nonzero_exit(self, tmp_path, sample_csv, capsys):
         code = main(["fit", "--input", sample_csv, "--method", "rs",
                      "--output", str(tmp_path / "o.csv"),
@@ -450,6 +456,23 @@ class TestCmdSimulate:
         assert open(out1, "rb").read() == open(out2, "rb").read()
         assert open(out1 + ".jsonl", "rb").read() == open(out2 + ".jsonl", "rb").read()
         assert open(out1 + ".meta.json", "rb").read() == open(out2 + ".meta.json", "rb").read()
+
+    def test_output_digests_pinned(self, tmp_path):
+        # SHA-256 of the three outputs as first recorded; identical with
+        # OPENBLAS_NUM_THREADS=1.  A refactor must not change them.
+        out = str(tmp_path / "pinned.csv")
+        code = main(["simulate", "--dgp", "lowdim", "--n", "400", "--reps", "2",
+                     "--method", "onestep,tmle,rs,plugin,wplugin,icp,wcp",
+                     "--g-learner", "boosted-stumps", "--e-learner", "boosted-stumps",
+                     "--seed", "7", "--output", out])
+        assert code == 0
+        digests = {suffix: hashlib.sha256(open(out + suffix, "rb").read()).hexdigest()
+                   for suffix in ("", ".jsonl", ".meta.json")}
+        assert digests == {
+            "": "88e908013a03960167d0247ab0a5d1cbe02f28b7eabceabb03eb21ee81ba67d6",
+            ".jsonl": "b181dd51f8de1bb6b7372b60220e222b674cd2ce36139eaa5afaa957c9e73e98",
+            ".meta.json": "f690727195fa64a7e38b5e51c9a54aa8005155ccc65c0e44a7150845f33dd38c",
+        }
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",

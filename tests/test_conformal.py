@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincinv
+from scipy.stats import beta, binom
 
+import shiftset
 from shiftset import (
     CalibrationSet,
     DomainError,
@@ -22,6 +28,40 @@ def exact_binom_tail(m, p, k):
     """Pr(Bin(m, p) >= k) by direct summation (oracle, no scipy)."""
     return sum(math.comb(m, j) * p**j * (1 - p) ** (m - j)
                for j in range(k, m + 1))
+
+
+class TestIncompleteBetaForms:
+    """The library uses scipy.special's incomplete beta in place of
+    scipy.stats distributions; both must give the same bits."""
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1, 0.3, 0.5, 0.9])
+    def test_binomial_tail(self, alpha):
+        for m in [*range(1, 130), 250, 1000, 1001, 5000]:
+            ks = np.arange(1, m + 1)
+            tail = binom.sf(ks - 1, m, alpha)
+            cal = CalibrationSet(np.arange(m, dtype=float))
+            feasible = np.flatnonzero(tail >= 1.0 - 0.05)
+            res = inductive_cp_threshold(cal, RiskTargets(alpha, 0.05))
+            assert res.k == (int(feasible[-1]) + 1 if feasible.size else None)
+            np.testing.assert_array_equal(betainc(ks, m - ks + 1, alpha), tail)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.99])
+    def test_order_statistic_quantile(self, q):
+        for m in [*range(1, 60), 500, 1000, 10000]:
+            for k in sorted({1, 2, max(1, m // 3), max(1, m // 2), m}):
+                if k > m:
+                    continue
+                assert betaincinv(k, m + 1 - k, q) == beta.ppf(q, k, m + 1 - k)
+
+    def test_import_leaves_scipy_stats_out(self):
+        src = os.path.dirname(os.path.dirname(shiftset.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, shiftset, shiftset.cli; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestInductiveCp:

@@ -1,20 +1,32 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
-from scipy.special import expit
+from scipy.special import expit, logit
 
 from shiftset import (
     BinaryLearnerSpec,
     ConfigurationError,
     ConstantPredictor,
     DataError,
+    DgpSpec,
     RngStream,
+    RsConfig,
+    ThresholdGrid,
+    dgp_draw,
     fit_binary,
+    fit_nuisances,
+    make_folds,
+    miscoverage_vector,
     predict,
+    rs_prepare,
 )
-from shiftset.learners import LogisticRidgePredictor
+from shiftset import learners
+from shiftset.learners import BoostedStumpsPredictor, LogisticRidgePredictor, fit_binary_grid
 
 
 @pytest.fixture
@@ -156,6 +168,179 @@ class TestBoostedStumps:
         np.testing.assert_array_equal(a, b)
 
 
+# ---------------------------------------------------------------------------
+# Reference oracle for the stump path: one label vector at a time, one
+# feature at a time, and a predict loop over the stumps in round order.
+# ---------------------------------------------------------------------------
+
+def reference_fit_boosted_stumps(spec, X, z):
+    n, p = X.shape
+    zbar = float(np.clip(np.mean(z), 1e-6, 1.0 - 1e-6))
+    base = float(logit(zbar))
+    raw = np.full(n, base)
+
+    order = [np.argsort(X[:, j], kind="stable") for j in range(p)]
+    features, thresholds, lvals, rvals = [], [], [], []
+
+    for _ in range(spec.rounds):
+        prob = expit(raw)
+        grad = z - prob
+        hess = np.clip(prob * (1.0 - prob), 1e-12, None)
+        total_g, total_h = grad.sum(), hess.sum()
+
+        best = None  # (gain, feature, threshold, gl, hl)
+        for j in range(p):
+            idx = order[j]
+            xs = X[idx, j]
+            gl = np.cumsum(grad[idx])[:-1]
+            hl = np.cumsum(hess[idx])[:-1]
+            valid = xs[:-1] < xs[1:]  # split only between distinct values
+            valid &= (hl >= spec.min_child_weight)
+            valid &= (total_h - hl >= spec.min_child_weight)
+            if not valid.any():
+                continue
+            gr = total_g - gl
+            hr = total_h - hl
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = gl**2 / hl + gr**2 / hr
+            gain[~valid] = -np.inf
+            k = int(np.argmax(gain))
+            if best is None or gain[k] > best[0]:
+                thr = 0.5 * (xs[k] + xs[k + 1])
+                best = (float(gain[k]), j, thr, float(gl[k]), float(hl[k]))
+
+        if best is None:
+            break
+        _, j, thr, gl, hl = best
+        gr, hr = total_g - gl, total_h - hl
+        left_val = spec.learning_rate * gl / hl
+        right_val = spec.learning_rate * gr / hr
+        features.append(j)
+        thresholds.append(thr)
+        lvals.append(left_val)
+        rvals.append(right_val)
+        raw += np.where(X[:, j] <= thr, left_val, right_val)
+
+    return BoostedStumpsPredictor(base, features, thresholds, lvals, rvals, p)
+
+
+def reference_predict(pred, X):
+    raw = np.full(X.shape[0], pred.base_logodds)
+    for j, thr, lv, rv in zip(pred.features, pred.thresholds,
+                              pred.left_values, pred.right_values):
+        raw += np.where(X[:, j] <= thr, lv, rv)
+    return np.clip(np.clip(expit(raw), 1e-6, 1.0 - 1e-6), 0.0, 1.0)
+
+
+def reference_fit(spec, X, z):
+    if np.all(z == z[0]):
+        return ConstantPredictor(float(z[0]), p=X.shape[1])
+    return reference_fit_boosted_stumps(spec, X, z)
+
+
+def assert_same_predictor(got, want, X):
+    assert type(got) is type(want)
+    if isinstance(want, ConstantPredictor):
+        assert got.value == want.value
+        return
+    assert got.base_logodds == want.base_logodds
+    for name in ("features", "thresholds", "left_values", "right_values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.predict(X).tobytes() == reference_predict(want, X).tobytes()
+
+
+@st.composite
+def stump_problems(draw):
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 4))
+    tied = draw(st.booleans())
+    cell = (st.integers(-2, 2).map(float) if tied else
+            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    X = np.array(draw(st.lists(st.lists(cell, min_size=p, max_size=p),
+                               min_size=n, max_size=n)))
+    for j in draw(st.sets(st.integers(0, p - 1))):
+        X[:, j] = X[0, j]  # constant covariate
+    scores = np.array(draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+                      dtype=float)
+    taus = draw(st.lists(st.sampled_from([-1.0, 0.5, 1.5, 2.5, 3.5, 6.0]),
+                         min_size=1, max_size=6))
+    rows = [miscoverage_vector(scores, t) for t in taus]  # nested in tau
+    if draw(st.booleans()):
+        rows.append(np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                           min_size=n, max_size=n))))
+    rows.extend(rows[:draw(st.integers(0, 2))])  # repeated columns
+    spec = BinaryLearnerSpec(
+        kind="boosted-stumps",
+        rounds=draw(st.sampled_from([1, 2, 7, 25])),
+        learning_rate=draw(st.sampled_from([0.1, 0.5, 1.0])),
+        min_child_weight=draw(st.sampled_from([0.0, 0.3, 5.0, 1e9])))
+    return spec, X, np.array(rows)
+
+
+class TestStumpGridReference:
+    @settings(max_examples=150, deadline=None)
+    @given(stump_problems(), st.sampled_from([1 << 14, 12, 3]),
+           st.sampled_from([1 << 17, 40]))
+    def test_grid_fit_matches_reference(self, problem, terms, block):
+        spec, X, Z = problem
+        X_new = np.vstack([X[::-1], X[:1] + 0.25])  # odd row count
+        # Small blocks make predict chunks and fit batches cover every tail.
+        with mock.patch.object(learners, "_PREDICT_TERMS", terms), \
+                mock.patch.object(learners, "_STUMP_BLOCK", block):
+            fitted = fit_binary_grid(spec, X, Z)
+            assert len(fitted) == Z.shape[0]
+            for z, got in zip(Z, fitted):
+                want = reference_fit(spec, X, z)
+                assert_same_predictor(got, want, X)
+                assert_same_predictor(got, want, X_new)
+                assert_same_predictor(fit_binary(spec, X, z), want, X[:1])
+
+    def test_labels_must_align_and_be_binary(self):
+        spec = BinaryLearnerSpec(kind="boosted-stumps")
+        with pytest.raises(DataError):
+            fit_binary_grid(spec, np.zeros((3, 1)), np.zeros((2, 4)))
+        with pytest.raises(DataError):
+            fit_binary_grid(spec, np.zeros((3, 1)), np.full((2, 3), 0.5))
+
+
+class TestNuisanceGridsMatchReference:
+    """Every cross-fitted and rejection-sampling conditional-error fit equals
+    the reference fit on the same training units, per (fold, threshold)."""
+
+    spec = BinaryLearnerSpec(kind="boosted-stumps")
+    grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
+
+    def draw(self):
+        root = RngStream(31)
+        return root, dgp_draw(DgpSpec("lowdim"), 600, root.child("dgp"))
+
+    def test_fit_nuisances(self):
+        root, sample = self.draw()
+        folds = make_folds(sample.n, 2, root.child("folds"))
+        fits = fit_nuisances(sample, folds, self.grid, self.spec, self.spec,
+                             0.01, root.child("nuis"))
+        for v in range(folds.V):
+            train = folds.complement(v)
+            src = train[sample.a[train] == 1]
+            for ti, tau in enumerate(self.grid):
+                want = reference_fit(self.spec, sample.x[src],
+                                     miscoverage_vector(sample.score[src], tau))
+                assert_same_predictor(fits.e_predictors[v][ti], want,
+                                      sample.x[folds.indices(v)])
+
+    def test_rs_prepare(self):
+        root, sample = self.draw()
+        run = rs_prepare(sample, RsConfig(), self.grid, self.spec, self.spec,
+                         root.child("rs"))
+        src = run.train_idx[sample.a[run.train_idx] == 1]
+        for ti, tau in enumerate(self.grid):
+            want = reference_fit(self.spec, sample.x[src],
+                                 miscoverage_vector(sample.score[src], tau))
+            assert_same_predictor(run.e_predictors[ti], want,
+                                  sample.x[run.test_idx])
+
+
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
@@ -168,3 +353,26 @@ class TestSpecValidation:
     def test_iteration_caps(self):
         with pytest.raises(ConfigurationError):
             BinaryLearnerSpec(max_iter=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_ridge(self, value):
+        with pytest.raises(ConfigurationError):
+            BinaryLearnerSpec(ridge=value)
+
+    @pytest.mark.parametrize("value", [-0.1, 0.0, np.nan, np.inf])
+    def test_learning_rate_finite_positive(self, value):
+        with pytest.raises(ConfigurationError):
+            BinaryLearnerSpec(kind="boosted-stumps", learning_rate=value)
+
+    @pytest.mark.parametrize("value", [-1e-8, 0.0, np.nan, np.inf])
+    def test_tol_finite_positive(self, value):
+        with pytest.raises(ConfigurationError):
+            BinaryLearnerSpec(tol=value)
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_min_child_weight_finite_nonnegative(self, value):
+        with pytest.raises(ConfigurationError):
+            BinaryLearnerSpec(kind="boosted-stumps", min_child_weight=value)
+
+    def test_zero_min_child_weight_allowed(self):
+        assert BinaryLearnerSpec(min_child_weight=0.0).min_child_weight == 0.0
