@@ -12,7 +12,6 @@ from .conformal import (
     IcpThreshold,
     inductive_cp_threshold,
     weighted_cp_set,
-    weighted_quantile_cutoff,
     weighted_quantile_cutoffs,
 )
 from .core import (
@@ -24,7 +23,6 @@ from .core import (
     EmptyAcceptanceError,
     FoldPlan,
     ObservedSample,
-    ObservedUnit,
     RiskTargets,
     RngStream,
     ShiftsetError,
@@ -32,7 +30,6 @@ from .core import (
     UnfittableFoldError,
     empirical_gamma,
     make_folds,
-    miscoverage_indicator,
     miscoverage_vector,
 )
 from .crossfit import NuisanceFits, fit_nuisances, odds_weight, oracle_nuisances
@@ -41,15 +38,12 @@ from .learners import (
     ConstantPredictor,
     FittedPredictor,
     fit_binary,
-    predict,
 )
 from .onestep import (
     CoverageTable,
     ThresholdDecision,
-    gradient_eval,
     normal_upper_quantile,
     onestep_estimate,
-    onestep_fold,
     plugin_estimate,
     select_threshold,
     weighted_plugin_estimate,
@@ -58,6 +52,7 @@ from .rejsamp import RsConfig, RsRun, rs_estimate, rs_prepare
 from .simbench import (
     ALL_METHODS,
     DGP_KINDS,
+    METHODS,
     AggregateRow,
     DgpSpec,
     OracleEvaluator,

@@ -27,7 +27,6 @@ from itertools import compress
 import numpy as np
 from scipy.special import betaincinv
 
-from .conformal import CalibrationSet, inductive_cp_threshold
 from .core import (
     ConfigurationError,
     DataError,
@@ -36,20 +35,14 @@ from .core import (
     RngStream,
     ShiftsetError,
     ThresholdGrid,
-    make_folds,
 )
-from .crossfit import fit_nuisances
 from .learners import BinaryLearnerSpec
-from .onestep import (
-    CoverageTable,
-    onestep_estimate,
-    plugin_estimate,
-    select_threshold,
-    weighted_plugin_estimate,
-)
-from .rejsamp import RsConfig, rs_estimate, rs_prepare
+from .onestep import CoverageTable
+from .rejsamp import RsConfig
 from .simbench import (
     ALL_METHODS,
+    METHODS,
+    Dataset,
     DgpSpec,
     StudyConfig,
     _ensure_methods,
@@ -57,7 +50,6 @@ from .simbench import (
     oracle_tau0,
     run_study,
 )
-from .tmle import tmle_estimate
 
 _DGP_ALIASES = {
     "highdim": "highdim-sparse",
@@ -66,7 +58,6 @@ _DGP_ALIASES = {
     "lowdim-noshift": "lowdim-noshift",
 }
 
-_FIT_METHODS = ("onestep", "tmle", "rs", "plugin", "wplugin", "icp")
 _BLOCK_ROWS = 1024  # CSV rows converted at a time; bounds the tokens held in memory
 
 
@@ -231,7 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_fit = sub.add_parser("fit", help="run one method on a CSV dataset")
     add_common(sp_fit)
     sp_fit.add_argument("--input", required=True)
-    sp_fit.add_argument("--method", required=True, choices=_FIT_METHODS)
+    # Weighted conformal needs the oracle's target draws: simulation only.
+    sp_fit.add_argument("--method", required=True,
+                        choices=[m for m in METHODS if m != "wcp"])
 
     sp_sim = sub.add_parser("simulate", help="replication study on a built-in DGP")
     add_common(sp_sim)
@@ -298,22 +291,17 @@ def _parse_grid(text: str) -> ThresholdGrid:
     return ThresholdGrid.from_range(lo, hi, step)
 
 
-def _validate_targets(args) -> RiskTargets:
-    if not (0.0 < args.alpha_conf < 0.5):
-        raise ConfigurationError("alpha-conf must lie in (0, 0.5)")
-    if not (0.0 < args.alpha_error < 1.0):
-        raise ConfigurationError("alpha-error must lie in (0, 1)")
-    return RiskTargets(alpha_error=args.alpha_error, alpha_conf=args.alpha_conf)
-
-
-def _learner_specs(args):
-    g = BinaryLearnerSpec(kind=args.g_learner, ridge=args.ridge)
-    e = BinaryLearnerSpec(kind=args.e_learner, ridge=args.ridge)
-    return g, e
-
-
-def _rs_config(args) -> RsConfig:
-    return RsConfig(bhat_mult=args.bhat_mult, bhat_fixed=args.bhat_fixed)
+def _study_config(args, **extra) -> StudyConfig:
+    """Grid, risk targets, learners, folds, truncation and the rejection
+    sampling bound rule, as ``fit`` and ``simulate`` share them."""
+    return StudyConfig(
+        grid=_parse_grid(args.grid),
+        targets=RiskTargets(alpha_error=args.alpha_error, alpha_conf=args.alpha_conf),
+        g_spec=BinaryLearnerSpec(kind=args.g_learner, ridge=args.ridge),
+        e_spec=BinaryLearnerSpec(kind=args.e_learner, ridge=args.ridge),
+        V=args.folds, delta=args.delta,
+        rs_config=RsConfig(bhat_mult=args.bhat_mult, bhat_fixed=args.bhat_fixed),
+        **extra)
 
 
 def _require_output(args):
@@ -368,9 +356,8 @@ def cmd_fit(args) -> int:
 def _fit(args):
     """Run the ``fit`` command's method: (meta, table rows, summary line)."""
     sample = ingest_csv(args.input)
-    grid = _parse_grid(args.grid)
-    targets = _validate_targets(args)
-    g_spec, e_spec = _learner_specs(args)
+    cfg = _study_config(args)
+    targets = cfg.targets
     root = RngStream(args.seed)
 
     meta = {
@@ -384,80 +371,44 @@ def _fit(args):
         "delta": args.delta,
         "alpha_error": targets.alpha_error,
         "alpha_conf": targets.alpha_conf,
-        "grid": [float(t) for t in grid],
+        "grid": [float(t) for t in cfg.grid],
     }
+    data = Dataset(sample, cfg, root.child("folds"), root.child("nuisance"), root)
+    res = METHODS[args.method](data)
+    meta.update(res.meta)
+    meta.update({"selected_tau": res.tau_hat, "sentinel": res.sentinel})
 
-    if args.method == "icp":
-        folds = make_folds(sample.n, args.folds, root.child("folds"))
-        cal_idx = folds.indices(0)
-        cal_src = cal_idx[sample.a[cal_idx] == 1]
-        if cal_src.size == 0:
-            raise DataError("calibration fold has no source units")
-        cal = CalibrationSet(sample.score[cal_src])
-        res = inductive_cp_threshold(cal, targets)
-        # Exact coverage-error distribution of the k-th order statistic.
-        if res.is_sentinel:
+    if res.table is None:  # icp: exact distribution of the k-th order statistic
+        k, m = res.meta["order_statistic"], res.meta["calibration_size"]
+        if res.sentinel:
             psi_hat, se, cub = 0.0, 0.0, 0.0
         else:
-            k, m = res.k, cal.m
             psi_hat = k / (m + 1)
             se = float(np.sqrt(k * (m + 1 - k) / ((m + 1) ** 2 * (m + 2))))
             cub = float(betaincinv(k, m + 1 - k, 1 - targets.alpha_conf))
-        rows = [[_fmt(res.tau), _fmt(psi_hat), _fmt(se), _fmt(cub),
-                 "0" if res.is_sentinel else "1"]]
-        meta.update({
-            "selected_tau": res.tau,
-            "sentinel": res.is_sentinel,
-            "calibration_size": cal.m,
-            "order_statistic": res.k,
-        })
-        if res.is_sentinel:
+        rows = [[_fmt(res.tau_hat), _fmt(psi_hat), _fmt(se), _fmt(cub),
+                 "0" if res.sentinel else "1"]]
+        if res.sentinel:
             return meta, rows, (f"icp: no certifiable order statistic among "
-                                f"{cal.m} calibration scores; sentinel 0 recorded")
-        return meta, rows, (f"icp: selected tau={res.tau:.4g} "
-                            f"(order statistic {res.k} of {cal.m})")
+                                f"{m} calibration scores; sentinel 0 recorded")
+        return meta, rows, (f"icp: selected tau={res.tau_hat:.4g} "
+                            f"(order statistic {k} of {m})")
 
-    if args.method == "rs":
-        run = rs_prepare(sample, _rs_config(args), grid, g_spec, e_spec, root)
-        table = rs_estimate(run, sample, grid, targets)
-        meta.update({"bhat": run.bhat, "pi_hat": run.pi_hat,
-                     "n_accepted": run.n_accepted})
-    else:
-        folds = make_folds(sample.n, args.folds, root.child("folds"))
-        fits = fit_nuisances(sample, folds, grid, g_spec, e_spec,
-                             args.delta, root.child("nuisance"))
-        estimate = {
-            "onestep": onestep_estimate,
-            "tmle": tmle_estimate,
-            "plugin": plugin_estimate,
-            "wplugin": weighted_plugin_estimate,
-        }[args.method]
-        table = estimate(sample, folds, grid, fits, targets)
-        if args.method == "tmle":
-            meta["tmle_fallback_count"] = int(table.extras["fallback"].sum())
-            meta["tmle_clipping"] = table.extras["ls_clip"]
-
-    decision = select_threshold(table, targets)
-    meta.update({"selected_tau": decision.tau_hat, "sentinel": decision.is_sentinel})
-    rows = _table_rows(table, decision.tau_hat, decision.is_sentinel)
-    if decision.is_sentinel:
+    table = res.table
+    rows = _table_rows(table, res.tau_hat, res.sentinel)
+    if res.sentinel:
         return meta, rows, (f"{args.method}: no certifiable threshold "
                             f"(alpha_error={targets.alpha_error:.4g}); sentinel 0 recorded")
-    i = list(table.taus).index(decision.tau_hat)
-    return meta, rows, (f"{args.method}: selected tau={decision.tau_hat:.4g} "
+    i = list(table.taus).index(res.tau_hat)
+    return meta, rows, (f"{args.method}: selected tau={res.tau_hat:.4g} "
                         f"(psi_hat={table.psi[i]:.4g}, cub={table.cub[i]:.4g})")
 
 
 def cmd_simulate(args) -> int:
     _require_output(args)
     methods = _ensure_methods(m.strip() for m in args.method.split(",") if m.strip())
-    grid = _parse_grid(args.grid)
-    targets = _validate_targets(args)
-    g_spec, e_spec = _learner_specs(args)
+    cfg = _study_config(args, oracle_m=args.oracle_m)
     spec = DgpSpec(_DGP_ALIASES[args.dgp])
-    cfg = StudyConfig(grid=grid, targets=targets, g_spec=g_spec, e_spec=e_spec,
-                      V=args.folds, delta=args.delta, rs_config=_rs_config(args),
-                      oracle_m=args.oracle_m)
     report = run_study(spec, [args.n], methods, args.reps, cfg,
                        RngStream(args.seed))
 

@@ -69,41 +69,23 @@ def inductive_cp_threshold(cal: CalibrationSet, targets: RiskTargets) -> IcpThre
     return IcpThreshold(float(cal.sorted()[k - 1]), k, False)
 
 
-def weighted_quantile_cutoff(cal_scores: np.ndarray, cal_weights: np.ndarray,
-                             test_weight: float, alpha_error: float) -> float:
-    """Smallest calibration score at which the normalized cumulative weight
-    (counting the test point's mass below every score) reaches alpha_error.
-
-    Returns -inf when the test mass alone reaches the level, in which case
-    every candidate is kept.  Ties in scores pool their weight.
-    """
-    cal_scores = np.asarray(cal_scores, dtype=float).reshape(-1)
-    cal_weights = np.asarray(cal_weights, dtype=float).reshape(-1)
-    if cal_scores.shape != cal_weights.shape or cal_scores.size == 0:
-        raise ConfigurationError("scores and weights must align and be non-empty")
-    if np.any(cal_weights < 0) or test_weight < 0:
-        raise DomainError("weights must be nonnegative")
-    total = float(cal_weights.sum() + test_weight)
-    if total <= 0.0:
-        raise DomainError("degenerate weights: total weight is zero")
-
-    level = alpha_error * total - test_weight
-    if level <= 0.0:
-        return float("-inf")
-    order = np.argsort(cal_scores, kind="stable")
-    cum = np.cumsum(cal_weights[order])
-    pos = int(np.searchsorted(cum, level, side="left"))
-    pos = min(pos, cal_scores.size - 1)
-    return float(cal_scores[order][pos])
-
-
 def weighted_quantile_cutoffs(cal_scores: np.ndarray, cal_weights: np.ndarray,
                               test_weights: np.ndarray,
                               alpha_error: float) -> np.ndarray:
-    """Vectorized :func:`weighted_quantile_cutoff` over many test points."""
+    """Per test point, the smallest calibration score at which the
+    normalized cumulative weight (counting the test point's mass below every
+    score) reaches alpha_error.
+
+    A cutoff is -inf when the test mass alone reaches the level, in which
+    case every candidate is kept.  Ties in scores pool their weight.
+    """
     cal_scores = np.asarray(cal_scores, dtype=float).reshape(-1)
     cal_weights = np.asarray(cal_weights, dtype=float).reshape(-1)
     test_weights = np.asarray(test_weights, dtype=float).reshape(-1)
+    if cal_scores.shape != cal_weights.shape or cal_scores.size == 0:
+        raise ConfigurationError("scores and weights must align and be non-empty")
+    if test_weights.size == 0:
+        raise ConfigurationError("need at least one test weight")
     if np.any(cal_weights < 0) or np.any(test_weights < 0):
         raise DomainError("weights must be nonnegative")
     w_total = float(cal_weights.sum())
@@ -127,6 +109,6 @@ def weighted_cp_set(cal_scores: np.ndarray, cal_weights: np.ndarray,
     A candidate is kept iff its score is at least the weighted cutoff; with
     equal weights this reproduces unweighted split conformal exactly.
     """
-    cutoff = weighted_quantile_cutoff(cal_scores, cal_weights, test_weight,
-                                      targets.alpha_error)
+    cutoff = weighted_quantile_cutoffs(cal_scores, cal_weights, [test_weight],
+                                       targets.alpha_error)[0]
     return np.asarray(candidate_scores, dtype=float) >= cutoff

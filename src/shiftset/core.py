@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,13 +77,6 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
-    @classmethod
-    def root(cls, seed: int, purpose: str = "", index: int = 0) -> "RngStream":
-        stream = cls(int(seed))
-        if purpose or index:
-            stream = stream.child(purpose, index)
-        return stream
-
     def child(self, purpose: str, index: int = 0) -> "RngStream":
         if index < 0:
             raise ConfigurationError("substream index must be nonnegative")
@@ -97,24 +90,6 @@ class RngStream:
 # ---------------------------------------------------------------------------
 # Samples
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ObservedUnit:
-    """One observation: population flag, covariates, and (source-only) score."""
-
-    a: int
-    x: np.ndarray
-    score: float | None = None
-
-    def __post_init__(self):
-        if self.a not in (0, 1):
-            raise DataError(f"population indicator must be 0 or 1, got {self.a}")
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float).reshape(-1))
-        if self.a == 1 and (self.score is None or not np.isfinite(self.score)):
-            raise DataError("source units (a=1) must carry a finite score")
-        if self.a == 0 and self.score is not None:
-            raise DataError("target units (a=0) must not carry a score")
-
 
 @dataclass(frozen=True)
 class ObservedSample:
@@ -146,20 +121,6 @@ class ObservedSample:
         if (a == 1).sum() < 1 or (a == 0).sum() < 1:
             raise DataError("sample must contain at least one source and one target unit")
 
-    @classmethod
-    def from_units(cls, units: Iterable[ObservedUnit]) -> "ObservedSample":
-        units = list(units)
-        if not units:
-            raise DataError("empty sample")
-        p = units[0].x.shape[0]
-        for u in units:
-            if u.x.shape[0] != p:
-                raise DataError("all units must share one covariate dimension")
-        a = np.array([u.a for u in units], dtype=np.int8)
-        x = np.stack([u.x for u in units])
-        score = np.array([np.nan if u.score is None else u.score for u in units])
-        return cls(a=a, x=x, score=score)
-
     @property
     def n(self) -> int:
         return self.a.shape[0]
@@ -179,10 +140,6 @@ class ObservedSample:
     @property
     def is_source(self) -> np.ndarray:
         return self.a == 1
-
-    def unit(self, i: int) -> ObservedUnit:
-        s = float(self.score[i]) if self.a[i] == 1 else None
-        return ObservedUnit(a=int(self.a[i]), x=self.x[i].copy(), score=s)
 
 
 # ---------------------------------------------------------------------------
@@ -277,24 +234,17 @@ class RiskTargets:
     def __post_init__(self):
         if not (0.0 < self.alpha_error < 1.0):
             raise ConfigurationError("alpha_error must lie strictly inside (0, 1)")
-        if not (0.0 < self.alpha_conf < 1.0):
-            raise ConfigurationError("alpha_conf must lie strictly inside (0, 1)")
+        if not (0.0 < self.alpha_conf < 0.5):
+            raise ConfigurationError("alpha_conf must lie strictly inside (0, 0.5)")
 
 
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
 
-def miscoverage_indicator(score: float, tau: float) -> int:
-    """1 if the scored label falls outside C_tau, i.e. score < tau.
-
-    The boundary score == tau is covered (kept in the set).
-    """
-    return int(score < tau)
-
-
 def miscoverage_vector(scores: np.ndarray, tau: float) -> np.ndarray:
-    """Vectorized miscoverage labels Z_tau for an array of scores."""
+    """Miscoverage labels Z_tau: 1 where a score falls strictly below tau,
+    i.e. outside C_tau.  A score equal to tau is covered (kept in the set)."""
     return (np.asarray(scores) < tau).astype(float)
 
 

@@ -36,6 +36,11 @@ from .learners import (
     fit_binary_grid,
 )
 
+# Where no truncation is requested (oracle fits, rejection sampling), the
+# propensity is kept this far from exact 0/1, which saturated learners emit,
+# so that the odds transform stays finite.
+PROPENSITY_GUARD = 1e-12
+
 
 def odds_weight(g, gamma):
     """Importance weight ((1 - g) / g) * (gamma / (1 - gamma)).
@@ -65,11 +70,6 @@ class NuisanceFits:
     g_predictors: tuple[FittedPredictor, ...]
     e_predictors: tuple[tuple[FittedPredictor, ...], ...]  # [fold][tau index]
     delta: float
-    train_indices: tuple[tuple[int, ...], ...] = ()
-
-    @property
-    def V(self) -> int:
-        return len(self.g_predictors)
 
     def tau_index(self, tau: float) -> int:
         for i, t in enumerate(self.taus):
@@ -82,9 +82,7 @@ class NuisanceFits:
         if self.delta > 0.0:
             g = np.clip(g, self.delta, 1.0 - self.delta)
         else:
-            # No truncation requested; guard only against exact 0/1 from
-            # saturated learners so the odds transform stays finite.
-            g = np.clip(g, 1e-12, 1.0 - 1e-12)
+            g = np.clip(g, PROPENSITY_GUARD, 1.0 - PROPENSITY_GUARD)
         return g
 
     def cond_error(self, v: int, tau: float, X: np.ndarray) -> np.ndarray:
@@ -112,7 +110,6 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
 
     g_preds: list[FittedPredictor] = []
     e_preds: list[tuple[FittedPredictor, ...]] = []
-    fingerprints: list[tuple[int, ...]] = []
 
     for v in range(folds.V):
         train = folds.complement(v)
@@ -128,14 +125,12 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
 
         labels = np.array([miscoverage_vector(sample.score[src], tau) for tau in grid])
         e_preds.append(fit_binary_grid(e_spec, sample.x[src], labels))
-        fingerprints.append(tuple(int(i) for i in train))
 
     return NuisanceFits(
         taus=tuple(grid),
         g_predictors=tuple(g_preds),
         e_predictors=tuple(e_preds),
         delta=float(delta),
-        train_indices=tuple(fingerprints),
     )
 
 

@@ -12,6 +12,7 @@ on one design, as the per-threshold conditional-error models need.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from scipy.special import expit, logit
 
 from .core import ConfigurationError, DataError, RngStream
 
-LEARNER_KINDS = ("logistic-ridge", "boosted-stumps", "constant")
+LEARNER_KINDS = ("logistic-ridge", "boosted-stumps")
 
 # Boosted-stump probabilities are clamped away from {0, 1} so that downstream
 # odds transforms stay finite.
@@ -49,7 +50,6 @@ class BinaryLearnerSpec:
     learning_rate: float = 0.1
     min_child_weight: float = 5.0
     standardize: bool = False
-    constant_value: float = 0.5
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
@@ -62,10 +62,10 @@ class BinaryLearnerSpec:
             raise ConfigurationError("learning_rate must be finite and positive")
         if not (math.isfinite(self.min_child_weight) and self.min_child_weight >= 0):
             raise ConfigurationError("min_child_weight must be finite and nonnegative")
-        if self.max_iter < 1 or self.rounds < 1:
-            raise ConfigurationError("iteration caps must be at least 1")
-        if not (0.0 <= self.constant_value <= 1.0):
-            raise ConfigurationError("constant_value must lie in [0, 1]")
+        for name in ("max_iter", "rounds"):
+            cap = getattr(self, name)
+            if not isinstance(cap, numbers.Integral) or cap < 1:
+                raise ConfigurationError(f"{name} must be an integer of at least 1")
 
 
 class FittedPredictor:
@@ -77,9 +77,6 @@ class FittedPredictor:
         X = self._check(X)
         out = self._predict(X)
         return np.clip(out, 0.0, 1.0)
-
-    def predict_one(self, x: np.ndarray) -> float:
-        return float(self.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -122,12 +119,6 @@ class LogisticRidgePredictor(FittedPredictor):
         self.x_scale = None if x_scale is None else np.asarray(x_scale, dtype=float)
         self.fallback = bool(fallback)
 
-    def linear(self, X: np.ndarray) -> np.ndarray:
-        X = self._check(X)
-        if self.x_mean is not None:
-            X = (X - self.x_mean) / self.x_scale
-        return self.intercept + X @ self.coef
-
     def _predict(self, X):
         if self.x_mean is not None:
             X = (X - self.x_mean) / self.x_scale
@@ -163,11 +154,6 @@ class BoostedStumpsPredictor(FittedPredictor):
                     self.right_values, out=terms[1:].view(np.int64))
             raw[start:start + m] = np.add.reduce(terms, axis=0)[:m]
         return np.clip(expit(raw), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP)
-
-
-def predict(pred: FittedPredictor, x: np.ndarray) -> float:
-    """Probability for a single covariate vector."""
-    return pred.predict_one(x)
 
 
 def fit_binary(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray,
@@ -207,9 +193,7 @@ def _fit_stack(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     preds = [ConstantPredictor(float(z[0]), p=p) if c else None
              for z, c in zip(Z, constant)]
     todo = np.flatnonzero(~constant)
-    if spec.kind == "constant":
-        fitted = [ConstantPredictor(float(np.mean(Z[i])), p=p) for i in todo]
-    elif spec.kind == "logistic-ridge":
+    if spec.kind == "logistic-ridge":
         fitted = [_fit_logistic_irls(spec, X, Z[i]) for i in todo]
     else:
         fitted = _fit_boosted_stumps(spec, X, Z[todo]) if todo.size else []

@@ -33,10 +33,8 @@ from .core import (
     DomainError,
     FoldPlan,
     ObservedSample,
-    ObservedUnit,
     RiskTargets,
     ThresholdGrid,
-    miscoverage_vector,
 )
 from .crossfit import NuisanceFits, odds_weight
 
@@ -80,9 +78,6 @@ class CoverageTable:
         if np.any(self.cub < self.psi - 1e-12):
             raise ConfigurationError("CUB below point estimate")
 
-    def __len__(self):
-        return self.taus.shape[0]
-
 
 @dataclass(frozen=True)
 class ThresholdDecision:
@@ -92,40 +87,26 @@ class ThresholdDecision:
     is_sentinel: bool
     method: str
     table: CoverageTable
+    alpha_error: float
 
     def __post_init__(self):
         if not self.is_sentinel:
             sel = self.table.taus <= self.tau_hat
-            if not np.all(self.table.cub[sel] < self.table.extras.get(
-                    "alpha_error", np.inf)):
+            if not np.all(self.table.cub[sel] < self.alpha_error):
                 raise ConfigurationError("prefix feasibility violated")
 
 
 # ---------------------------------------------------------------------------
-# Influence-type evaluation
+# Fold engine
 # ---------------------------------------------------------------------------
 
-def gradient_eval(unit: ObservedUnit, tau: float, e_hat, g_hat,
-                  gamma_hat: float, psi_plugin: float) -> float:
-    """Influence-term value for one unit.
-
-    ``e_hat`` and ``g_hat`` are fitted predictors.  For target units the
-    source summand vanishes and the unit's (absent) score is never read.
-    """
-    if not (0.0 < gamma_hat < 1.0):
-        raise DomainError("gamma_hat must lie strictly inside (0, 1)")
-    e_val = float(np.clip(e_hat.predict_one(unit.x), 0.0, 1.0))
-    if unit.a == 0:
-        return (e_val - psi_plugin) / (1.0 - gamma_hat)
-    w = odds_weight(g_hat.predict_one(unit.x), gamma_hat)
-    z = float(unit.score < tau)
-    return (w / gamma_hat) * (z - e_val)
-
-
 class _FoldContext:
-    """Cached per-fold quantities shared across thresholds."""
+    """One fold's held-out units and the cross-fitted quantities at them:
+    odds weights ``w``, and per threshold index the miscoverage labels
+    ``Z[ti]`` (0 at target units) and conditional-error predictions
+    ``E[ti]``."""
 
-    def __init__(self, sample: ObservedSample, folds: FoldPlan,
+    def __init__(self, sample: ObservedSample, folds: FoldPlan, taus,
                  fits: NuisanceFits, v: int):
         idx = folds.indices(v)
         a = sample.a[idx]
@@ -135,24 +116,66 @@ class _FoldContext:
             raise DegenerateFoldError(
                 f"fold {v} has {n_src} source and {n_tgt} target units")
         self.v = v
-        self.idx = idx
-        self.size = idx.size
+        self.fits = fits
+        self.taus = tuple(taus)
         self.src = a == 1
         self.gamma = n_src / idx.size
-        self.X = sample.x[idx]
-        self.scores = sample.score[idx]
-        g = fits.propensity(v, self.X)
-        self.w = odds_weight(g, self.gamma)
-
-    def labels(self, tau: float) -> np.ndarray:
-        z = np.zeros(self.size)
-        z[self.src] = miscoverage_vector(self.scores[self.src], tau)
-        return z
+        X = sample.x[idx]
+        self.w = odds_weight(fits.propensity(v, X), self.gamma)
+        self.Z = np.zeros((len(self.taus), idx.size))
+        self.Z[:, self.src] = sample.score[idx[self.src]] < np.array(self.taus)[:, None]
+        self.E = np.array([fits.cond_error(v, tau, X) for tau in self.taus])
 
 
-def _fold_onestep(ctx: _FoldContext, e_vals: np.ndarray, tau: float):
-    """(psi_v, plugin_v, sigma2_v) for one fold and threshold."""
-    z = ctx.labels(tau)
+class _FoldEngine:
+    """Every fold's context, built once and shared by all fold methods."""
+
+    def __init__(self, sample: ObservedSample, folds: FoldPlan,
+                 grid: ThresholdGrid, fits: NuisanceFits):
+        self.grid = grid
+        self.n = sample.n
+        self.fold_sizes = folds.sizes().astype(float)
+        self.contexts = [_FoldContext(sample, folds, grid, fits, v)
+                         for v in range(folds.V)]
+
+
+def _run_folds(engine: _FoldEngine, targets: RiskTargets, method: str, fold_fn,
+               project_unit_interval=False, extras=None) -> CoverageTable:
+    """Apply fold_fn(ctx, ti) -> (psi_v, plugin_v, sigma2_v) at every fold
+    and threshold index, and pool the folds with |fold| weights."""
+    V, T = len(engine.contexts), len(engine.grid)
+    psi_by_fold = np.zeros((V, T))
+    plugin_by_fold = np.zeros((V, T))
+    sigma2_by_fold = np.zeros((V, T))
+    for ctx in engine.contexts:
+        for ti in range(T):
+            psi, plugin, s2 = fold_fn(ctx, ti)
+            psi_by_fold[ctx.v, ti] = psi
+            plugin_by_fold[ctx.v, ti] = plugin
+            sigma2_by_fold[ctx.v, ti] = s2
+    weights = engine.fold_sizes / engine.n
+    psi = weights @ psi_by_fold
+    sigma = np.sqrt(weights @ sigma2_by_fold)
+    if project_unit_interval:
+        psi = np.clip(psi, 0.0, 1.0)
+    cub = psi + normal_upper_quantile(targets.alpha_conf) * sigma / np.sqrt(engine.n)
+    return CoverageTable(
+        method=method, taus=np.array(list(engine.grid), dtype=float), psi=psi,
+        sigma=sigma, cub=cub, n=engine.n, alpha_conf=targets.alpha_conf,
+        fold_sizes=engine.fold_sizes,
+        gamma_by_fold=np.array([ctx.gamma for ctx in engine.contexts]),
+        psi_by_fold=psi_by_fold, plugin_by_fold=plugin_by_fold,
+        extras=dict(extras or {}),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Fold methods
+# ---------------------------------------------------------------------------
+
+def _fold_onestep(ctx: _FoldContext, ti: int):
+    """(psi_v, plugin_v, sigma2_v) for one fold and threshold index."""
+    e_vals, z = ctx.E[ti], ctx.Z[ti]
     plugin = float(e_vals[~ctx.src].mean())
     src_term = np.where(ctx.src, ctx.w, 0.0) * (z - e_vals) / ctx.gamma
     psi = plugin + float(src_term.mean())
@@ -161,56 +184,17 @@ def _fold_onestep(ctx: _FoldContext, e_vals: np.ndarray, tau: float):
     return psi, plugin, float(np.mean(d * d))
 
 
-def onestep_fold(sample: ObservedSample, folds: FoldPlan, v: int, tau: float,
-                 fits: NuisanceFits) -> tuple[float, float, float]:
-    """One fold's corrected estimate, plug-in estimate, and gamma."""
-    ctx = _FoldContext(sample, folds, fits, v)
-    e_vals = fits.cond_error(v, tau, ctx.X)
-    psi, plugin, _ = _fold_onestep(ctx, e_vals, tau)
-    return psi, plugin, ctx.gamma
+def _fold_plugin(ctx: _FoldContext, ti: int):
+    psi, plugin, s2 = _fold_onestep(ctx, ti)
+    return plugin, plugin, s2
 
 
-# ---------------------------------------------------------------------------
-# Tables
-# ---------------------------------------------------------------------------
-
-def _assemble(method, grid, n, alpha_conf, fold_sizes, gammas,
-              psi_by_fold, plugin_by_fold, sigma2_by_fold,
-              project_unit_interval=False, extras=None):
-    taus = np.array(list(grid), dtype=float)
-    weights = fold_sizes / n
-    psi = weights @ psi_by_fold
-    sigma = np.sqrt(weights @ sigma2_by_fold)
-    if project_unit_interval:
-        psi = np.clip(psi, 0.0, 1.0)
-    z = normal_upper_quantile(alpha_conf)
-    cub = psi + z * sigma / np.sqrt(n)
-    return CoverageTable(
-        method=method, taus=taus, psi=psi, sigma=sigma, cub=cub, n=n,
-        alpha_conf=alpha_conf, fold_sizes=fold_sizes, gamma_by_fold=gammas,
-        psi_by_fold=psi_by_fold, plugin_by_fold=plugin_by_fold,
-        extras=dict(extras or {}),
-    )
-
-
-def _run_folds(sample, folds, grid, fits, fold_fn):
-    """Apply fold_fn(ctx, e_vals, tau) over every (fold, tau) pair."""
-    V, T = folds.V, len(grid)
-    psi_by_fold = np.zeros((V, T))
-    plugin_by_fold = np.zeros((V, T))
-    sigma2_by_fold = np.zeros((V, T))
-    gammas = np.zeros(V)
-    fold_sizes = folds.sizes().astype(float)
-    for v in range(V):
-        ctx = _FoldContext(sample, folds, fits, v)
-        gammas[v] = ctx.gamma
-        for ti, tau in enumerate(grid):
-            e_vals = fits.cond_error(v, tau, ctx.X)
-            psi, plugin, s2 = fold_fn(ctx, e_vals, tau)
-            psi_by_fold[v, ti] = psi
-            plugin_by_fold[v, ti] = plugin
-            sigma2_by_fold[v, ti] = s2
-    return fold_sizes, gammas, psi_by_fold, plugin_by_fold, sigma2_by_fold
+def _fold_wplugin(ctx: _FoldContext, ti: int):
+    e_vals, z = ctx.E[ti], ctx.Z[ti]
+    psi = float((ctx.w[ctx.src] * z[ctx.src]).mean())
+    d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
+                 (e_vals - psi) / (1.0 - ctx.gamma))
+    return psi, psi, float(np.mean(d * d))
 
 
 def onestep_estimate(sample: ObservedSample, folds: FoldPlan,
@@ -222,22 +206,16 @@ def onestep_estimate(sample: ObservedSample, folds: FoldPlan,
     The point estimate may fall outside [0, 1]; pass
     ``project_unit_interval=True`` to clip it (off by default).
     """
-    parts = _run_folds(sample, folds, grid, fits, _fold_onestep)
-    return _assemble("onestep", grid, sample.n, targets.alpha_conf, *parts,
-                     project_unit_interval=project_unit_interval)
+    return _run_folds(_FoldEngine(sample, folds, grid, fits), targets,
+                      "onestep", _fold_onestep, project_unit_interval)
 
 
 def plugin_estimate(sample: ObservedSample, folds: FoldPlan,
                     grid: ThresholdGrid, fits: NuisanceFits,
                     targets: RiskTargets) -> CoverageTable:
     """Plug-in baseline: same pipeline without the one-step correction."""
-
-    def fold_fn(ctx, e_vals, tau):
-        psi, plugin, s2 = _fold_onestep(ctx, e_vals, tau)
-        return plugin, plugin, s2
-
-    parts = _run_folds(sample, folds, grid, fits, fold_fn)
-    return _assemble("plugin", grid, sample.n, targets.alpha_conf, *parts)
+    return _run_folds(_FoldEngine(sample, folds, grid, fits), targets,
+                      "plugin", _fold_plugin)
 
 
 def weighted_plugin_estimate(sample: ObservedSample, folds: FoldPlan,
@@ -249,16 +227,8 @@ def weighted_plugin_estimate(sample: ObservedSample, folds: FoldPlan,
     errors reuse the influence-term machinery with the centering constant
     replaced by this estimate.
     """
-
-    def fold_fn(ctx, e_vals, tau):
-        z = ctx.labels(tau)
-        psi = float((ctx.w[ctx.src] * z[ctx.src]).mean())
-        d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
-                     (e_vals - psi) / (1.0 - ctx.gamma))
-        return psi, psi, float(np.mean(d * d))
-
-    parts = _run_folds(sample, folds, grid, fits, fold_fn)
-    return _assemble("wplugin", grid, sample.n, targets.alpha_conf, *parts)
+    return _run_folds(_FoldEngine(sample, folds, grid, fits), targets,
+                      "wplugin", _fold_wplugin)
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +243,6 @@ def select_threshold(table: CoverageTable, targets: RiskTargets) -> ThresholdDec
     """
     feasible = table.cub < targets.alpha_error
     prefix_ok = np.logical_and.accumulate(feasible)
-    extras = dict(table.extras)
-    extras["alpha_error"] = targets.alpha_error
-    audited = CoverageTable(
-        method=table.method, taus=table.taus, psi=table.psi, sigma=table.sigma,
-        cub=table.cub, n=table.n, alpha_conf=table.alpha_conf,
-        fold_sizes=table.fold_sizes, gamma_by_fold=table.gamma_by_fold,
-        psi_by_fold=table.psi_by_fold, plugin_by_fold=table.plugin_by_fold,
-        extras=extras,
-    )
-    if not prefix_ok.any():
-        return ThresholdDecision(ZERO_SENTINEL, True, table.method, audited)
-    tau_hat = float(table.taus[np.flatnonzero(prefix_ok)[-1]])
-    return ThresholdDecision(tau_hat, False, table.method, audited)
+    sentinel = not prefix_ok.any()
+    tau_hat = ZERO_SENTINEL if sentinel else float(table.taus[np.flatnonzero(prefix_ok)[-1]])
+    return ThresholdDecision(tau_hat, sentinel, table.method, table, targets.alpha_error)

@@ -26,13 +26,9 @@ from .core import (
     ThresholdGrid,
     miscoverage_vector,
 )
-from .crossfit import odds_weight
+from .crossfit import PROPENSITY_GUARD, odds_weight
 from .learners import BinaryLearnerSpec, FittedPredictor, fit_binary, fit_binary_grid
 from .onestep import CoverageTable, normal_upper_quantile
-
-# Exact 0/1 propensity outputs would blow up the odds transform; the RS path
-# applies no truncation, so guard at float resolution only.
-_G_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -107,7 +103,8 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
     labels = np.array([miscoverage_vector(sample.score[src_train], tau) for tau in grid])
     e_preds = fit_binary_grid(e_spec, sample.x[src_train], labels)
 
-    g_test = np.clip(g_pred.predict(sample.x[test_idx]), _G_GUARD, 1.0 - _G_GUARD)
+    g_test = np.clip(g_pred.predict(sample.x[test_idx]), PROPENSITY_GUARD,
+                     1.0 - PROPENSITY_GUARD)
     what_test = odds_weight(g_test, gamma_train)
 
     src_test = a_test == 1

@@ -22,6 +22,8 @@ on purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -47,18 +49,18 @@ from .core import (
 from .crossfit import fit_nuisances, odds_weight
 from .learners import BinaryLearnerSpec
 from .onestep import (
-    onestep_estimate,
-    plugin_estimate,
+    CoverageTable,
+    _fold_onestep,
+    _fold_plugin,
+    _fold_wplugin,
+    _FoldEngine,
+    _run_folds,
     select_threshold,
-    weighted_plugin_estimate,
 )
 from .rejsamp import RsConfig, rs_estimate, rs_prepare
-from .tmle import tmle_estimate
+from .tmle import _tmle_table
 
 DGP_KINDS = ("highdim-sparse", "lowdim", "lowdim-noshift")
-ALL_METHODS = ("onestep", "tmle", "rs", "plugin", "wplugin", "icp", "wcp")
-
-_FOLD_METHODS = frozenset({"onestep", "tmle", "plugin", "wplugin"})
 
 _LOWDIM_COV = np.array([
     [1.0, 0.2, -0.2],
@@ -343,62 +345,131 @@ class StudyConfig:
     oracle_m: int = 100_000
 
 
+@dataclass
+class Dataset:
+    """One sample and what every method run on it shares: the fold plan,
+    the nuisance fits and the fold engine, each built on first use.  A build
+    that fails is tried again, and fails alike, for the next method."""
+
+    sample: ObservedSample
+    cfg: StudyConfig
+    folds_rng: RngStream
+    nuisance_rng: RngStream
+    rs_rng: RngStream
+    oracle: OracleEvaluator | None = None
+
+    @cached_property
+    def folds(self):
+        return make_folds(self.sample.n, self.cfg.V, self.folds_rng)
+
+    @cached_property
+    def fits(self):
+        cfg = self.cfg
+        return fit_nuisances(self.sample, self.folds, cfg.grid, cfg.g_spec,
+                             cfg.e_spec, cfg.delta, self.nuisance_rng)
+
+    @cached_property
+    def engine(self) -> _FoldEngine:
+        return _FoldEngine(self.sample, self.folds, self.cfg.grid, self.fits)
+
+    def calibration(self):
+        """Fold 0, the calibration fold of icp and wcp, and its source units."""
+        cal_idx = self.folds.indices(0)
+        cal_src = cal_idx[self.sample.a[cal_idx] == 1]
+        if cal_src.size == 0:
+            raise DegenerateFoldError("calibration fold has no source units")
+        return cal_idx, cal_src
+
+
+class MethodResult(NamedTuple):
+    """What one method selected on one dataset: ``info`` goes to a
+    ``simulate`` row, ``meta`` to the ``fit`` metadata.  Only weighted
+    conformal, which is scored on its cutoffs, sets ``true_error``."""
+
+    tau_hat: float
+    sentinel: bool
+    info: dict
+    meta: dict
+    table: CoverageTable | None = None
+    true_error: float | None = None
+
+
+def _selected(table, targets, info, meta) -> MethodResult:
+    dec = select_threshold(table, targets)
+    return MethodResult(dec.tau_hat, dec.is_sentinel, info, meta, table)
+
+
+def _fold_method(name, fold_fn):
+    def run(data: Dataset) -> MethodResult:
+        table = _run_folds(data.engine, data.cfg.targets, name, fold_fn)
+        return _selected(table, data.cfg.targets, {}, {})
+    return run
+
+
+def _run_tmle(data: Dataset) -> MethodResult:
+    table = _tmle_table(data.engine, data.cfg.targets)
+    fallback = int(table.extras["fallback"].sum())
+    return _selected(table, data.cfg.targets, {"fallback_count": fallback},
+                     {"tmle_fallback_count": fallback,
+                      "tmle_clipping": table.extras["ls_clip"]})
+
+
+def _run_rs(data: Dataset) -> MethodResult:
+    cfg = data.cfg
+    run = rs_prepare(data.sample, cfg.rs_config, cfg.grid, cfg.g_spec,
+                     cfg.e_spec, data.rs_rng)
+    table = rs_estimate(run, data.sample, cfg.grid, cfg.targets)
+    return _selected(table, cfg.targets,
+                     {"n_accepted": run.n_accepted, "bhat": run.bhat},
+                     {"bhat": run.bhat, "pi_hat": run.pi_hat,
+                      "n_accepted": run.n_accepted})
+
+
+def _run_icp(data: Dataset) -> MethodResult:
+    cal = CalibrationSet(data.sample.score[data.calibration()[1]])
+    res = inductive_cp_threshold(cal, data.cfg.targets)
+    return MethodResult(res.tau, res.is_sentinel, {"k": res.k},
+                        {"calibration_size": cal.m, "order_statistic": res.k})
+
+
+def _run_wcp(data: Dataset) -> MethodResult:
+    # Importance weights from the fold-0 (out-of-fold) propensity fit,
+    # evaluated at calibration and oracle covariates.
+    fits = data.fits
+    cal_idx, cal_src = data.calibration()
+    gamma0 = empirical_gamma(data.sample, cal_idx)
+    w_cal = odds_weight(fits.propensity(0, data.sample.x[cal_src]), gamma0)
+    w_eval = odds_weight(fits.propensity(0, data.oracle.X), gamma0)
+    cutoffs = weighted_quantile_cutoffs(data.sample.score[cal_src], w_cal,
+                                        w_eval, data.cfg.targets.alpha_error)
+    tau_descr = float(np.median(np.maximum(cutoffs, 0.0)))
+    return MethodResult(tau_descr, False, {"cutoff_median": tau_descr}, {},
+                        true_error=data.oracle.psi_of_cutoffs(cutoffs))
+
+
+# Every method, by name, in the paper's order.  Weighted conformal scores
+# its per-covariate cutoffs on the oracle's target draws, so it runs only in
+# simulation studies.
+METHODS: dict[str, Callable[[Dataset], MethodResult]] = {
+    "onestep": _fold_method("onestep", _fold_onestep),
+    "tmle": _run_tmle,
+    "rs": _run_rs,
+    "plugin": _fold_method("plugin", _fold_plugin),
+    "wplugin": _fold_method("wplugin", _fold_wplugin),
+    "icp": _run_icp,
+    "wcp": _run_wcp,
+}
+ALL_METHODS = tuple(METHODS)
+
+
 def _ensure_methods(methods) -> tuple[str, ...]:
     methods = tuple(methods)
     for m in methods:
-        if m not in ALL_METHODS:
+        if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r}")
     if not methods:
         raise ConfigurationError("need at least one method")
     return methods
-
-
-def _run_one_method(method, sample, folds, fits, spec, cfg, oracle, rng_rep):
-    """Returns (tau_hat, sentinel, true_error, info)."""
-    targets = cfg.targets
-    if method in _FOLD_METHODS:
-        if method == "onestep":
-            table = onestep_estimate(sample, folds, cfg.grid, fits, targets)
-        elif method == "tmle":
-            table = tmle_estimate(sample, folds, cfg.grid, fits, targets)
-        elif method == "plugin":
-            table = plugin_estimate(sample, folds, cfg.grid, fits, targets)
-        else:
-            table = weighted_plugin_estimate(sample, folds, cfg.grid, fits, targets)
-        dec = select_threshold(table, targets)
-        info = {}
-        if method == "tmle":
-            info["fallback_count"] = int(table.extras["fallback"].sum())
-        return dec.tau_hat, dec.is_sentinel, oracle.psi_at(dec.tau_hat), info
-
-    if method == "rs":
-        run = rs_prepare(sample, cfg.rs_config, cfg.grid, cfg.g_spec,
-                         cfg.e_spec, rng_rep)
-        table = rs_estimate(run, sample, cfg.grid, targets)
-        dec = select_threshold(table, targets)
-        info = {"n_accepted": run.n_accepted, "bhat": run.bhat}
-        return dec.tau_hat, dec.is_sentinel, oracle.psi_at(dec.tau_hat), info
-
-    cal_idx = folds.indices(0)
-    cal_src = cal_idx[sample.a[cal_idx] == 1]
-    if cal_src.size == 0:
-        raise DegenerateFoldError("calibration fold has no source units")
-    cal_scores = sample.score[cal_src]
-
-    if method == "icp":
-        res = inductive_cp_threshold(CalibrationSet(cal_scores), targets)
-        return res.tau, res.is_sentinel, oracle.psi_at(res.tau), {"k": res.k}
-
-    # weighted conformal: importance weights from the fold-0 (out-of-fold)
-    # propensity fit, evaluated at calibration and oracle covariates.
-    gamma0 = empirical_gamma(sample, cal_idx)
-    w_cal = odds_weight(fits.propensity(0, sample.x[cal_src]), gamma0)
-    w_eval = odds_weight(fits.propensity(0, oracle.X), gamma0)
-    cutoffs = weighted_quantile_cutoffs(cal_scores, w_cal, w_eval,
-                                        targets.alpha_error)
-    true_error = oracle.psi_of_cutoffs(cutoffs)
-    tau_descr = float(np.median(np.maximum(cutoffs, 0.0)))
-    return tau_descr, False, true_error, {"cutoff_median": tau_descr}
 
 
 def run_study(spec: DgpSpec, ns, methods, replications: int,
@@ -416,41 +487,31 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
         raise ConfigurationError("need at least one replication")
 
     oracle = OracleEvaluator(spec, cfg.oracle_m, rng.child("oracle"))
-    needs_fits = bool(_FOLD_METHODS.intersection(methods) or "wcp" in methods)
 
     rows: list[ReplicationRow] = []
     for n in ns:
         for rep in range(replications):
-            sample = dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep))
-            folds = make_folds(n, cfg.V, rng.child(f"folds-n{n}", rep))
-            fits = None
-            fit_error: Exception | None = None
-            if needs_fits:
-                try:
-                    fits = fit_nuisances(sample, folds, cfg.grid, cfg.g_spec,
-                                         cfg.e_spec, cfg.delta,
-                                         rng.child(f"nuisance-n{n}", rep))
-                except _FAILURE_ERRORS as exc:
-                    fit_error = exc
+            data = Dataset(dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep)), cfg,
+                           rng.child(f"folds-n{n}", rep),
+                           rng.child(f"nuisance-n{n}", rep),
+                           rng.child(f"method-rs-n{n}", rep), oracle)
+            data.folds  # so a fold count that cannot split n fails any study
             for method in methods:
-                rng_rep = rng.child(f"method-{method}-n{n}", rep)
                 try:
-                    if fit_error is not None and (
-                            method in _FOLD_METHODS or method == "wcp"):
-                        raise fit_error
-                    tau_hat, sentinel, err, info = _run_one_method(
-                        method, sample, folds, fits, spec, cfg, oracle, rng_rep)
+                    res = METHODS[method](data)
                 except _FAILURE_ERRORS as exc:
                     rows.append(ReplicationRow(
                         method=method, n=n, rep=rep, tau_hat=0.0,
                         sentinel=False, true_error=None, covered=False,
                         failed=True, failure=type(exc).__name__))
                     continue
+                err = (oracle.psi_at(res.tau_hat) if res.true_error is None
+                       else res.true_error)
                 rows.append(ReplicationRow(
-                    method=method, n=n, rep=rep, tau_hat=tau_hat,
-                    sentinel=sentinel, true_error=err,
+                    method=method, n=n, rep=rep, tau_hat=res.tau_hat,
+                    sentinel=res.sentinel, true_error=err,
                     covered=bool(err <= cfg.targets.alpha_error),
-                    failed=False, info=info))
+                    failed=False, info=res.info))
 
     aggregates = []
     for n in ns:

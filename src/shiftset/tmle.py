@@ -30,7 +30,7 @@ from .core import (
 )
 from .crossfit import NuisanceFits, odds_weight
 from .learners import FittedPredictor
-from .onestep import CoverageTable, _assemble, _FoldContext
+from .onestep import CoverageTable, _FoldContext, _FoldEngine, _run_folds
 
 _LOGIT_CLAMP = 1e-6
 _NEWTON_MAX_ITER = 100
@@ -121,15 +121,12 @@ def _newton_logistic(offset: np.ndarray, w: np.ndarray, z: np.ndarray):
 def target_fold(sample: ObservedSample, folds: FoldPlan, v: int, tau: float,
                 fits: NuisanceFits) -> TargetedFoldFit:
     """Fluctuate one fold's conditional-error fit at one threshold."""
-    ctx = _FoldContext(sample, folds, fits, v)
-    return _target(ctx, fits, tau, fits.cond_error(v, tau, ctx.X))
+    return _target(_FoldContext(sample, folds, (tau,), fits, v), 0)
 
 
-def _target(ctx: _FoldContext, fits: NuisanceFits, tau: float,
-            e_vals: np.ndarray) -> TargetedFoldFit:
-    """:func:`target_fold` given the fold's context and ``e_vals``, the
-    conditional-error predictions at the fold's units."""
-    v = ctx.v
+def _target(ctx: _FoldContext, ti: int) -> TargetedFoldFit:
+    """:func:`target_fold` at threshold index ``ti`` of the fold's context."""
+    v, tau, fits, e_vals = ctx.v, ctx.taus[ti], ctx.fits, ctx.E[ti]
     if fits.is_constant_fit(v, tau):
         const = float(e_vals[0]) if e_vals.size else 0.0
         if const in (0.0, 1.0):
@@ -141,7 +138,7 @@ def _target(ctx: _FoldContext, fits: NuisanceFits, tau: float,
         raise TargetingError("fold without source units reached targeting")
     e_src = e_vals[src]
     w_src = ctx.w[src]
-    z_src = ctx.labels(tau)[src]
+    z_src = ctx.Z[ti][src]
 
     use_fallback = bool(np.any((e_src <= 0.0) | (e_src >= 1.0)))
     beta = 0.0
@@ -153,11 +150,9 @@ def _target(ctx: _FoldContext, fits: NuisanceFits, tau: float,
     if use_fallback:
         denom = float(np.sum(w_src * w_src))
         beta = float(np.sum(w_src * (z_src - e_src)) / denom) if denom > 0 else 0.0
-        pred = TargetedPredictor(fits, v, tau, ctx.gamma, beta, "least-squares")
-        return TargetedFoldFit(v, tau, beta, True, pred)
-
-    pred = TargetedPredictor(fits, v, tau, ctx.gamma, beta, "logistic")
-    return TargetedFoldFit(v, tau, beta, False, pred)
+    mode = "least-squares" if use_fallback else "logistic"
+    pred = TargetedPredictor(fits, v, tau, ctx.gamma, beta, mode)
+    return TargetedFoldFit(v, tau, beta, use_fallback, pred)
 
 
 def tmle_estimate(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
@@ -169,38 +164,29 @@ def tmle_estimate(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
     fluctuation coefficients.  Least-squares values are clipped to [0, 1]
     only for the reported point estimate (see ``extras['ls_clip']``).
     """
-    V, T = folds.V, len(grid)
-    psi_by_fold = np.zeros((V, T))
-    plugin_by_fold = np.zeros((V, T))
-    sigma2_by_fold = np.zeros((V, T))
-    gammas = np.zeros(V)
-    fold_sizes = folds.sizes().astype(float)
-    fallback = np.zeros((V, T), dtype=bool)
-    betas = np.zeros((V, T))
+    return _tmle_table(_FoldEngine(sample, folds, grid, fits), targets)
 
-    for v in range(V):
-        ctx = _FoldContext(sample, folds, fits, v)
-        gammas[v] = ctx.gamma
-        for ti, tau in enumerate(grid):
-            e_vals = fits.cond_error(v, tau, ctx.X)
-            fit = _target(ctx, fits, tau, e_vals)
-            fallback[v, ti] = fit.fallback
-            betas[v, ti] = fit.beta
-            raw = fit.predictor._fluctuate(e_vals, ctx.w)
-            clipped = np.clip(raw, 0.0, 1.0)
-            z = ctx.labels(tau)
-            psi_v = float(clipped[~ctx.src].mean())
-            d = np.where(ctx.src, ctx.w * (z - raw) / ctx.gamma,
-                         (raw - psi_v) / (1.0 - ctx.gamma))
-            psi_by_fold[v, ti] = psi_v
-            plugin_by_fold[v, ti] = float(e_vals[~ctx.src].mean())
-            sigma2_by_fold[v, ti] = float(np.mean(d * d))
+
+def _tmle_table(engine: _FoldEngine, targets: RiskTargets) -> CoverageTable:
+    shape = (len(engine.contexts), len(engine.grid))
+    fallback = np.zeros(shape, dtype=bool)
+    betas = np.zeros(shape)
+
+    def fold_fn(ctx, ti):
+        fit = _target(ctx, ti)
+        fallback[ctx.v, ti] = fit.fallback
+        betas[ctx.v, ti] = fit.beta
+        e_vals, z = ctx.E[ti], ctx.Z[ti]
+        raw = fit.predictor._fluctuate(e_vals, ctx.w)
+        clipped = np.clip(raw, 0.0, 1.0)
+        psi_v = float(clipped[~ctx.src].mean())
+        d = np.where(ctx.src, ctx.w * (z - raw) / ctx.gamma,
+                     (raw - psi_v) / (1.0 - ctx.gamma))
+        return psi_v, float(e_vals[~ctx.src].mean()), float(np.mean(d * d))
 
     extras = {
         "fallback": fallback,
         "beta": betas,
         "ls_clip": "least-squares path clipped to [0,1] for psi only",
     }
-    return _assemble("tmle", grid, sample.n, targets.alpha_conf, fold_sizes,
-                     gammas, psi_by_fold, plugin_by_fold, sigma2_by_fold,
-                     extras=extras)
+    return _run_folds(engine, targets, "tmle", fold_fn, extras=extras)

@@ -31,6 +31,3 @@ class LookupPredictor:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.array([self.mapping.get(float(row[0]), self.default)
                          for row in X])
-
-    def predict_one(self, x):
-        return float(self.predict(np.asarray(x).reshape(1, -1))[0])

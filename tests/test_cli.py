@@ -457,22 +457,70 @@ class TestCmdSimulate:
         assert open(out1 + ".jsonl", "rb").read() == open(out2 + ".jsonl", "rb").read()
         assert open(out1 + ".meta.json", "rb").read() == open(out2 + ".meta.json", "rb").read()
 
-    def test_output_digests_pinned(self, tmp_path):
-        # SHA-256 of the three outputs as first recorded; identical with
-        # OPENBLAS_NUM_THREADS=1.  A refactor must not change them.
-        out = str(tmp_path / "pinned.csv")
-        code = main(["simulate", "--dgp", "lowdim", "--n", "400", "--reps", "2",
-                     "--method", "onestep,tmle,rs,plugin,wplugin,icp,wcp",
-                     "--g-learner", "boosted-stumps", "--e-learner", "boosted-stumps",
-                     "--seed", "7", "--output", out])
-        assert code == 0
-        digests = {suffix: hashlib.sha256(open(out + suffix, "rb").read()).hexdigest()
-                   for suffix in ("", ".jsonl", ".meta.json")}
-        assert digests == {
+    # SHA-256 of each output as first recorded; identical with
+    # OPENBLAS_NUM_THREADS=1.  A refactor must not change them.
+    PINNED = {
+        "simulate-lowdim-stumps": {
             "": "88e908013a03960167d0247ab0a5d1cbe02f28b7eabceabb03eb21ee81ba67d6",
             ".jsonl": "b181dd51f8de1bb6b7372b60220e222b674cd2ce36139eaa5afaa957c9e73e98",
             ".meta.json": "f690727195fa64a7e38b5e51c9a54aa8005155ccc65c0e44a7150845f33dd38c",
+        },
+        "simulate-highdim-logistic": {
+            "": "292d28574a5b6c6b201c88ea5c6f35f2b675a9b87c23efa66bba2f7b5c5edbe6",
+            ".jsonl": "507b75078966c78ac1359d1e91b9c6c348d3a6eeaff9a465e4c13a3ec328e8d8",
+            ".meta.json": "6f3bd5efe5df382cc4cdff01d223eec61b0e9381ae6263b518c3fe1a0011e392",
+        },
+        "fit-onestep": {
+            "": "0bb407d08edd55e8d356b6eeced6451c0a59cfe36113e18417013eb0a91accfb",
+            ".meta.json": "b91ebff4c4627062e61d6b436cfab8c58004cf3d843dbc3a3351bfc0338a0073",
+        },
+        "fit-tmle": {
+            "": "db8eff63a7f9e720d5d35954f1f8416aeb822897408303b0d0d3c3ba5dd7f358",
+            ".meta.json": "ca34d4fe9d1fb18ce28379e209376d7f3a02acfb53c8c8aaf9ab787df007f893",
+        },
+        "fit-rs": {
+            "": "7b221f63a525089ffa351fd64dd7c12327c624d177483b6dd38faf6bff79d784",
+            ".meta.json": "b7e3a8aea35a0bf5820accedbf1bc155e993dfc283fb946bf5d218408d11300e",
+        },
+        "fit-plugin": {
+            "": "f712f90870674988534c3704d204abf62a939311d42f804289efe8680d3d3b46",
+            ".meta.json": "6059b1ef98c5075dfda0a227e9d484d1c5c2eabc40ad25cd0ffc0fe820045a7c",
+        },
+        "fit-wplugin": {
+            "": "b3c5055f67d60fe782e0056819794ac83ec600d5c278214090fd7326fd3e03e4",
+            ".meta.json": "289c0b6e6ba7eafd9d6a58f9605afa5bd7bc698f831bfda030866a2375602b50",
+        },
+        "fit-icp": {
+            "": "ab6e0839519164d540f197fe829b69e95ca300c031a429975d21d9dc91b85eb1",
+            ".meta.json": "fa656f4b6481d7c0f3b1b2a6497b67fbedca9af10cf8ff6e1b5dea53b403753a",
+        },
+    }
+
+    def test_output_digests_pinned(self, tmp_path):
+        every = "onestep,tmle,rs,plugin,wplugin,icp,wcp"
+        runs = {
+            "simulate-lowdim-stumps": [
+                "simulate", "--dgp", "lowdim", "--n", "400", "--reps", "2",
+                "--method", every, "--g-learner", "boosted-stumps",
+                "--e-learner", "boosted-stumps", "--seed", "7"],
+            "simulate-highdim-logistic": [
+                "simulate", "--dgp", "highdim", "--n", "400", "--reps", "2",
+                "--method", every, "--seed", "7"],
         }
+        data = str(tmp_path / "pinned-input.csv")
+        emit_csv(dgp_draw(DgpSpec("lowdim"), 400, RngStream(7).child("pinned")), data)
+        for method in ("onestep", "tmle", "rs", "plugin", "wplugin", "icp"):
+            runs[f"fit-{method}"] = ["fit", "--input", data, "--method", method,
+                                     "--seed", "7"]
+        digests = {}
+        for name, argv in runs.items():
+            out = str(tmp_path / f"{name}.csv")
+            assert main(argv + ["--output", out]) == 0
+            digests[name] = {
+                suffix: hashlib.sha256(open(out + suffix, "rb").read()).hexdigest()
+                for suffix in ("", ".jsonl", ".meta.json")
+                if os.path.exists(out + suffix)}
+        assert digests == self.PINNED
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",

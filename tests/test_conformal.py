@@ -14,10 +14,10 @@ import shiftset
 from shiftset import (
     CalibrationSet,
     DomainError,
+    ConfigurationError,
     RiskTargets,
     inductive_cp_threshold,
     weighted_cp_set,
-    weighted_quantile_cutoff,
     weighted_quantile_cutoffs,
 )
 
@@ -108,6 +108,27 @@ class TestInductiveCp:
             last_k = k
 
 
+def reference_weighted_quantile_cutoff(cal_scores, cal_weights, test_weight,
+                                       alpha_error):
+    """One test point at a time: the smallest calibration score at which the
+    normalized cumulative weight, counting the test point's mass below every
+    score, reaches alpha_error; -inf when the test mass alone reaches it."""
+    total = float(cal_weights.sum() + test_weight)
+    level = alpha_error * total - test_weight
+    if level <= 0.0:
+        return float("-inf")
+    order = np.argsort(cal_scores, kind="stable")
+    cum = np.cumsum(cal_weights[order])
+    pos = min(int(np.searchsorted(cum, level, side="left")), cal_scores.size - 1)
+    return float(cal_scores[order][pos])
+
+
+def weighted_quantile_cutoff(cal_scores, cal_weights, test_weight, alpha_error):
+    """The library's cutoff for a single test point."""
+    return weighted_quantile_cutoffs(cal_scores, cal_weights, [test_weight],
+                                     alpha_error)[0]
+
+
 class TestWeightedQuantile:
     def test_hand_example(self):
         cutoff = weighted_quantile_cutoff(np.array([0.1, 0.2, 0.3]),
@@ -157,7 +178,32 @@ class TestWeightedQuantile:
         tws = np.array([0.0, 0.5, 3.0, 50.0])
         vec = weighted_quantile_cutoffs(scores, weights, tws, 0.1)
         for tw, v in zip(tws, vec):
-            assert v == weighted_quantile_cutoff(scores, weights, tw, 0.1)
+            assert v == reference_weighted_quantile_cutoff(scores, weights, tw, 0.1)
+
+    @given(st.lists(st.tuples(st.integers(0, 6).map(lambda k: k / 6),
+                              st.sampled_from([0.0, 0.1, 1.0, 2.5])),
+                    min_size=1, max_size=30),
+           st.lists(st.sampled_from([0.0, 0.3, 1.0, 40.0]), min_size=1,
+                    max_size=5),
+           st.sampled_from([0.05, 0.1, 0.5, 0.9]))
+    @settings(max_examples=60)
+    def test_vectorized_matches_reference_with_ties(self, cal, tws, alpha):
+        scores, weights = (np.array(c) for c in zip(*cal))
+        if weights.sum() + min(tws) <= 0.0:
+            return
+        vec = weighted_quantile_cutoffs(scores, weights, tws, alpha)
+        assert list(vec) == [reference_weighted_quantile_cutoff(
+            scores, weights, tw, alpha) for tw in tws]
+
+    @pytest.mark.parametrize("scores, weights, tws", [
+        ([], [], [1.0]),                 # empty calibration arrays
+        ([0.1, 0.2], [1.0], [1.0]),      # misaligned scores and weights
+        ([0.1, 0.2], [1.0, 1.0], []),    # no test weight
+    ])
+    def test_malformed_input_rejected(self, scores, weights, tws):
+        with pytest.raises(ConfigurationError):
+            weighted_quantile_cutoffs(np.array(scores), np.array(weights),
+                                      np.array(tws), 0.1)
 
     def test_tied_scores_pool_weight(self):
         cutoff = weighted_quantile_cutoff(np.array([0.2, 0.2, 0.4]),

@@ -8,16 +8,24 @@ from shiftset import (
     DataError,
     FoldPlan,
     ObservedSample,
-    ObservedUnit,
     RiskTargets,
     RngStream,
     ThresholdGrid,
     empirical_gamma,
     make_folds,
-    miscoverage_indicator,
     miscoverage_vector,
 )
 from tests.conftest import make_sample
+
+
+def miscoverage_indicator(score, tau):
+    """The library's miscoverage label for a single score."""
+    return miscoverage_vector(np.array([score]), tau)[0]
+
+
+def reference_miscoverage(score, tau):
+    """1 if the scored label falls outside C_tau, i.e. score < tau."""
+    return int(score < tau)
 
 
 class TestMiscoverageIndicator:
@@ -39,6 +47,11 @@ class TestMiscoverageIndicator:
         scores = np.array([0.1, 0.3, 0.5])
         np.testing.assert_array_equal(miscoverage_vector(scores, 0.3),
                                       [1.0, 0.0, 0.0])
+
+    @given(st.lists(st.floats(-10, 10), max_size=20), st.floats(-10, 10))
+    def test_vector_matches_reference(self, scores, tau):
+        assert miscoverage_vector(np.array(scores), tau).tolist() == [
+            reference_miscoverage(s, tau) for s in scores]
 
 
 class TestMakeFolds:
@@ -119,18 +132,22 @@ class TestSampleTypes:
             make_sample([1, 1], [[0.0], [0.0]], [0.5, 0.2])
 
     def test_unit_round_trip(self):
+        # Each row of the arrays is one unit: (a, x, score), NaN for targets.
         s = make_sample([1, 0], [[1.0], [2.0]], [0.7, None])
-        u = s.unit(0)
-        assert u == ObservedUnit(a=1, x=np.array([1.0]), score=0.7)
-        assert s.unit(1).score is None
-        rebuilt = ObservedSample.from_units([s.unit(i) for i in range(2)])
+        assert (int(s.a[0]), s.x[0].tolist(), float(s.score[0])) == (1, [1.0], 0.7)
+        assert np.isnan(s.score[1])
+        rebuilt = ObservedSample(a=s.a.copy(), x=s.x.copy(), score=s.score.copy())
         np.testing.assert_array_equal(rebuilt.x, s.x)
+        np.testing.assert_array_equal(rebuilt.score, s.score)
 
     def test_unit_validation(self):
+        # A target unit carrying a score, and a source unit without one.
         with pytest.raises(DataError):
-            ObservedUnit(a=0, x=[1.0], score=0.5)
+            make_sample([1, 0], [[1.0], [2.0]], [0.5, 0.5])
         with pytest.raises(DataError):
-            ObservedUnit(a=1, x=[1.0], score=None)
+            make_sample([1, 0], [[1.0], [2.0]], [np.nan, None])
+        with pytest.raises(DataError):
+            make_sample([1, 0], [[1.0], [2.0]], [np.inf, None])
 
 
 class TestThresholdGrid:
@@ -155,7 +172,7 @@ class TestThresholdGrid:
 
 class TestRiskTargets:
     @pytest.mark.parametrize("ae,ac", [(0.0, 0.05), (1.0, 0.05), (0.05, 0.0),
-                                       (0.05, 1.0)])
+                                       (0.05, 1.0), (0.05, 0.5)])
     def test_domain(self, ae, ac):
         with pytest.raises(ConfigurationError):
             RiskTargets(alpha_error=ae, alpha_conf=ac)

@@ -8,6 +8,7 @@ from shiftset import (
     DgpSpec,
     DomainError,
     NuisanceFits,
+    ObservedSample,
     ThresholdGrid,
     UnfittableFoldError,
     dgp_draw,
@@ -78,12 +79,28 @@ class TestFitNuisances:
             g = fits.propensity(v, sample.x)
             assert g.min() >= 0.01 and g.max() <= 0.99
 
-    def test_cross_fit_independence(self, fitted):
+    def test_cross_fit_independence(self, fitted, rng):
+        # Fold v's fits see only the fold's complement: redrawing every unit
+        # inside fold v leaves them unchanged, and they are not the fits of
+        # the other fold.
         sample, folds, grid, fits = fitted
+        X_eval = sample.x[:50]
         for v in range(2):
-            train = set(fits.train_indices[v])
-            assert train.isdisjoint(folds.indices(v).tolist())
-            assert train == set(folds.complement(v).tolist())
+            inside = folds.indices(v)
+            other = dgp_draw(DgpSpec("lowdim"), 400, rng.child("other", v))
+            a, x, score = sample.a.copy(), sample.x.copy(), sample.score.copy()
+            a[inside], x[inside], score[inside] = (
+                other.a[inside], other.x[inside], other.score[inside])
+            moved = ObservedSample(a=a, x=x, score=score)
+            refit = fit_nuisances(moved, folds, grid, BinaryLearnerSpec(),
+                                  BinaryLearnerSpec(), 0.01, rng.child("nuis"))
+            np.testing.assert_array_equal(refit.propensity(v, X_eval),
+                                          fits.propensity(v, X_eval))
+            assert not np.array_equal(refit.propensity(1 - v, X_eval),
+                                      fits.propensity(1 - v, X_eval))
+            for tau in grid:
+                np.testing.assert_array_equal(refit.cond_error(v, tau, X_eval),
+                                              fits.cond_error(v, tau, X_eval))
 
     def test_monotone_labels(self, fitted):
         sample, folds, grid, fits = fitted

@@ -22,7 +22,6 @@ from shiftset import (
     fit_nuisances,
     make_folds,
     miscoverage_vector,
-    predict,
     rs_prepare,
 )
 from shiftset import learners
@@ -34,15 +33,20 @@ def stream():
     return RngStream(5).child("learner")
 
 
+def predict(pred, x):
+    """Probability for a single covariate vector."""
+    return float(pred.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
+
+
 class TestConstantLabels:
-    @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps", "constant"])
+    @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps"])
     def test_all_zero_labels(self, kind, stream):
         pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)),
                           np.zeros(5), stream)
         assert isinstance(pred, ConstantPredictor)
         assert predict(pred, [3.0, -1.0]) == 0.0
 
-    @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps", "constant"])
+    @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps"])
     def test_all_one_labels(self, kind, stream):
         pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)),
                           np.ones(5), stream)
@@ -353,6 +357,25 @@ class TestSpecValidation:
     def test_iteration_caps(self):
         with pytest.raises(ConfigurationError):
             BinaryLearnerSpec(max_iter=0)
+
+    @pytest.mark.parametrize("field", ["max_iter", "rounds"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, 0, -1, np.float64(2.0), "3"])
+    def test_iteration_caps_are_positive_integers(self, field, value):
+        with pytest.raises(ConfigurationError):
+            BinaryLearnerSpec(kind="boosted-stumps", **{field: value})
+
+    @pytest.mark.parametrize("field", ["max_iter", "rounds"])
+    def test_numpy_integer_caps_accepted(self, field, stream):
+        spec = BinaryLearnerSpec(kind="boosted-stumps", **{field: np.int64(2)})
+        X = np.arange(8, dtype=float).reshape(-1, 1)
+        z = np.array([0.0, 1.0] * 4)
+        assert fit_binary(spec, X, z, stream).predict(X).shape == (8,)
+        assert fit_binary(BinaryLearnerSpec(**{field: np.int32(3)}), X, z,
+                          stream).predict(X).shape == (8,)
+
+    def test_constant_kind_removed(self):
+        with pytest.raises(ConfigurationError):
+            BinaryLearnerSpec(kind="constant")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_nonfinite_ridge(self, value):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,10 @@ from shiftset import (
     ThresholdGrid,
     dgp_draw,
     fit_nuisances,
-    gradient_eval,
     make_folds,
     normal_upper_quantile,
+    odds_weight,
     onestep_estimate,
-    onestep_fold,
     oracle_nuisances,
     oracle_tau0,
     plugin_estimate,
@@ -51,31 +52,78 @@ def four_unit_fixture(tau=0.5):
     return sample, folds, fits
 
 
+def gradient_eval(a, x, score, tau, e_hat, g_hat, gamma_hat, psi_plugin):
+    """Reference influence-term value for one unit, one unit at a time.
+
+    For target units the source summand vanishes and the (absent) score is
+    never read.
+    """
+    if not (0.0 < gamma_hat < 1.0):
+        raise DomainError("gamma_hat must lie strictly inside (0, 1)")
+    x = np.asarray(x, dtype=float).reshape(1, -1)
+    e_val = float(np.clip(e_hat.predict(x)[0], 0.0, 1.0))
+    if a == 0:
+        return (e_val - psi_plugin) / (1.0 - gamma_hat)
+    w = odds_weight(float(g_hat.predict(x)[0]), gamma_hat)
+    return (w / gamma_hat) * (float(score < tau) - e_val)
+
+
+def onestep_fold(sample, folds, v, tau, fits):
+    """One fold's corrected estimate, plug-in estimate and gamma, read off
+    the library's table."""
+    table = onestep_estimate(sample, folds, ThresholdGrid((tau,)), fits, TARGETS)
+    return table.psi_by_fold[v, 0], table.plugin_by_fold[v, 0], table.gamma_by_fold[v]
+
+
 class TestGradientEval:
     def test_target_unit_centered(self):
-        u = make_sample([0, 1], [[1.0], [2.0]], [None, 0.5]).unit(0)
         e = ConstantPredictor(0.3)
         g = ConstantPredictor(0.5)
-        assert gradient_eval(u, 0.2, e, g, 0.5, 0.3) == 0.0
+        assert gradient_eval(0, [1.0], None, 0.2, e, g, 0.5, 0.3) == 0.0
 
     def test_source_unit_centered(self):
-        u = make_sample([1, 0], [[1.0], [2.0]], [0.1, None]).unit(0)
         e = ConstantPredictor(1.0)  # matches Z at tau=0.5
         g = ConstantPredictor(0.5)
-        assert gradient_eval(u, 0.5, e, g, 0.5, 0.9) == 0.0
+        assert gradient_eval(1, [1.0], 0.1, 0.5, e, g, 0.5, 0.9) == 0.0
 
     def test_source_unit_value(self):
         # gamma 0.5, g = 1/3 so W = 2, Z = 1, E = 0.5 -> 2 * 2 * 0.5 = 2.0
-        u = make_sample([1, 0], [[1.0], [2.0]], [0.1, None]).unit(0)
         e = ConstantPredictor(0.5)
         g = ConstantPredictor(1 / 3)
-        assert gradient_eval(u, 0.5, e, g, 0.5, 0.0) == pytest.approx(2.0)
+        assert gradient_eval(1, [1.0], 0.1, 0.5, e, g, 0.5, 0.0) == pytest.approx(2.0)
 
     def test_gamma_domain(self):
-        u = make_sample([1, 0], [[1.0], [2.0]], [0.1, None]).unit(0)
         with pytest.raises(DomainError):
-            gradient_eval(u, 0.5, ConstantPredictor(0.5), ConstantPredictor(0.5),
-                          1.0, 0.0)
+            gradient_eval(1, [1.0], 0.1, 0.5, ConstantPredictor(0.5),
+                          ConstantPredictor(0.5), 1.0, 0.0)
+
+    def test_vectorized_folds_match_unit_by_unit_reference(self, rng):
+        # Every fold's plug-in value and one-step estimate, and the pooled
+        # variance, equal those built from unit-by-unit influence terms.
+        sample = dgp_draw(DgpSpec("lowdim"), 120, rng.child("d"))
+        folds = make_folds(120, 2, rng.child("f"))
+        grid = ThresholdGrid.from_range(0.0, 0.3, 0.1)
+        fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
+                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+        table = onestep_estimate(sample, folds, grid, fits, TARGETS)
+        for ti, tau in enumerate(grid):
+            pooled = 0.0
+            for v in range(2):
+                idx = folds.indices(v)
+                gamma = float(np.mean(sample.a[idx] == 1))
+                e_hat = fits.e_predictors[v][ti]
+                g_hat = SimpleNamespace(predict=lambda X, v=v: fits.propensity(v, X))
+                plugin = np.mean([e_hat.predict(sample.x[i:i + 1])[0]
+                                  for i in idx if sample.a[i] == 0])
+                terms = [gradient_eval(sample.a[i], sample.x[i], sample.score[i],
+                                       tau, e_hat, g_hat, gamma, plugin)
+                         for i in idx]
+                src_sum = sum(t for i, t in zip(idx, terms) if sample.a[i] == 1)
+                assert table.plugin_by_fold[v, ti] == pytest.approx(plugin, abs=1e-12)
+                assert table.psi_by_fold[v, ti] == pytest.approx(
+                    plugin + src_sum / idx.size, abs=1e-12)
+                pooled += idx.size / sample.n * np.mean(np.square(terms))
+            assert table.sigma[ti] ** 2 == pytest.approx(pooled, rel=1e-12, abs=1e-15)
 
 
 class TestOnestepFold:

@@ -16,13 +16,25 @@ from shiftset import (
     rs_estimate,
     rs_prepare,
 )
+from shiftset import rejsamp
 from shiftset.learners import ConstantPredictor
 from tests.conftest import make_sample
 
 TARGETS = RiskTargets(0.05, 0.05)
 GRID = ThresholdGrid((0.15,))
-CONST = BinaryLearnerSpec(kind="constant")
 LOGIT = BinaryLearnerSpec()
+
+
+@pytest.fixture
+def mean_only_fits(monkeypatch):
+    """Every rejection-sampling fit predicts its training labels' mean."""
+    def fit_grid(spec, X, Z):
+        return tuple(ConstantPredictor(float(np.mean(z)), p=X.shape[1])
+                     for z in np.atleast_2d(Z))
+
+    monkeypatch.setattr(rejsamp, "fit_binary",
+                        lambda spec, X, z, rng=None: fit_grid(spec, X, z)[0])
+    monkeypatch.setattr(rejsamp, "fit_binary_grid", fit_grid)
 
 
 class TestRsConfig:
@@ -54,24 +66,24 @@ class TestRsPrepare:
         both = np.concatenate([run.train_idx, run.test_idx])
         assert sorted(both.tolist()) == list(range(1000))
 
-    def test_constant_propensity_gives_unit_weights(self, rng):
+    def test_constant_propensity_gives_unit_weights(self, rng, mean_only_fits):
         # g fitted as the constant source share equals gamma_train, so the
         # odds transform collapses to exactly 1 everywhere.
         sample = dgp_draw(DgpSpec("lowdim"), 800, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(), GRID, CONST, CONST, rng.child("r"))
+        run = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, rng.child("r"))
         np.testing.assert_allclose(run.what_test, 1.0, atol=1e-12)
 
-    def test_weight_equal_to_bound_accepts_all(self, rng):
+    def test_weight_equal_to_bound_accepts_all(self, rng, mean_only_fits):
         sample = dgp_draw(DgpSpec("lowdim"), 800, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(bhat_fixed=1.0), GRID, CONST, CONST,
+        run = rs_prepare(sample, RsConfig(bhat_fixed=1.0), GRID, LOGIT, LOGIT,
                          rng.child("r"))
         a_test = sample.a[run.test_idx]
         assert run.n_accepted == int((a_test == 1).sum())
 
-    def test_half_bound_accepts_about_half(self, rng):
+    def test_half_bound_accepts_about_half(self, rng, mean_only_fits):
         # unit weights with B = 2: acceptance probability is exactly 1/2
         sample = dgp_draw(DgpSpec("lowdim"), 2400, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(bhat_fixed=2.0), GRID, CONST, CONST,
+        run = rs_prepare(sample, RsConfig(bhat_fixed=2.0), GRID, LOGIT, LOGIT,
                          rng.child("r"))
         n_src = int((sample.a[run.test_idx] == 1).sum())
         assert n_src >= 500

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from shiftset import (
+    ALL_METHODS,
+    BinaryLearnerSpec,
     ConfigurationError,
     DgpSpec,
+    NuisanceFits,
     OracleEvaluator,
     RiskTargets,
     RngStream,
     StudyConfig,
     ThresholdGrid,
     dgp_draw,
+    make_folds,
     oracle_psi,
     oracle_psi_curve,
     oracle_tau0,
@@ -201,3 +205,48 @@ class TestRunStudy:
         assert agg.proportion == manual / 10
         lo, hi = wilson_interval(manual, 10, 0.95)
         assert (agg.wilson_lo, agg.wilson_hi) == (lo, hi)
+
+    def test_degenerate_fold_fails_only_the_fold_methods(self):
+        # At this seed replication 0 puts no target unit in fold 1, while
+        # the calibration fold (0) and both rejection-sampling halves hold
+        # both populations.
+        spec, n, root = DgpSpec("lowdim"), 12, RngStream(204)
+        sample = dgp_draw(spec, n, root.child(f"dgp-n{n}", 0))
+        folds = make_folds(n, 2, root.child(f"folds-n{n}", 0))
+        assert not (sample.a[folds.indices(1)] == 0).any()
+        assert (sample.a[folds.indices(0)] == 0).any()
+
+        stumps = BinaryLearnerSpec(kind="boosted-stumps")
+        cfg = StudyConfig(grid=GRID, targets=TARGETS, g_spec=stumps,
+                          e_spec=stumps, oracle_m=2000)
+        rows = {r.method: r for r in
+                run_study(spec, [n], ALL_METHODS, 1, cfg, root).rows}
+        fold_methods = {"onestep", "tmle", "plugin", "wplugin"}
+        assert {m for m, r in rows.items() if r.failed} == fold_methods
+        for m in fold_methods:
+            assert rows[m].failure == "DegenerateFoldError"
+            assert (rows[m].tau_hat, rows[m].true_error, rows[m].info) == (0.0, None, {})
+        # The other methods give what they give on their own, which is
+        # what they gave before the fold methods shared one engine.
+        alone = run_study(spec, [n], ["rs", "icp", "wcp"], 1, cfg, root).rows
+        assert [rows[r.method] for r in alone] == list(alone)
+        assert (rows["rs"].tau_hat, rows["rs"].true_error, rows["rs"].info) == (
+            0.1, 0.03343439237556639, {"n_accepted": 3, "bhat": 1.3})
+        assert (rows["icp"].sentinel, rows["icp"].info) == (True, {"k": None})
+        assert rows["wcp"].info == {"cutoff_median": 0.0}
+
+    def test_fold_methods_share_conditional_error_predictions(self, monkeypatch):
+        # One prediction per (fold, threshold) for all four fold methods
+        # together, not one per method.
+        calls = []
+        cond_error = NuisanceFits.cond_error
+
+        def counted(fits, v, tau, X):
+            calls.append((v, tau))
+            return cond_error(fits, v, tau, X)
+
+        monkeypatch.setattr(NuisanceFits, "cond_error", counted)
+        rep = run_study(DgpSpec("lowdim"), [300], ALL_METHODS, 1,
+                        self._cfg(oracle_m=2000), RngStream(14))
+        assert not any(r.failed for r in rep.rows)
+        assert sorted(calls) == [(v, tau) for v in range(2) for tau in GRID]
