@@ -1,12 +1,12 @@
 """In-repo binary-outcome learners used for both nuisance functions.
 
-Two real learners are provided behind one interface: a ridge-penalized
-logistic regression fit by iteratively reweighted least squares, and
-gradient-boosted decision stumps.  Both return probabilities in [0, 1].
-Constant labels short-circuit to an exactly-constant predictor before any
-learner runs, which keeps conditional-error fits exact at thresholds beyond
-the observed score range.  ``fit_binary_grid`` fits a stack of label vectors
-on one design, as the per-threshold conditional-error models need.
+Two learners share one interface: a ridge-penalized logistic regression fit
+by iteratively reweighted least squares over fixed blocks of units, so that
+its bits do not depend on the BLAS thread count, and gradient-boosted
+decision stumps.  Both return probabilities in [0, 1].  Constant labels
+short-circuit to an exactly-constant predictor, which keeps conditional-error
+fits exact beyond the observed score range.  ``fit_binary_grid`` fits the
+label stack of a threshold grid on one design, each row as if fit alone.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ _STUMP_CLAMP = 1e-6
 _STUMP_BLOCK = 1 << 17
 # Log-odds terms, (stumps + 1) x rows, evaluated at once by a stump predictor.
 _PREDICT_TERMS = 1 << 14
+# Elements in one (rows, p + 1) block of the logistic design.  Every sum over
+# rows runs block by block in a fixed order, and no block's matrix product is
+# large enough for BLAS to split it across threads.
+_IRLS_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,7 @@ def fit_binary_grid(spec: BinaryLearnerSpec, X: np.ndarray,
 
     Each predictor equals what :func:`fit_binary` returns for that row.
     Boosted stumps share one presort of ``X`` and grow every ensemble in the
-    same rounds; logistic fits run one IRLS per row.
+    same rounds; logistic fits take their Newton steps together.
     """
     return _fit_stack(spec, X, np.atleast_2d(np.asarray(Z, dtype=float)))
 
@@ -193,10 +197,8 @@ def _fit_stack(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     preds = [ConstantPredictor(float(z[0]), p=p) if c else None
              for z, c in zip(Z, constant)]
     todo = np.flatnonzero(~constant)
-    if spec.kind == "logistic-ridge":
-        fitted = [_fit_logistic_irls(spec, X, Z[i]) for i in todo]
-    else:
-        fitted = _fit_boosted_stumps(spec, X, Z[todo]) if todo.size else []
+    fit = _fit_logistic if spec.kind == "logistic-ridge" else _fit_boosted_stumps
+    fitted = fit(spec, X, Z[todo]) if todo.size else []
     for i, pred in zip(todo, fitted):
         preds[i] = pred
     return tuple(preds)
@@ -206,7 +208,14 @@ def _fit_stack(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
 # Logistic ridge via IRLS
 # ---------------------------------------------------------------------------
 
-def _fit_logistic_irls(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray):
+def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
+    """One ridge-logistic IRLS per row of ``Z`` (no row constant), run together.
+
+    Each row starts from zero and falls back to its intercept-only fit, with
+    a warning, if a Newton step is singular or not finite.  Sums over units
+    run block by block with one matrix product per row, so a row's bits
+    depend neither on the other rows nor on the BLAS thread count.
+    """
     n, p = X.shape
     x_mean = x_scale = None
     Xw = X
@@ -217,52 +226,58 @@ def _fit_logistic_irls(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray):
         Xw = (X - x_mean) / x_scale
 
     design = np.column_stack([np.ones(n), Xw])
+    step = max(1, _IRLS_BLOCK // (p + 1))
+    blocks = [design[s:s + step] for s in range(0, n, step)]
     penalty = np.full(p + 1, spec.ridge)
     penalty[0] = 0.0  # intercept unpenalized
 
-    beta = np.zeros(p + 1)
+    # From zero, not from the intercept-only fit: on a highdim source half
+    # with 14 events in 516 units, that start diverged where zero converges.
+    zbar = logit(np.clip(Z.mean(axis=1), 1e-10, 1 - 1e-10))
+    beta, eta = np.zeros((Z.shape[0], p + 1)), np.zeros(Z.shape)
+    ok, live = np.ones(Z.shape[0], dtype=bool), np.arange(Z.shape[0])
     dev_old = np.inf
-    ok = True
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(spec.max_iter):
-            eta = design @ beta
             mu = expit(eta)
             w = np.clip(mu * (1.0 - mu), 1e-10, None)
             # Working response for the Newton step on the penalized deviance.
-            resp = eta + (z - mu) / w
-            lhs = design.T @ (w[:, None] * design) + np.diag(penalty)
-            rhs = design.T @ (w * resp)
-            try:
-                beta_new = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError:
-                ok = False
+            resp = eta + (Z - mu) / w
+            lhs = rhs = 0.0
+            for s, D in zip(range(0, n, step), blocks):
+                Dw = D.T * w[:, None, s:s + step]
+                lhs += np.matmul(Dw, D)
+                rhs += np.matmul(Dw, resp[:, s:s + step, None])
+            new = _solve(lhs + np.diag(penalty), rhs)
+            eta = np.concatenate([np.matmul(D, new[..., None])[..., 0] for D in blocks],
+                                 axis=1)
+            dev = (-2.0 * np.sum(Z * eta - np.logaddexp(0.0, eta), axis=1)
+                   + np.sum(penalty * new**2, axis=1))
+            # A singular or non-finite step gives a non-finite deviance.
+            good = np.isfinite(dev)
+            ok[live[~good]] = False
+            beta[live[good]] = new[good]
+            keep = good & ~(np.abs(dev_old - dev) < spec.tol)
+            live, Z, eta, dev_old = live[keep], Z[keep], eta[keep], dev[keep]
+            if not live.size:
                 break
-            if not np.all(np.isfinite(beta_new)):
-                ok = False
-                break
-            beta = beta_new
-            dev = _penalized_deviance(design, z, beta, penalty)
-            if not np.isfinite(dev):
-                ok = False
-                break
-            if abs(dev_old - dev) < spec.tol:
-                break
-            dev_old = dev
 
-    if not ok:
+    for _ in range(np.count_nonzero(~ok)):
         warnings.warn("IRLS diverged; falling back to an intercept-only fit",
                       RuntimeWarning, stacklevel=4)
-        zbar = float(np.clip(np.mean(z), 1e-10, 1 - 1e-10))
-        return LogisticRidgePredictor(logit(zbar), np.zeros(p), p,
-                                      x_mean, x_scale, fallback=True)
-    return LogisticRidgePredictor(beta[0], beta[1:], p, x_mean, x_scale)
+    beta[~ok] = 0.0
+    beta[~ok, 0] = zbar[~ok]
+    return [LogisticRidgePredictor(b[0], b[1:], p, x_mean, x_scale, fallback=not row_ok)
+            for b, row_ok in zip(beta, ok)]
 
 
-def _penalized_deviance(design, z, beta, penalty):
-    eta = design @ beta
-    # log(1 + e^eta) computed stably; deviance = -2 * loglik + ridge term.
-    loglik = np.sum(z * eta - np.logaddexp(0.0, eta))
-    return -2.0 * loglik + float(penalty @ beta**2)
+def _solve(lhs, rhs):
+    """Newton steps for a stack of systems; a singular one gives NaN."""
+    try:
+        return np.linalg.solve(lhs, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        return (np.concatenate([_solve(a[None], b[None]) for a, b in zip(lhs, rhs)])
+                if len(lhs) > 1 else np.full((1, lhs.shape[1]), np.nan))
 
 
 # ---------------------------------------------------------------------------

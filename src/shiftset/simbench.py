@@ -307,6 +307,8 @@ class ReplicationRow:
     failed: bool
     failure: str = ""
     info: dict = field(default_factory=dict)
+    # The method's estimated curve, for callers of run_study; not serialized.
+    table: CoverageTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -437,6 +439,8 @@ def _run_wcp(data: Dataset) -> MethodResult:
     # evaluated at calibration and oracle covariates.
     fits = data.fits
     cal_idx, cal_src = data.calibration()
+    if cal_src.size == cal_idx.size:
+        raise DegenerateFoldError("calibration fold has no target units")
     gamma0 = empirical_gamma(data.sample, cal_idx)
     w_cal = odds_weight(fits.propensity(0, data.sample.x[cal_src]), gamma0)
     w_eval = odds_weight(fits.propensity(0, data.oracle.X), gamma0)
@@ -511,7 +515,7 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
                     method=method, n=n, rep=rep, tau_hat=res.tau_hat,
                     sentinel=res.sentinel, true_error=err,
                     covered=bool(err <= cfg.targets.alpha_error),
-                    failed=False, info=res.info))
+                    failed=False, info=res.info, table=res.table))
 
     aggregates = []
     for n in ns:

@@ -49,14 +49,13 @@ def test_confidence_level_lowdim():
 
 @pytest.fixture(scope="module")
 def highdim_ranking():
-    rep = ss.run_study(ss.DgpSpec("highdim-sparse"), [2000],
-                       ["onestep", "plugin", "icp"], 200, study_config(),
-                       ss.RngStream(20260813))
-    return {a.method: a for a in rep.aggregates}
+    return ss.run_study(ss.DgpSpec("highdim-sparse"), [2000],
+                        ["onestep", "plugin", "icp"], 200, study_config(),
+                        ss.RngStream(20260813))
 
 
 def test_method_ranking_highdim_inductive_cp(highdim_ranking):
-    agg = highdim_ranking
+    agg = {a.method: a for a in highdim_ranking.aggregates}
     gap = agg["onestep"].proportion - agg["icp"].proportion
     halfwidth = max((agg["icp"].wilson_hi - agg["icp"].wilson_lo) / 2,
                     (agg["onestep"].wilson_hi - agg["onestep"].wilson_lo) / 2)
@@ -71,11 +70,11 @@ def test_method_ranking_highdim_plugin(highdim_ranking):
     """Plug-in must lie further from the true error curve than one-step.
 
     The one-step correction removes the plug-in's first-order nuisance
-    bias.  On the datasets of the ``highdim_ranking`` fixture (same seed and
-    child streams), each replication's signed error against the true curve
-    is averaged over the grid thresholds with 0 < psi < 1; the plug-in's
-    mean absolute bias must exceed the one-step's by two standard errors
-    of the paired difference.
+    bias.  On the datasets of the ``highdim_ranking`` fixture, whose rows
+    carry each replication's estimated curve, each replication's signed
+    error against the true curve is averaged over the grid thresholds with
+    0 < psi < 1; the plug-in's mean absolute bias must exceed the
+    one-step's by two standard errors of the paired difference.
 
     Coverage proportions cannot rank the two here.  The true curve is 0.033
     at tau=0.05 and 0.081 at tau=0.10, with tau0 near 0.069, so on this
@@ -87,23 +86,18 @@ def test_method_ranking_highdim_plugin(highdim_ranking):
     plugin 1.000 with the same seed and replications.
     """
     spec = ss.DgpSpec("highdim-sparse")
-    n = 2000
-    cfg = study_config()
     rng = ss.RngStream(20260813)
     psi_true = ss.oracle_psi_curve(spec, GRID, 2_000_000,
                                    rng.child("oracle-curve"))
     inner = (psi_true > 0) & (psi_true < 1)
-    err_plugin, err_onestep = [], []
-    for r in range(200):
-        sample = ss.dgp_draw(spec, n, rng.child(f"dgp-n{n}", r))
-        folds = ss.make_folds(n, cfg.V, rng.child(f"folds-n{n}", r))
-        fits = ss.fit_nuisances(sample, folds, GRID, cfg.g_spec, cfg.e_spec,
-                                cfg.delta, rng.child(f"nuisance-n{n}", r))
-        plugin = ss.plugin_estimate(sample, folds, GRID, fits, TARGETS).psi
-        onestep = ss.onestep_estimate(sample, folds, GRID, fits, TARGETS).psi
-        err_plugin.append(np.mean(plugin[inner] - psi_true[inner]))
-        err_onestep.append(np.mean(onestep[inner] - psi_true[inner]))
-    err_plugin, err_onestep = np.array(err_plugin), np.array(err_onestep)
+
+    def errors(method):
+        rows = [r for r in highdim_ranking.rows if r.method == method]
+        assert len(rows) == 200 and not any(r.failed for r in rows)
+        return np.array([np.mean(r.table.psi[inner] - psi_true[inner])
+                         for r in rows])
+
+    err_plugin, err_onestep = errors("plugin"), errors("onestep")
     bias_plugin, bias_onestep = err_plugin.mean(), err_onestep.mean()
     gap = abs(bias_plugin) - abs(bias_onestep)
     # both errors come from the same datasets, so the standard error is that
@@ -111,7 +105,7 @@ def test_method_ranking_highdim_plugin(highdim_ranking):
     paired = (np.sign(bias_plugin) * err_plugin
               - np.sign(bias_onestep) * err_onestep)
     se = float(paired.std(ddof=1) / np.sqrt(paired.size))
-    agg = highdim_ranking
+    agg = {a.method: a for a in highdim_ranking.aggregates}
     ok = gap > 2 * se
     report("ranking, high-dim: plug-in below one-step", ok,
            f"bias plugin={bias_plugin:+.4f} onestep={bias_onestep:+.4f} "

@@ -467,27 +467,27 @@ class TestCmdSimulate:
         },
         "simulate-highdim-logistic": {
             "": "292d28574a5b6c6b201c88ea5c6f35f2b675a9b87c23efa66bba2f7b5c5edbe6",
-            ".jsonl": "507b75078966c78ac1359d1e91b9c6c348d3a6eeaff9a465e4c13a3ec328e8d8",
+            ".jsonl": "162525491d7d4b1f9e68cff7eb1ac3e2c537e2ce8d735d27acc03f4359870e18",
             ".meta.json": "6f3bd5efe5df382cc4cdff01d223eec61b0e9381ae6263b518c3fe1a0011e392",
         },
         "fit-onestep": {
-            "": "0bb407d08edd55e8d356b6eeced6451c0a59cfe36113e18417013eb0a91accfb",
+            "": "7441495d0b49b607bcc0fece58d7077808b0aa1ff0c3e2dc4bf117c24f7e1386",
             ".meta.json": "b91ebff4c4627062e61d6b436cfab8c58004cf3d843dbc3a3351bfc0338a0073",
         },
         "fit-tmle": {
-            "": "db8eff63a7f9e720d5d35954f1f8416aeb822897408303b0d0d3c3ba5dd7f358",
+            "": "c0b7a888fb57ebbc859354098672f09223cc7e87953082be39112c57e59de975",
             ".meta.json": "ca34d4fe9d1fb18ce28379e209376d7f3a02acfb53c8c8aaf9ab787df007f893",
         },
         "fit-rs": {
-            "": "7b221f63a525089ffa351fd64dd7c12327c624d177483b6dd38faf6bff79d784",
-            ".meta.json": "b7e3a8aea35a0bf5820accedbf1bc155e993dfc283fb946bf5d218408d11300e",
+            "": "5dc7c4c53aa7eb9a856af33e969b21b271bcc35da65262b3f1d287b47c3e51e3",
+            ".meta.json": "c0767540275a3d1398310754b339e1dc139528b6be09c7f42bfcbf054de7bad3",
         },
         "fit-plugin": {
-            "": "f712f90870674988534c3704d204abf62a939311d42f804289efe8680d3d3b46",
+            "": "3b804fca0e41f35a0fa6b2c48043294c5070856a3a19f37ee2ef902c96339558",
             ".meta.json": "6059b1ef98c5075dfda0a227e9d484d1c5c2eabc40ad25cd0ffc0fe820045a7c",
         },
         "fit-wplugin": {
-            "": "b3c5055f67d60fe782e0056819794ac83ec600d5c278214090fd7326fd3e03e4",
+            "": "b1260b841945b12ef56827bf58daa32a0f663f3407f152053fa7d7e02efa0711",
             ".meta.json": "289c0b6e6ba7eafd9d6a58f9605afa5bd7bc698f831bfda030866a2375602b50",
         },
         "fit-icp": {

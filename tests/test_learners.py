@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -343,6 +346,113 @@ class TestNuisanceGridsMatchReference:
                                  miscoverage_vector(sample.score[src], tau))
             assert_same_predictor(run.e_predictors[ti], want,
                                   sample.x[run.test_idx])
+
+
+# ---------------------------------------------------------------------------
+# Logistic grids: one stacked IRLS must give each row the bits of its own fit
+# ---------------------------------------------------------------------------
+
+def assert_same_logistic(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, ConstantPredictor):
+        assert got.value == want.value
+        return
+    assert got.fallback == want.fallback
+    assert np.float64(got.intercept).tobytes() == np.float64(want.intercept).tobytes()
+    assert got.coef.tobytes() == want.coef.tobytes()
+
+
+class TestLogisticGridStack:
+    spec = BinaryLearnerSpec()
+    grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
+
+    def source_half(self, n, v):
+        root = RngStream(41)
+        sample = dgp_draw(DgpSpec("highdim-sparse"), n, root.child("dgp"))
+        train = make_folds(n, 2, root.child("folds")).complement(v)
+        src = train[sample.a[train] == 1]
+        return sample.x[src], np.array([miscoverage_vector(sample.score[src], t)
+                                        for t in self.grid])
+
+    @pytest.mark.parametrize("n", [400, 20_000])
+    @pytest.mark.parametrize("v", [0, 1])
+    def test_highdim_source_halves(self, n, v):
+        X, Z = self.source_half(n, v)
+        fitted = fit_binary_grid(self.spec, X, Z)
+        assert sum(isinstance(f, LogisticRidgePredictor) for f in fitted) >= 5
+        for z, got in zip(Z, fitted):
+            assert_same_logistic(got, fit_binary(self.spec, X, z))
+
+    def test_slow_row_does_not_perturb_the_others(self):
+        X, Z = self.source_half(2000, 1)
+        rare = np.zeros(X.shape[0])
+        rare[np.argsort(X[:, 0])[-3:]] = 1.0  # three events at the largest x1
+        Z = np.vstack([Z, rare])
+        live = []
+        solve = learners._solve
+        with mock.patch.object(learners, "_solve",
+                               lambda a, b: live.append(len(a)) or solve(a, b)):
+            fitted = fit_binary_grid(self.spec, X, Z)
+        # the rare row iterates alone long after the others have converged
+        assert live[0] == np.count_nonzero(np.ptp(Z, axis=1))
+        assert live.count(1) >= 5
+        for z, got in zip(Z, fitted):
+            assert_same_logistic(got, fit_binary(self.spec, X, z))
+
+    def test_each_diverging_row_falls_back_with_its_own_warning(self):
+        X = np.array([[1e200], [-1e200], [5e199]])
+        z = np.array([1.0, 0.0, 1.0])
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            fitted = fit_binary_grid(self.spec, X, np.vstack([z, z]))
+        assert sum("IRLS" in str(w.message) for w in rec) == 2
+        for got in fitted:
+            assert got.fallback
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert_same_logistic(got, fit_binary(self.spec, X, z))
+
+
+_COEFFICIENT_BYTES = """
+import numpy as np
+from shiftset import (BinaryLearnerSpec, DgpSpec, RngStream, RsConfig, ThresholdGrid,
+                      dgp_draw, fit_nuisances, make_folds, rs_prepare)
+root = RngStream(11)
+n = 20_000
+grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
+spec = BinaryLearnerSpec()
+sample = dgp_draw(DgpSpec("highdim-sparse"), n, root.child("dgp"))
+fits = fit_nuisances(sample, make_folds(n, 2, root.child("folds")), grid, spec,
+                     spec, 0.01, root.child("nuis"))
+run = rs_prepare(sample, RsConfig(), grid, spec, spec, root.child("rs"))
+preds = [*fits.g_predictors, *(e for row in fits.e_predictors for e in row),
+         run.g_predictor, *run.e_predictors]
+for p in preds:
+    coef = [p.value] if hasattr(p, "value") else [p.intercept, *p.coef]
+    print(np.array(coef).tobytes().hex())
+"""
+
+
+def usable_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 CPUs")
+def test_logistic_fits_ignore_blas_thread_count():
+    """At n=20,000 OpenBLAS would split a whole-sample Gram or matrix-vector
+    product across threads; the row-blocked IRLS never hands it one."""
+    src = os.path.dirname(os.path.dirname(learners.__file__))
+    out = []
+    for threads in ("1", "2"):
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+        out.append(subprocess.run([sys.executable, "-c", _COEFFICIENT_BYTES], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=300).stdout)
+    assert out[0].count("\n") == 2 + 2 * 7 + 1 + 7
+    assert out[0] == out[1]
 
 
 class TestSpecValidation:

@@ -235,6 +235,28 @@ class TestRunStudy:
         assert (rows["icp"].sentinel, rows["icp"].info) == (True, {"k": None})
         assert rows["wcp"].info == {"cutoff_median": 0.0}
 
+    def test_wcp_fails_on_a_calibration_fold_without_target_units(self):
+        # At this seed the calibration fold holds only source units, so its
+        # empirical gamma is 1 and no odds weight exists.
+        spec, n, root = DgpSpec("lowdim"), 12, RngStream(16)
+        sample = dgp_draw(spec, n, root.child(f"dgp-n{n}", 0))
+        folds = make_folds(n, 2, root.child(f"folds-n{n}", 0))
+        assert (sample.a[folds.indices(0)] == 1).all()
+
+        stumps = BinaryLearnerSpec(kind="boosted-stumps")
+        cfg = StudyConfig(ThresholdGrid.from_range(0, 0.3, 0.05),
+                          RiskTargets(0.05, 0.05), stumps, stumps, oracle_m=2000)
+        (row,) = run_study(spec, [n], ["wcp"], 1, cfg, root).rows
+        assert row.failed and row.failure == "DegenerateFoldError"
+
+    def test_rows_carry_their_method_tables(self):
+        rep = run_study(DgpSpec("lowdim"), [300], ["onestep", "icp"], 1,
+                        self._cfg(oracle_m=2000), RngStream(15))
+        onestep, icp = rep.rows
+        assert onestep.table.psi.shape == (len(GRID),)
+        assert icp.table is None
+        assert "table" not in repr(onestep)
+
     def test_fold_methods_share_conditional_error_predictions(self, monkeypatch):
         # One prediction per (fold, threshold) for all four fold methods
         # together, not one per method.
