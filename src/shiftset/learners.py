@@ -113,15 +113,22 @@ class ConstantPredictor(FittedPredictor):
 
 
 class LogisticRidgePredictor(FittedPredictor):
-    """Logistic model expit(intercept + x @ coef), optionally standardized."""
+    """Logistic model expit(intercept + x @ coef), optionally standardized.
 
-    def __init__(self, intercept, coef, p, x_mean=None, x_scale=None, fallback=False):
+    ``n_iter`` counts the Newton steps of the fit; ``converged`` says whether
+    the penalized deviance settled within ``tol`` before ``max_iter``.
+    """
+
+    def __init__(self, intercept, coef, p, x_mean=None, x_scale=None, fallback=False,
+                 n_iter=0, converged=True):
         self.intercept = float(intercept)
         self.coef = np.asarray(coef, dtype=float)
         self.p = int(p)
         self.x_mean = None if x_mean is None else np.asarray(x_mean, dtype=float)
         self.x_scale = None if x_scale is None else np.asarray(x_scale, dtype=float)
         self.fallback = bool(fallback)
+        self.n_iter = int(n_iter)
+        self.converged = bool(converged)
 
     def _predict(self, X):
         if self.x_mean is not None:
@@ -130,7 +137,14 @@ class LogisticRidgePredictor(FittedPredictor):
 
 
 class BoostedStumpsPredictor(FittedPredictor):
-    """Additive log-odds model of depth-1 trees, clamped away from {0, 1}."""
+    """Additive log-odds model of depth-1 trees, clamped away from {0, 1}.
+
+    The model is constant on each cell that the distinct thresholds of the
+    used features cut.  With fewer cells than rows, ``predict`` sums the
+    stumps once per cell, at a point of that cell, and gathers each row's
+    cell value; otherwise it sums them row by row.  Either way every row
+    gets the same terms added in round order, so the bits agree.
+    """
 
     def __init__(self, base_logodds, features, thresholds, left_values, right_values, p):
         self.base_logodds = float(base_logodds)
@@ -139,12 +153,46 @@ class BoostedStumpsPredictor(FittedPredictor):
         self.left_values = np.asarray(left_values, dtype=float)
         self.right_values = np.asarray(right_values, dtype=float)
         self.p = int(p)
+        self._used = np.unique(self.features)
+        self._cuts = [np.unique(self.thresholds[self.features == j]) for j in self._used]
+        radix = [c.size + 1 for c in self._cuts]
+        self._strides = [math.prod(radix[:i]) for i in range(len(radix))]
+        self._cells = math.prod(radix)
 
     def _predict(self, X):
+        if self._cells < X.shape[0]:
+            raw = self._raw(self._cell_points())[self._cell_codes(X)]
+        else:
+            raw = self._raw(np.ascontiguousarray(X.T))
+        return np.clip(expit(raw), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP)
+
+    def _cell_codes(self, X):
+        """Each row's cell as a mixed-radix number whose digit for a used
+        feature counts that feature's thresholds below the row's value."""
+        code = np.zeros(X.shape[0], dtype=np.intp)
+        for j, cuts, stride in zip(self._used, self._cuts, self._strides):
+            rank = np.searchsorted(cuts, X[:, j], side="left")
+            rank *= stride
+            code += rank
+        return code
+
+    def _cell_points(self):
+        """One point per cell, features by cells.  Digit r stands for
+        ``cuts[r]``, which goes left at exactly the thresholds that values of
+        rank r go left at; the top digit for NaN, which goes right at every
+        threshold, +inf too."""
+        XT = np.full((self.p, self._cells), np.nan)
+        cell = np.arange(self._cells)
+        for j, cuts, stride in zip(self._used, self._cuts, self._strides):
+            XT[j] = np.append(cuts, np.nan)[cell // stride % (cuts.size + 1)]
+        return XT
+
+    def _raw(self, XT):
+        """Log-odds of the points in the columns of ``XT``, summed in round
+        order."""
         rows = max(2, _PREDICT_TERMS // (self.features.size + 1))
-        XT = np.ascontiguousarray(X.T)
-        raw = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], rows):
+        raw = np.empty(XT.shape[1])
+        for start in range(0, XT.shape[1], rows):
             block = XT[self.features, start:start + rows]
             m = block.shape[1]
             if m == 1:
@@ -157,7 +205,7 @@ class BoostedStumpsPredictor(FittedPredictor):
             _leaves(block <= self.thresholds[:, None], self.left_values,
                     self.right_values, out=terms[1:].view(np.int64))
             raw[start:start + m] = np.add.reduce(terms, axis=0)[:m]
-        return np.clip(expit(raw), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP)
+        return raw
 
 
 def fit_binary(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray,
@@ -212,9 +260,11 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     """One ridge-logistic IRLS per row of ``Z`` (no row constant), run together.
 
     Each row starts from zero and falls back to its intercept-only fit, with
-    a warning, if a Newton step is singular or not finite.  Sums over units
-    run block by block with one matrix product per row, so a row's bits
-    depend neither on the other rows nor on the BLAS thread count.
+    a warning, if a Newton step is singular or not finite.  A row that runs
+    to ``max_iter`` without its deviance settling is only marked
+    unconverged: a warning would reach the outputs that record warnings.
+    Sums over units run block by block with one matrix product per row, so a
+    row's bits depend neither on the other rows nor on the BLAS thread count.
     """
     n, p = X.shape
     x_mean = x_scale = None
@@ -236,6 +286,7 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     zbar = logit(np.clip(Z.mean(axis=1), 1e-10, 1 - 1e-10))
     beta, eta = np.zeros((Z.shape[0], p + 1)), np.zeros(Z.shape)
     ok, live = np.ones(Z.shape[0], dtype=bool), np.arange(Z.shape[0])
+    n_iter, converged = np.zeros(Z.shape[0], dtype=int), np.zeros(Z.shape[0], dtype=bool)
     dev_old = np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(spec.max_iter):
@@ -257,7 +308,10 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
             good = np.isfinite(dev)
             ok[live[~good]] = False
             beta[live[good]] = new[good]
-            keep = good & ~(np.abs(dev_old - dev) < spec.tol)
+            n_iter[live] += 1
+            settled = good & (np.abs(dev_old - dev) < spec.tol)
+            converged[live[settled]] = True
+            keep = good & ~settled
             live, Z, eta, dev_old = live[keep], Z[keep], eta[keep], dev[keep]
             if not live.size:
                 break
@@ -267,8 +321,9 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
                       RuntimeWarning, stacklevel=4)
     beta[~ok] = 0.0
     beta[~ok, 0] = zbar[~ok]
-    return [LogisticRidgePredictor(b[0], b[1:], p, x_mean, x_scale, fallback=not row_ok)
-            for b, row_ok in zip(beta, ok)]
+    return [LogisticRidgePredictor(b[0], b[1:], p, x_mean, x_scale, fallback=not row_ok,
+                                   n_iter=k, converged=c)
+            for b, row_ok, k, c in zip(beta, ok, n_iter, converged)]
 
 
 def _solve(lhs, rhs):

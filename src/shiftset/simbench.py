@@ -250,17 +250,31 @@ class OracleEvaluator:
         self.probs = spec.label_probs(self.X)
         self.scores = spec.score_table(self.X)
         flat = self.scores.reshape(-1)
-        order = np.argsort(flat, kind="stable")
+        # Without ties (or NaN) every sort gives the one sorting permutation,
+        # so the fast unstable sort stands unless adjacent scores fail to
+        # increase strictly.
+        order = np.argsort(flat)
         self._sorted_scores = flat[order]
-        self._cum_weights = np.cumsum(self.probs.reshape(-1)[order]) / self.M
+        if not np.all(self._sorted_scores[1:] > self._sorted_scores[:-1]):
+            order = np.argsort(flat, kind="stable")
+            self._sorted_scores = flat[order]
+        # In place, so that the build holds as few score-sized arrays at once
+        # as it can.
+        self._cum_weights = self.probs.reshape(-1)[order]
+        del order
+        np.cumsum(self._cum_weights, out=self._cum_weights)
+        self._cum_weights /= self.M
 
     def psi_at(self, tau: float) -> float:
         idx = int(np.searchsorted(self._sorted_scores, tau, side="left"))
         return float(self._cum_weights[idx - 1]) if idx > 0 else 0.0
 
     def psi_of_cutoffs(self, cutoffs: np.ndarray) -> float:
-        cutoffs = np.asarray(cutoffs, dtype=float).reshape(-1, 1)
-        miss = np.sum(self.probs * (self.scores < cutoffs), axis=1)
+        cutoffs = np.asarray(cutoffs, dtype=float).reshape(-1)
+        # Label by label, left to right: the order np.sum takes along a row.
+        miss = self.probs[:, 0] * (self.scores[:, 0] < cutoffs)
+        for k in range(1, self.probs.shape[1]):
+            miss += self.probs[:, k] * (self.scores[:, k] < cutoffs)
         return float(miss.mean())
 
 

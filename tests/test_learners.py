@@ -257,13 +257,20 @@ def assert_same_predictor(got, want, X):
     assert got.predict(X).tobytes() == reference_predict(want, X).tobytes()
 
 
+# Covariates near the largest double: the midpoint threshold between two of
+# them overflows to +inf or -inf.
+_HUGE = [-1.7e308, -1.5e308, -1.0, 0.0, 1.0, 1.5e308, 1.7e308]
+
+
 @st.composite
 def stump_problems(draw):
     n = draw(st.integers(2, 40))
     p = draw(st.integers(1, 4))
-    tied = draw(st.booleans())
-    cell = (st.integers(-2, 2).map(float) if tied else
-            st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    cell = draw(st.sampled_from([
+        st.integers(-2, 2).map(float),  # tied
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+        st.sampled_from(_HUGE),
+    ]))
     X = np.array(draw(st.lists(st.lists(cell, min_size=p, max_size=p),
                                min_size=n, max_size=n)))
     for j in draw(st.sets(st.integers(0, p - 1))):
@@ -285,13 +292,34 @@ def stump_problems(draw):
     return spec, X, np.array(rows)
 
 
+def stump_cells(pred):
+    """Cells cut by the distinct thresholds of each used feature."""
+    return int(np.prod([np.unique(pred.thresholds[pred.features == j]).size + 1
+                        for j in np.unique(pred.features)]))
+
+
+def probe_rows(pred, X, m, gen):
+    """``m`` rows whose covariates hit training values, thresholds and their
+    neighbours, signed zeros, NaN and both infinities."""
+    cols = []
+    for j in range(X.shape[1]):
+        thr = pred.thresholds[pred.features == j]
+        pool = np.concatenate([X[:, j], thr, np.nextafter(thr, -np.inf),
+                               np.nextafter(thr, np.inf),
+                               [-0.0, 0.0, np.nan, np.inf, -np.inf]])
+        cols.append(gen.choice(pool, size=m))
+    return np.column_stack(cols) if cols else np.zeros((m, 0))
+
+
 class TestStumpGridReference:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(stump_problems(), st.sampled_from([1 << 14, 12, 3]),
-           st.sampled_from([1 << 17, 40]))
-    def test_grid_fit_matches_reference(self, problem, terms, block):
+           st.sampled_from([1 << 17, 40]), st.integers(0, 2**32 - 1))
+    def test_grid_fit_matches_reference(self, problem, terms, block, seed):
         spec, X, Z = problem
         X_new = np.vstack([X[::-1], X[:1] + 0.25])  # odd row count
+        gen = np.random.default_rng(seed)
         # Small blocks make predict chunks and fit batches cover every tail.
         with mock.patch.object(learners, "_PREDICT_TERMS", terms), \
                 mock.patch.object(learners, "_STUMP_BLOCK", block):
@@ -302,6 +330,31 @@ class TestStumpGridReference:
                 assert_same_predictor(got, want, X)
                 assert_same_predictor(got, want, X_new)
                 assert_same_predictor(fit_binary(spec, X, z), want, X[:1])
+                if isinstance(want, ConstantPredictor):
+                    continue
+                # Fewer, as many and more rows than cells: cell lookup and
+                # row-by-row sums must give the same bits.
+                cells = stump_cells(want)
+                sizes = (cells - 1, cells, cells + 1) if cells < 2000 else (50,)
+                for m in sizes:
+                    assert_same_predictor(got, want, probe_rows(want, X, m, gen))
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    def test_ensemble_without_stumps(self, m):
+        pred = BoostedStumpsPredictor(0.3, [], [], [], [], 2)
+        X = np.arange(2.0 * m).reshape(m, 2)
+        assert pred.predict(X).shape == (m,)
+        assert pred.predict(X).tobytes() == reference_predict(pred, X).tobytes()
+
+    def test_cells_at_overflowed_thresholds(self):
+        # +inf and -inf thresholds: +inf goes left at +inf, NaN goes right.
+        pred = BoostedStumpsPredictor(0.0, [0, 0, 1, 0], [np.inf, -np.inf, 0.0, 1.0],
+                                      [0.5, 0.25, -0.125, 1.0], [-1.0, 2.0, 0.75, -0.5], 2)
+        assert stump_cells(pred) == 8
+        col = np.array([-np.inf, -1.0, -0.0, 1.0, 2.0, np.inf, np.nan])
+        X = np.column_stack([np.tile(col, 3), np.repeat([-0.0, np.nan, 1.0], 7)])
+        for rows in (X[:7], X[:8], X[:9], X):
+            assert pred.predict(rows).tobytes() == reference_predict(pred, rows).tobytes()
 
     def test_labels_must_align_and_be_binary(self):
         spec = BinaryLearnerSpec(kind="boosted-stumps")
@@ -357,7 +410,8 @@ def assert_same_logistic(got, want):
     if isinstance(want, ConstantPredictor):
         assert got.value == want.value
         return
-    assert got.fallback == want.fallback
+    assert (got.fallback, got.n_iter, got.converged) == \
+        (want.fallback, want.n_iter, want.converged)
     assert np.float64(got.intercept).tobytes() == np.float64(want.intercept).tobytes()
     assert got.coef.tobytes() == want.coef.tobytes()
 
@@ -399,6 +453,29 @@ class TestLogisticGridStack:
         for z, got in zip(Z, fitted):
             assert_same_logistic(got, fit_binary(self.spec, X, z))
 
+    def test_rows_that_run_to_max_iter_are_unconverged(self):
+        # Quasi-separated fold-0 source halves (about 100 units, p=20): some
+        # rows drift to coefficients of order 1e7 without meeting tol.
+        runaway = 0
+        for seed in range(40):
+            root = RngStream(seed)
+            sample = dgp_draw(DgpSpec("highdim-sparse"), 400, root.child("dgp"))
+            train = make_folds(400, 2, root.child("folds")).complement(0)
+            src = train[sample.a[train] == 1]
+            Z = np.array([miscoverage_vector(sample.score[src], t) for t in self.grid])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fitted = fit_binary_grid(self.spec, sample.x[src], Z)
+            for got in fitted:
+                if isinstance(got, ConstantPredictor):
+                    continue
+                assert 1 <= got.n_iter <= self.spec.max_iter
+                assert got.converged or got.n_iter == self.spec.max_iter
+                if np.max(np.abs(got.coef)) > 1e6:
+                    runaway += 1
+                    assert not got.converged
+        assert runaway >= 5
+
     def test_each_diverging_row_falls_back_with_its_own_warning(self):
         X = np.array([[1e200], [-1e200], [5e199]])
         z = np.array([1.0, 0.0, 1.0])
@@ -407,7 +484,7 @@ class TestLogisticGridStack:
             fitted = fit_binary_grid(self.spec, X, np.vstack([z, z]))
         assert sum("IRLS" in str(w.message) for w in rec) == 2
         for got in fitted:
-            assert got.fallback
+            assert got.fallback and not got.converged
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 assert_same_logistic(got, fit_binary(self.spec, X, z))

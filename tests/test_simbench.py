@@ -134,6 +134,46 @@ class TestOracles:
         cut = np.full(ev.M, 0.15)
         assert ev.psi_of_cutoffs(cut) == pytest.approx(ev.psi_at(0.15), abs=1e-12)
 
+    @staticmethod
+    def spy_argsort(monkeypatch):
+        kinds, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort",
+                            lambda a, **kw: kinds.append(kw.get("kind")) or argsort(a, **kw))
+        return kinds
+
+    def test_untied_scores_take_the_fast_sort(self, monkeypatch):
+        kinds = self.spy_argsort(monkeypatch)
+        OracleEvaluator(DgpSpec("lowdim"), 20_000, RngStream(8).child("ev"))
+        assert kinds == [None]
+
+    def test_tied_scores_sort_stably(self, monkeypatch):
+        table = DgpSpec.score_table
+        monkeypatch.setattr(DgpSpec, "score_table", lambda self, X: np.round(table(self, X), 2))
+        kinds = self.spy_argsort(monkeypatch)
+        ev = OracleEvaluator(DgpSpec("lowdim"), 20_000, RngStream(8).child("ev"))
+        assert kinds == [None, "stable"]
+        monkeypatch.undo()
+        flat = ev.scores.reshape(-1)
+        order = np.argsort(flat, kind="stable")
+        assert not np.array_equal(np.argsort(flat), order)  # the tie order matters
+        sorted_scores = flat[order]
+        cum = np.cumsum(ev.probs.reshape(-1)[order]) / ev.M
+        assert ev._sorted_scores.tobytes() == sorted_scores.tobytes()
+        assert ev._cum_weights.tobytes() == cum.tobytes()
+        for tau in np.unique(flat)[::7]:
+            idx = int(np.searchsorted(sorted_scores, tau, side="left"))
+            assert ev.psi_at(tau) == (float(cum[idx - 1]) if idx else 0.0)
+
+    @pytest.mark.parametrize("M", [3, 10, 50, 20_000])
+    def test_psi_of_cutoffs_sums_labels_in_row_order(self, M):
+        # Small M: a one-ulp change in one row's sum often survives the mean.
+        ev = OracleEvaluator(DgpSpec("highdim-sparse"), M, RngStream(9).child("ev"))
+        gen = np.random.default_rng(0)
+        draws = [gen.uniform(0.0, 1.0, ev.M) for _ in range(20)]
+        for cutoffs in (*draws, ev.scores[:, 1], np.full(ev.M, 0.2)):
+            want = np.sum(ev.probs * (ev.scores < cutoffs[:, None]), axis=1).mean()
+            assert ev.psi_of_cutoffs(cutoffs) == float(want)
+
 
 class TestWilson:
     def test_boundaries(self):
