@@ -287,7 +287,10 @@ def _parse_grid(text: str) -> ThresholdGrid:
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigurationError("--grid must be lo:hi:step")
-    lo, hi, step = (float(v) for v in parts)
+    try:
+        lo, hi, step = (float(v) for v in parts)
+    except ValueError:
+        raise ConfigurationError(f"--grid {text!r} holds a non-number") from None
     return ThresholdGrid.from_range(lo, hi, step)
 
 

@@ -157,6 +157,8 @@ class ThresholdGrid:
         object.__setattr__(self, "taus", taus)
         if len(taus) == 0:
             raise ConfigurationError("threshold grid must be non-empty")
+        if not np.isfinite(taus).all():
+            raise ConfigurationError("thresholds must be finite")
         if any(b <= a for a, b in zip(taus, taus[1:])):
             raise ConfigurationError("threshold grid must be strictly increasing")
 
@@ -169,6 +171,8 @@ class ThresholdGrid:
     @classmethod
     def from_range(cls, lo: float, hi: float, step: float) -> "ThresholdGrid":
         """Evenly spaced grid lo, lo+step, ..., up to and including hi."""
+        if not np.isfinite([lo, hi, step]).all():
+            raise ConfigurationError("grid bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise ConfigurationError("grid requires step > 0 and hi >= lo")
         k = int(round((hi - lo) / step))

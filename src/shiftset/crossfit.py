@@ -89,6 +89,12 @@ class NuisanceFits:
         pred = self.e_predictors[v][self.tau_index(tau)]
         return np.clip(pred.predict(X), 0.0, 1.0)
 
+    def cond_error_grid(self, v: int, X: np.ndarray, taus=None) -> np.ndarray:
+        """:meth:`cond_error` at every threshold of ``taus`` (by default the
+        fitted grid): one row per threshold."""
+        taus = self.taus if taus is None else taus
+        return np.array([self.cond_error(v, tau, X) for tau in taus])
+
     def is_constant_fit(self, v: int, tau: float) -> bool:
         return isinstance(self.e_predictors[v][self.tau_index(tau)], ConstantPredictor)
 
@@ -161,9 +167,22 @@ def oracle_nuisances(dgp, grid: ThresholdGrid, V: int = 2) -> NuisanceFits:
         _FunctionPredictor(lambda X, t=tau: dgp.true_cond_error(X, t), dgp.p)
         for tau in grid
     )
-    return NuisanceFits(
+    return _OracleFits(
         taus=tuple(grid),
         g_predictors=(g_pred,) * V,
         e_predictors=(e_by_tau,) * V,
         delta=0.0,
+        dgp=dgp,
     )
+
+
+@dataclass(frozen=True)
+class _OracleFits(NuisanceFits):
+    """Oracle nuisances, whose conditional-error grid evaluates the DGP's
+    label probabilities and scores once for all thresholds."""
+
+    dgp: object = None
+
+    def cond_error_grid(self, v, X, taus=None):
+        taus = self.taus if taus is None else [self.taus[self.tau_index(t)] for t in taus]
+        return np.clip(self.dgp._true_cond_errors(X, taus), 0.0, 1.0)

@@ -355,13 +355,18 @@ def _fit_boosted_stumps(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     # A split after sorted position k needs xs[k] < xs[k + 1].
     splittable = np.zeros((p, n), dtype=bool)
     splittable[:, :-1] = xs[:, :-1] < xs[:, 1:]
+    # The threshold of that split: the midpoint, or the sum of the halves
+    # where the sum overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = 0.5 * (xs[:, :-1] + xs[:, 1:])
+        mid = np.where(np.isfinite(mid), mid, 0.5 * xs[:, :-1] + 0.5 * xs[:, 1:])
     step = max(1, _STUMP_BLOCK // (p * n))
     return [pred for start in range(0, Z.shape[0], step)
-            for pred in _grow_stumps(spec, XT, order.ravel(), xs, splittable,
+            for pred in _grow_stumps(spec, XT, order.ravel(), mid, splittable,
                                      Z[start:start + step])]
 
 
-def _grow_stumps(spec, XT, order, xs, splittable, Z):
+def _grow_stumps(spec, XT, order, mid, splittable, Z):
     p, n = XT.shape
     L = Z.shape[0]
     base = logit(np.clip(Z.mean(axis=1), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP))
@@ -399,7 +404,7 @@ def _grow_stumps(spec, XT, order, xs, splittable, Z):
                     break
             j, k = np.divmod(best[rows], n)
             g_left, h_left = gl[rows, j, k], hl[rows, j, k]
-            thr = 0.5 * (xs[j, k] + xs[j, k + 1])
+            thr = mid[j, k]
             lv = lr * g_left / h_left
             rv = lr * (g_tot[rows] - g_left) / (h_tot[rows] - h_left)
             features[live, r] = j

@@ -102,9 +102,10 @@ class ThresholdDecision:
 
 class _FoldContext:
     """One fold's held-out units and the cross-fitted quantities at them:
-    odds weights ``w``, and per threshold index the miscoverage labels
-    ``Z[ti]`` (0 at target units) and conditional-error predictions
-    ``E[ti]``."""
+    odds weights ``w`` and, one row per threshold, the miscoverage labels
+    ``Z`` (0 at target units) and conditional-error predictions ``E``;
+    ``constant`` marks the thresholds whose conditional-error fit is
+    constant."""
 
     def __init__(self, sample: ObservedSample, folds: FoldPlan, taus,
                  fits: NuisanceFits, v: int):
@@ -124,7 +125,8 @@ class _FoldContext:
         self.w = odds_weight(fits.propensity(v, X), self.gamma)
         self.Z = np.zeros((len(self.taus), idx.size))
         self.Z[:, self.src] = sample.score[idx[self.src]] < np.array(self.taus)[:, None]
-        self.E = np.array([fits.cond_error(v, tau, X) for tau in self.taus])
+        self.E = fits.cond_error_grid(v, X, self.taus)
+        self.constant = np.array([fits.is_constant_fit(v, tau) for tau in self.taus])
 
 
 class _FoldEngine:
@@ -141,18 +143,10 @@ class _FoldEngine:
 
 def _run_folds(engine: _FoldEngine, targets: RiskTargets, method: str, fold_fn,
                project_unit_interval=False, extras=None) -> CoverageTable:
-    """Apply fold_fn(ctx, ti) -> (psi_v, plugin_v, sigma2_v) at every fold
-    and threshold index, and pool the folds with |fold| weights."""
-    V, T = len(engine.contexts), len(engine.grid)
-    psi_by_fold = np.zeros((V, T))
-    plugin_by_fold = np.zeros((V, T))
-    sigma2_by_fold = np.zeros((V, T))
-    for ctx in engine.contexts:
-        for ti in range(T):
-            psi, plugin, s2 = fold_fn(ctx, ti)
-            psi_by_fold[ctx.v, ti] = psi
-            plugin_by_fold[ctx.v, ti] = plugin
-            sigma2_by_fold[ctx.v, ti] = s2
+    """Apply fold_fn(ctx) -> (psi_v, plugin_v, sigma2_v), each an array over
+    the grid, at every fold, and pool the folds with |fold| weights."""
+    psi_by_fold, plugin_by_fold, sigma2_by_fold = (
+        np.array(rows) for rows in zip(*map(fold_fn, engine.contexts)))
     weights = engine.fold_sizes / engine.n
     psi = weights @ psi_by_fold
     sigma = np.sqrt(weights @ sigma2_by_fold)
@@ -170,31 +164,43 @@ def _run_folds(engine: _FoldEngine, targets: RiskTargets, method: str, fold_fn,
 
 
 # ---------------------------------------------------------------------------
-# Fold methods
+# Fold methods: one row per threshold, every mean taken along a row
 # ---------------------------------------------------------------------------
 
-def _fold_onestep(ctx: _FoldContext, ti: int):
-    """(psi_v, plugin_v, sigma2_v) for one fold and threshold index."""
-    e_vals, z = ctx.E[ti], ctx.Z[ti]
-    plugin = float(e_vals[~ctx.src].mean())
-    src_term = np.where(ctx.src, ctx.w, 0.0) * (z - e_vals) / ctx.gamma
-    psi = plugin + float(src_term.mean())
-    d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
-                 (e_vals - plugin) / (1.0 - ctx.gamma))
-    return psi, plugin, float(np.mean(d * d))
+def _columns(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values[:, mask]`` in C order.  A masked column selection comes out
+    in Fortran order, and a row reduction over it does not sum in the order
+    that the same row alone would."""
+    return np.ascontiguousarray(values[:, mask])
 
 
-def _fold_plugin(ctx: _FoldContext, ti: int):
-    psi, plugin, s2 = _fold_onestep(ctx, ti)
-    return plugin, plugin, s2
+def _target_mean(ctx: _FoldContext, values: np.ndarray) -> np.ndarray:
+    return _columns(values, ~ctx.src).mean(axis=1)
 
 
-def _fold_wplugin(ctx: _FoldContext, ti: int):
-    e_vals, z = ctx.E[ti], ctx.Z[ti]
-    psi = float((ctx.w[ctx.src] * z[ctx.src]).mean())
-    d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
-                 (e_vals - psi) / (1.0 - ctx.gamma))
-    return psi, psi, float(np.mean(d * d))
+def _sigma2(ctx: _FoldContext, fitted: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Mean squared influence term per threshold: w (z - fitted) / gamma at
+    source units, (fitted - center) / (1 - gamma) at target units."""
+    d = np.where(ctx.src, ctx.w * (ctx.Z - fitted) / ctx.gamma,
+                 (fitted - center[:, None]) / (1.0 - ctx.gamma))
+    return np.mean(d * d, axis=1)
+
+
+def _fold_onestep(ctx: _FoldContext):
+    """(psi_v, plugin_v, sigma2_v) over the fold's grid."""
+    plugin = _target_mean(ctx, ctx.E)
+    correction = (np.where(ctx.src, ctx.w, 0.0) * (ctx.Z - ctx.E) / ctx.gamma).mean(axis=1)
+    return plugin + correction, plugin, _sigma2(ctx, ctx.E, plugin)
+
+
+def _fold_plugin(ctx: _FoldContext):
+    plugin = _target_mean(ctx, ctx.E)
+    return plugin, plugin, _sigma2(ctx, ctx.E, plugin)
+
+
+def _fold_wplugin(ctx: _FoldContext):
+    psi = (ctx.w[ctx.src] * _columns(ctx.Z, ctx.src)).mean(axis=1)
+    return psi, psi, _sigma2(ctx, ctx.E, psi)
 
 
 def onestep_estimate(sample: ObservedSample, folds: FoldPlan,

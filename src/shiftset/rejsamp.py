@@ -156,26 +156,24 @@ def rs_estimate(run: RsRun, sample: ObservedSample, grid: ThresholdGrid,
     train_piece_base = float(np.mean(
         (a_train - gamma) ** 2 / (gamma**2 * (1.0 - gamma) ** 2)))
 
+    # One row per threshold.
     taus = np.array(list(grid), dtype=float)
-    psi = np.zeros_like(taus)
-    sigma = np.zeros_like(taus)
+    E = np.clip(np.array([pred.predict(X_test) for pred in run.e_predictors]), 0.0, 1.0)
+    d_tilde = E * (-(a_test / gamma) * (w / run.pi_hat)
+                   + (1.0 - a_test) / (1.0 - gamma))
+    z_acc = (scores_acc < taus[:, None]).astype(float)
+    psi = z_acc.mean(axis=1) + d_tilde.mean(axis=1)
 
-    for ti, tau in enumerate(grid):
-        e_test = np.clip(run.e_predictors[ti].predict(X_test), 0.0, 1.0)
-        d_tilde = e_test * (-(a_test / gamma) * (w / run.pi_hat)
-                            + (1.0 - a_test) / (1.0 - gamma))
-        proportion = float(np.mean(miscoverage_vector(scores_acc, tau)))
-        psi_tau = proportion + float(np.mean(d_tilde))
-
-        z_full = np.zeros(n_test)
-        z_full[run.accepted] = miscoverage_vector(scores_acc, tau)
-        test_terms = (run.bhat * (a_test / gamma) * indicator * (z_full - psi_tau)
-                      + (a_test * (w - 1.0) / gamma) * psi_tau
-                      + d_tilde)
-        var = ((n / n_train) * train_piece_base * psi_tau**2
-               + (n / n_test) * float(np.mean(test_terms**2)))
-        psi[ti] = psi_tau
-        sigma[ti] = np.sqrt(var)
+    z_full = np.zeros((taus.size, n_test))
+    z_full[:, run.accepted] = z_acc
+    test_terms = (run.bhat * (a_test / gamma) * indicator * (z_full - psi[:, None])
+                  + (a_test * (w - 1.0) / gamma) * psi[:, None]
+                  + d_tilde)
+    # Python's float power (C pow), which is not always x * x in the last bit.
+    psi_sq = (psi.astype(object) ** 2).astype(float)
+    var = ((n / n_train) * train_piece_base * psi_sq
+           + (n / n_test) * np.mean(test_terms**2, axis=1))
+    sigma = np.sqrt(var)
 
     z_q = normal_upper_quantile(targets.alpha_conf)
     cub = psi + z_q * sigma / np.sqrt(n)

@@ -149,9 +149,12 @@ class DgpSpec:
         return 1.0 / (1.0 + self.true_likelihood_ratio(X))
 
     def true_cond_error(self, X: np.ndarray, tau: float) -> np.ndarray:
-        probs = self.label_probs(X)
-        scores = self.score_table(X)
-        return np.sum(probs * (scores < tau), axis=1)
+        return self._true_cond_errors(X, (tau,))[0]
+
+    def _true_cond_errors(self, X: np.ndarray, taus) -> np.ndarray:
+        """:meth:`true_cond_error` at each threshold, one row each."""
+        probs, scores = self.label_probs(X), self.score_table(X)
+        return np.array([np.sum(probs * (scores < tau), axis=1) for tau in taus])
 
 
 def _softmax3(eta1: np.ndarray, eta2: np.ndarray) -> np.ndarray:
@@ -243,6 +246,8 @@ class OracleEvaluator:
     """
 
     def __init__(self, spec: DgpSpec, M: int, rng: RngStream):
+        if M < 1:
+            raise ConfigurationError("M must be positive")
         gen = rng.generator()
         self.spec = spec
         self.M = int(M)

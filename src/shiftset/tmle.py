@@ -30,11 +30,20 @@ from .core import (
 )
 from .crossfit import NuisanceFits, odds_weight
 from .learners import FittedPredictor
-from .onestep import CoverageTable, _FoldContext, _FoldEngine, _run_folds
+from .onestep import (
+    CoverageTable,
+    _columns,
+    _FoldContext,
+    _FoldEngine,
+    _run_folds,
+    _sigma2,
+    _target_mean,
+)
 
 _LOGIT_CLAMP = 1e-6
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-10  # on the mean score
+_MODES = ("constant", "logistic", "least-squares")
 
 
 class TargetingError(ShiftsetError, RuntimeError):
@@ -46,7 +55,7 @@ class TargetedPredictor(FittedPredictor):
 
     def __init__(self, fits: NuisanceFits, v: int, tau: float, gamma: float,
                  beta: float, mode: str):
-        if mode not in ("constant", "logistic", "least-squares"):
+        if mode not in _MODES:
             raise TargetingError(f"unknown targeting mode {mode}")
         self.fits = fits
         self.v = v
@@ -63,17 +72,8 @@ class TargetedPredictor(FittedPredictor):
         e = self.fits.cond_error(self.v, self.tau, X)
         if self.mode == "constant":
             return e
-        return self._fluctuate(e, odds_weight(self.fits.propensity(self.v, X), self.gamma))
-
-    def _fluctuate(self, e: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Fluctuated values from conditional errors ``e`` and weights ``w``
-        at the same points."""
-        if self.mode == "constant":
-            return e
-        if self.mode == "logistic":
-            off = logit(np.clip(e, _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
-            return expit(off + self.beta * w)
-        return e + self.beta * w
+        w = odds_weight(self.fits.propensity(self.v, X), self.gamma)
+        return _fluctuate(e[None], w, np.array([self.beta]), np.array([self.mode]))[0]
 
     def _predict(self, X):
         return np.clip(self.predict_raw(X), 0.0, 1.0)
@@ -90,69 +90,78 @@ class TargetedFoldFit:
     predictor: TargetedPredictor
 
 
-def _newton_logistic(offset: np.ndarray, w: np.ndarray, z: np.ndarray):
-    """Solve sum w * (z - expit(offset + beta * w)) = 0 for beta.
+def _fluctuate(E: np.ndarray, w: np.ndarray, beta: np.ndarray,
+               mode: np.ndarray) -> np.ndarray:
+    """Fluctuated values, before any clipping, of the conditional errors
+    ``E`` (one row per threshold) at points with weights ``w``, by each
+    row's coefficient and mode."""
+    raw = E.copy()
+    rows = mode == "logistic"
+    off = logit(np.clip(E[rows], _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
+    raw[rows] = expit(off + beta[rows, None] * w)
+    rows = mode == "least-squares"
+    raw[rows] = E[rows] + beta[rows, None] * w
+    return raw
 
-    Returns (beta, converged).  The score is monotone decreasing in beta, so
-    plain Newton from 0 is stable; saturation makes the score vanish exactly
-    in floating point for one-sided label patterns.
+
+def _newton_logistic(offset: np.ndarray, w: np.ndarray, z: np.ndarray):
+    """Solve sum w * (z - expit(offset + beta * w)) = 0 for each row's beta.
+
+    Returns (beta, converged), one per row.  The score is monotone
+    decreasing in beta, so plain Newton from 0 is stable; saturation makes
+    the score vanish exactly in floating point for one-sided label
+    patterns.  A row stops at its first non-finite or converged score.
     """
-    beta = 0.0
-    n = w.shape[0]
-    for _ in range(_NEWTON_MAX_ITER):
-        mu = expit(offset + beta * w)
-        score = float(np.sum(w * (z - mu))) / n
-        if not np.isfinite(score):
-            return beta, False
-        if abs(score) <= _NEWTON_TOL:
-            return beta, True
-        hess = float(np.sum(w * w * mu * (1.0 - mu))) / n
-        if not np.isfinite(hess) or hess <= 1e-300:
-            return beta, False
-        step = score / hess
-        if not np.isfinite(step):
-            return beta, False
-        beta += step
-    mu = expit(offset + beta * w)
-    score = float(np.sum(w * (z - mu))) / n
-    return beta, bool(np.isfinite(score) and abs(score) <= _NEWTON_TOL)
+    n, rows = w.shape[0], offset.shape[0]
+    beta, converged, live = np.zeros(rows), np.zeros(rows, dtype=bool), np.arange(rows)
+    for it in range(_NEWTON_MAX_ITER + 1):
+        mu = expit(offset[live] + beta[live, None] * w)
+        score = np.sum(w * (z[live] - mu), axis=1) / n
+        converged[live] = np.abs(score) <= _NEWTON_TOL
+        go = np.isfinite(score) & ~converged[live]
+        if it == _NEWTON_MAX_ITER or not go.any():
+            break
+        live, score, mu = live[go], score[go], mu[go]
+        hess = np.sum(w * w * mu * (1.0 - mu), axis=1) / n
+        # Float arithmetic, as in a scalar solve; a row whose curvature or
+        # step is unusable stops here.
+        with np.errstate(all="ignore"):
+            step = score / hess
+            go = np.isfinite(hess) & (hess > 1e-300) & np.isfinite(step)
+            live = live[go]
+            beta[live] += step[go]
+    return beta, converged
+
+
+def _fluctuations(ctx: _FoldContext):
+    """(beta, mode) at every threshold of the fold.
+
+    A constant 0/1 conditional-error fit is kept as is.  Otherwise the
+    logistic fluctuation is solved, and least squares replaces it where an
+    in-fold source unit's fit is at 0 or 1 or the Newton solve fails.
+    """
+    T = len(ctx.taus)
+    e_src, z_src, w_src = _columns(ctx.E, ctx.src), _columns(ctx.Z, ctx.src), ctx.w[ctx.src]
+    constant = ctx.constant & ((ctx.E[:, 0] == 0.0) | (ctx.E[:, 0] == 1.0))
+    ls = ~constant & np.any((e_src <= 0.0) | (e_src >= 1.0), axis=1)
+    beta = np.zeros(T)
+    rows = np.flatnonzero(~constant & ~ls)
+    offset = logit(np.clip(e_src[rows], _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
+    beta[rows], converged = _newton_logistic(offset, w_src, z_src[rows])
+    ls[rows[~converged]] = True
+    denom = float(np.sum(w_src * w_src))
+    beta[ls] = np.sum(w_src * (z_src[ls] - e_src[ls]), axis=1) / denom if denom > 0 else 0.0
+    mode = np.where(constant, "constant", np.where(ls, "least-squares", "logistic"))
+    return beta, mode
 
 
 def target_fold(sample: ObservedSample, folds: FoldPlan, v: int, tau: float,
                 fits: NuisanceFits) -> TargetedFoldFit:
     """Fluctuate one fold's conditional-error fit at one threshold."""
-    return _target(_FoldContext(sample, folds, (tau,), fits, v), 0)
-
-
-def _target(ctx: _FoldContext, ti: int) -> TargetedFoldFit:
-    """:func:`target_fold` at threshold index ``ti`` of the fold's context."""
-    v, tau, fits, e_vals = ctx.v, ctx.taus[ti], ctx.fits, ctx.E[ti]
-    if fits.is_constant_fit(v, tau):
-        const = float(e_vals[0]) if e_vals.size else 0.0
-        if const in (0.0, 1.0):
-            pred = TargetedPredictor(fits, v, tau, ctx.gamma, 0.0, "constant")
-            return TargetedFoldFit(v, tau, 0.0, False, pred)
-
-    src = ctx.src
-    if not src.any():
-        raise TargetingError("fold without source units reached targeting")
-    e_src = e_vals[src]
-    w_src = ctx.w[src]
-    z_src = ctx.Z[ti][src]
-
-    use_fallback = bool(np.any((e_src <= 0.0) | (e_src >= 1.0)))
-    beta = 0.0
-    if not use_fallback:
-        offset = logit(np.clip(e_src, _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
-        beta, converged = _newton_logistic(offset, w_src, z_src)
-        use_fallback = not converged
-
-    if use_fallback:
-        denom = float(np.sum(w_src * w_src))
-        beta = float(np.sum(w_src * (z_src - e_src)) / denom) if denom > 0 else 0.0
-    mode = "least-squares" if use_fallback else "logistic"
-    pred = TargetedPredictor(fits, v, tau, ctx.gamma, beta, mode)
-    return TargetedFoldFit(v, tau, beta, use_fallback, pred)
+    ctx = _FoldContext(sample, folds, (tau,), fits, v)
+    (beta,), (mode,) = _fluctuations(ctx)
+    pred = TargetedPredictor(fits, v, tau, ctx.gamma, beta, str(mode))
+    return TargetedFoldFit(v, tau, float(beta), bool(mode == "least-squares"), pred)
 
 
 def tmle_estimate(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
@@ -167,26 +176,21 @@ def tmle_estimate(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
     return _tmle_table(_FoldEngine(sample, folds, grid, fits), targets)
 
 
+def _fold_tmle(ctx: _FoldContext, beta: np.ndarray, mode: np.ndarray):
+    """(psi_v, plugin_v, sigma2_v) over the fold's grid, given the fold's
+    fluctuations."""
+    raw = _fluctuate(ctx.E, ctx.w, beta, mode)
+    psi = _target_mean(ctx, np.clip(raw, 0.0, 1.0))
+    return psi, _target_mean(ctx, ctx.E), _sigma2(ctx, raw, psi)
+
+
 def _tmle_table(engine: _FoldEngine, targets: RiskTargets) -> CoverageTable:
-    shape = (len(engine.contexts), len(engine.grid))
-    fallback = np.zeros(shape, dtype=bool)
-    betas = np.zeros(shape)
-
-    def fold_fn(ctx, ti):
-        fit = _target(ctx, ti)
-        fallback[ctx.v, ti] = fit.fallback
-        betas[ctx.v, ti] = fit.beta
-        e_vals, z = ctx.E[ti], ctx.Z[ti]
-        raw = fit.predictor._fluctuate(e_vals, ctx.w)
-        clipped = np.clip(raw, 0.0, 1.0)
-        psi_v = float(clipped[~ctx.src].mean())
-        d = np.where(ctx.src, ctx.w * (z - raw) / ctx.gamma,
-                     (raw - psi_v) / (1.0 - ctx.gamma))
-        return psi_v, float(e_vals[~ctx.src].mean()), float(np.mean(d * d))
-
+    betas, modes = map(np.array, zip(*map(_fluctuations, engine.contexts)))
     extras = {
-        "fallback": fallback,
+        "fallback": modes == "least-squares",
         "beta": betas,
         "ls_clip": "least-squares path clipped to [0,1] for psi only",
     }
-    return _run_folds(engine, targets, "tmle", fold_fn, extras=extras)
+    return _run_folds(engine, targets, "tmle",
+                      lambda ctx: _fold_tmle(ctx, betas[ctx.v], modes[ctx.v]),
+                      extras=extras)

@@ -1,7 +1,21 @@
+import functools
+
 import numpy as np
 import pytest
 
-from shiftset import ObservedSample, RngStream
+from shiftset import (
+    BinaryLearnerSpec,
+    DegenerateFoldError,
+    DgpSpec,
+    ObservedSample,
+    RngStream,
+    ThresholdGrid,
+    UnfittableFoldError,
+    dgp_draw,
+    fit_nuisances,
+    make_folds,
+)
+from shiftset.onestep import _FoldEngine
 
 
 @pytest.fixture
@@ -31,3 +45,34 @@ class LookupPredictor:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return np.array([self.mapping.get(float(row[0]), self.default)
                          for row in X])
+
+
+# Learned fits on which the fold methods are checked against their scalar
+# references: (DGP, learner, n, grid step); a step of 0.003 gives 101
+# thresholds on [0, 0.3].
+LEARNED_ENGINES = [
+    ("lowdim", "logistic-ridge", 30, 0.05),
+    ("lowdim", "boosted-stumps", 200, 0.05),
+    ("highdim-sparse", "logistic-ridge", 2000, 0.05),
+    ("highdim-sparse", "boosted-stumps", 200, 0.003),
+    ("lowdim-noshift", "logistic-ridge", 200, 0.003),
+    ("lowdim-noshift", "boosted-stumps", 2000, 0.05),
+]
+
+
+@functools.cache
+def learned_engine(kind, learner, n, step):
+    """The fold engine of the first seed whose folds all hold source and
+    target units."""
+    spec = BinaryLearnerSpec(kind=learner)
+    grid = ThresholdGrid.from_range(0.0, 0.3, step)
+    for seed in range(20):
+        root = RngStream(seed)
+        sample = dgp_draw(DgpSpec(kind), n, root.child("d"))
+        folds = make_folds(n, 2, root.child("f"))
+        try:
+            fits = fit_nuisances(sample, folds, grid, spec, spec, 0.01, root.child("n"))
+            return _FoldEngine(sample, folds, grid, fits)
+        except (DegenerateFoldError, UnfittableFoldError):
+            continue
+    raise AssertionError("no seed gives usable folds")

@@ -494,6 +494,35 @@ class TestCmdSimulate:
             "": "ab6e0839519164d540f197fe829b69e95ca300c031a429975d21d9dc91b85eb1",
             ".meta.json": "fa656f4b6481d7c0f3b1b2a6497b67fbedca9af10cf8ff6e1b5dea53b403753a",
         },
+        "simulate-lowdim-noshift-logistic": {
+            "": "05dbc64fd684d837a10165482f3d30c0bca32a75130ab3123783b91ca9810333",
+            ".jsonl": "7b967b2c3c6523cd77a90d331d7165d84cc03c90c968aa9c45f51ae5b5df3f41",
+            ".meta.json": "000c53d994e35c6d2db2590fcfe07b96443045848b6d2b5d31abc4a0cc4d98be",
+        },
+        "fit-highdim-stumps-onestep": {
+            "": "be21db1aa851634ab861acd317c30f536c43803e2858655d5d64e381cabb6632",
+            ".meta.json": "4d738b3d614aa44ec8d4a69783fbba36f6bd9a7778ee5aa3f836ba914647da9f",
+        },
+        "fit-highdim-stumps-tmle": {
+            "": "afd0c876bb28e6ccd13a65068527dcc628d546c5080f8b053cdd4e434fcbb91e",
+            ".meta.json": "840c40de4f9db6d9eea1a8d4069ae2522296f6dab204f71568db5d3fa7b71e17",
+        },
+        "fit-highdim-stumps-rs": {
+            "": "d097370b9f5b15e4cdd9c20c90690023c94a2166cdc5769e998642b99b092631",
+            ".meta.json": "cacb369d210bacb4fce7ec25743cdae621b3dac2b882dadd2a999caa2a483c20",
+        },
+        "fit-highdim-stumps-plugin": {
+            "": "0b012f713d8c88e1095f19251b60d7e938127e143ed46146543b72ffdbd50c7d",
+            ".meta.json": "2061ae51c323369acda5f294018fd10cdbbcb9f2a3d5bdddb469f54efa1533f5",
+        },
+        "fit-highdim-stumps-wplugin": {
+            "": "9739df7e9078662a52fffa1b035ffeb7a675ced39665358e529fe2609507869f",
+            ".meta.json": "65a9b1073dd51f88cae0910fa94e3f177b478d7f51682d2dfd3f18df9ac6c395",
+        },
+        "fit-highdim-stumps-icp": {
+            "": "80fb90490cef516299e3d27a987302a408a70ad70fdc57e1d57fe80dd2291b42",
+            ".meta.json": "505d2e11e0c62318eefed41733a78555e184450a1984fdb88685c941e0dfc458",
+        },
     }
 
     def test_output_digests_pinned(self, tmp_path):
@@ -512,6 +541,16 @@ class TestCmdSimulate:
         for method in ("onestep", "tmle", "rs", "plugin", "wplugin", "icp"):
             runs[f"fit-{method}"] = ["fit", "--input", data, "--method", method,
                                      "--seed", "7"]
+        runs["simulate-lowdim-noshift-logistic"] = [
+            "simulate", "--dgp", "lowdim-noshift", "--n", "400", "--reps", "2",
+            "--method", every, "--seed", "7"]
+        highdim = str(tmp_path / "pinned-highdim.csv")
+        emit_csv(dgp_draw(DgpSpec("highdim-sparse"), 400,
+                          RngStream(7).child("pinned-highdim")), highdim)
+        for method in ("onestep", "tmle", "rs", "plugin", "wplugin", "icp"):
+            runs[f"fit-highdim-stumps-{method}"] = [
+                "fit", "--input", highdim, "--method", method, "--g-learner",
+                "boosted-stumps", "--e-learner", "boosted-stumps", "--seed", "7"]
         digests = {}
         for name, argv in runs.items():
             out = str(tmp_path / f"{name}.csv")
@@ -521,6 +560,23 @@ class TestCmdSimulate:
                 for suffix in ("", ".jsonl", ".meta.json")
                 if os.path.exists(out + suffix)}
         assert digests == self.PINNED
+
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_empty_oracle_rejected(self, tmp_path, capsys, m):
+        code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",
+                     "--method", "onestep", "--oracle-m", m,
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "ConfigurationError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["0:nan:0.05", "0:inf:0.05", "nan:0.3:0.05",
+                                      "0:0.3:inf", "0:0.3:x"])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, grid):
+        code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",
+                     "--method", "onestep", "--grid", grid,
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "ConfigurationError" in capsys.readouterr().err
 
     def test_unknown_method_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",

@@ -157,6 +157,16 @@ class TestThresholdGrid:
         with pytest.raises(ConfigurationError):
             ThresholdGrid(())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_thresholds_rejected(self, bad):
+        with pytest.raises(ConfigurationError):
+            ThresholdGrid((0.1, bad))
+        with pytest.raises(ConfigurationError):
+            ThresholdGrid((bad,))
+        for args in ((0.0, bad, 0.05), (bad, 0.3, 0.05), (0.0, 0.3, bad)):
+            with pytest.raises(ConfigurationError):
+                ThresholdGrid.from_range(*args)
+
     def test_from_range_hits_endpoints(self):
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         assert list(grid) == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from shiftset import (
+    DGP_KINDS,
     BinaryLearnerSpec,
     ConfigurationError,
     ConstantPredictor,
@@ -18,6 +19,7 @@ from shiftset import (
     odds_weight,
     oracle_nuisances,
 )
+from shiftset import simbench
 from tests.conftest import make_sample
 
 
@@ -164,3 +166,43 @@ class TestOracleNuisances:
     def test_unsupported_dgp(self):
         with pytest.raises(ConfigurationError):
             oracle_nuisances("not-a-dgp", ThresholdGrid((0.1,)))
+
+
+class TestCondErrorGrid:
+    def stack(self, fits, v, X, taus):
+        return np.array([fits.cond_error(v, tau, X) for tau in taus])
+
+    def test_learned_rows_are_cond_error(self, fitted):
+        sample, _, grid, fits = fitted
+        for v in range(2):
+            assert (fits.cond_error_grid(v, sample.x).tobytes()
+                    == self.stack(fits, v, sample.x, grid).tobytes())
+            taus = (0.3, 0.05)
+            assert (fits.cond_error_grid(v, sample.x, taus).tobytes()
+                    == self.stack(fits, v, sample.x, taus).tobytes())
+
+    @pytest.mark.parametrize("kind", DGP_KINDS)
+    def test_oracle_rows_are_cond_error(self, kind):
+        spec = DgpSpec(kind)
+        grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
+        fits = oracle_nuisances(spec, grid)
+        X = spec.draw_x(500, np.zeros(500, dtype=int), np.random.default_rng(3))
+        for taus in (None, (0.15,), (0.3, 0.0)):
+            want = self.stack(fits, 1, X, grid if taus is None else taus)
+            assert fits.cond_error_grid(1, X, taus).tobytes() == want.tobytes()
+
+    def test_oracle_grid_evaluates_the_dgp_once(self, monkeypatch):
+        calls = []
+        label_probs = simbench.DgpSpec.label_probs
+        monkeypatch.setattr(simbench.DgpSpec, "label_probs",
+                            lambda self, X: calls.append(1) or label_probs(self, X))
+        fits = oracle_nuisances(DgpSpec("lowdim"), ThresholdGrid.from_range(0.0, 0.3, 0.05))
+        assert fits.cond_error_grid(0, np.zeros((4, 3))).shape == (7, 4)
+        assert len(calls) == 1
+
+    def test_threshold_outside_the_grid_rejected(self, fitted):
+        sample, _, _, fits = fitted
+        oracle = oracle_nuisances(DgpSpec("lowdim"), ThresholdGrid((0.1,)))
+        for f in (fits, oracle):
+            with pytest.raises(ConfigurationError):
+                f.cond_error_grid(0, sample.x, (0.1, 0.123))

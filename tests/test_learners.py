@@ -213,7 +213,10 @@ def reference_fit_boosted_stumps(spec, X, z):
             gain[~valid] = -np.inf
             k = int(np.argmax(gain))
             if best is None or gain[k] > best[0]:
-                thr = 0.5 * (xs[k] + xs[k + 1])
+                with np.errstate(over="ignore"):
+                    thr = 0.5 * (xs[k] + xs[k + 1])
+                if not np.isfinite(thr):  # the sum overflowed
+                    thr = 0.5 * xs[k] + 0.5 * xs[k + 1]
                 best = (float(gain[k]), j, thr, float(gl[k]), float(hl[k]))
 
         if best is None:
@@ -257,8 +260,8 @@ def assert_same_predictor(got, want, X):
     assert got.predict(X).tobytes() == reference_predict(want, X).tobytes()
 
 
-# Covariates near the largest double: the midpoint threshold between two of
-# them overflows to +inf or -inf.
+# Covariates near the largest double: the sum of two of them overflows to
+# +inf or -inf, so their split takes the sum of their halves.
 _HUGE = [-1.7e308, -1.5e308, -1.0, 0.0, 1.0, 1.5e308, 1.7e308]
 
 
@@ -355,6 +358,21 @@ class TestStumpGridReference:
         X = np.column_stack([np.tile(col, 3), np.repeat([-0.0, np.nan, 1.0], 7)])
         for rows in (X[:7], X[:8], X[:9], X):
             assert pred.predict(rows).tobytes() == reference_predict(pred, rows).tobytes()
+
+    def test_split_between_huge_neighbours_separates_them(self):
+        # 0.5 * (x + y) overflows to +inf here, which would send every unit
+        # left; the split takes 0.5 * x + 0.5 * y instead, as at a smaller
+        # scale.
+        spec = BinaryLearnerSpec(kind="boosted-stumps", rounds=3, min_child_weight=0)
+        X = np.array([[1.5e308], [1.6e308], [1.7e308], [1.75e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = fit_binary(spec, X, [0, 0, 1, 1])
+        small = fit_binary(spec, X / 1e10, [0, 0, 1, 1])
+        assert np.all((1.6e308 < huge.thresholds) & (huge.thresholds < 1.7e308))
+        assert huge.predict(X).tobytes() == small.predict(X / 1e10).tobytes()
+        np.testing.assert_allclose(huge.predict(X), [0.366, 0.366, 0.634, 0.634],
+                                   atol=1e-3)
 
     def test_labels_must_align_and_be_binary(self):
         spec = BinaryLearnerSpec(kind="boosted-stumps")

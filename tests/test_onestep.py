@@ -28,7 +28,14 @@ from shiftset import (
     weighted_plugin_estimate,
 )
 from shiftset.learners import ConstantPredictor
-from tests.conftest import LookupPredictor, make_sample
+from shiftset.onestep import (
+    _fold_onestep,
+    _fold_plugin,
+    _fold_wplugin,
+    _FoldEngine,
+    _run_folds,
+)
+from tests.conftest import LEARNED_ENGINES, LookupPredictor, learned_engine, make_sample
 
 TARGETS = RiskTargets(0.05, 0.05)
 
@@ -291,3 +298,73 @@ def test_normal_quantile_matches_reference():
                                                         abs=1e-9)
     with pytest.raises(DomainError):
         normal_upper_quantile(0.0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar references: one fold and one threshold index at a time
+# ---------------------------------------------------------------------------
+
+def reference_fold_onestep(ctx, ti):
+    """(psi_v, plugin_v, sigma2_v) at threshold index ``ti``."""
+    e_vals, z = ctx.E[ti], ctx.Z[ti]
+    plugin = float(e_vals[~ctx.src].mean())
+    src_term = np.where(ctx.src, ctx.w, 0.0) * (z - e_vals) / ctx.gamma
+    psi = plugin + float(src_term.mean())
+    d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
+                 (e_vals - plugin) / (1.0 - ctx.gamma))
+    return psi, plugin, float(np.mean(d * d))
+
+
+def reference_fold_plugin(ctx, ti):
+    psi, plugin, s2 = reference_fold_onestep(ctx, ti)
+    return plugin, plugin, s2
+
+
+def reference_fold_wplugin(ctx, ti):
+    e_vals, z = ctx.E[ti], ctx.Z[ti]
+    psi = float((ctx.w[ctx.src] * z[ctx.src]).mean())
+    d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
+                 (e_vals - psi) / (1.0 - ctx.gamma))
+    return psi, psi, float(np.mean(d * d))
+
+
+def assert_same_fold_values(got, ctx, reference):
+    """Each of the functional's arrays equals the reference bit for bit."""
+    want = np.array([reference(ctx, ti) for ti in range(len(ctx.taus))]).T
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+FOLD_METHODS = [(_fold_onestep, reference_fold_onestep),
+                (_fold_plugin, reference_fold_plugin),
+                (_fold_wplugin, reference_fold_wplugin)]
+
+
+class TestFoldFunctionalsMatchScalarReference:
+    @pytest.mark.parametrize("case", LEARNED_ENGINES, ids=str)
+    @pytest.mark.parametrize("method,reference", FOLD_METHODS,
+                             ids=["onestep", "plugin", "wplugin"])
+    def test_learned_fits(self, case, method, reference):
+        for ctx in learned_engine(*case).contexts:
+            assert_same_fold_values(method(ctx), ctx, reference)
+
+    @pytest.mark.parametrize("method,reference", FOLD_METHODS,
+                             ids=["onestep", "plugin", "wplugin"])
+    def test_hand_example(self, method, reference):
+        sample, folds, fits = four_unit_fixture()
+        engine = _FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits)
+        for ctx in engine.contexts:
+            assert_same_fold_values(method(ctx), ctx, reference)
+
+    def test_each_fold_runs_once_for_the_whole_grid(self):
+        engine = learned_engine(*LEARNED_ENGINES[1])
+        seen = []
+
+        def counted(ctx):
+            seen.append(ctx.v)
+            return _fold_onestep(ctx)
+
+        table = _run_folds(engine, TARGETS, "onestep", counted)
+        assert seen == [0, 1]
+        assert table.psi_by_fold.shape == (2, len(engine.grid))

@@ -13,6 +13,7 @@ from shiftset import (
     RsRun,
     ThresholdGrid,
     dgp_draw,
+    miscoverage_vector,
     rs_estimate,
     rs_prepare,
 )
@@ -180,3 +181,69 @@ class TestRsEstimate:
         run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))
         table = rs_estimate(run, sample, grid, TARGETS)
         assert abs(table.psi[0] - 0.05) <= 3 * table.sigma[0] / np.sqrt(8000)
+
+
+def reference_rs_estimate(run, sample, grid):
+    """(psi, sigma) of :func:`rs_estimate`, one threshold at a time."""
+    n, n_train, n_test = sample.n, run.train_idx.size, run.test_idx.size
+    gamma = run.gamma_train
+    a_test = sample.a[run.test_idx].astype(float)
+    X_test = sample.x[run.test_idx]
+    w = run.what_test
+    indicator = (run.zeta <= w / run.bhat).astype(float)
+    scores_acc = sample.score[run.accepted_indices()]
+    a_train = sample.a[run.train_idx].astype(float)
+    train_piece_base = float(np.mean(
+        (a_train - gamma) ** 2 / (gamma**2 * (1.0 - gamma) ** 2)))
+    psi, sigma = [], []
+    for ti, tau in enumerate(grid):
+        e_test = np.clip(run.e_predictors[ti].predict(X_test), 0.0, 1.0)
+        d_tilde = e_test * (-(a_test / gamma) * (w / run.pi_hat)
+                            + (1.0 - a_test) / (1.0 - gamma))
+        proportion = float(np.mean(miscoverage_vector(scores_acc, tau)))
+        psi_tau = proportion + float(np.mean(d_tilde))
+        z_full = np.zeros(n_test)
+        z_full[run.accepted] = miscoverage_vector(scores_acc, tau)
+        test_terms = (run.bhat * (a_test / gamma) * indicator * (z_full - psi_tau)
+                      + (a_test * (w - 1.0) / gamma) * psi_tau
+                      + d_tilde)
+        var = ((n / n_train) * train_piece_base * psi_tau**2
+               + (n / n_test) * float(np.mean(test_terms**2)))
+        psi.append(psi_tau)
+        sigma.append(np.sqrt(var))
+    return np.array(psi), np.array(sigma)
+
+
+class TestRsEstimateMatchesScalarReference:
+    @pytest.mark.parametrize("kind", ["lowdim", "highdim-sparse"])
+    @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])
+    @pytest.mark.parametrize("n,step", [(200, 0.003), (2000, 0.05)])
+    def test_learned_runs(self, kind, learner, n, step):
+        spec = BinaryLearnerSpec(kind=learner)
+        grid = ThresholdGrid.from_range(0.0, 0.3, step)
+        root = RngStream(n)
+        sample = dgp_draw(DgpSpec(kind), n, root.child("d"))
+        run = rs_prepare(sample, RsConfig(), grid, spec, spec, root.child("r"))
+        table = rs_estimate(run, sample, grid, TARGETS)
+        psi, sigma = reference_rs_estimate(run, sample, grid)
+        assert table.psi.tobytes() == psi.tobytes()
+        assert table.sigma.tobytes() == sigma.tobytes()
+
+    def test_psi_is_squared_as_a_python_float(self):
+        # Python squares a float with C pow, which differs from psi * psi in
+        # the last bit at this psi.  Two training units against 40 test units
+        # make the training piece large enough for that bit to reach sigma.
+        a = [1, 0] + [1, 0, 0, 0] * 10
+        score = [0.4, None] + [0.1 * (i % 9) if a_i else None
+                               for i, a_i in enumerate(a[2:])]
+        sample = make_sample(a=a, x=[[float(i)] for i in range(42)], score=score)
+        run = RsRun(train_idx=np.array([0, 1]), test_idx=np.arange(2, 42),
+                    taus=(0.5,), g_predictor=ConstantPredictor(0.5),
+                    e_predictors=(ConstantPredictor(0.2329),), gamma_train=0.5,
+                    bhat=2.0, zeta=np.full(40, 0.1), what_test=np.ones(40),
+                    accepted=np.array(a[2:]) == 1, pi_hat=1.0)
+        grid = ThresholdGrid((0.5,))
+        table = rs_estimate(run, sample, grid, TARGETS)
+        psi = float(table.psi[0])
+        assert psi == 0.8329 and psi**2 != psi * psi
+        assert table.sigma.tobytes() == reference_rs_estimate(run, sample, grid)[1].tobytes()

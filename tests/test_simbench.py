@@ -125,6 +125,11 @@ class TestOracles:
             qs[a] = np.quantile(spec.score_table(X)[np.arange(200_000), y], 0.05)
         assert qs[1] > qs[0]
 
+    @pytest.mark.parametrize("M", [0, -5])
+    def test_evaluator_needs_a_draw(self, M):
+        with pytest.raises(ConfigurationError):
+            OracleEvaluator(DgpSpec("lowdim"), M, RngStream(8).child("ev"))
+
     def test_evaluator_matches_curve(self):
         spec = DgpSpec("lowdim")
         ev = OracleEvaluator(spec, 50_000, RngStream(8).child("ev"))

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit, logit
 
 from shiftset import (
     BinaryLearnerSpec,
@@ -22,8 +25,11 @@ from shiftset import (
     target_fold,
     tmle_estimate,
 )
+from shiftset import tmle
 from shiftset.learners import ConstantPredictor
-from tests.conftest import LookupPredictor, make_sample
+from shiftset.onestep import _FoldEngine
+from shiftset.tmle import _fluctuations, _fold_tmle, _newton_logistic
+from tests.conftest import LEARNED_ENGINES, LookupPredictor, learned_engine, make_sample
 
 TARGETS = RiskTargets(0.05, 0.05)
 
@@ -192,3 +198,180 @@ class TestTmleEstimate:
         t1 = onestep_estimate(sample, folds, grid, fits, TARGETS)
         t2 = tmle_estimate(sample, folds, grid, fits, TARGETS)
         assert abs(t1.psi[0] - t2.psi[0]) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Scalar references: one fold and one threshold index at a time
+# ---------------------------------------------------------------------------
+
+def reference_newton_logistic(offset, w, z):
+    """Solve sum w * (z - expit(offset + beta * w)) = 0 for one beta:
+    (beta, converged)."""
+    beta = 0.0
+    n = w.shape[0]
+    for _ in range(100):
+        mu = expit(offset + beta * w)
+        score = float(np.sum(w * (z - mu))) / n
+        if not np.isfinite(score):
+            return beta, False
+        if abs(score) <= 1e-10:
+            return beta, True
+        hess = float(np.sum(w * w * mu * (1.0 - mu))) / n
+        if not np.isfinite(hess) or hess <= 1e-300:
+            return beta, False
+        step = score / hess
+        if not np.isfinite(step):
+            return beta, False
+        beta += step
+    mu = expit(offset + beta * w)
+    score = float(np.sum(w * (z - mu))) / n
+    return beta, bool(np.isfinite(score) and abs(score) <= 1e-10)
+
+
+def reference_target(ctx, ti):
+    """(beta, mode) of the fluctuation at threshold index ``ti``."""
+    v, tau, e_vals = ctx.v, ctx.taus[ti], ctx.E[ti]
+    if ctx.fits.is_constant_fit(v, tau) and float(e_vals[0]) in (0.0, 1.0):
+        return 0.0, "constant"
+    e_src, w_src, z_src = e_vals[ctx.src], ctx.w[ctx.src], ctx.Z[ti][ctx.src]
+    use_fallback = bool(np.any((e_src <= 0.0) | (e_src >= 1.0)))
+    beta = 0.0
+    if not use_fallback:
+        offset = logit(np.clip(e_src, 1e-6, 1.0 - 1e-6))
+        beta, converged = reference_newton_logistic(offset, w_src, z_src)
+        use_fallback = not converged
+    if use_fallback:
+        denom = float(np.sum(w_src * w_src))
+        beta = float(np.sum(w_src * (z_src - e_src)) / denom) if denom > 0 else 0.0
+    return beta, "least-squares" if use_fallback else "logistic"
+
+
+def reference_fold_tmle(ctx, ti):
+    """(psi_v, plugin_v, sigma2_v) at threshold index ``ti``."""
+    beta, mode = reference_target(ctx, ti)
+    e_vals, z = ctx.E[ti], ctx.Z[ti]
+    if mode == "constant":
+        raw = e_vals
+    elif mode == "logistic":
+        raw = expit(logit(np.clip(e_vals, 1e-6, 1.0 - 1e-6)) + beta * ctx.w)
+    else:
+        raw = e_vals + beta * ctx.w
+    psi_v = float(np.clip(raw, 0.0, 1.0)[~ctx.src].mean())
+    d = np.where(ctx.src, ctx.w * (z - raw) / ctx.gamma,
+                 (raw - psi_v) / (1.0 - ctx.gamma))
+    return psi_v, float(e_vals[~ctx.src].mean()), float(np.mean(d * d))
+
+
+def assert_fold_matches_reference(ctx):
+    """Fluctuations and fold values equal the scalar references bit for
+    bit, with no warning the references do not give."""
+    with warnings.catch_warnings(record=True) as got_warnings:
+        warnings.simplefilter("always")
+        beta, mode = _fluctuations(ctx)
+        got = _fold_tmle(ctx, beta, mode)
+    with warnings.catch_warnings(record=True) as ref_warnings:
+        warnings.simplefilter("always")
+        ref = [reference_target(ctx, ti) for ti in range(len(ctx.taus))]
+        want = np.array([reference_fold_tmle(ctx, ti)
+                         for ti in range(len(ctx.taus))]).T
+    assert ({str(w.message) for w in got_warnings}
+            <= {str(w.message) for w in ref_warnings})
+    assert beta.tobytes() == np.array([b for b, _ in ref]).tobytes()
+    assert mode.tolist() == [m for _, m in ref]
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    return mode
+
+
+def mixed_mode_fold():
+    """Fold 0 has four source units, scores 0.15, 0.25, 0.35 and 0.45, and
+    two target units; each threshold's fit takes a different path."""
+    sample = make_sample(
+        a=[1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0],
+        x=[[float(i)] for i in range(1, 13)],
+        score=[0.15, 0.25, 0.35, 0.45, None, None, 0.2, 0.4, 0.55, None, None, None])
+    folds = FoldPlan(V=2, assignment=np.array([0] * 6 + [1] * 6))
+    taus = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    e_row = (
+        ConstantPredictor(0.0),                           # constant
+        ConstantPredictor(1.0),                           # constant
+        LookupPredictor({1.0: 0.0}, default=0.4),         # E at 0: least squares
+        LookupPredictor({}, default=1e-6),                # Newton fails
+        LookupPredictor({1.0: 0.3, 2.0: 0.6}, default=0.45),  # logistic
+        ConstantPredictor(0.35),                          # constant, not 0/1
+    )
+    g = LookupPredictor({1.0: 0.2, 2.0: 0.7, 3.0: 0.5}, default=0.4)
+    fits = NuisanceFits(taus=taus, g_predictors=(g, g),
+                        e_predictors=(e_row, e_row), delta=0.0)
+    return sample, folds, ThresholdGrid(taus), fits
+
+
+class TestVectorizedTargetingMatchesScalarReference:
+    @pytest.mark.parametrize("case", LEARNED_ENGINES, ids=str)
+    def test_learned_fits(self, case):
+        for ctx in learned_engine(*case).contexts:
+            assert_fold_matches_reference(ctx)
+
+    def test_every_mode_in_one_fold(self):
+        sample, folds, grid, fits = mixed_mode_fold()
+        ctx = _FoldEngine(sample, folds, grid, fits).contexts[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mode = assert_fold_matches_reference(ctx)
+        assert mode.tolist() == ["constant", "constant", "least-squares",
+                                 "least-squares", "logistic", "logistic"]
+        # The fourth threshold's labels are mixed, yet its fit sits at 1e-6:
+        # the first step saturates every unit, and the curvature vanishes.
+        e_src = ctx.E[3][ctx.src]
+        _, converged = _newton_logistic(logit(e_src)[None], ctx.w[ctx.src],
+                                        ctx.Z[3][ctx.src][None])
+        assert not converged[0]
+
+    def test_table_and_public_fit_agree_per_threshold(self):
+        sample, folds, grid, fits = mixed_mode_fold()
+        table = tmle_estimate(sample, folds, grid, fits, TARGETS)
+        for v in range(2):
+            for ti, tau in enumerate(grid):
+                fit = target_fold(sample, folds, v, tau, fits)
+                assert fit.beta == table.extras["beta"][v, ti]
+                assert fit.fallback == table.extras["fallback"][v, ti]
+                assert type(fit.fallback) is bool and type(fit.beta) is float
+
+    def test_newton_rows_solve_independently(self):
+        # Converged, saturating and max_iter rows, stacked: each row's
+        # result is that of its own scalar solve.
+        w = np.array([0.01, 0.01, 100.0])
+        e = np.array([[0.99, 0.01, 0.99], [0.3, 0.5, 0.6], [1e-6, 1e-6, 1e-6],
+                      [0.2, 0.2, 0.2]])
+        z = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+                      [1.0, 1.0, 1.0]])
+        offset = logit(np.clip(e, 1e-6, 1.0 - 1e-6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, converged = _newton_logistic(offset, w, z)
+        want = [reference_newton_logistic(o, w, zr) for o, zr in zip(offset, z)]
+        assert beta.tobytes() == np.array([b for b, _ in want]).tobytes()
+        assert converged.tolist() == [c for _, c in want]
+        assert converged.tolist() == [False, True, False, True]
+
+    def test_overflowing_step_stops_quietly(self):
+        # score / hess overflows to inf at the first step: the row stops
+        # unconverged and, as in float arithmetic, without a warning.
+        offset = np.array([[-800.0, -689.0]])
+        w = np.array([4e9, 1.0])
+        z = np.array([[1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            beta, converged = _newton_logistic(offset, w, z)
+            want = reference_newton_logistic(offset[0], w, z[0])
+        assert (beta[0], converged[0]) == want == (0.0, False)
+
+    def test_table_path_builds_no_predictor(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the table path built a per-threshold fit")
+
+        monkeypatch.setattr(tmle.TargetedPredictor, "__init__", refuse)
+        monkeypatch.setattr(tmle, "TargetedFoldFit", refuse)
+        engine = learned_engine(*LEARNED_ENGINES[1])
+        table = tmle._tmle_table(engine, TARGETS)
+        assert table.extras["beta"].shape == (2, len(engine.grid))
