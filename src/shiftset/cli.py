@@ -58,7 +58,10 @@ _DGP_ALIASES = {
     "lowdim-noshift": "lowdim-noshift",
 }
 
-_BLOCK_ROWS = 1024  # CSV rows converted at a time; bounds the tokens held in memory
+_BLOCK_ROWS = 1024  # exact path: CSV rows converted at a time; bounds the tokens held in memory
+# Widths of the Latin-1 byte fields that the one-pass path reads `a` and `score`
+# into: a token that fills its field may have been cut short, so it is not plain.
+_A_WIDTH, _SCORE_WIDTH = 2, 32
 
 
 def _fmt(x: float) -> str:
@@ -74,12 +77,21 @@ class CsvSchemaWarning(UserWarning):
     pass
 
 
+class _NotPlain(Exception):
+    """The data rows leave the subset that the one-pass reader handles."""
+
+
 def ingest_csv(path: str) -> ObservedSample:
     """Read an observed sample from CSV.
 
     Column ``a`` must be 0 or 1; ``score`` must be blank exactly when a=0
     (values there are ignored with one warning per file); covariates are
     ``x1..xp`` in any order.  Errors carry 1-based file line numbers.
+
+    Plain files are read in one ``np.loadtxt`` pass; a file with quotes, NUL
+    characters, over-long lines or anything that pass cannot judge exactly
+    (including every invalid value) is read again by the exact csv reader,
+    the only one that accepts it or writes its error.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -100,24 +112,11 @@ def ingest_csv(path: str) -> ObservedSample:
             raise DataError(
                 f"{path}: covariate columns must be exactly x1..xp, got {x_names}")
         layout = (path, header, cols["a"], cols["score"], [cols[n] for n in expected])
-        blocks, block = [], []
         try:
-            for record in enumerate(reader, start=2):
-                if record[1]:
-                    block.append(record)
-                if len(block) == _BLOCK_ROWS:
-                    blocks.append(_convert_block(layout, block))
-                    block = []
-        except (csv.Error, UnicodeDecodeError):
-            if block:  # report an invalid row read before the unreadable one
-                _convert_block(layout, block)
-            raise
-        if block:
-            blocks.append(_convert_block(layout, block))
-
-    if not blocks:
-        raise DataError(f"{path}: no data rows")
-    a, score, x, stray = (np.concatenate(parts) for parts in zip(*blocks))
+            a, score, x, stray = _read_plain(fh, layout)
+        except _NotPlain:
+            fh.seek(0)
+            a, score, x, stray = _read_exact(fh, layout)
     if stray.size:
         warnings.warn(f"{path}: score ignored on {stray.size} target row(s) "
                       f"(first at line {stray[0]})", CsvSchemaWarning, stacklevel=2)
@@ -125,6 +124,77 @@ def ingest_csv(path: str) -> ObservedSample:
         raise DataError(f"{path}: need at least one source (a=1) and one "
                         "target (a=0) row")
     return ObservedSample(a=a, x=x, score=score)
+
+
+def _read_plain(fh, layout):
+    """Read the data rows in one ``np.loadtxt`` pass: (a, score, x, stray-score
+    lines).  Raises ``_NotPlain`` unless every row is valid and plain."""
+    _, header, a_col, s_col, x_cols = layout
+    fields = [(name, "f8") for name in header]
+    fields[a_col] = ("a", f"S{_A_WIDTH}")
+    fields[s_col] = ("score", f"S{_SCORE_WIDTH}")
+    blanks = []  # per blank line, the number of data rows before it
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(_plain_lines(fh, blanks), dtype=fields, delimiter=",",
+                              comments=None, quotechar=None, ndmin=1)
+    except (ValueError, Warning):
+        raise _NotPlain from None
+    a_tok, s_tok = rows["a"], rows["score"]
+    src = a_tok == b"1"
+    if not (src | (a_tok == b"0")).all() or (np.char.str_len(s_tok) == _SCORE_WIDTH).any():
+        raise _NotPlain
+    score = np.full(len(rows), np.nan)
+    try:
+        score[src] = np.fromiter(map(float, s_tok[src].tolist()), float)
+    except ValueError:
+        raise _NotPlain from None
+    x = np.column_stack([rows[header[c]] for c in x_cols])
+    if not (np.isfinite(score[src]).all() and np.isfinite(x).all()):
+        raise _NotPlain
+    stray = np.array([i for i in np.flatnonzero(~src & (s_tok != b""))
+                      if s_tok[i].decode("latin-1").strip()], dtype=np.int64)
+    lines = 2 + stray + np.searchsorted(blanks, stray, side="right")
+    return src.astype(np.int8), score, x, lines
+
+
+def _plain_lines(fh, blanks):
+    """The data lines of the open file, skipping blank ones (noted in
+    ``blanks``); raises ``_NotPlain`` at a quote, a NUL or an over-long line."""
+    limit = csv.field_size_limit()
+    for k, line in enumerate(fh):
+        if '"' in line or "\0" in line or len(line) > limit:
+            raise _NotPlain
+        if line.rstrip("\r\n"):
+            yield line
+        else:
+            blanks.append(k - len(blanks))
+
+
+def _read_exact(fh, layout):
+    """Read the data rows of the file, rewound, with the csv reader, block by
+    block: (a, score, x, stray-score lines).  Writes every row error."""
+    path = layout[0]
+    reader = csv.reader(fh)
+    next(reader)  # the header, checked already
+    blocks, block = [], []
+    try:
+        for record in enumerate(reader, start=2):
+            if record[1]:
+                block.append(record)
+            if len(block) == _BLOCK_ROWS:
+                blocks.append(_convert_block(layout, block))
+                block = []
+    except (csv.Error, UnicodeDecodeError):
+        if block:  # report an invalid row read before the unreadable one
+            _convert_block(layout, block)
+        raise
+    if block:
+        blocks.append(_convert_block(layout, block))
+    if not blocks:
+        raise DataError(f"{path}: no data rows")
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 def _convert_block(layout, block):

@@ -146,6 +146,9 @@ class ObservedSample:
 # Threshold grids, folds, risk targets
 # ---------------------------------------------------------------------------
 
+_MAX_GRID_POINTS = 100_000  # from_range refuses larger grids before building them
+
+
 @dataclass(frozen=True)
 class ThresholdGrid:
     """Strictly increasing finite set of candidate thresholds."""
@@ -175,7 +178,11 @@ class ThresholdGrid:
             raise ConfigurationError("grid bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise ConfigurationError("grid requires step > 0 and hi >= lo")
-        k = int(round((hi - lo) / step))
+        span = (hi - lo) / step
+        if not (np.isfinite(span) and round(span) < _MAX_GRID_POINTS):
+            raise ConfigurationError(
+                f"grid {lo:g}:{hi:g}:{step:g} holds more than {_MAX_GRID_POINTS} thresholds")
+        k = int(round(span))
         taus = [round(lo + i * step, 12) for i in range(k + 1)]
         if taus[-1] > hi + 1e-12:
             taus = taus[:-1]

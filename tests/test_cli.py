@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import tempfile
 import time
 import warnings
@@ -67,6 +68,13 @@ class TestIngestCsv:
         s = ingest_csv(str(p))
         assert (s.n_source, s.n_target, s.p) == (1, 1, 1)
 
+    def test_utf8_bom_header_exact_path(self, tmp_path):
+        # the exact reader rereads from the start of the file, past the BOM again
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'\xef\xbb\xbfa,score,x1\r\n1,0.7,0.1\r\n0,,"-0.2"\r\n')
+        s = ingest_csv(str(p))
+        np.testing.assert_array_equal(s.x, [[0.1], [-0.2]])
+
     @pytest.mark.parametrize("header", ["a,a,score,x1", "a,score,x1,x1",
                                         "a,score,score,x1", "a, a ,score,x1"])
     def test_duplicate_header_rejected(self, tmp_path, header):
@@ -102,8 +110,9 @@ class TestIngestCsv:
 def reference_ingest_csv(path):
     """Row-by-row reader: one float(), strip() and isfinite per cell.
 
-    The column-wise ``ingest_csv`` must accept exactly the files this accepts,
-    with byte-identical arrays, and reject the others with the same message.
+    ``ingest_csv``, by either of its paths, must accept exactly the files this
+    accepts, with byte-identical arrays and the same target-row score warning,
+    and reject the others with the same message.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -172,15 +181,35 @@ def _reference_float(text, path, line_no, col):
 
 
 def outcome(reader, path):
-    """What a reader makes of a file: its exact arrays, or its exception."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CsvSchemaWarning)
+    """What a reader makes of a file: its exact arrays and its target-row
+    score warnings, or its exception.  No other warning may escape."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             s = reader(path)
         except Exception as exc:
             return type(exc).__name__, str(exc)
+        finally:
+            assert all(issubclass(w.category, CsvSchemaWarning) for w in caught)
     return ("ok", s.a.dtype.str, s.a.tobytes(), s.x.dtype.str, s.x.shape,
-            s.x.flags.c_contiguous, s.x.tobytes(), s.score.tobytes())
+            s.x.flags.c_contiguous, s.x.tobytes(), s.score.tobytes(),
+            stray_scores(caught))
+
+
+def stray_scores(caught):
+    """(count, first line, attributed file and line) of the target-row score
+    warnings: ``ingest_csv`` warns once per file, the reference once per row."""
+    if not caught:
+        return None
+    message = str(caught[0].message)
+    per_file = re.search(r"score ignored on (\d+) target row\(s\) \(first at line (\d+)\)",
+                         message)
+    if per_file:
+        assert len(caught) == 1
+        count, first = map(int, per_file.groups())
+    else:
+        count, first = len(caught), int(re.search(r":(\d+): score on a target", message)[1])
+    return count, first, caught[0].filename, caught[0].lineno
 
 
 def assert_matches_reference(path):
@@ -231,7 +260,63 @@ DIALECT_CASES = {
     "no_target": (H + "1,0.5,1,2\n", "need at least one source"),
     "no_covariates": ("a,score\n1,0.5\n0,\n", "x1..xp"),
     "covariate_gap": ("a,score,x1,x3\n1,0.5,1,2\n0,,3,4\n", "x1..xp"),
+    # Traps for the one-pass reader: each must give the exact reader's outcome.
+    "score_longer_than_field": (H + "1,0." + "1234567890" * 4 + ",1,2\n0,,3,4\n", None),
+    "score_digits_longer_than_field": (H + "1," + "3" * 45 + "e-45,1,2\n0,,3,4\n", None),
+    "a_padded_past_field": (H + "  1  ,0.5,1,2\n0\t\t,,3,4\n", None),
+    "a_padded_bad": (H + "1,0.5,1,2\n0,,3,4\n  12 ,0.5,1,2\n",
+                     ":4: 'a' must be 0 or 1, got '12'"),
+    "target_score_quoted_empty": (H + '1,0.5,1,2\n0,"",3,4\n', None),
+    "x_longer_than_field_limit": (H + "1,0.5,1," + "0" * 200_001 + "\n0,,3,4\n",
+                                  ("Error", "field larger than field limit")),
+    "stray_after_blank_lines": (H + "1,0.5,1,2\n\n\r\n0,,3,4\n\n0, 0.4 ,3,4\n0,x,3,4\n",
+                                None),
+    "stray_blank_score_padding": (H + "1,0.5,1,2\n0, \t,3,4\n0,\xa0,3,4\n", None),
+    "lone_cr": ("a,score,x1,x2\r1,0.5,1,2\r\r0,0.1,3,4\r0,,5,6", None),
+    "lone_cr_then_error": ("a,score,x1,x2\r1,0.5,1,2\r\r0,,3,4\r1,0.2,oops,4\r",
+                           ":5: column 'x1' has a malformed number 'oops'"),
+    "nul_in_a": (H + "1,0.5,1,2\n0\x00,,3,4\n", ":3: 'a' must be 0 or 1, got '0\\x00'"),
+    "nul_in_score": (H + "1,0.5\x00,1,2\n0,,3,4\n",
+                     ":2: column 'score' has a malformed number '0.5\\x00'"),
+    "nul_in_target_score": (H + "1,0.5,1,2\n0,\x00,3,4\n", None),
+    "nul_in_x": (H + "1,0.5,1,\x002\n0,,3,4\n",
+                 ":2: column 'x2' has a malformed number '\\x002'"),
+    "unicode_space_padding": (H + "1,\xa00.5\u3000,\x851,2\xa0\n0,\u3000,\u30003\x85,4\n",
+                              None),
+    "unicode_space_padding_on_a": (H + "\xa01,0.5,1,2\n0\u3000,,3,4\n", None),
+    "latin1_padding": (H + "1,0.5,\u30001\x85,2\xa0\n0,\xa0,\x853,4\n0,\x85,5,6\n"
+                       + "0,\xe9,7,8\n", None),
+    "fullwidth_digits": (H + "1,\uff10.\uff15,\uff11,2\n0,,3,\uff14\n", None),
+    "fullwidth_digit_in_a": (H + "1,0.5,1,2\n\uff10,,3,4\n",
+                             ":3: 'a' must be 0 or 1, got '\uff10'"),
+    "header_then_crlf_blank_lines": (H + "\r\n\r\n\r", "no data rows"),
+    "trailing_delimiter": (H + "1,0.5,1,2,\n0,,3,4\n", ":2: expected 4 fields"),
 }
+
+# Dialect cases the one-pass reader must read without the exact reader.
+PLAIN_CASES = ["crlf", "blank_lines", "x_out_of_order", "header_spaces",
+               "exponent_and_sign", "ascii_separator_padding", "target_score_ignored",
+               "stray_after_blank_lines", "stray_blank_score_padding", "lone_cr",
+               "latin1_padding"]
+
+
+def refuse_exact(fh, layout):
+    raise AssertionError("the exact reader ran")
+
+
+@pytest.fixture
+def one_pass_only(monkeypatch):
+    """Fail the test if the exact reader runs."""
+    monkeypatch.setattr(cli, "_read_exact", refuse_exact)
+
+
+def quote_one_field(text, line_no):
+    """The file with the first field of line ``line_no`` quoted: the same
+    data, which only the exact reader reads."""
+    lines = text.split("\n")
+    first, sep, rest = lines[line_no - 1].partition(",")
+    lines[line_no - 1] = f'"{first}"{sep}{rest}'
+    return "\n".join(lines)
 
 
 class TestIngestContract:
@@ -246,7 +331,27 @@ class TestIngestContract:
         if error is None:
             assert got[0] == "ok"
         else:
-            assert got[0] == "DataError" and error in got[1]
+            kind, error = error if isinstance(error, tuple) else ("DataError", error)
+            assert got[0] == kind and error in got[1]
+
+    @pytest.mark.parametrize("case", PLAIN_CASES)
+    def test_plain_dialect_takes_one_pass(self, tmp_path, one_pass_only, case):
+        p = tmp_path / "d.csv"
+        p.write_bytes(DIALECT_CASES[case][0].encode())
+        assert assert_matches_reference(str(p))[0] == "ok"
+
+    @pytest.mark.parametrize("bad_row", [b"", b"1,0.5,1,oops\n"])
+    def test_undecodable_bytes_match_reference(self, tmp_path, bad_row):
+        p = tmp_path / "d.csv"
+        p.write_bytes(H.encode() + bad_row + b"0,,3,4\n" * 5000 + b"0,,3,\xff\n")
+        assert assert_matches_reference(str(p))[0] == (
+            "DataError" if bad_row else "UnicodeDecodeError")
+
+    def test_emit_csv_file_takes_one_pass(self, tmp_path, one_pass_only):
+        sample = dgp_draw(DgpSpec("highdim-sparse"), 2000, RngStream(11).child("d"))
+        path = str(tmp_path / "d.csv")
+        emit_csv(sample, path)
+        assert assert_matches_reference(path)[0] == "ok"
 
     def test_column_order_and_values(self, tmp_path):
         p = write(tmp_path / "d.csv",
@@ -262,7 +367,8 @@ class TestIngestContract:
         rows = [f"{i % 2},{'0.5' if i % 2 else ''},{i},{-i}" for i in range(200)]
         rows[0 if bad == "first" else -1] = "1,0.5,7,inf"
         p = tmp_path / "d.csv"
-        p.write_text(H + "\n".join(rows[:100]) + "\n\n" + "\n".join(rows[100:]) + "\n")
+        text = H + "\n".join(rows[:100]) + "\n\n" + "\n".join(rows[100:]) + "\n"
+        p.write_text(quote_one_field(text, 150))
         got = assert_matches_reference(str(p))
         line = 2 if bad == "first" else 202
         assert got[1].endswith(f":{line}: column 'x2' must be finite")
@@ -270,13 +376,15 @@ class TestIngestContract:
     def test_many_blocks_valid(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 7, raising=False)
         sample = dgp_draw(DgpSpec("highdim-sparse"), 100, RngStream(5).child("d"))
-        path = str(tmp_path / "d.csv")
-        emit_csv(sample, path)
-        assert assert_matches_reference(path)[0] == "ok"
+        path = tmp_path / "d.csv"
+        emit_csv(sample, str(path))
+        path.write_text(quote_one_field(path.read_text(), 101))
+        assert assert_matches_reference(str(path))[0] == "ok"
 
     def test_bad_row_reported_before_unreadable_row(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 100, raising=False)
-        p = write(tmp_path / "d.csv", H + "1,0.5,1,oops\n0,,3,4\n0,," + "9" * 80 + ",1\n")
+        p = write(tmp_path / "d.csv", quote_one_field(
+            H + "1,0.5,1,oops\n0,,3,4\n0,," + "9" * 80 + ",1\n", 3))
         old_limit = csv.field_size_limit(40)
         try:
             assert assert_matches_reference(p)[0] == "DataError"
@@ -304,6 +412,15 @@ BAD_TOKENS = ["", " ", "nan", "-inf", "1e999", "oops", "1.0", "2", "0x1",
               "1_000", " 1 ", "\x1c1", "--1", "1e", "١٢", '"', "\n"]
 
 
+def write_rows(path, rows, quote_last):
+    """Write CSV rows; with ``quote_last`` every field of the last row is
+    quoted, so that only the exact reader reads the file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows[:-1] if quote_last else rows)
+        if quote_last:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerow(rows[-1])
+
+
 class TestIngestProperties:
     @given(observed_samples(), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
@@ -312,11 +429,17 @@ class TestIngestProperties:
             mp.setattr(cli, "_BLOCK_ROWS", block_rows, raising=False)
             path = os.path.join(d, "s.csv")
             emit_csv(sample, path)
+            with open(path, newline="", encoding="utf-8") as fh:
+                quoted = os.path.join(d, "q.csv")
+                write_rows(quoted, list(csv.reader(fh)), quote_last=True)
+            exact = ingest_csv(quoted)
+            mp.setattr(cli, "_read_exact", refuse_exact)
             back = ingest_csv(path)
-        assert back.a.dtype == sample.a.dtype and back.x.shape == sample.x.shape
-        assert back.a.tobytes() == sample.a.tobytes()
-        assert back.x.tobytes() == sample.x.tobytes()
-        assert back.score.tobytes() == sample.score.tobytes()
+        for got in (back, exact):
+            assert got.a.dtype == sample.a.dtype and got.x.shape == sample.x.shape
+            assert got.a.tobytes() == sample.a.tobytes()
+            assert got.x.tobytes() == sample.x.tobytes()
+            assert got.score.tobytes() == sample.score.tobytes()
 
     @given(observed_samples(), st.integers(1, 8), st.data())
     @settings(max_examples=80, deadline=None)
@@ -334,9 +457,9 @@ class TestIngestProperties:
                 rows[i + 1].pop()
             else:
                 rows[i + 1][col] = token
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh).writerows(rows)
-            assert_matches_reference(path)
+            for quote_last in (False, True):
+                write_rows(path, rows, quote_last)
+                assert_matches_reference(path)
 
 
 @pytest.fixture
@@ -570,7 +693,7 @@ class TestCmdSimulate:
         assert "ConfigurationError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0:nan:0.05", "0:inf:0.05", "nan:0.3:0.05",
-                                      "0:0.3:inf", "0:0.3:x"])
+                                      "0:0.3:inf", "0:0.3:x", "0:1e300:1e-300"])
     def test_non_finite_grid_rejected(self, tmp_path, capsys, grid):
         code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",
                      "--method", "onestep", "--grid", grid,

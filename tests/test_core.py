@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from shiftset import (
     RiskTargets,
     RngStream,
     ThresholdGrid,
+    core,
     empirical_gamma,
     make_folds,
     miscoverage_vector,
@@ -166,6 +169,24 @@ class TestThresholdGrid:
         for args in ((0.0, bad, 0.05), (bad, 0.3, 0.05), (0.0, 0.3, bad)):
             with pytest.raises(ConfigurationError):
                 ThresholdGrid.from_range(*args)
+
+    @pytest.mark.parametrize("args", [(0.0, 1e300, 1e-300), (-1e308, 1e308, 1.0)])
+    def test_non_finite_point_count_rejected(self, args):
+        # (hi - lo) / step overflows to inf: no OverflowError from int(round(inf))
+        with pytest.raises(ConfigurationError, match="more than"):
+            ThresholdGrid.from_range(*args)
+
+    def test_oversized_point_count_rejected_before_building(self):
+        limit = core._MAX_GRID_POINTS
+        assert len(ThresholdGrid.from_range(0.0, limit - 1.0, 1.0)) == limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigurationError, match="more than"):
+                ThresholdGrid.from_range(0.0, float(limit), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000  # a list of limit + 1 thresholds takes megabytes
 
     def test_from_range_hits_endpoints(self):
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
