@@ -332,14 +332,19 @@ def _apply_config_file(subparser, sub_argv, args):
             if dest not in actions:
                 raise ConfigurationError(
                     f"{args.config}:{line_no}: unknown key {key!r}")
-            overrides[dest] = value
+            overrides[dest] = (line_no, key, value)
     explicit = _explicit_dests(subparser, sub_argv)
-    for dest, value in overrides.items():
+    for dest, (line_no, key, value) in overrides.items():
         if dest in explicit:
             continue
         action = actions[dest]
         if action.type is not None:
-            value = action.type(value)
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{args.config}:{line_no}: {key} = {value!r} is not a valid "
+                    f"{action.type.__name__}") from None
         setattr(args, dest, value)
     return args
 

@@ -186,6 +186,9 @@ class ThresholdGrid:
         taus = [round(lo + i * step, 12) for i in range(k + 1)]
         if taus[-1] > hi + 1e-12:
             taus = taus[:-1]
+        if any(b <= a for a, b in zip(taus, taus[1:])):
+            raise ConfigurationError(
+                f"grid step {step:g} is too fine: thresholds are rounded to 12 decimals")
         return cls(tuple(taus))
 
     @classmethod

@@ -26,7 +26,6 @@ from .core import (
     RngStream,
     ThresholdGrid,
     UnfittableFoldError,
-    miscoverage_vector,
 )
 from .learners import (
     BinaryLearnerSpec,
@@ -63,7 +62,8 @@ class NuisanceFits:
     """Cross-fitted predictors: one propensity per fold, one conditional
     error predictor per (fold, threshold).
 
-    ``delta = 0`` disables truncation and is reserved for oracle fits.
+    ``delta = 0`` disables truncation; it serves oracle fits and rejection
+    sampling, whose one "fold" is the training half.
     """
 
     taus: tuple[float, ...]
@@ -71,11 +71,15 @@ class NuisanceFits:
     e_predictors: tuple[tuple[FittedPredictor, ...], ...]  # [fold][tau index]
     delta: float
 
+    def __post_init__(self):
+        # Equal keys hash alike: -0.0 finds 0.0, an np.float64 its float.
+        object.__setattr__(self, "_tau_index", {t: i for i, t in enumerate(self.taus)})
+
     def tau_index(self, tau: float) -> int:
-        for i, t in enumerate(self.taus):
-            if t == tau:
-                return i
-        raise ConfigurationError(f"threshold {tau} is not in the fitted grid")
+        try:
+            return self._tau_index[tau]
+        except KeyError:
+            raise ConfigurationError(f"threshold {tau} is not in the fitted grid") from None
 
     def propensity(self, v: int, X: np.ndarray) -> np.ndarray:
         g = self.g_predictors[v].predict(X)
@@ -99,45 +103,46 @@ class NuisanceFits:
         return isinstance(self.e_predictors[v][self.tau_index(tau)], ConstantPredictor)
 
 
+def fit_on(sample: ObservedSample, train: np.ndarray, grid: ThresholdGrid,
+           g_spec: BinaryLearnerSpec, e_spec: BinaryLearnerSpec, g_rng: RngStream
+           ) -> tuple[FittedPredictor, tuple[FittedPredictor, ...]]:
+    """Fit the propensity on the units ``train`` and, on their source units,
+    one conditional-error predictor per threshold of ``grid``.
+
+    Where a threshold's miscoverage labels are constant, the exact constant
+    predictor is returned, so that thresholds beyond the observed score
+    range behave deterministically.
+    """
+    is_src = sample.a[train] == 1
+    g = fit_binary(g_spec, sample.x[train], is_src.astype(float), g_rng)
+    src = train[is_src]
+    labels = sample.score[src] < np.array(grid.taus)[:, None]
+    return g, fit_binary_grid(e_spec, sample.x[src], labels)
+
+
 def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
                   g_spec: BinaryLearnerSpec, e_spec: BinaryLearnerSpec,
                   delta: float, rng: RngStream) -> NuisanceFits:
-    """Fit out-of-fold propensity and conditional-error predictors.
-
-    For each fold v the training set is the fold's complement.  Conditional
-    error fits use only the source units there; when their miscoverage labels
-    are constant for a threshold, the exact constant predictor is stored so
-    that thresholds beyond the observed score range behave deterministically.
-    """
+    """Fit out-of-fold propensity and conditional-error predictors: for each
+    fold v, :func:`fit_on` the fold's complement."""
     if not (0.0 < delta < 0.5):
         raise ConfigurationError("delta must lie in (0, 0.5)")
     if folds.n != sample.n:
         raise ConfigurationError("fold plan does not match the sample size")
 
-    g_preds: list[FittedPredictor] = []
-    e_preds: list[tuple[FittedPredictor, ...]] = []
-
+    fitted = []
     for v in range(folds.V):
         train = folds.complement(v)
         if train.size < 2:
             raise UnfittableFoldError(f"fold {v}: complement has fewer than 2 units")
-        a_tr = sample.a[train]
-        src = train[a_tr == 1]
-        if src.size < 1:
+        if not np.any(sample.a[train] == 1):
             raise UnfittableFoldError(f"fold {v}: complement has no source units")
+        fitted.append(fit_on(sample, train, grid, g_spec, e_spec,
+                             rng.child("propensity", v)))
 
-        g_rng = rng.child("propensity", v)
-        g_preds.append(fit_binary(g_spec, sample.x[train], (a_tr == 1).astype(float), g_rng))
-
-        labels = np.array([miscoverage_vector(sample.score[src], tau) for tau in grid])
-        e_preds.append(fit_binary_grid(e_spec, sample.x[src], labels))
-
-    return NuisanceFits(
-        taus=tuple(grid),
-        g_predictors=tuple(g_preds),
-        e_predictors=tuple(e_preds),
-        delta=float(delta),
-    )
+    g_preds, e_preds = zip(*fitted)
+    return NuisanceFits(taus=tuple(grid), g_predictors=g_preds,
+                        e_predictors=e_preds, delta=float(delta))
 
 
 class _FunctionPredictor(FittedPredictor):

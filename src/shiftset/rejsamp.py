@@ -24,10 +24,9 @@ from .core import (
     RiskTargets,
     RngStream,
     ThresholdGrid,
-    miscoverage_vector,
 )
-from .crossfit import PROPENSITY_GUARD, odds_weight
-from .learners import BinaryLearnerSpec, FittedPredictor, fit_binary, fit_binary_grid
+from .crossfit import NuisanceFits, fit_on, odds_weight
+from .learners import BinaryLearnerSpec
 from .onestep import CoverageTable, normal_upper_quantile
 
 
@@ -37,7 +36,8 @@ class RsConfig:
 
     ``bhat_fixed`` set -> use it as the known bound B (and fail the run if an
     observed test-half weight exceeds it).  Otherwise B is the maximum weight
-    over test-half source units times ``bhat_mult``, floored at 1.
+    over test-half source units times ``bhat_mult``, floored at 1.  Both
+    must be finite and at least 1.
     """
 
     xi: float = 0.5
@@ -47,21 +47,20 @@ class RsConfig:
     def __post_init__(self):
         if not (0.0 < self.xi < 1.0):
             raise ConfigurationError("split fraction must lie in (0, 1)")
-        if self.bhat_mult < 1.0:
-            raise ConfigurationError("bound multiplier must be at least 1")
-        if self.bhat_fixed is not None and self.bhat_fixed < 1.0:
-            raise ConfigurationError("fixed bound must be at least 1")
+        if not (1.0 <= self.bhat_mult < np.inf):
+            raise ConfigurationError("bound multiplier must be finite and at least 1")
+        if self.bhat_fixed is not None and not (1.0 <= self.bhat_fixed < np.inf):
+            raise ConfigurationError("fixed bound must be finite and at least 1")
 
 
 @dataclass(frozen=True)
 class RsRun:
-    """Frozen state of one rejection-sampling pass."""
+    """Frozen state of one rejection-sampling pass; ``fits`` holds the
+    training-half nuisances as a one-fold, untruncated :class:`NuisanceFits`."""
 
     train_idx: np.ndarray
     test_idx: np.ndarray
-    taus: tuple[float, ...]
-    g_predictor: FittedPredictor
-    e_predictors: tuple[FittedPredictor, ...]
+    fits: NuisanceFits
     gamma_train: float
     bhat: float
     zeta: np.ndarray          # exogenous uniforms, aligned with test_idx
@@ -96,16 +95,10 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
             raise DegenerateFoldError(f"{name} half lacks source or target units")
 
     gamma_train = float(np.mean(a_train == 1))
-    g_pred = fit_binary(g_spec, sample.x[train_idx],
-                        (a_train == 1).astype(float), rng.child("rs-g"))
-
-    src_train = train_idx[a_train == 1]
-    labels = np.array([miscoverage_vector(sample.score[src_train], tau) for tau in grid])
-    e_preds = fit_binary_grid(e_spec, sample.x[src_train], labels)
-
-    g_test = np.clip(g_pred.predict(sample.x[test_idx]), PROPENSITY_GUARD,
-                     1.0 - PROPENSITY_GUARD)
-    what_test = odds_weight(g_test, gamma_train)
+    g, e = fit_on(sample, train_idx, grid, g_spec, e_spec, rng.child("rs-g"))
+    fits = NuisanceFits(taus=tuple(grid), g_predictors=(g,), e_predictors=(e,),
+                        delta=0.0)
+    what_test = odds_weight(fits.propensity(0, sample.x[test_idx]), gamma_train)
 
     src_test = a_test == 1
     w_src_max = float(what_test[src_test].max())
@@ -122,10 +115,9 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
     pi_hat = float(what_test[src_test].mean())
 
     return RsRun(
-        train_idx=train_idx, test_idx=test_idx, taus=tuple(grid),
-        g_predictor=g_pred, e_predictors=e_preds, gamma_train=gamma_train,
-        bhat=bhat, zeta=zeta, what_test=what_test, accepted=accepted,
-        pi_hat=pi_hat,
+        train_idx=train_idx, test_idx=test_idx, fits=fits,
+        gamma_train=gamma_train, bhat=bhat, zeta=zeta, what_test=what_test,
+        accepted=accepted, pi_hat=pi_hat,
     )
 
 
@@ -137,7 +129,7 @@ def rs_estimate(run: RsRun, sample: ObservedSample, grid: ThresholdGrid,
     from the source-fraction estimate and a test-half piece combining the
     thinning indicator, the weight recentering, and the correction term.
     """
-    if tuple(grid) != run.taus:
+    if tuple(grid) != run.fits.taus:
         raise ConfigurationError("grid does not match the prepared run")
     if run.n_accepted == 0:
         raise EmptyAcceptanceError("rejection sampling accepted no units")
@@ -158,7 +150,7 @@ def rs_estimate(run: RsRun, sample: ObservedSample, grid: ThresholdGrid,
 
     # One row per threshold.
     taus = np.array(list(grid), dtype=float)
-    E = np.clip(np.array([pred.predict(X_test) for pred in run.e_predictors]), 0.0, 1.0)
+    E = run.fits.cond_error_grid(0, X_test)
     d_tilde = E * (-(a_test / gamma) * (w / run.pi_hat)
                    + (1.0 - a_test) / (1.0 - gamma))
     z_acc = (scores_acc < taus[:, None]).astype(float)

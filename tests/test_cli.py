@@ -564,6 +564,13 @@ class TestCmdFit:
         assert code == 1
         assert "BoundViolationError" in capsys.readouterr().err
 
+    def test_non_finite_bound_rejected(self, tmp_path, sample_csv, capsys):
+        # max(1.0, nan) is 1.0, so a NaN multiplier would pass as bound 1
+        code = main(["fit", "--input", sample_csv, "--method", "rs",
+                     "--output", str(tmp_path / "o.csv"), "--bhat-mult", "nan"])
+        assert code == 1
+        assert "ConfigurationError" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def test_rows_and_determinism(self, tmp_path):
@@ -604,6 +611,10 @@ class TestCmdSimulate:
         "fit-rs": {
             "": "5dc7c4c53aa7eb9a856af33e969b21b271bcc35da65262b3f1d287b47c3e51e3",
             ".meta.json": "c0767540275a3d1398310754b339e1dc139528b6be09c7f42bfcbf054de7bad3",
+        },
+        "fit-rs-fine-grid": {
+            "": "9e16b7b07931495be17a1203e58d6b3c5ce6dc2dfd38ce60875350c983bc4981",
+            ".meta.json": "f5bc8657cbdcc0640c6231b0ff4a83271c266df17d65c671478c599483521e57",
         },
         "fit-plugin": {
             "": "3b804fca0e41f35a0fa6b2c48043294c5070856a3a19f37ee2ef902c96339558",
@@ -664,6 +675,8 @@ class TestCmdSimulate:
         for method in ("onestep", "tmle", "rs", "plugin", "wplugin", "icp"):
             runs[f"fit-{method}"] = ["fit", "--input", data, "--method", method,
                                      "--seed", "7"]
+        runs["fit-rs-fine-grid"] = ["fit", "--input", data, "--method", "rs",
+                                    "--grid", "0:0.3:0.005", "--seed", "7"]
         runs["simulate-lowdim-noshift-logistic"] = [
             "simulate", "--dgp", "lowdim-noshift", "--n", "400", "--reps", "2",
             "--method", every, "--seed", "7"]
@@ -752,3 +765,14 @@ class TestConfigFile:
                      "--output", str(tmp_path / "o.csv"), "--config", cfg])
         assert code == 1
         assert "unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["seed=abc", "folds=2.5", "alpha-error=x"])
+    def test_badly_typed_value_rejected(self, tmp_path, sample_csv, capsys, line):
+        cfg = write(tmp_path / "run.cfg", "# comment\n\n" + line + "\n")
+        code = main(["fit", "--input", sample_csv, "--method", "onestep",
+                     "--output", str(tmp_path / "o.csv"), "--config", cfg])
+        assert code == 1
+        key, value = line.split("=")
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err
+        assert f"{cfg}:3: {key} = {value!r}" in err

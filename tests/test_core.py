@@ -188,6 +188,12 @@ class TestThresholdGrid:
             tracemalloc.stop()
         assert peak < 100_000  # a list of limit + 1 thresholds takes megabytes
 
+    @pytest.mark.parametrize("args", [(0.0, 1e-13, 1e-14), (0.1, 0.1 + 5e-13, 1e-13)])
+    def test_step_below_rounding_rejected(self, args):
+        # thresholds are rounded to 12 decimals, so these steps repeat values
+        with pytest.raises(ConfigurationError, match=f"step {args[2]:g}"):
+            ThresholdGrid.from_range(*args)
+
     def test_from_range_hits_endpoints(self):
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         assert list(grid) == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]

@@ -200,6 +200,16 @@ class TestCondErrorGrid:
         assert fits.cond_error_grid(0, np.zeros((4, 3))).shape == (7, 4)
         assert len(calls) == 1
 
+    def test_tau_index_finds_equal_keys(self):
+        fits = NuisanceFits(taus=(0.0, 0.05, 0.1), g_predictors=(ConstantPredictor(0.5),),
+                            e_predictors=((ConstantPredictor(0.0),) * 3,), delta=0.0)
+        assert fits.tau_index(np.float64(0.05)) == 1
+        assert fits.tau_index(-0.0) == 0
+        assert fits.tau_index(0.1) == 2
+        for missing in (0.075, np.float64(0.2)):
+            with pytest.raises(ConfigurationError):
+                fits.tau_index(missing)
+
     def test_threshold_outside_the_grid_rejected(self, fitted):
         sample, _, _, fits = fitted
         oracle = oracle_nuisances(DgpSpec("lowdim"), ThresholdGrid((0.1,)))

@@ -415,7 +415,7 @@ class TestNuisanceGridsMatchReference:
         for ti, tau in enumerate(self.grid):
             want = reference_fit(self.spec, sample.x[src],
                                  miscoverage_vector(sample.score[src], tau))
-            assert_same_predictor(run.e_predictors[ti], want,
+            assert_same_predictor(run.fits.e_predictors[0][ti], want,
                                   sample.x[run.test_idx])
 
 
@@ -521,7 +521,7 @@ fits = fit_nuisances(sample, make_folds(n, 2, root.child("folds")), grid, spec,
                      spec, 0.01, root.child("nuis"))
 run = rs_prepare(sample, RsConfig(), grid, spec, spec, root.child("rs"))
 preds = [*fits.g_predictors, *(e for row in fits.e_predictors for e in row),
-         run.g_predictor, *run.e_predictors]
+         *run.fits.g_predictors, *run.fits.e_predictors[0]]
 for p in preds:
     coef = [p.value] if hasattr(p, "value") else [p.intercept, *p.coef]
     print(np.array(coef).tobytes().hex())

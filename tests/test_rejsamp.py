@@ -7,6 +7,7 @@ from shiftset import (
     ConfigurationError,
     DgpSpec,
     EmptyAcceptanceError,
+    NuisanceFits,
     RiskTargets,
     RngStream,
     RsConfig,
@@ -17,7 +18,7 @@ from shiftset import (
     rs_estimate,
     rs_prepare,
 )
-from shiftset import rejsamp
+from shiftset import crossfit
 from shiftset.learners import ConstantPredictor
 from tests.conftest import make_sample
 
@@ -28,24 +29,26 @@ LOGIT = BinaryLearnerSpec()
 
 @pytest.fixture
 def mean_only_fits(monkeypatch):
-    """Every rejection-sampling fit predicts its training labels' mean."""
+    """Every nuisance fit predicts its training labels' mean."""
     def fit_grid(spec, X, Z):
         return tuple(ConstantPredictor(float(np.mean(z)), p=X.shape[1])
                      for z in np.atleast_2d(Z))
 
-    monkeypatch.setattr(rejsamp, "fit_binary",
+    monkeypatch.setattr(crossfit, "fit_binary",
                         lambda spec, X, z, rng=None: fit_grid(spec, X, z)[0])
-    monkeypatch.setattr(rejsamp, "fit_binary_grid", fit_grid)
+    monkeypatch.setattr(crossfit, "fit_binary_grid", fit_grid)
 
 
 class TestRsConfig:
     def test_domains(self):
         with pytest.raises(ConfigurationError):
             RsConfig(xi=0.0)
-        with pytest.raises(ConfigurationError):
-            RsConfig(bhat_mult=0.5)
-        with pytest.raises(ConfigurationError):
-            RsConfig(bhat_fixed=0.5)
+        for bad in (0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError):
+                RsConfig(bhat_mult=bad)
+            with pytest.raises(ConfigurationError):
+                RsConfig(bhat_fixed=bad)
+        RsConfig(bhat_mult=1.0, bhat_fixed=1.0)
 
 
 class TestRsPrepare:
@@ -107,6 +110,10 @@ class TestRsPrepare:
         np.testing.assert_array_equal(r1.zeta, r2.zeta)
 
 
+def one_fold_fits(taus, g, e_row):
+    return NuisanceFits(taus=taus, g_predictors=(g,), e_predictors=(e_row,), delta=0.0)
+
+
 def hand_run():
     """Hand-built run: 3 test source units with weights (2, 0.5, 1.5)."""
     sample = make_sample(a=[1, 0, 0, 1, 1, 1],
@@ -115,9 +122,7 @@ def hand_run():
     return sample, RsRun(
         train_idx=np.array([0, 1, 2]),
         test_idx=np.array([3, 4, 5]),
-        taus=(0.5,),
-        g_predictor=ConstantPredictor(0.5),
-        e_predictors=(ConstantPredictor(0.0),),
+        fits=one_fold_fits((0.5,), ConstantPredictor(0.5), (ConstantPredictor(0.0),)),
         gamma_train=1 / 3,
         bhat=2.0,
         zeta=np.array([0.1, 0.2, 0.9]),
@@ -197,7 +202,7 @@ def reference_rs_estimate(run, sample, grid):
         (a_train - gamma) ** 2 / (gamma**2 * (1.0 - gamma) ** 2)))
     psi, sigma = [], []
     for ti, tau in enumerate(grid):
-        e_test = np.clip(run.e_predictors[ti].predict(X_test), 0.0, 1.0)
+        e_test = np.clip(run.fits.e_predictors[0][ti].predict(X_test), 0.0, 1.0)
         d_tilde = e_test * (-(a_test / gamma) * (w / run.pi_hat)
                             + (1.0 - a_test) / (1.0 - gamma))
         proportion = float(np.mean(miscoverage_vector(scores_acc, tau)))
@@ -238,8 +243,9 @@ class TestRsEstimateMatchesScalarReference:
                                for i, a_i in enumerate(a[2:])]
         sample = make_sample(a=a, x=[[float(i)] for i in range(42)], score=score)
         run = RsRun(train_idx=np.array([0, 1]), test_idx=np.arange(2, 42),
-                    taus=(0.5,), g_predictor=ConstantPredictor(0.5),
-                    e_predictors=(ConstantPredictor(0.2329),), gamma_train=0.5,
+                    fits=one_fold_fits((0.5,), ConstantPredictor(0.5),
+                                       (ConstantPredictor(0.2329),)),
+                    gamma_train=0.5,
                     bhat=2.0, zeta=np.full(40, 0.1), what_test=np.ones(40),
                     accepted=np.array(a[2:]) == 1, pi_hat=1.0)
         grid = ThresholdGrid((0.5,))

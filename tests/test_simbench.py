@@ -303,17 +303,24 @@ class TestRunStudy:
         assert "table" not in repr(onestep)
 
     def test_fold_methods_share_conditional_error_predictions(self, monkeypatch):
-        # One prediction per (fold, threshold) for all four fold methods
-        # together, not one per method.
-        calls = []
+        # One prediction per (fold, threshold) of the cross-fitted fits for
+        # all four fold methods together, not one per method; rejection
+        # sampling's one-fold fits are read once per threshold.
+        calls = []   # (fits, v, tau); holding each fits object keeps its id
         cond_error = NuisanceFits.cond_error
 
         def counted(fits, v, tau, X):
-            calls.append((v, tau))
+            calls.append((fits, v, tau))
             return cond_error(fits, v, tau, X)
 
         monkeypatch.setattr(NuisanceFits, "cond_error", counted)
         rep = run_study(DgpSpec("lowdim"), [300], ALL_METHODS, 1,
                         self._cfg(oracle_m=2000), RngStream(14))
         assert not any(r.failed for r in rep.rows)
-        assert sorted(calls) == [(v, tau) for v in range(2) for tau in GRID]
+        by_fits = {}
+        for fits, v, tau in calls:
+            by_fits.setdefault(id(fits), (fits, []))[1].append((v, tau))
+        assert sorted(len(fits.g_predictors) for fits, _ in by_fits.values()) == [1, 2]
+        for fits, pairs in by_fits.values():
+            V = len(fits.g_predictors)
+            assert sorted(pairs) == [(v, tau) for v in range(V) for tau in GRID]
