@@ -66,7 +66,7 @@ from .simbench import (
     run_study,
     wilson_interval,
 )
-from .tmle import TargetedFoldFit, TargetedPredictor, target_fold, tmle_estimate
+from .tmle import tmle_estimate
 
 __version__ = "0.1.0"
 

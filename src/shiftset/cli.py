@@ -319,20 +319,24 @@ def _apply_config_file(subparser, sub_argv, args):
         return args
     actions = {a.dest: a for a in subparser._actions}
     overrides = {}
-    with open(args.config) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigurationError(
-                    f"{args.config}:{line_no}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            dest = key.replace("-", "_")
-            if dest not in actions:
-                raise ConfigurationError(
-                    f"{args.config}:{line_no}: unknown key {key!r}")
-            overrides[dest] = (line_no, key, value)
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigurationError(
+                f"{args.config}:{line_no}: expected key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        dest = key.replace("-", "_")
+        if dest not in actions:
+            raise ConfigurationError(
+                f"{args.config}:{line_no}: unknown key {key!r}")
+        overrides[dest] = (line_no, key, value)
     explicit = _explicit_dests(subparser, sub_argv)
     for dest, (line_no, key, value) in overrides.items():
         if dest in explicit:
@@ -531,9 +535,9 @@ def cmd_oracle(args) -> int:
     grid = _parse_grid(args.grid)
     spec = DgpSpec(_DGP_ALIASES[args.dgp])
     root = RngStream(args.seed)
-    curve = oracle_psi_curve(spec, list(grid), args.oracle_m, root.child("oracle-psi"))
     tau0 = oracle_tau0(spec, args.alpha_error, args.oracle_m,
                        root.child("oracle-tau0"))
+    curve = oracle_psi_curve(spec, list(grid), args.oracle_m, root.child("oracle-psi"))
     rows = [[_fmt(t), _fmt(v)] for t, v in zip(grid, curve)]
     _write_table_csv(args.output, rows, ["tau", "psi"])
     _write_meta(args.output + ".meta.json", {

@@ -256,10 +256,11 @@ class RiskTargets:
 # Operations
 # ---------------------------------------------------------------------------
 
-def miscoverage_vector(scores: np.ndarray, tau: float) -> np.ndarray:
+def miscoverage_vector(scores: np.ndarray, tau) -> np.ndarray:
     """Miscoverage labels Z_tau: 1 where a score falls strictly below tau,
-    i.e. outside C_tau.  A score equal to tau is covered (kept in the set)."""
-    return (np.asarray(scores) < tau).astype(float)
+    i.e. outside C_tau.  A score equal to tau is covered (kept in the set).
+    A sequence of thresholds gives one row of labels per threshold."""
+    return (np.asarray(scores) < np.asarray(tau, dtype=float)[..., None]).astype(float)
 
 
 def make_folds(n: int, V: int, rng: RngStream) -> FoldPlan:

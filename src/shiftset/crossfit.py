@@ -26,6 +26,7 @@ from .core import (
     RngStream,
     ThresholdGrid,
     UnfittableFoldError,
+    miscoverage_vector,
 )
 from .learners import (
     BinaryLearnerSpec,
@@ -116,7 +117,7 @@ def fit_on(sample: ObservedSample, train: np.ndarray, grid: ThresholdGrid,
     is_src = sample.a[train] == 1
     g = fit_binary(g_spec, sample.x[train], is_src.astype(float), g_rng)
     src = train[is_src]
-    labels = sample.score[src] < np.array(grid.taus)[:, None]
+    labels = miscoverage_vector(sample.score[src], grid.taus)
     return g, fit_binary_grid(e_spec, sample.x[src], labels)
 
 

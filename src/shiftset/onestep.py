@@ -35,6 +35,7 @@ from .core import (
     ObservedSample,
     RiskTargets,
     ThresholdGrid,
+    miscoverage_vector,
 )
 from .crossfit import NuisanceFits, odds_weight
 
@@ -124,7 +125,7 @@ class _FoldContext:
         X = sample.x[idx]
         self.w = odds_weight(fits.propensity(v, X), self.gamma)
         self.Z = np.zeros((len(self.taus), idx.size))
-        self.Z[:, self.src] = sample.score[idx[self.src]] < np.array(self.taus)[:, None]
+        self.Z[:, self.src] = miscoverage_vector(sample.score[idx[self.src]], self.taus)
         self.E = fits.cond_error_grid(v, X, self.taus)
         self.constant = np.array([fits.is_constant_fit(v, tau) for tau in self.taus])
 
@@ -142,7 +143,7 @@ class _FoldEngine:
 
 
 def _run_folds(engine: _FoldEngine, targets: RiskTargets, method: str, fold_fn,
-               project_unit_interval=False, extras=None) -> CoverageTable:
+               extras=None) -> CoverageTable:
     """Apply fold_fn(ctx) -> (psi_v, plugin_v, sigma2_v), each an array over
     the grid, at every fold, and pool the folds with |fold| weights."""
     psi_by_fold, plugin_by_fold, sigma2_by_fold = (
@@ -150,8 +151,6 @@ def _run_folds(engine: _FoldEngine, targets: RiskTargets, method: str, fold_fn,
     weights = engine.fold_sizes / engine.n
     psi = weights @ psi_by_fold
     sigma = np.sqrt(weights @ sigma2_by_fold)
-    if project_unit_interval:
-        psi = np.clip(psi, 0.0, 1.0)
     cub = psi + normal_upper_quantile(targets.alpha_conf) * sigma / np.sqrt(engine.n)
     return CoverageTable(
         method=method, taus=np.array(list(engine.grid), dtype=float), psi=psi,
@@ -205,15 +204,14 @@ def _fold_wplugin(ctx: _FoldContext):
 
 def onestep_estimate(sample: ObservedSample, folds: FoldPlan,
                      grid: ThresholdGrid, fits: NuisanceFits,
-                     targets: RiskTargets,
-                     project_unit_interval: bool = False) -> CoverageTable:
+                     targets: RiskTargets) -> CoverageTable:
     """Cross-fit one-step corrected coverage table over the grid.
 
-    The point estimate may fall outside [0, 1]; pass
-    ``project_unit_interval=True`` to clip it (off by default).
+    The point estimate may fall outside [0, 1]; ``tmle_estimate`` is the
+    range-respecting alternative.
     """
     return _run_folds(_FoldEngine(sample, folds, grid, fits), targets,
-                      "onestep", _fold_onestep, project_unit_interval)
+                      "onestep", _fold_onestep)
 
 
 def plugin_estimate(sample: ObservedSample, folds: FoldPlan,

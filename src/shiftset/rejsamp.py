@@ -24,6 +24,7 @@ from .core import (
     RiskTargets,
     RngStream,
     ThresholdGrid,
+    miscoverage_vector,
 )
 from .crossfit import NuisanceFits, fit_on, odds_weight
 from .learners import BinaryLearnerSpec
@@ -153,7 +154,7 @@ def rs_estimate(run: RsRun, sample: ObservedSample, grid: ThresholdGrid,
     E = run.fits.cond_error_grid(0, X_test)
     d_tilde = E * (-(a_test / gamma) * (w / run.pi_hat)
                    + (1.0 - a_test) / (1.0 - gamma))
-    z_acc = (scores_acc < taus[:, None]).astype(float)
+    z_acc = miscoverage_vector(scores_acc, taus)
     psi = z_acc.mean(axis=1) + d_tilde.mean(axis=1)
 
     z_full = np.zeros((taus.size, n_test))

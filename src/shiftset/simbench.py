@@ -222,6 +222,8 @@ def oracle_tau0(spec: DgpSpec, alpha_error: float, M: int, rng: RngStream) -> fl
     Labels are drawn, not marginalized, matching the Monte-Carlo recipe used
     to calibrate the simulation studies.
     """
+    if not (0.0 <= alpha_error <= 1.0):
+        raise ConfigurationError(f"alpha_error must lie in [0, 1], got {alpha_error}")
     if M < 1:
         raise ConfigurationError("M must be positive")
     gen = rng.generator()

@@ -16,20 +16,11 @@ Constant 0/1 conditional-error fits are kept as-is with no fluctuation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import (
-    FoldPlan,
-    ObservedSample,
-    RiskTargets,
-    ShiftsetError,
-    ThresholdGrid,
-)
-from .crossfit import NuisanceFits, odds_weight
-from .learners import FittedPredictor
+from .core import FoldPlan, ObservedSample, RiskTargets, ThresholdGrid
+from .crossfit import NuisanceFits
 from .onestep import (
     CoverageTable,
     _columns,
@@ -43,51 +34,6 @@ from .onestep import (
 _LOGIT_CLAMP = 1e-6
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-10  # on the mean score
-_MODES = ("constant", "logistic", "least-squares")
-
-
-class TargetingError(ShiftsetError, RuntimeError):
-    """Internal inconsistency while targeting (should not occur)."""
-
-
-class TargetedPredictor(FittedPredictor):
-    """Fluctuated conditional-error predictor for one (fold, threshold)."""
-
-    def __init__(self, fits: NuisanceFits, v: int, tau: float, gamma: float,
-                 beta: float, mode: str):
-        if mode not in _MODES:
-            raise TargetingError(f"unknown targeting mode {mode}")
-        self.fits = fits
-        self.v = v
-        self.tau = tau
-        self.gamma = gamma
-        self.beta = float(beta)
-        self.mode = mode
-        self.p = None
-
-    def predict_raw(self, X: np.ndarray) -> np.ndarray:
-        """Fluctuated values before any clipping (least-squares path may
-        leave [0, 1])."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        e = self.fits.cond_error(self.v, self.tau, X)
-        if self.mode == "constant":
-            return e
-        w = odds_weight(self.fits.propensity(self.v, X), self.gamma)
-        return _fluctuate(e[None], w, np.array([self.beta]), np.array([self.mode]))[0]
-
-    def _predict(self, X):
-        return np.clip(self.predict_raw(X), 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class TargetedFoldFit:
-    """Targeting outcome for one (fold, threshold)."""
-
-    v: int
-    tau: float
-    beta: float
-    fallback: bool
-    predictor: TargetedPredictor
 
 
 def _fluctuate(E: np.ndarray, w: np.ndarray, beta: np.ndarray,
@@ -155,23 +101,15 @@ def _fluctuations(ctx: _FoldContext):
     return beta, mode
 
 
-def target_fold(sample: ObservedSample, folds: FoldPlan, v: int, tau: float,
-                fits: NuisanceFits) -> TargetedFoldFit:
-    """Fluctuate one fold's conditional-error fit at one threshold."""
-    ctx = _FoldContext(sample, folds, (tau,), fits, v)
-    (beta,), (mode,) = _fluctuations(ctx)
-    pred = TargetedPredictor(fits, v, tau, ctx.gamma, beta, str(mode))
-    return TargetedFoldFit(v, tau, float(beta), bool(mode == "least-squares"), pred)
-
-
 def tmle_estimate(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
                   fits: NuisanceFits, targets: RiskTargets) -> CoverageTable:
     """Targeted coverage table over the grid.
 
     ``extras['fallback']`` marks (fold, threshold) pairs where least squares
     replaced the logistic fluctuation; ``extras['beta']`` holds the fitted
-    fluctuation coefficients.  Least-squares values are clipped to [0, 1]
-    only for the reported point estimate (see ``extras['ls_clip']``).
+    fluctuation coefficients, with the same (fold, threshold) shape.
+    Least-squares values are clipped to [0, 1] only for the reported point
+    estimate (see ``extras['ls_clip']``).
     """
     return _tmle_table(_FoldEngine(sample, folds, grid, fits), targets)
 

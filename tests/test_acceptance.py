@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import expit, logit
 from scipy.stats import chi2
 
 import shiftset as ss
@@ -193,20 +194,19 @@ def test_targeting_score_equation():
         fits = ss.fit_nuisances(sample, folds, GRID, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
         table = ss.tmle_estimate(sample, folds, GRID, fits, TARGETS)
-        fallback = table.extras["fallback"]
+        fallback, beta = table.extras["fallback"], table.extras["beta"]
         for v in range(2):
             idx = folds.indices(v)
             src = idx[sample.a[idx] == 1]
             gamma = ss.empirical_gamma(sample, idx)
             w = ss.odds_weight(fits.propensity(v, sample.x[src]), gamma)
             for ti, tau in enumerate(GRID):
-                fit = ss.target_fold(sample, folds, v, tau, fits)
-                if fit.predictor.mode != "logistic":
+                if fallback[v, ti] or fits.is_constant_fit(v, tau):
                     continue
-                assert not fallback[v, ti]
                 z = ss.miscoverage_vector(sample.score[src], tau)
-                resid = abs(float(np.sum(
-                    w * (z - fit.predictor.predict_raw(sample.x[src])))))
+                e = np.clip(fits.cond_error(v, tau, sample.x[src]), 1e-6, 1.0 - 1e-6)
+                targeted = expit(logit(e) + beta[v, ti] * w)
+                resid = abs(float(np.sum(w * (z - targeted))))
                 worst = max(worst, resid / idx.size)
                 psi_ok &= 0.0 <= table.psi_by_fold[v, ti] <= 1.0
                 checked += 1

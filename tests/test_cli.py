@@ -747,6 +747,15 @@ class TestCmdOracle:
         # order-statistic SE at M=1e5 is about 4e-4 here
         assert abs(vals[0] - vals[1]) < 3e-3
 
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
+    def test_alpha_outside_unit_interval_rejected(self, tmp_path, capsys, alpha):
+        out = tmp_path / "oracle.csv"
+        code = main(["oracle", "--dgp", "lowdim", "--oracle-m", "1000",
+                     "--alpha-error", alpha, "--output", str(out)])
+        assert code == 1
+        assert "ConfigurationError" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_file_value_used_and_flag_overrides(self, tmp_path, sample_csv):
@@ -776,3 +785,12 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "ConfigurationError" in err
         assert f"{cfg}:3: {key} = {value!r}" in err
+
+    def test_non_utf8_file_rejected(self, tmp_path, sample_csv, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed=\xff\xfe\n")
+        code = main(["fit", "--input", sample_csv, "--method", "onestep",
+                     "--output", str(tmp_path / "o.csv"), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "ConfigurationError" in err and str(cfg) in err

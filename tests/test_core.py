@@ -1,10 +1,12 @@
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shiftset
 from shiftset import (
     ConfigurationError,
     DataError,
@@ -50,6 +52,15 @@ class TestMiscoverageIndicator:
         scores = np.array([0.1, 0.3, 0.5])
         np.testing.assert_array_equal(miscoverage_vector(scores, 0.3),
                                       [1.0, 0.0, 0.0])
+
+    def test_grid_gives_one_row_per_threshold(self):
+        # the score 0.3 equals the second threshold and is covered there
+        scores = np.array([0.1, 0.3, 0.5])
+        got = miscoverage_vector(scores, (0.2, 0.3, 0.6))
+        assert got.dtype == float
+        np.testing.assert_array_equal(got, [[1.0, 0.0, 0.0],
+                                            [1.0, 0.0, 0.0],
+                                            [1.0, 1.0, 1.0]])
 
     @given(st.lists(st.floats(-10, 10), max_size=20), st.floats(-10, 10))
     def test_vector_matches_reference(self, scores, tau):
@@ -224,3 +235,27 @@ class TestFoldPlan:
             FoldPlan(V=2, assignment=np.array([0, 0, 0]))
         with pytest.raises(ConfigurationError):
             FoldPlan(V=3, assignment=np.array([0, 1, 0, 1]))
+
+
+PUBLIC_NAMES = """
+    ALL_METHODS AggregateRow BinaryLearnerSpec BoundViolationError
+    CalibrationSet ConfigurationError ConstantPredictor CoverageTable
+    DGP_KINDS DataError DegenerateFoldError DgpSpec DomainError
+    EmptyAcceptanceError FittedPredictor FoldPlan IcpThreshold METHODS
+    NuisanceFits ObservedSample OracleEvaluator ReplicationReport
+    ReplicationRow RiskTargets RngStream RsConfig RsRun ShiftsetError
+    StudyConfig ThresholdDecision ThresholdGrid UnfittableFoldError dgp_draw
+    empirical_gamma fit_binary fit_nuisances inductive_cp_threshold
+    make_folds miscoverage_vector normal_upper_quantile odds_weight
+    onestep_estimate oracle_nuisances oracle_psi oracle_psi_curve
+    oracle_tau0 plugin_estimate rs_estimate rs_prepare run_study
+    select_threshold tmle_estimate weighted_cp_set weighted_plugin_estimate
+    weighted_quantile_cutoffs wilson_interval
+""".split()
+
+
+def test_public_surface_is_pinned():
+    # A name joins or leaves the package's exports only with this list.
+    exported = {name for name in shiftset.__all__
+                if not isinstance(getattr(shiftset, name), types.ModuleType)}
+    assert sorted(exported) == sorted(PUBLIC_NAMES)

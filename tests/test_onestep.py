@@ -196,18 +196,6 @@ class TestOnestepEstimate:
             onestep_estimate(sample, folds, grid, fits,
                              RiskTargets(0.05, 0.6))
 
-    def test_unit_interval_projection_flag(self):
-        # Corrected estimates may leave [0, 1]; the optional projection
-        # clips them and rebuilds the bound from the clipped value.
-        sample, folds, fits = four_unit_fixture()
-        grid = ThresholdGrid((0.5,))
-        raw = onestep_estimate(sample, folds, grid, fits, TARGETS)
-        proj = onestep_estimate(sample, folds, grid, fits, TARGETS,
-                                project_unit_interval=True)
-        np.testing.assert_allclose(proj.psi, np.clip(raw.psi, 0.0, 1.0))
-        np.testing.assert_allclose(proj.sigma, raw.sigma)
-        assert np.all(proj.cub >= proj.psi)
-
     def test_noshift_oracle_recovers_level(self):
         # At the true 0.05-quantile threshold the coverage error is 0.05.
         rng = RngStream(2718)

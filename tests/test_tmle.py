@@ -22,26 +22,40 @@ from shiftset import (
     oracle_nuisances,
     oracle_tau0,
     plugin_estimate,
-    target_fold,
     tmle_estimate,
 )
-from shiftset import tmle
 from shiftset.learners import ConstantPredictor
 from shiftset.onestep import _FoldEngine
-from shiftset.tmle import _fluctuations, _fold_tmle, _newton_logistic
+from shiftset.tmle import _fluctuate, _fluctuations, _fold_tmle, _newton_logistic
 from tests.conftest import LEARNED_ENGINES, LookupPredictor, learned_engine, make_sample
 
 TARGETS = RiskTargets(0.05, 0.05)
 
 
-def score_residual(sample, folds, fits, v, tau, predictor):
-    """In-fold weighted score equation value, |sum| / |I_v|."""
+def table_at(sample, folds, fits, tau):
+    """The tmle table at the single threshold ``tau``: (beta, fallback),
+    one value per fold, read from its extras."""
+    table = tmle_estimate(sample, folds, ThresholdGrid((tau,)), fits, TARGETS)
+    return table.extras["beta"][:, 0], table.extras["fallback"][:, 0]
+
+
+def fluctuated(fits, v, tau, gamma, beta, X):
+    """Fold v's conditional-error fit at ``tau`` fluctuated on the logistic
+    scale by ``beta``, before clipping, at the points ``X``."""
+    e = fits.cond_error(v, tau, X)
+    w = odds_weight(fits.propensity(v, X), gamma)
+    return expit(logit(np.clip(e, 1e-6, 1.0 - 1e-6)) + beta * w)
+
+
+def score_residual(sample, folds, fits, v, tau, beta):
+    """In-fold weighted score equation value, |sum| / |I_v|, of the logistic
+    fluctuation by ``beta``."""
     idx = folds.indices(v)
     src = idx[sample.a[idx] == 1]
     gamma = empirical_gamma(sample, idx)
     w = odds_weight(fits.propensity(v, sample.x[src]), gamma)
     z = miscoverage_vector(sample.score[src], tau)
-    resid = np.sum(w * (z - predictor.predict_raw(sample.x[src])))
+    resid = np.sum(w * (z - fluctuated(fits, v, tau, gamma, beta, sample.x[src])))
     return abs(float(resid)) / idx.size
 
 
@@ -65,11 +79,11 @@ class TestTargetFold:
         g_map = ConstantPredictor(g_val)
         fits = NuisanceFits(taus=(0.5,), g_predictors=(g_map,) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        fit = target_fold(sample, folds, 0, 0.5, fits)
-        assert fit.predictor.mode == "logistic"
-        assert fit.beta == pytest.approx(0.0, abs=1e-9)
-        np.testing.assert_allclose(fit.predictor.predict(sample.x[:3]), 0.5,
-                                   atol=1e-9)
+        beta, fallback = table_at(sample, folds, fits, 0.5)
+        assert not fallback[0]  # a constant fit at 0.5 is targeted: logistic
+        assert beta[0] == pytest.approx(0.0, abs=1e-9)
+        np.testing.assert_allclose(
+            fluctuated(fits, 0, 0.5, gamma0, beta[0], sample.x[:3]), 0.5, atol=1e-9)
 
     def test_constant_zero_branch(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 120, rng.child("d"))
@@ -77,10 +91,10 @@ class TestTargetFold:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        fit = target_fold(sample, folds, 0, 0.0, fits)
-        assert fit.predictor.mode == "constant"
-        assert not fit.fallback
-        np.testing.assert_array_equal(fit.predictor.predict(sample.x), 0.0)
+        beta, fallback = table_at(sample, folds, fits, 0.0)
+        assert fits.is_constant_fit(0, 0.0)
+        assert not fallback[0] and beta[0] == 0.0
+        np.testing.assert_array_equal(fits.cond_error(0, 0.0, sample.x), 0.0)
 
     def test_one_sided_labels_push_beta_up(self):
         # Z identically 1 on in-fold source units with a non-constant E:
@@ -93,9 +107,10 @@ class TestTargetFold:
         fits = NuisanceFits(taus=(0.5,),
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        fit = target_fold(sample, folds, 0, 0.5, fits)
-        assert fit.beta > 0
-        assert score_residual(sample, folds, fits, 0, 0.5, fit.predictor) <= 1e-6
+        beta, fallback = table_at(sample, folds, fits, 0.5)
+        assert not fallback[0]
+        assert beta[0] > 0
+        assert score_residual(sample, folds, fits, 0, 0.5, beta[0]) <= 1e-6
 
     def test_extreme_offsets_trigger_least_squares(self):
         # A non-constant fit that emits exact 0/1 values on in-fold source
@@ -108,17 +123,18 @@ class TestTargetFold:
         fits = NuisanceFits(taus=(0.5,),
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        fit = target_fold(sample, folds, 0, 0.5, fits)
-        assert fit.fallback
-        assert fit.predictor.mode == "least-squares"
+        beta, fallback = table_at(sample, folds, fits, 0.5)
+        assert fallback[0]
         # no-intercept least squares of (Z - E) on W, W = (1, 1) here
         z = np.array([0.0, 1.0])
         e = np.array([0.0, 0.5])
         gamma = 2 / 3
         w = np.full(2, odds_weight(0.5, gamma))
         beta_manual = np.sum(w * (z - e)) / np.sum(w * w)
-        assert fit.beta == pytest.approx(beta_manual)
-        raw = fit.predictor.predict_raw(np.array([[1.0]]))[0]
+        assert beta[0] == pytest.approx(beta_manual)
+        # the unit at x = 1.0 leads fold 0
+        ctx = _FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits).contexts[0]
+        raw = _fluctuate(ctx.E, ctx.w, beta[:1], np.array(["least-squares"]))[0, 0]
         assert raw == pytest.approx(0.0 + beta_manual * w[0])
 
 
@@ -131,13 +147,13 @@ class TestTmleEstimate:
             folds = make_folds(300, 2, rng.child("f", rep))
             fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                                  BinaryLearnerSpec(), 0.01, rng.child("n", rep))
+            table = tmle_estimate(sample, folds, grid, fits, TARGETS)
             for v in range(2):
-                for tau in grid:
-                    fit = target_fold(sample, folds, v, tau, fits)
-                    if fit.predictor.mode != "logistic":
+                for ti, tau in enumerate(grid):
+                    if table.extras["fallback"][v, ti] or fits.is_constant_fit(v, tau):
                         continue
                     assert score_residual(sample, folds, fits, v, tau,
-                                          fit.predictor) <= 1e-6
+                                          table.extras["beta"][v, ti]) <= 1e-6
 
     def test_point_estimates_stay_in_unit_interval(self, rng):
         spec = DgpSpec("highdim-sparse")
@@ -327,16 +343,6 @@ class TestVectorizedTargetingMatchesScalarReference:
                                         ctx.Z[3][ctx.src][None])
         assert not converged[0]
 
-    def test_table_and_public_fit_agree_per_threshold(self):
-        sample, folds, grid, fits = mixed_mode_fold()
-        table = tmle_estimate(sample, folds, grid, fits, TARGETS)
-        for v in range(2):
-            for ti, tau in enumerate(grid):
-                fit = target_fold(sample, folds, v, tau, fits)
-                assert fit.beta == table.extras["beta"][v, ti]
-                assert fit.fallback == table.extras["fallback"][v, ti]
-                assert type(fit.fallback) is bool and type(fit.beta) is float
-
     def test_newton_rows_solve_independently(self):
         # Converged, saturating and max_iter rows, stacked: each row's
         # result is that of its own scalar solve.
@@ -365,13 +371,3 @@ class TestVectorizedTargetingMatchesScalarReference:
             beta, converged = _newton_logistic(offset, w, z)
             want = reference_newton_logistic(offset[0], w, z[0])
         assert (beta[0], converged[0]) == want == (0.0, False)
-
-    def test_table_path_builds_no_predictor(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the table path built a per-threshold fit")
-
-        monkeypatch.setattr(tmle.TargetedPredictor, "__init__", refuse)
-        monkeypatch.setattr(tmle, "TargetedFoldFit", refuse)
-        engine = learned_engine(*LEARNED_ENGINES[1])
-        table = tmle._tmle_table(engine, TARGETS)
-        assert table.extras["beta"].shape == (2, len(engine.grid))
