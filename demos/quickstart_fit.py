@@ -24,7 +24,9 @@ fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
                         ss.BinaryLearnerSpec(), delta=0.01,
                         rng=rng.child("nuisance"))
 
-table = ss.onestep_estimate(sample, folds, grid, fits, targets)
+# Every fold's weights, labels and predictions, shared by the fold estimators.
+engine = ss.FoldEngine(sample, folds, grid, fits)
+table = ss.onestep_estimate(engine, targets)
 decision = ss.select_threshold(table, targets)
 
 print(f"\n{'tau':>6} {'psi_hat':>9} {'se':>9} {'cub':>9}")
@@ -42,7 +44,7 @@ else:
           f">= {decision.tau_hat}")
 
 # The targeted variant keeps every estimate inside [0, 1]:
-tmle_table = ss.tmle_estimate(sample, folds, grid, fits, targets)
+tmle_table = ss.tmle_estimate(engine, targets)
 tmle_dec = ss.select_threshold(tmle_table, targets)
 print(f"targeted variant selects: {tmle_dec.tau_hat}"
       f"{' (sentinel)' if tmle_dec.is_sentinel else ''}")

@@ -33,7 +33,7 @@ predicted = run.gamma_train * run.pi_hat / run.bhat
 print(f"acceptance frequency {run.n_accepted / n_test:.4f} vs predicted "
       f"{predicted:.4f}")
 
-table = ss.rs_estimate(run, sample, grid, targets)
+table = ss.rs_estimate(run, sample, targets)
 decision = ss.select_threshold(table, targets)
 print(f"\nrejection-sampling threshold: {decision.tau_hat}"
       f"{' (sentinel)' if decision.is_sentinel else ''}")
@@ -42,7 +42,7 @@ print(f"\nrejection-sampling threshold: {decision.tau_hat}"
 folds = ss.make_folds(sample.n, 2, rng.child("folds"))
 fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
                         ss.BinaryLearnerSpec(), 0.01, rng.child("nuisance"))
-one = ss.onestep_estimate(sample, folds, grid, fits, targets)
+one = ss.onestep_estimate(ss.FoldEngine(sample, folds, grid, fits), targets)
 print("\n tau    rs psi (se)        one-step psi (se)")
 for i, tau in enumerate(grid):
     print(f"{tau:5.2f}  {table.psi[i]:7.4f} ({table.sigma[i] / np.sqrt(sample.n):.4f})"

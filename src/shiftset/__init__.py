@@ -41,6 +41,7 @@ from .learners import (
 )
 from .onestep import (
     CoverageTable,
+    FoldEngine,
     ThresholdDecision,
     normal_upper_quantile,
     onestep_estimate,

@@ -319,7 +319,7 @@ def _apply_config_file(subparser, sub_argv, args):
         return args
     actions = {a.dest: a for a in subparser._actions}
     overrides = {}
-    with open(args.config, encoding="utf-8") as fh:
+    with open(args.config, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:

@@ -86,8 +86,8 @@ def weighted_quantile_cutoffs(cal_scores: np.ndarray, cal_weights: np.ndarray,
         raise ConfigurationError("scores and weights must align and be non-empty")
     if test_weights.size == 0:
         raise ConfigurationError("need at least one test weight")
-    if np.any(cal_weights < 0) or np.any(test_weights < 0):
-        raise DomainError("weights must be nonnegative")
+    if not (np.all(cal_weights >= 0) and np.all(test_weights >= 0)):
+        raise DomainError("weights must be nonnegative, not NaN")
     w_total = float(cal_weights.sum())
     if w_total + test_weights.min() <= 0.0:
         raise DomainError("degenerate weights: total weight is zero")

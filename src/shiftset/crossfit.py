@@ -50,7 +50,7 @@ def odds_weight(g, gamma):
     responsible for keeping g inside (0, 1), normally via truncation.
     """
     g_arr = np.asarray(g, dtype=float)
-    if np.any(g_arr <= 0.0) or np.any(g_arr >= 1.0):
+    if not np.all((g_arr > 0.0) & (g_arr < 1.0)):  # NaN fails both
         raise DomainError("propensity must lie strictly inside (0, 1)")
     if not (0.0 < gamma < 1.0):
         raise DomainError("gamma must lie strictly inside (0, 1)")

@@ -118,7 +118,6 @@ class _FoldContext:
             raise DegenerateFoldError(
                 f"fold {v} has {n_src} source and {n_tgt} target units")
         self.v = v
-        self.fits = fits
         self.taus = tuple(taus)
         self.src = a == 1
         self.gamma = n_src / idx.size
@@ -130,8 +129,10 @@ class _FoldContext:
         self.constant = np.array([fits.is_constant_fit(v, tau) for tau in self.taus])
 
 
-class _FoldEngine:
-    """Every fold's context, built once and shared by all fold methods."""
+class FoldEngine:
+    """Every fold's context, built once from a sample, its fold plan, the
+    threshold grid and the cross-fitted nuisances, and shared by the four
+    cross-fit estimators (one-step, TMLE, plug-in and weighted plug-in)."""
 
     def __init__(self, sample: ObservedSample, folds: FoldPlan,
                  grid: ThresholdGrid, fits: NuisanceFits):
@@ -142,7 +143,13 @@ class _FoldEngine:
                          for v in range(folds.V)]
 
 
-def _run_folds(engine: _FoldEngine, targets: RiskTargets, method: str, fold_fn,
+def _wald_cub(psi: np.ndarray, sigma: np.ndarray, n: int,
+              alpha_conf: float) -> np.ndarray:
+    """One-sided Wald confidence upper bound of each estimate."""
+    return psi + normal_upper_quantile(alpha_conf) * sigma / np.sqrt(n)
+
+
+def _run_folds(engine: FoldEngine, targets: RiskTargets, method: str, fold_fn,
                extras=None) -> CoverageTable:
     """Apply fold_fn(ctx) -> (psi_v, plugin_v, sigma2_v), each an array over
     the grid, at every fold, and pool the folds with |fold| weights."""
@@ -151,10 +158,10 @@ def _run_folds(engine: _FoldEngine, targets: RiskTargets, method: str, fold_fn,
     weights = engine.fold_sizes / engine.n
     psi = weights @ psi_by_fold
     sigma = np.sqrt(weights @ sigma2_by_fold)
-    cub = psi + normal_upper_quantile(targets.alpha_conf) * sigma / np.sqrt(engine.n)
     return CoverageTable(
         method=method, taus=np.array(list(engine.grid), dtype=float), psi=psi,
-        sigma=sigma, cub=cub, n=engine.n, alpha_conf=targets.alpha_conf,
+        sigma=sigma, cub=_wald_cub(psi, sigma, engine.n, targets.alpha_conf),
+        n=engine.n, alpha_conf=targets.alpha_conf,
         fold_sizes=engine.fold_sizes,
         gamma_by_fold=np.array([ctx.gamma for ctx in engine.contexts]),
         psi_by_fold=psi_by_fold, plugin_by_fold=plugin_by_fold,
@@ -202,28 +209,21 @@ def _fold_wplugin(ctx: _FoldContext):
     return psi, psi, _sigma2(ctx, ctx.E, psi)
 
 
-def onestep_estimate(sample: ObservedSample, folds: FoldPlan,
-                     grid: ThresholdGrid, fits: NuisanceFits,
-                     targets: RiskTargets) -> CoverageTable:
-    """Cross-fit one-step corrected coverage table over the grid.
+def onestep_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
+    """Cross-fit one-step corrected coverage table over the engine's grid.
 
     The point estimate may fall outside [0, 1]; ``tmle_estimate`` is the
     range-respecting alternative.
     """
-    return _run_folds(_FoldEngine(sample, folds, grid, fits), targets,
-                      "onestep", _fold_onestep)
+    return _run_folds(engine, targets, "onestep", _fold_onestep)
 
 
-def plugin_estimate(sample: ObservedSample, folds: FoldPlan,
-                    grid: ThresholdGrid, fits: NuisanceFits,
-                    targets: RiskTargets) -> CoverageTable:
+def plugin_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
     """Plug-in baseline: same pipeline without the one-step correction."""
-    return _run_folds(_FoldEngine(sample, folds, grid, fits), targets,
-                      "plugin", _fold_plugin)
+    return _run_folds(engine, targets, "plugin", _fold_plugin)
 
 
-def weighted_plugin_estimate(sample: ObservedSample, folds: FoldPlan,
-                             grid: ThresholdGrid, fits: NuisanceFits,
+def weighted_plugin_estimate(engine: FoldEngine,
                              targets: RiskTargets) -> CoverageTable:
     """Importance-weighted baseline: fold mean of W * z over source units.
 
@@ -231,8 +231,7 @@ def weighted_plugin_estimate(sample: ObservedSample, folds: FoldPlan,
     errors reuse the influence-term machinery with the centering constant
     replaced by this estimate.
     """
-    return _run_folds(_FoldEngine(sample, folds, grid, fits), targets,
-                      "wplugin", _fold_wplugin)
+    return _run_folds(engine, targets, "wplugin", _fold_wplugin)
 
 
 # ---------------------------------------------------------------------------

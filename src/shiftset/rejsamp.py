@@ -28,7 +28,7 @@ from .core import (
 )
 from .crossfit import NuisanceFits, fit_on, odds_weight
 from .learners import BinaryLearnerSpec
-from .onestep import CoverageTable, normal_upper_quantile
+from .onestep import CoverageTable, _wald_cub
 
 
 @dataclass(frozen=True)
@@ -122,16 +122,15 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
     )
 
 
-def rs_estimate(run: RsRun, sample: ObservedSample, grid: ThresholdGrid,
+def rs_estimate(run: RsRun, sample: ObservedSample,
                 targets: RiskTargets) -> CoverageTable:
-    """Corrected accepted-proportion estimates with Wald CUBs.
+    """Corrected accepted-proportion estimates with Wald CUBs, one per
+    threshold of the run's fits.
 
     The variance estimate is evaluated term by term: a training-half piece
     from the source-fraction estimate and a test-half piece combining the
     thinning indicator, the weight recentering, and the correction term.
     """
-    if tuple(grid) != run.fits.taus:
-        raise ConfigurationError("grid does not match the prepared run")
     if run.n_accepted == 0:
         raise EmptyAcceptanceError("rejection sampling accepted no units")
 
@@ -150,7 +149,7 @@ def rs_estimate(run: RsRun, sample: ObservedSample, grid: ThresholdGrid,
         (a_train - gamma) ** 2 / (gamma**2 * (1.0 - gamma) ** 2)))
 
     # One row per threshold.
-    taus = np.array(list(grid), dtype=float)
+    taus = np.array(run.fits.taus, dtype=float)
     E = run.fits.cond_error_grid(0, X_test)
     d_tilde = E * (-(a_test / gamma) * (w / run.pi_hat)
                    + (1.0 - a_test) / (1.0 - gamma))
@@ -168,10 +167,9 @@ def rs_estimate(run: RsRun, sample: ObservedSample, grid: ThresholdGrid,
            + (n / n_test) * np.mean(test_terms**2, axis=1))
     sigma = np.sqrt(var)
 
-    z_q = normal_upper_quantile(targets.alpha_conf)
-    cub = psi + z_q * sigma / np.sqrt(n)
     return CoverageTable(
-        method="rs", taus=taus, psi=psi, sigma=sigma, cub=cub, n=n,
+        method="rs", taus=taus, psi=psi, sigma=sigma,
+        cub=_wald_cub(psi, sigma, n, targets.alpha_conf), n=n,
         alpha_conf=targets.alpha_conf,
         fold_sizes=np.array([n_train, n_test], dtype=float),
         gamma_by_fold=np.array([gamma, float(np.mean(a_test))]),

@@ -50,15 +50,14 @@ from .crossfit import fit_nuisances, odds_weight
 from .learners import BinaryLearnerSpec
 from .onestep import (
     CoverageTable,
-    _fold_onestep,
-    _fold_plugin,
-    _fold_wplugin,
-    _FoldEngine,
-    _run_folds,
+    FoldEngine,
+    onestep_estimate,
+    plugin_estimate,
     select_threshold,
+    weighted_plugin_estimate,
 )
 from .rejsamp import RsConfig, rs_estimate, rs_prepare
-from .tmle import _tmle_table
+from .tmle import tmle_estimate
 
 DGP_KINDS = ("highdim-sparse", "lowdim", "lowdim-noshift")
 
@@ -392,8 +391,8 @@ class Dataset:
                              cfg.e_spec, cfg.delta, self.nuisance_rng)
 
     @cached_property
-    def engine(self) -> _FoldEngine:
-        return _FoldEngine(self.sample, self.folds, self.cfg.grid, self.fits)
+    def engine(self) -> FoldEngine:
+        return FoldEngine(self.sample, self.folds, self.cfg.grid, self.fits)
 
     def calibration(self):
         """Fold 0, the calibration fold of icp and wcp, and its source units."""
@@ -422,15 +421,13 @@ def _selected(table, targets, info, meta) -> MethodResult:
     return MethodResult(dec.tau_hat, dec.is_sentinel, info, meta, table)
 
 
-def _fold_method(name, fold_fn):
-    def run(data: Dataset) -> MethodResult:
-        table = _run_folds(data.engine, data.cfg.targets, name, fold_fn)
-        return _selected(table, data.cfg.targets, {}, {})
-    return run
+def _run_fold_estimate(data: Dataset, estimate) -> MethodResult:
+    return _selected(estimate(data.engine, data.cfg.targets), data.cfg.targets,
+                     {}, {})
 
 
 def _run_tmle(data: Dataset) -> MethodResult:
-    table = _tmle_table(data.engine, data.cfg.targets)
+    table = tmle_estimate(data.engine, data.cfg.targets)
     fallback = int(table.extras["fallback"].sum())
     return _selected(table, data.cfg.targets, {"fallback_count": fallback},
                      {"tmle_fallback_count": fallback,
@@ -441,7 +438,7 @@ def _run_rs(data: Dataset) -> MethodResult:
     cfg = data.cfg
     run = rs_prepare(data.sample, cfg.rs_config, cfg.grid, cfg.g_spec,
                      cfg.e_spec, data.rs_rng)
-    table = rs_estimate(run, data.sample, cfg.grid, cfg.targets)
+    table = rs_estimate(run, data.sample, cfg.targets)
     return _selected(table, cfg.targets,
                      {"n_accepted": run.n_accepted, "bhat": run.bhat},
                      {"bhat": run.bhat, "pi_hat": run.pi_hat,
@@ -474,13 +471,14 @@ def _run_wcp(data: Dataset) -> MethodResult:
 
 # Every method, by name, in the paper's order.  Weighted conformal scores
 # its per-covariate cutoffs on the oracle's target draws, so it runs only in
-# simulation studies.
+# simulation studies.  Entries read their estimator from the module globals
+# when called, so perfbench's tracer, which rebinds `simbench.<name>`, sees it.
 METHODS: dict[str, Callable[[Dataset], MethodResult]] = {
-    "onestep": _fold_method("onestep", _fold_onestep),
+    "onestep": lambda data: _run_fold_estimate(data, onestep_estimate),
     "tmle": _run_tmle,
     "rs": _run_rs,
-    "plugin": _fold_method("plugin", _fold_plugin),
-    "wplugin": _fold_method("wplugin", _fold_wplugin),
+    "plugin": lambda data: _run_fold_estimate(data, plugin_estimate),
+    "wplugin": lambda data: _run_fold_estimate(data, weighted_plugin_estimate),
     "icp": _run_icp,
     "wcp": _run_wcp,
 }
@@ -489,9 +487,11 @@ ALL_METHODS = tuple(METHODS)
 
 def _ensure_methods(methods) -> tuple[str, ...]:
     methods = tuple(methods)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ConfigurationError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ConfigurationError(f"method {m!r} given twice")
     if not methods:
         raise ConfigurationError("need at least one method")
     return methods
@@ -508,6 +508,9 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     """
     methods = _ensure_methods(methods)
     ns = [int(n) for n in (ns if np.iterable(ns) else [ns])]
+    for i, n in enumerate(ns):
+        if n in ns[:i]:
+            raise ConfigurationError(f"sample size {n} given twice")
     if replications < 1:
         raise ConfigurationError("need at least one replication")
 

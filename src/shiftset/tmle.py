@@ -19,13 +19,12 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import FoldPlan, ObservedSample, RiskTargets, ThresholdGrid
-from .crossfit import NuisanceFits
+from .core import RiskTargets
 from .onestep import (
     CoverageTable,
+    FoldEngine,
     _columns,
     _FoldContext,
-    _FoldEngine,
     _run_folds,
     _sigma2,
     _target_mean,
@@ -101,19 +100,6 @@ def _fluctuations(ctx: _FoldContext):
     return beta, mode
 
 
-def tmle_estimate(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
-                  fits: NuisanceFits, targets: RiskTargets) -> CoverageTable:
-    """Targeted coverage table over the grid.
-
-    ``extras['fallback']`` marks (fold, threshold) pairs where least squares
-    replaced the logistic fluctuation; ``extras['beta']`` holds the fitted
-    fluctuation coefficients, with the same (fold, threshold) shape.
-    Least-squares values are clipped to [0, 1] only for the reported point
-    estimate (see ``extras['ls_clip']``).
-    """
-    return _tmle_table(_FoldEngine(sample, folds, grid, fits), targets)
-
-
 def _fold_tmle(ctx: _FoldContext, beta: np.ndarray, mode: np.ndarray):
     """(psi_v, plugin_v, sigma2_v) over the fold's grid, given the fold's
     fluctuations."""
@@ -122,7 +108,15 @@ def _fold_tmle(ctx: _FoldContext, beta: np.ndarray, mode: np.ndarray):
     return psi, _target_mean(ctx, ctx.E), _sigma2(ctx, raw, psi)
 
 
-def _tmle_table(engine: _FoldEngine, targets: RiskTargets) -> CoverageTable:
+def tmle_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
+    """Targeted coverage table over the engine's grid.
+
+    ``extras['fallback']`` marks (fold, threshold) pairs where least squares
+    replaced the logistic fluctuation; ``extras['beta']`` holds the fitted
+    fluctuation coefficients, with the same (fold, threshold) shape.
+    Least-squares values are clipped to [0, 1] only for the reported point
+    estimate (see ``extras['ls_clip']``).
+    """
     betas, modes = map(np.array, zip(*map(_fluctuations, engine.contexts)))
     extras = {
         "fallback": modes == "least-squares",

@@ -7,6 +7,7 @@ from shiftset import (
     BinaryLearnerSpec,
     DegenerateFoldError,
     DgpSpec,
+    FoldEngine,
     ObservedSample,
     RngStream,
     ThresholdGrid,
@@ -15,7 +16,6 @@ from shiftset import (
     fit_nuisances,
     make_folds,
 )
-from shiftset.onestep import _FoldEngine
 
 
 @pytest.fixture
@@ -72,7 +72,7 @@ def learned_engine(kind, learner, n, step):
         folds = make_folds(n, 2, root.child("f"))
         try:
             fits = fit_nuisances(sample, folds, grid, spec, spec, 0.01, root.child("n"))
-            return _FoldEngine(sample, folds, grid, fits)
+            return FoldEngine(sample, folds, grid, fits)
         except (DegenerateFoldError, UnfittableFoldError):
             continue
     raise AssertionError("no seed gives usable folds")

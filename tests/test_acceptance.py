@@ -167,7 +167,8 @@ def test_asymptotic_linearity_slope():
         for r in range(200):
             sample = ss.dgp_draw(spec, n, rng.child(f"lin{n}", r))
             folds = ss.make_folds(n, 2, rng.child(f"linf{n}", r))
-            table = ss.onestep_estimate(sample, folds, GRID, fits, TARGETS)
+            table = ss.onestep_estimate(ss.FoldEngine(sample, folds, GRID, fits),
+                                        TARGETS)
             devs.append(abs(table.psi[tau_index] - psi_true
                             - influence_mean(sample)))
         means.append(float(np.mean(devs)))
@@ -193,7 +194,7 @@ def test_targeting_score_equation():
         folds = ss.make_folds(500, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, GRID, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
-        table = ss.tmle_estimate(sample, folds, GRID, fits, TARGETS)
+        table = ss.tmle_estimate(ss.FoldEngine(sample, folds, GRID, fits), TARGETS)
         fallback, beta = table.extras["fallback"], table.extras["beta"]
         for v in range(2):
             idx = folds.indices(v)
@@ -305,12 +306,12 @@ def test_variance_ordering():
         folds = ss.make_folds(2000, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, one_grid, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
-        ps_one.append(ss.onestep_estimate(sample, folds, one_grid, fits,
-                                          TARGETS).psi[0])
+        engine = ss.FoldEngine(sample, folds, one_grid, fits)
+        ps_one.append(ss.onestep_estimate(engine, TARGETS).psi[0])
         run = ss.rs_prepare(sample, ss.RsConfig(), one_grid,
                             ss.BinaryLearnerSpec(), ss.BinaryLearnerSpec(),
                             rng.child("r", r))
-        ps_rs.append(ss.rs_estimate(run, sample, one_grid, TARGETS).psi[0])
+        ps_rs.append(ss.rs_estimate(run, sample, TARGETS).psi[0])
     v_one = float(np.var(ps_one, ddof=1))
     v_rs = float(np.var(ps_rs, ddof=1))
     ok = v_rs > v_one
@@ -334,7 +335,7 @@ def test_extreme_threshold_exactness():
         folds = ss.make_folds(500, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
-        table = ss.onestep_estimate(sample, folds, grid, fits, TARGETS)
+        table = ss.onestep_estimate(ss.FoldEngine(sample, folds, grid, fits), TARGETS)
         assert table.psi[0] == 0.0
         assert table.sigma[0] == 0.0
         covered += table.cub[0] >= 0.0  # true error at tau=0 is exactly 0

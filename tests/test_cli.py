@@ -786,6 +786,15 @@ class TestConfigFile:
         assert "ConfigurationError" in err
         assert f"{cfg}:3: {key} = {value!r}" in err
 
+    def test_byte_order_mark_skipped(self, tmp_path, sample_csv):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes("\ufeffseed=3\n".encode("utf-8"))
+        out = str(tmp_path / "o.csv")
+        code = main(["fit", "--input", sample_csv, "--method", "onestep",
+                     "--output", out, "--config", str(cfg)])
+        assert code == 0
+        assert json.load(open(out + ".meta.json"))["seed"] == 3
+
     def test_non_utf8_file_rejected(self, tmp_path, sample_csv, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed=\xff\xfe\n")

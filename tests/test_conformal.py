@@ -205,6 +205,15 @@ class TestWeightedQuantile:
             weighted_quantile_cutoffs(np.array(scores), np.array(weights),
                                       np.array(tws), 0.1)
 
+    @pytest.mark.parametrize("weights, tws", [
+        ([1.0, np.nan, 1.0], [1.0]),     # NaN calibration weight
+        ([1.0, 1.0, 1.0], [1.0, np.nan]),  # NaN test weight
+    ])
+    def test_nan_weight_rejected(self, weights, tws):
+        with pytest.raises(DomainError):
+            weighted_quantile_cutoffs(np.array([0.1, 0.2, 0.3]), np.array(weights),
+                                      np.array(tws), 0.1)
+
     def test_tied_scores_pool_weight(self):
         cutoff = weighted_quantile_cutoff(np.array([0.2, 0.2, 0.4]),
                                           np.array([0.1, 0.2, 0.7]),

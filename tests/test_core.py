@@ -241,8 +241,8 @@ PUBLIC_NAMES = """
     ALL_METHODS AggregateRow BinaryLearnerSpec BoundViolationError
     CalibrationSet ConfigurationError ConstantPredictor CoverageTable
     DGP_KINDS DataError DegenerateFoldError DgpSpec DomainError
-    EmptyAcceptanceError FittedPredictor FoldPlan IcpThreshold METHODS
-    NuisanceFits ObservedSample OracleEvaluator ReplicationReport
+    EmptyAcceptanceError FittedPredictor FoldEngine FoldPlan IcpThreshold
+    METHODS NuisanceFits ObservedSample OracleEvaluator ReplicationReport
     ReplicationRow RiskTargets RngStream RsConfig RsRun ShiftsetError
     StudyConfig ThresholdDecision ThresholdGrid UnfittableFoldError dgp_draw
     empirical_gamma fit_binary fit_nuisances inductive_cp_threshold

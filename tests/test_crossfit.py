@@ -32,7 +32,8 @@ class TestOddsWeight:
         assert odds_weight(0.2, 0.5) == pytest.approx(4.0)
 
     def test_domain_errors(self):
-        for g, gamma in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)]:
+        for g, gamma in [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0),
+                         (np.array([np.nan, 0.5]), 0.5), (0.5, np.nan)]:
             with pytest.raises(DomainError):
                 odds_weight(g, gamma)
 

@@ -10,6 +10,7 @@ from shiftset import (
     DegenerateFoldError,
     DgpSpec,
     DomainError,
+    FoldEngine,
     FoldPlan,
     NuisanceFits,
     RiskTargets,
@@ -32,7 +33,6 @@ from shiftset.onestep import (
     _fold_onestep,
     _fold_plugin,
     _fold_wplugin,
-    _FoldEngine,
     _run_folds,
 )
 from tests.conftest import LEARNED_ENGINES, LookupPredictor, learned_engine, make_sample
@@ -78,7 +78,8 @@ def gradient_eval(a, x, score, tau, e_hat, g_hat, gamma_hat, psi_plugin):
 def onestep_fold(sample, folds, v, tau, fits):
     """One fold's corrected estimate, plug-in estimate and gamma, read off
     the library's table."""
-    table = onestep_estimate(sample, folds, ThresholdGrid((tau,)), fits, TARGETS)
+    table = onestep_estimate(FoldEngine(sample, folds, ThresholdGrid((tau,)), fits),
+                             TARGETS)
     return table.psi_by_fold[v, 0], table.plugin_by_fold[v, 0], table.gamma_by_fold[v]
 
 
@@ -112,7 +113,7 @@ class TestGradientEval:
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.1)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = onestep_estimate(sample, folds, grid, fits, TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         for ti, tau in enumerate(grid):
             pooled = 0.0
             for v in range(2):
@@ -170,7 +171,7 @@ class TestOnestepEstimate:
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = onestep_estimate(sample, folds, grid, fits, TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         manual = (table.fold_sizes @ table.psi_by_fold) / sample.n
         np.testing.assert_allclose(table.psi, manual, rtol=0, atol=1e-15)
         assert np.all(table.cub >= table.psi)
@@ -181,7 +182,7 @@ class TestOnestepEstimate:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = onestep_estimate(sample, folds, grid, fits, TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         assert table.psi[0] == 0.0
         assert table.sigma[0] == 0.0
         assert table.cub[0] == 0.0
@@ -193,7 +194,7 @@ class TestOnestepEstimate:
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
         with pytest.raises(ConfigurationError):
-            onestep_estimate(sample, folds, grid, fits,
+            onestep_estimate(FoldEngine(sample, folds, grid, fits),
                              RiskTargets(0.05, 0.6))
 
     def test_noshift_oracle_recovers_level(self):
@@ -205,7 +206,7 @@ class TestOnestepEstimate:
         fits = oracle_nuisances(spec, grid)
         sample = dgp_draw(spec, 10_000, rng.child("d"))
         folds = make_folds(10_000, 2, rng.child("f"))
-        table = onestep_estimate(sample, folds, grid, fits, TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         halfwidth = 3 * table.sigma[0] / np.sqrt(10_000)
         assert abs(table.psi[0] - 0.05) <= halfwidth
 
@@ -214,20 +215,22 @@ class TestBaselines:
     def test_plugin_drops_correction(self):
         sample, folds, fits = four_unit_fixture()
         grid = ThresholdGrid((0.5,))
-        table = plugin_estimate(sample, folds, grid, fits, TARGETS)
+        table = plugin_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         assert table.psi_by_fold[0, 0] == pytest.approx(0.3)
 
     def test_plugin_sigma_matches_onestep(self):
         sample, folds, fits = four_unit_fixture()
         grid = ThresholdGrid((0.5,))
-        t_plug = plugin_estimate(sample, folds, grid, fits, TARGETS)
-        t_one = onestep_estimate(sample, folds, grid, fits, TARGETS)
+        engine = FoldEngine(sample, folds, grid, fits)
+        t_plug = plugin_estimate(engine, TARGETS)
+        t_one = onestep_estimate(engine, TARGETS)
         np.testing.assert_allclose(t_plug.sigma, t_one.sigma)
 
     def test_weighted_plugin_hand_example(self):
         sample, folds, fits = four_unit_fixture()
         grid = ThresholdGrid((0.5,))
-        table = weighted_plugin_estimate(sample, folds, grid, fits, TARGETS)
+        table = weighted_plugin_estimate(FoldEngine(sample, folds, grid, fits),
+                                         TARGETS)
         # (2*1 + 0.5*0) / 2 = 1.0; unnormalized weights may exceed 1
         assert table.psi_by_fold[0, 0] == pytest.approx(1.0)
 
@@ -242,8 +245,8 @@ class TestBaselines:
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((ConstantPredictor(0.2),),) * 2,
                             delta=0.0)
-        table = weighted_plugin_estimate(sample, folds, ThresholdGrid((0.5,)),
-                                         fits, TARGETS)
+        engine = FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits)
+        table = weighted_plugin_estimate(engine, TARGETS)
         assert table.psi_by_fold[0, 0] == pytest.approx(1.0)  # Z = 1
         assert table.psi_by_fold[1, 0] == pytest.approx(0.0)  # Z = 0
 
@@ -341,7 +344,7 @@ class TestFoldFunctionalsMatchScalarReference:
                              ids=["onestep", "plugin", "wplugin"])
     def test_hand_example(self, method, reference):
         sample, folds, fits = four_unit_fixture()
-        engine = _FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits)
+        engine = FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits)
         for ctx in engine.contexts:
             assert_same_fold_values(method(ctx), ctx, reference)
 

@@ -141,13 +141,13 @@ class TestRsEstimate:
         # with the trained conditional-error fit identically zero, the
         # correction vanishes and psi is the accepted-sample proportion
         sample, run = hand_run()
-        table = rs_estimate(run, sample, ThresholdGrid((0.5,)), TARGETS)
+        table = rs_estimate(run, sample, TARGETS)
         # accepted scores are 0.1 (Z=1) and 0.8 (Z=0) -> proportion 1/2
         assert table.psi[0] == pytest.approx(0.5)
 
     def test_variance_is_positive_here(self):
         sample, run = hand_run()
-        table = rs_estimate(run, sample, ThresholdGrid((0.5,)), TARGETS)
+        table = rs_estimate(run, sample, TARGETS)
         assert table.sigma[0] > 0
         assert table.cub[0] > table.psi[0]
 
@@ -155,7 +155,7 @@ class TestRsEstimate:
         sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))
         grid = ThresholdGrid((0.0, 0.15))
         run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))
-        table = rs_estimate(run, sample, grid, TARGETS)
+        table = rs_estimate(run, sample, TARGETS)
         assert table.psi[0] == 0.0
         assert table.sigma[0] == 0.0
         assert table.cub[0] == 0.0
@@ -165,13 +165,7 @@ class TestRsEstimate:
         with pytest.raises(EmptyAcceptanceError):
             run = rs_prepare(sample, RsConfig(bhat_fixed=1e12), GRID, LOGIT,
                              LOGIT, rng.child("r"))
-            rs_estimate(run, sample, GRID, TARGETS)
-
-    def test_grid_mismatch_rejected(self, rng):
-        sample = dgp_draw(DgpSpec("lowdim"), 300, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, rng.child("r"))
-        with pytest.raises(ConfigurationError):
-            rs_estimate(run, sample, ThresholdGrid((0.2,)), TARGETS)
+            rs_estimate(run, sample, TARGETS)
 
     def test_noshift_estimated_nuisances_recover_level(self):
         # threshold at the true 0.05-quantile: corrected estimate within
@@ -184,7 +178,7 @@ class TestRsEstimate:
         grid = ThresholdGrid((tau0,))
         sample = dgp_draw(spec, 8000, rng.child("d"))
         run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))
-        table = rs_estimate(run, sample, grid, TARGETS)
+        table = rs_estimate(run, sample, TARGETS)
         assert abs(table.psi[0] - 0.05) <= 3 * table.sigma[0] / np.sqrt(8000)
 
 
@@ -229,7 +223,7 @@ class TestRsEstimateMatchesScalarReference:
         root = RngStream(n)
         sample = dgp_draw(DgpSpec(kind), n, root.child("d"))
         run = rs_prepare(sample, RsConfig(), grid, spec, spec, root.child("r"))
-        table = rs_estimate(run, sample, grid, TARGETS)
+        table = rs_estimate(run, sample, TARGETS)
         psi, sigma = reference_rs_estimate(run, sample, grid)
         assert table.psi.tobytes() == psi.tobytes()
         assert table.sigma.tobytes() == sigma.tobytes()
@@ -249,7 +243,7 @@ class TestRsEstimateMatchesScalarReference:
                     bhat=2.0, zeta=np.full(40, 0.1), what_test=np.ones(40),
                     accepted=np.array(a[2:]) == 1, pi_hat=1.0)
         grid = ThresholdGrid((0.5,))
-        table = rs_estimate(run, sample, grid, TARGETS)
+        table = rs_estimate(run, sample, TARGETS)
         psi = float(table.psi[0])
         assert psi == 0.8329 and psi**2 != psi * psi
         assert table.sigma.tobytes() == reference_rs_estimate(run, sample, grid)[1].tobytes()

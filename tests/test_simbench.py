@@ -3,6 +3,7 @@ import pytest
 
 from shiftset import (
     ALL_METHODS,
+    METHODS,
     BinaryLearnerSpec,
     ConfigurationError,
     DgpSpec,
@@ -14,12 +15,19 @@ from shiftset import (
     ThresholdGrid,
     dgp_draw,
     make_folds,
+    onestep_estimate,
     oracle_psi,
     oracle_psi_curve,
     oracle_tau0,
+    plugin_estimate,
+    rs_estimate,
+    rs_prepare,
     run_study,
+    tmle_estimate,
+    weighted_plugin_estimate,
     wilson_interval,
 )
+from shiftset.simbench import Dataset
 
 TARGETS = RiskTargets(0.05, 0.05)
 GRID = ThresholdGrid.from_range(0.0, 0.3, 0.05)
@@ -324,3 +332,46 @@ class TestRunStudy:
         for fits, pairs in by_fits.values():
             V = len(fits.g_predictors)
             assert sorted(pairs) == [(v, tau) for v in range(V) for tau in GRID]
+
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ConfigurationError, match="'onestep' given twice"):
+            run_study(DgpSpec("lowdim"), [300], ["onestep", "icp", "onestep"], 1,
+                      self._cfg(), RngStream(12))
+
+    def test_repeated_sample_size_rejected(self):
+        with pytest.raises(ConfigurationError, match="sample size 300 given twice"):
+            run_study(DgpSpec("lowdim"), [300, 400, 300], ["icp"], 1,
+                      self._cfg(), RngStream(12))
+
+
+def assert_same_table(got, want):
+    """Every field of two coverage tables, arrays compared byte for byte."""
+    for name, value in vars(want).items():
+        other = getattr(got, name)
+        if name == "extras":
+            assert other.keys() == value.keys()
+            for key in value:
+                assert np.array(other[key]).tobytes() == np.array(value[key]).tobytes()
+        elif isinstance(value, np.ndarray):
+            assert other.dtype == value.dtype and other.tobytes() == value.tobytes()
+        else:
+            assert other == value
+
+
+@pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])
+def test_registry_matches_public_estimators(learner):
+    spec = BinaryLearnerSpec(kind=learner)
+    cfg = StudyConfig(grid=ThresholdGrid.from_range(0.0, 0.3, 0.01),
+                      targets=TARGETS, g_spec=spec, e_spec=spec)
+    root = RngStream(21)
+    data = Dataset(dgp_draw(DgpSpec("lowdim"), 400, root.child("d")), cfg,
+                   root.child("f"), root.child("n"), root.child("rs"))
+    for method, estimate in [("onestep", onestep_estimate),
+                             ("tmle", tmle_estimate),
+                             ("plugin", plugin_estimate),
+                             ("wplugin", weighted_plugin_estimate)]:
+        assert_same_table(METHODS[method](data).table,
+                          estimate(data.engine, TARGETS))
+    run = rs_prepare(data.sample, cfg.rs_config, cfg.grid, spec, spec, data.rs_rng)
+    assert_same_table(METHODS["rs"](data).table,
+                      rs_estimate(run, data.sample, TARGETS))

@@ -7,6 +7,7 @@ from scipy.special import expit, logit
 from shiftset import (
     BinaryLearnerSpec,
     DgpSpec,
+    FoldEngine,
     FoldPlan,
     NuisanceFits,
     RiskTargets,
@@ -25,7 +26,6 @@ from shiftset import (
     tmle_estimate,
 )
 from shiftset.learners import ConstantPredictor
-from shiftset.onestep import _FoldEngine
 from shiftset.tmle import _fluctuate, _fluctuations, _fold_tmle, _newton_logistic
 from tests.conftest import LEARNED_ENGINES, LookupPredictor, learned_engine, make_sample
 
@@ -35,7 +35,8 @@ TARGETS = RiskTargets(0.05, 0.05)
 def table_at(sample, folds, fits, tau):
     """The tmle table at the single threshold ``tau``: (beta, fallback),
     one value per fold, read from its extras."""
-    table = tmle_estimate(sample, folds, ThresholdGrid((tau,)), fits, TARGETS)
+    table = tmle_estimate(FoldEngine(sample, folds, ThresholdGrid((tau,)), fits),
+                          TARGETS)
     return table.extras["beta"][:, 0], table.extras["fallback"][:, 0]
 
 
@@ -133,7 +134,7 @@ class TestTargetFold:
         beta_manual = np.sum(w * (z - e)) / np.sum(w * w)
         assert beta[0] == pytest.approx(beta_manual)
         # the unit at x = 1.0 leads fold 0
-        ctx = _FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits).contexts[0]
+        ctx = FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits).contexts[0]
         raw = _fluctuate(ctx.E, ctx.w, beta[:1], np.array(["least-squares"]))[0, 0]
         assert raw == pytest.approx(0.0 + beta_manual * w[0])
 
@@ -147,7 +148,7 @@ class TestTmleEstimate:
             folds = make_folds(300, 2, rng.child("f", rep))
             fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                                  BinaryLearnerSpec(), 0.01, rng.child("n", rep))
-            table = tmle_estimate(sample, folds, grid, fits, TARGETS)
+            table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
             for v in range(2):
                 for ti, tau in enumerate(grid):
                     if table.extras["fallback"][v, ti] or fits.is_constant_fit(v, tau):
@@ -162,7 +163,7 @@ class TestTmleEstimate:
         folds = make_folds(400, 2, rng.child("f"))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = tmle_estimate(sample, folds, grid, fits, TARGETS)
+        table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         assert np.all(table.psi >= 0.0) and np.all(table.psi <= 1.0)
         assert np.all(table.psi_by_fold >= 0.0)
         assert np.all(table.psi_by_fold <= 1.0)
@@ -173,7 +174,7 @@ class TestTmleEstimate:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = tmle_estimate(sample, folds, grid, fits, TARGETS)
+        table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         assert table.psi[0] == 0.0 and table.sigma[0] == 0.0
 
     def test_identity_targeting_matches_plugin(self):
@@ -187,8 +188,9 @@ class TestTmleEstimate:
                             e_predictors=((ConstantPredictor(0.5),),) * 2,
                             delta=0.0)
         grid = ThresholdGrid((0.5,))
-        t_tmle = tmle_estimate(sample, folds, grid, fits, TARGETS)
-        t_plug = plugin_estimate(sample, folds, grid, fits, TARGETS)
+        engine = FoldEngine(sample, folds, grid, fits)
+        t_tmle = tmle_estimate(engine, TARGETS)
+        t_plug = plugin_estimate(engine, TARGETS)
         np.testing.assert_allclose(t_tmle.extras["beta"], 0.0, atol=1e-9)
         np.testing.assert_allclose(t_tmle.psi, t_plug.psi, atol=1e-9)
 
@@ -200,7 +202,7 @@ class TestTmleEstimate:
         fits = oracle_nuisances(spec, grid)
         sample = dgp_draw(spec, 10_000, rng.child("d"))
         folds = make_folds(10_000, 2, rng.child("f"))
-        table = tmle_estimate(sample, folds, grid, fits, TARGETS)
+        table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
         assert abs(table.psi[0] - 0.05) <= 3 * table.sigma[0] / np.sqrt(10_000)
 
     def test_close_to_onestep_on_real_fits(self, rng):
@@ -211,8 +213,9 @@ class TestTmleEstimate:
         grid = ThresholdGrid((0.15,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        t1 = onestep_estimate(sample, folds, grid, fits, TARGETS)
-        t2 = tmle_estimate(sample, folds, grid, fits, TARGETS)
+        engine = FoldEngine(sample, folds, grid, fits)
+        t1 = onestep_estimate(engine, TARGETS)
+        t2 = tmle_estimate(engine, TARGETS)
         assert abs(t1.psi[0] - t2.psi[0]) < 0.02
 
 
@@ -246,8 +249,8 @@ def reference_newton_logistic(offset, w, z):
 
 def reference_target(ctx, ti):
     """(beta, mode) of the fluctuation at threshold index ``ti``."""
-    v, tau, e_vals = ctx.v, ctx.taus[ti], ctx.E[ti]
-    if ctx.fits.is_constant_fit(v, tau) and float(e_vals[0]) in (0.0, 1.0):
+    e_vals = ctx.E[ti]
+    if ctx.constant[ti] and float(e_vals[0]) in (0.0, 1.0):
         return 0.0, "constant"
     e_src, w_src, z_src = e_vals[ctx.src], ctx.w[ctx.src], ctx.Z[ti][ctx.src]
     use_fallback = bool(np.any((e_src <= 0.0) | (e_src >= 1.0)))
@@ -330,7 +333,7 @@ class TestVectorizedTargetingMatchesScalarReference:
 
     def test_every_mode_in_one_fold(self):
         sample, folds, grid, fits = mixed_mode_fold()
-        ctx = _FoldEngine(sample, folds, grid, fits).contexts[0]
+        ctx = FoldEngine(sample, folds, grid, fits).contexts[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mode = assert_fold_matches_reference(ctx)
