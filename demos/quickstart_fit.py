@@ -25,7 +25,7 @@ fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
                         rng=rng.child("nuisance"))
 
 # Every fold's weights, labels and predictions, shared by the fold estimators.
-engine = ss.FoldEngine(sample, folds, grid, fits)
+engine = ss.FoldEngine(sample, folds, fits)
 table = ss.onestep_estimate(engine, targets)
 decision = ss.select_threshold(table, targets)
 

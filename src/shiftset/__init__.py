@@ -61,7 +61,6 @@ from .simbench import (
     ReplicationRow,
     StudyConfig,
     dgp_draw,
-    oracle_psi,
     oracle_psi_curve,
     oracle_tau0,
     run_study,

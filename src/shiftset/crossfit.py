@@ -61,7 +61,7 @@ def odds_weight(g, gamma):
 @dataclass(frozen=True)
 class NuisanceFits:
     """Cross-fitted predictors: one propensity per fold, one conditional
-    error predictor per (fold, threshold).
+    error predictor per (fold, threshold of ``taus``).
 
     ``delta = 0`` disables truncation; it serves oracle fits and rejection
     sampling, whose one "fold" is the training half.
@@ -73,14 +73,11 @@ class NuisanceFits:
     delta: float
 
     def __post_init__(self):
-        # Equal keys hash alike: -0.0 finds 0.0, an np.float64 its float.
-        object.__setattr__(self, "_tau_index", {t: i for i, t in enumerate(self.taus)})
-
-    def tau_index(self, tau: float) -> int:
-        try:
-            return self._tau_index[tau]
-        except KeyError:
-            raise ConfigurationError(f"threshold {tau} is not in the fitted grid") from None
+        if len(self.e_predictors) != len(self.g_predictors) or any(
+                len(row) != len(self.taus) for row in self.e_predictors):
+            raise ConfigurationError(
+                "nuisance fits need one propensity per fold and one conditional-"
+                "error predictor per threshold in each fold")
 
     def propensity(self, v: int, X: np.ndarray) -> np.ndarray:
         g = self.g_predictors[v].predict(X)
@@ -90,18 +87,17 @@ class NuisanceFits:
             g = np.clip(g, PROPENSITY_GUARD, 1.0 - PROPENSITY_GUARD)
         return g
 
-    def cond_error(self, v: int, tau: float, X: np.ndarray) -> np.ndarray:
-        pred = self.e_predictors[v][self.tau_index(tau)]
-        return np.clip(pred.predict(X), 0.0, 1.0)
+    def cond_error(self, v: int, X: np.ndarray) -> np.ndarray:
+        """Fold v's conditional-error predictions at X, clipped into [0, 1]:
+        one row per fitted threshold."""
+        return np.array([np.clip(pred.predict(X), 0.0, 1.0)
+                         for pred in self.e_predictors[v]])
 
-    def cond_error_grid(self, v: int, X: np.ndarray, taus=None) -> np.ndarray:
-        """:meth:`cond_error` at every threshold of ``taus`` (by default the
-        fitted grid): one row per threshold."""
-        taus = self.taus if taus is None else taus
-        return np.array([self.cond_error(v, tau, X) for tau in taus])
-
-    def is_constant_fit(self, v: int, tau: float) -> bool:
-        return isinstance(self.e_predictors[v][self.tau_index(tau)], ConstantPredictor)
+    def constant_mask(self, v: int) -> np.ndarray:
+        """Per fitted threshold, whether fold v's conditional-error fit is
+        constant."""
+        return np.array([isinstance(pred, ConstantPredictor)
+                         for pred in self.e_predictors[v]])
 
 
 def fit_on(sample: ObservedSample, train: np.ndarray, grid: ThresholdGrid,
@@ -168,15 +164,10 @@ def oracle_nuisances(dgp, grid: ThresholdGrid, V: int = 2) -> NuisanceFits:
     if not isinstance(dgp, DgpSpec):
         raise ConfigurationError("oracle nuisances require a built-in DGP spec")
 
-    g_pred = _FunctionPredictor(dgp.true_propensity, dgp.p)
-    e_by_tau = tuple(
-        _FunctionPredictor(lambda X, t=tau: dgp.true_cond_error(X, t), dgp.p)
-        for tau in grid
-    )
     return _OracleFits(
         taus=tuple(grid),
-        g_predictors=(g_pred,) * V,
-        e_predictors=(e_by_tau,) * V,
+        g_predictors=(_FunctionPredictor(dgp.true_propensity, dgp.p),) * V,
+        e_predictors=((None,) * len(grid),) * V,
         delta=0.0,
         dgp=dgp,
     )
@@ -184,11 +175,12 @@ def oracle_nuisances(dgp, grid: ThresholdGrid, V: int = 2) -> NuisanceFits:
 
 @dataclass(frozen=True)
 class _OracleFits(NuisanceFits):
-    """Oracle nuisances, whose conditional-error grid evaluates the DGP's
-    label probabilities and scores once for all thresholds."""
+    """Oracle nuisances, whose conditional error evaluates the DGP's label
+    probabilities and scores once for all thresholds.  They hold no
+    conditional-error predictors (``None`` in each slot), so no fit counts
+    as constant."""
 
     dgp: object = None
 
-    def cond_error_grid(self, v, X, taus=None):
-        taus = self.taus if taus is None else [self.taus[self.tau_index(t)] for t in taus]
-        return np.clip(self.dgp._true_cond_errors(X, taus), 0.0, 1.0)
+    def cond_error(self, v, X):
+        return np.clip(self.dgp.true_cond_errors(X, self.taus), 0.0, 1.0)

@@ -34,7 +34,6 @@ from .core import (
     FoldPlan,
     ObservedSample,
     RiskTargets,
-    ThresholdGrid,
     miscoverage_vector,
 )
 from .crossfit import NuisanceFits, odds_weight
@@ -103,12 +102,12 @@ class ThresholdDecision:
 
 class _FoldContext:
     """One fold's held-out units and the cross-fitted quantities at them:
-    odds weights ``w`` and, one row per threshold, the miscoverage labels
-    ``Z`` (0 at target units) and conditional-error predictions ``E``;
-    ``constant`` marks the thresholds whose conditional-error fit is
+    odds weights ``w`` and, one row per fitted threshold, the miscoverage
+    labels ``Z`` (0 at target units) and conditional-error predictions
+    ``E``; ``constant`` marks the thresholds whose conditional-error fit is
     constant."""
 
-    def __init__(self, sample: ObservedSample, folds: FoldPlan, taus,
+    def __init__(self, sample: ObservedSample, folds: FoldPlan,
                  fits: NuisanceFits, v: int):
         idx = folds.indices(v)
         a = sample.a[idx]
@@ -118,28 +117,27 @@ class _FoldContext:
             raise DegenerateFoldError(
                 f"fold {v} has {n_src} source and {n_tgt} target units")
         self.v = v
-        self.taus = tuple(taus)
+        self.taus = fits.taus
         self.src = a == 1
         self.gamma = n_src / idx.size
         X = sample.x[idx]
         self.w = odds_weight(fits.propensity(v, X), self.gamma)
         self.Z = np.zeros((len(self.taus), idx.size))
         self.Z[:, self.src] = miscoverage_vector(sample.score[idx[self.src]], self.taus)
-        self.E = fits.cond_error_grid(v, X, self.taus)
-        self.constant = np.array([fits.is_constant_fit(v, tau) for tau in self.taus])
+        self.E = fits.cond_error(v, X)
+        self.constant = fits.constant_mask(v)
 
 
 class FoldEngine:
-    """Every fold's context, built once from a sample, its fold plan, the
-    threshold grid and the cross-fitted nuisances, and shared by the four
+    """Every fold's context, built once from a sample, its fold plan and the
+    cross-fitted nuisances, on the fits' grid, and shared by the four
     cross-fit estimators (one-step, TMLE, plug-in and weighted plug-in)."""
 
-    def __init__(self, sample: ObservedSample, folds: FoldPlan,
-                 grid: ThresholdGrid, fits: NuisanceFits):
-        self.grid = grid
+    def __init__(self, sample: ObservedSample, folds: FoldPlan, fits: NuisanceFits):
+        self.taus = fits.taus
         self.n = sample.n
         self.fold_sizes = folds.sizes().astype(float)
-        self.contexts = [_FoldContext(sample, folds, grid, fits, v)
+        self.contexts = [_FoldContext(sample, folds, fits, v)
                          for v in range(folds.V)]
 
 
@@ -159,7 +157,7 @@ def _run_folds(engine: FoldEngine, targets: RiskTargets, method: str, fold_fn,
     psi = weights @ psi_by_fold
     sigma = np.sqrt(weights @ sigma2_by_fold)
     return CoverageTable(
-        method=method, taus=np.array(list(engine.grid), dtype=float), psi=psi,
+        method=method, taus=np.array(engine.taus, dtype=float), psi=psi,
         sigma=sigma, cub=_wald_cub(psi, sigma, engine.n, targets.alpha_conf),
         n=engine.n, alpha_conf=targets.alpha_conf,
         fold_sizes=engine.fold_sizes,

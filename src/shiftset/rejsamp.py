@@ -150,7 +150,7 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
 
     # One row per threshold.
     taus = np.array(run.fits.taus, dtype=float)
-    E = run.fits.cond_error_grid(0, X_test)
+    E = run.fits.cond_error(0, X_test)
     d_tilde = E * (-(a_test / gamma) * (w / run.pi_hat)
                    + (1.0 - a_test) / (1.0 - gamma))
     z_acc = miscoverage_vector(scores_acc, taus)

@@ -147,11 +147,8 @@ class DgpSpec:
         # Equal population shares, so g = 1 / (1 + w).
         return 1.0 / (1.0 + self.true_likelihood_ratio(X))
 
-    def true_cond_error(self, X: np.ndarray, tau: float) -> np.ndarray:
-        return self._true_cond_errors(X, (tau,))[0]
-
-    def _true_cond_errors(self, X: np.ndarray, taus) -> np.ndarray:
-        """:meth:`true_cond_error` at each threshold, one row each."""
+    def true_cond_errors(self, X: np.ndarray, taus) -> np.ndarray:
+        """True Pr(score < tau | x) at each threshold, one row each."""
         probs, scores = self.label_probs(X), self.score_table(X)
         return np.array([np.sum(probs * (scores < tau), axis=1) for tau in taus])
 
@@ -208,11 +205,6 @@ def oracle_psi_curve(spec: DgpSpec, taus, M: int, rng: RngStream) -> np.ndarray:
             totals[i] += float(np.sum(probs * (scores < tau)))
         done += m
     return totals / M
-
-
-def oracle_psi(spec: DgpSpec, tau: float, M: int, rng: RngStream) -> float:
-    """True coverage error of the threshold-tau set in the target population."""
-    return float(oracle_psi_curve(spec, [tau], M, rng)[0])
 
 
 def oracle_tau0(spec: DgpSpec, alpha_error: float, M: int, rng: RngStream) -> float:
@@ -392,7 +384,7 @@ class Dataset:
 
     @cached_property
     def engine(self) -> FoldEngine:
-        return FoldEngine(self.sample, self.folds, self.cfg.grid, self.fits)
+        return FoldEngine(self.sample, self.folds, self.fits)
 
     def calibration(self):
         """Fold 0, the calibration fold of icp and wcp, and its source units."""

@@ -72,7 +72,7 @@ def learned_engine(kind, learner, n, step):
         folds = make_folds(n, 2, root.child("f"))
         try:
             fits = fit_nuisances(sample, folds, grid, spec, spec, 0.01, root.child("n"))
-            return FoldEngine(sample, folds, grid, fits)
+            return FoldEngine(sample, folds, fits)
         except (DegenerateFoldError, UnfittableFoldError):
             continue
     raise AssertionError("no seed gives usable folds")

@@ -147,12 +147,13 @@ def test_asymptotic_linearity_slope():
     tau = 0.15
     tau_index = list(GRID).index(tau)
     fits = ss.oracle_nuisances(spec, GRID, V=2)
-    psi_true = ss.oracle_psi(spec, tau, 4_000_000, ss.RngStream(5).child("psi-hi"))
+    psi_true = ss.oracle_psi_curve(spec, [tau], 4_000_000,
+                                   ss.RngStream(5).child("psi-hi"))[0]
 
     def influence_mean(sample):
         g0 = spec.true_propensity(sample.x)
         w0 = ss.odds_weight(g0, 0.5)
-        e0 = spec.true_cond_error(sample.x, tau)
+        e0 = spec.true_cond_errors(sample.x, [tau])[0]
         src = sample.is_source
         z = np.zeros(sample.n)
         z[src] = sample.score[src] < tau
@@ -167,7 +168,7 @@ def test_asymptotic_linearity_slope():
         for r in range(200):
             sample = ss.dgp_draw(spec, n, rng.child(f"lin{n}", r))
             folds = ss.make_folds(n, 2, rng.child(f"linf{n}", r))
-            table = ss.onestep_estimate(ss.FoldEngine(sample, folds, GRID, fits),
+            table = ss.onestep_estimate(ss.FoldEngine(sample, folds, fits),
                                         TARGETS)
             devs.append(abs(table.psi[tau_index] - psi_true
                             - influence_mean(sample)))
@@ -194,18 +195,20 @@ def test_targeting_score_equation():
         folds = ss.make_folds(500, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, GRID, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
-        table = ss.tmle_estimate(ss.FoldEngine(sample, folds, GRID, fits), TARGETS)
+        table = ss.tmle_estimate(ss.FoldEngine(sample, folds, fits), TARGETS)
         fallback, beta = table.extras["fallback"], table.extras["beta"]
         for v in range(2):
             idx = folds.indices(v)
             src = idx[sample.a[idx] == 1]
             gamma = ss.empirical_gamma(sample, idx)
             w = ss.odds_weight(fits.propensity(v, sample.x[src]), gamma)
+            constant = fits.constant_mask(v)
+            E = fits.cond_error(v, sample.x[src])
             for ti, tau in enumerate(GRID):
-                if fallback[v, ti] or fits.is_constant_fit(v, tau):
+                if fallback[v, ti] or constant[ti]:
                     continue
                 z = ss.miscoverage_vector(sample.score[src], tau)
-                e = np.clip(fits.cond_error(v, tau, sample.x[src]), 1e-6, 1.0 - 1e-6)
+                e = np.clip(E[ti], 1e-6, 1.0 - 1e-6)
                 targeted = expit(logit(e) + beta[v, ti] * w)
                 resid = abs(float(np.sum(w * (z - targeted))))
                 worst = max(worst, resid / idx.size)
@@ -306,7 +309,7 @@ def test_variance_ordering():
         folds = ss.make_folds(2000, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, one_grid, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
-        engine = ss.FoldEngine(sample, folds, one_grid, fits)
+        engine = ss.FoldEngine(sample, folds, fits)
         ps_one.append(ss.onestep_estimate(engine, TARGETS).psi[0])
         run = ss.rs_prepare(sample, ss.RsConfig(), one_grid,
                             ss.BinaryLearnerSpec(), ss.BinaryLearnerSpec(),
@@ -335,7 +338,7 @@ def test_extreme_threshold_exactness():
         folds = ss.make_folds(500, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
-        table = ss.onestep_estimate(ss.FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = ss.onestep_estimate(ss.FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0
         assert table.sigma[0] == 0.0
         covered += table.cub[0] >= 0.0  # true error at tau=0 is exactly 0

@@ -616,6 +616,14 @@ class TestCmdSimulate:
             "": "9e16b7b07931495be17a1203e58d6b3c5ce6dc2dfd38ce60875350c983bc4981",
             ".meta.json": "f5bc8657cbdcc0640c6231b0ff4a83271c266df17d65c671478c599483521e57",
         },
+        "fit-onestep-fine-grid": {
+            "": "88ff24952fb81bc64073edfd1e03d0a39ad579d0b6881e761757e5f578d894f0",
+            ".meta.json": "07145a59b0c8967ec3c5696a0699501995f999754c244ac93acb2897b95a6769",
+        },
+        "fit-tmle-fine-grid": {
+            "": "9e9018a5b75e9de4f32ea445d0bec5c9348db91a2a90435dc7fb51aeb4c21b1b",
+            ".meta.json": "36f96bfc89b1fc081f34fa797d15be0a3a3e486d9fd9d5622b5dbada2066613e",
+        },
         "fit-plugin": {
             "": "3b804fca0e41f35a0fa6b2c48043294c5070856a3a19f37ee2ef902c96339558",
             ".meta.json": "6059b1ef98c5075dfda0a227e9d484d1c5c2eabc40ad25cd0ffc0fe820045a7c",
@@ -675,8 +683,9 @@ class TestCmdSimulate:
         for method in ("onestep", "tmle", "rs", "plugin", "wplugin", "icp"):
             runs[f"fit-{method}"] = ["fit", "--input", data, "--method", method,
                                      "--seed", "7"]
-        runs["fit-rs-fine-grid"] = ["fit", "--input", data, "--method", "rs",
-                                    "--grid", "0:0.3:0.005", "--seed", "7"]
+        for method in ("onestep", "tmle", "rs"):
+            runs[f"fit-{method}-fine-grid"] = ["fit", "--input", data, "--method", method,
+                                               "--grid", "0:0.3:0.005", "--seed", "7"]
         runs["simulate-lowdim-noshift-logistic"] = [
             "simulate", "--dgp", "lowdim-noshift", "--n", "400", "--reps", "2",
             "--method", every, "--seed", "7"]

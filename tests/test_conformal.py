@@ -205,14 +205,18 @@ class TestWeightedQuantile:
             weighted_quantile_cutoffs(np.array(scores), np.array(weights),
                                       np.array(tws), 0.1)
 
-    @pytest.mark.parametrize("weights, tws", [
-        ([1.0, np.nan, 1.0], [1.0]),     # NaN calibration weight
-        ([1.0, 1.0, 1.0], [1.0, np.nan]),  # NaN test weight
+    @pytest.mark.parametrize("scores, weights, tws", [
+        ([0.1, 0.2, 0.3], [1.0, np.nan, 1.0], [1.0]),      # NaN calibration weight
+        ([0.1, 0.2, 0.3], [1.0, 1.0, 1.0], [1.0, np.nan]),  # NaN test weight
+        ([0.1, 0.2, 0.3], [1.0, np.inf, 1.0], [1.0]),      # infinite calibration weight
+        ([0.1, 0.2, 0.3], [1.0, 1.0, 1.0], [np.inf]),      # infinite test weight
+        ([0.1, np.nan, 0.3], [1.0, 1.0, 1.0], [1.0]),      # NaN calibration score
+        ([0.1, np.inf, 0.3], [1.0, 1.0, 1.0], [1.0]),      # infinite calibration score
     ])
-    def test_nan_weight_rejected(self, weights, tws):
+    def test_non_finite_input_rejected(self, scores, weights, tws):
         with pytest.raises(DomainError):
-            weighted_quantile_cutoffs(np.array([0.1, 0.2, 0.3]), np.array(weights),
-                                      np.array(tws), 0.1)
+            weighted_quantile_cutoffs(np.array(scores), np.array(weights),
+                                      np.array(tws), 0.5)
 
     def test_tied_scores_pool_weight(self):
         cutoff = weighted_quantile_cutoff(np.array([0.2, 0.2, 0.4]),

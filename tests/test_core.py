@@ -247,8 +247,8 @@ PUBLIC_NAMES = """
     StudyConfig ThresholdDecision ThresholdGrid UnfittableFoldError dgp_draw
     empirical_gamma fit_binary fit_nuisances inductive_cp_threshold
     make_folds miscoverage_vector normal_upper_quantile odds_weight
-    onestep_estimate oracle_nuisances oracle_psi oracle_psi_curve
-    oracle_tau0 plugin_estimate rs_estimate rs_prepare run_study
+    onestep_estimate oracle_nuisances oracle_psi_curve oracle_tau0
+    plugin_estimate rs_estimate rs_prepare run_study
     select_threshold tmle_estimate weighted_cp_set weighted_plugin_estimate
     weighted_quantile_cutoffs wilson_interval
 """.split()

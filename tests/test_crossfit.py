@@ -20,7 +20,7 @@ from shiftset import (
     oracle_nuisances,
 )
 from shiftset import simbench
-from tests.conftest import make_sample
+from tests.conftest import LookupPredictor, make_sample
 
 
 class TestOddsWeight:
@@ -64,9 +64,10 @@ class TestFitNuisances:
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
         for v in range(2):
-            assert fits.is_constant_fit(v, 0.0)
-            np.testing.assert_array_equal(fits.cond_error(v, 0.0, sample.x), 0.0)
-            np.testing.assert_array_equal(fits.cond_error(v, 2.0, sample.x), 1.0)
+            np.testing.assert_array_equal(fits.constant_mask(v), [True, True])
+            E = fits.cond_error(v, sample.x)
+            np.testing.assert_array_equal(E[0], 0.0)
+            np.testing.assert_array_equal(E[1], 1.0)
 
     def test_propensity_truncation(self):
         fits = NuisanceFits(taus=(0.1,), g_predictors=(ConstantPredictor(0.001),),
@@ -101,9 +102,8 @@ class TestFitNuisances:
                                           fits.propensity(v, X_eval))
             assert not np.array_equal(refit.propensity(1 - v, X_eval),
                                       fits.propensity(1 - v, X_eval))
-            for tau in grid:
-                np.testing.assert_array_equal(refit.cond_error(v, tau, X_eval),
-                                              fits.cond_error(v, tau, X_eval))
+            np.testing.assert_array_equal(refit.cond_error(v, X_eval),
+                                          fits.cond_error(v, X_eval))
 
     def test_monotone_labels(self, fitted):
         sample, folds, grid, fits = fitted
@@ -162,7 +162,7 @@ class TestOracleNuisances:
         probs = spec.label_probs(X)
         scores = spec.score_table(X)
         manual = np.sum(probs * (scores < 0.15), axis=1)
-        np.testing.assert_allclose(fits.cond_error(0, 0.15, X), manual)
+        np.testing.assert_allclose(fits.cond_error(0, X), [manual])
 
     def test_unsupported_dgp(self):
         with pytest.raises(ConfigurationError):
@@ -170,27 +170,29 @@ class TestOracleNuisances:
 
 
 class TestCondErrorGrid:
-    def stack(self, fits, v, X, taus):
-        return np.array([fits.cond_error(v, tau, X) for tau in taus])
-
-    def test_learned_rows_are_cond_error(self, fitted):
+    def test_learned_rows_are_each_thresholds_fit(self, fitted):
         sample, _, grid, fits = fitted
         for v in range(2):
-            assert (fits.cond_error_grid(v, sample.x).tobytes()
-                    == self.stack(fits, v, sample.x, grid).tobytes())
-            taus = (0.3, 0.05)
-            assert (fits.cond_error_grid(v, sample.x, taus).tobytes()
-                    == self.stack(fits, v, sample.x, taus).tobytes())
+            want = [np.clip(pred.predict(sample.x), 0.0, 1.0)
+                    for pred in fits.e_predictors[v]]
+            assert fits.cond_error(v, sample.x).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("kind", DGP_KINDS)
-    def test_oracle_rows_are_cond_error(self, kind):
+    def test_oracle_rows_are_label_expectations(self, kind):
+        # Each row is Pr(score < tau | x), bit for bit what the oracle on
+        # that threshold alone gives.
         spec = DgpSpec(kind)
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         fits = oracle_nuisances(spec, grid)
         X = spec.draw_x(500, np.zeros(500, dtype=int), np.random.default_rng(3))
-        for taus in (None, (0.15,), (0.3, 0.0)):
-            want = self.stack(fits, 1, X, grid if taus is None else taus)
-            assert fits.cond_error_grid(1, X, taus).tobytes() == want.tobytes()
+        E = fits.cond_error(1, X)
+        probs, scores = spec.label_probs(X), spec.score_table(X)
+        for ti, tau in enumerate(grid):
+            manual = np.sum(probs * (scores < tau), axis=1)
+            assert E[ti].tobytes() == np.clip(manual, 0.0, 1.0).tobytes()
+            alone = oracle_nuisances(spec, ThresholdGrid((tau,))).cond_error(1, X)
+            assert alone.tobytes() == E[ti:ti + 1].tobytes()
+        assert not fits.constant_mask(1).any()
 
     def test_oracle_grid_evaluates_the_dgp_once(self, monkeypatch):
         calls = []
@@ -198,22 +200,28 @@ class TestCondErrorGrid:
         monkeypatch.setattr(simbench.DgpSpec, "label_probs",
                             lambda self, X: calls.append(1) or label_probs(self, X))
         fits = oracle_nuisances(DgpSpec("lowdim"), ThresholdGrid.from_range(0.0, 0.3, 0.05))
-        assert fits.cond_error_grid(0, np.zeros((4, 3))).shape == (7, 4)
+        assert fits.cond_error(0, np.zeros((4, 3))).shape == (7, 4)
         assert len(calls) == 1
 
-    def test_tau_index_finds_equal_keys(self):
+    def test_constant_mask_marks_constant_fits(self):
+        e_row = (ConstantPredictor(0.0), LookupPredictor({}), ConstantPredictor(0.3))
         fits = NuisanceFits(taus=(0.0, 0.05, 0.1), g_predictors=(ConstantPredictor(0.5),),
-                            e_predictors=((ConstantPredictor(0.0),) * 3,), delta=0.0)
-        assert fits.tau_index(np.float64(0.05)) == 1
-        assert fits.tau_index(-0.0) == 0
-        assert fits.tau_index(0.1) == 2
-        for missing in (0.075, np.float64(0.2)):
-            with pytest.raises(ConfigurationError):
-                fits.tau_index(missing)
+                            e_predictors=(e_row,), delta=0.0)
+        assert fits.constant_mask(0).tolist() == [True, False, True]
 
-    def test_threshold_outside_the_grid_rejected(self, fitted):
-        sample, _, _, fits = fitted
-        oracle = oracle_nuisances(DgpSpec("lowdim"), ThresholdGrid((0.1,)))
-        for f in (fits, oracle):
-            with pytest.raises(ConfigurationError):
-                f.cond_error_grid(0, sample.x, (0.1, 0.123))
+
+class TestNuisanceFitsShapes:
+    G = ConstantPredictor(0.5)
+    E = ConstantPredictor(0.2)
+
+    @pytest.mark.parametrize("g_predictors, e_predictors", [
+        ((G, G), ((E, E),)),         # a propensity without its fold's E row
+        ((G,), ((E, E), (E, E))),    # an E row without its fold's propensity
+        ((G, G), ((E, E), (E,))),    # a short E row
+        ((G, G), ((E, E), (E,) * 3)),  # a long E row
+        ((G,), ((),)),               # an empty E row
+    ])
+    def test_mismatched_construction_rejected(self, g_predictors, e_predictors):
+        with pytest.raises(ConfigurationError, match="one propensity per fold"):
+            NuisanceFits(taus=(0.1, 0.2), g_predictors=g_predictors,
+                         e_predictors=e_predictors, delta=0.0)

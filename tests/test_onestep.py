@@ -75,11 +75,10 @@ def gradient_eval(a, x, score, tau, e_hat, g_hat, gamma_hat, psi_plugin):
     return (w / gamma_hat) * (float(score < tau) - e_val)
 
 
-def onestep_fold(sample, folds, v, tau, fits):
-    """One fold's corrected estimate, plug-in estimate and gamma, read off
-    the library's table."""
-    table = onestep_estimate(FoldEngine(sample, folds, ThresholdGrid((tau,)), fits),
-                             TARGETS)
+def onestep_fold(sample, folds, v, fits):
+    """One fold's corrected estimate, plug-in estimate and gamma at the
+    fits' single threshold, read off the library's table."""
+    table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
     return table.psi_by_fold[v, 0], table.plugin_by_fold[v, 0], table.gamma_by_fold[v]
 
 
@@ -113,7 +112,7 @@ class TestGradientEval:
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.1)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         for ti, tau in enumerate(grid):
             pooled = 0.0
             for v in range(2):
@@ -137,7 +136,7 @@ class TestGradientEval:
 class TestOnestepFold:
     def test_hand_example(self):
         sample, folds, fits = four_unit_fixture()
-        psi, plugin, gamma = onestep_fold(sample, folds, 0, 0.5, fits)
+        psi, plugin, gamma = onestep_fold(sample, folds, 0, fits)
         assert gamma == 0.5
         assert plugin == pytest.approx(0.3)
         assert psi == pytest.approx(0.675)
@@ -149,7 +148,7 @@ class TestOnestepFold:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        psi, plugin, _ = onestep_fold(sample, folds, 0, 0.0, fits)
+        psi, plugin, _ = onestep_fold(sample, folds, 0, fits)
         assert psi == 0.0 and plugin == 0.0
 
     def test_degenerate_fold(self):
@@ -161,7 +160,7 @@ class TestOnestepFold:
                             e_predictors=((ConstantPredictor(0.2),),) * 2,
                             delta=0.0)
         with pytest.raises(DegenerateFoldError):
-            onestep_fold(sample, folds, 0, 0.5, fits)  # fold 0 has no targets
+            onestep_fold(sample, folds, 0, fits)  # fold 0 has no targets
 
 
 class TestOnestepEstimate:
@@ -171,7 +170,7 @@ class TestOnestepEstimate:
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         manual = (table.fold_sizes @ table.psi_by_fold) / sample.n
         np.testing.assert_allclose(table.psi, manual, rtol=0, atol=1e-15)
         assert np.all(table.cub >= table.psi)
@@ -182,7 +181,7 @@ class TestOnestepEstimate:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0
         assert table.sigma[0] == 0.0
         assert table.cub[0] == 0.0
@@ -194,7 +193,7 @@ class TestOnestepEstimate:
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
         with pytest.raises(ConfigurationError):
-            onestep_estimate(FoldEngine(sample, folds, grid, fits),
+            onestep_estimate(FoldEngine(sample, folds, fits),
                              RiskTargets(0.05, 0.6))
 
     def test_noshift_oracle_recovers_level(self):
@@ -206,7 +205,7 @@ class TestOnestepEstimate:
         fits = oracle_nuisances(spec, grid)
         sample = dgp_draw(spec, 10_000, rng.child("d"))
         folds = make_folds(10_000, 2, rng.child("f"))
-        table = onestep_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         halfwidth = 3 * table.sigma[0] / np.sqrt(10_000)
         assert abs(table.psi[0] - 0.05) <= halfwidth
 
@@ -214,23 +213,19 @@ class TestOnestepEstimate:
 class TestBaselines:
     def test_plugin_drops_correction(self):
         sample, folds, fits = four_unit_fixture()
-        grid = ThresholdGrid((0.5,))
-        table = plugin_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = plugin_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi_by_fold[0, 0] == pytest.approx(0.3)
 
     def test_plugin_sigma_matches_onestep(self):
         sample, folds, fits = four_unit_fixture()
-        grid = ThresholdGrid((0.5,))
-        engine = FoldEngine(sample, folds, grid, fits)
+        engine = FoldEngine(sample, folds, fits)
         t_plug = plugin_estimate(engine, TARGETS)
         t_one = onestep_estimate(engine, TARGETS)
         np.testing.assert_allclose(t_plug.sigma, t_one.sigma)
 
     def test_weighted_plugin_hand_example(self):
         sample, folds, fits = four_unit_fixture()
-        grid = ThresholdGrid((0.5,))
-        table = weighted_plugin_estimate(FoldEngine(sample, folds, grid, fits),
-                                         TARGETS)
+        table = weighted_plugin_estimate(FoldEngine(sample, folds, fits), TARGETS)
         # (2*1 + 0.5*0) / 2 = 1.0; unnormalized weights may exceed 1
         assert table.psi_by_fold[0, 0] == pytest.approx(1.0)
 
@@ -245,7 +240,7 @@ class TestBaselines:
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((ConstantPredictor(0.2),),) * 2,
                             delta=0.0)
-        engine = FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits)
+        engine = FoldEngine(sample, folds, fits)
         table = weighted_plugin_estimate(engine, TARGETS)
         assert table.psi_by_fold[0, 0] == pytest.approx(1.0)  # Z = 1
         assert table.psi_by_fold[1, 0] == pytest.approx(0.0)  # Z = 0
@@ -344,7 +339,7 @@ class TestFoldFunctionalsMatchScalarReference:
                              ids=["onestep", "plugin", "wplugin"])
     def test_hand_example(self, method, reference):
         sample, folds, fits = four_unit_fixture()
-        engine = FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits)
+        engine = FoldEngine(sample, folds, fits)
         for ctx in engine.contexts:
             assert_same_fold_values(method(ctx), ctx, reference)
 
@@ -358,4 +353,4 @@ class TestFoldFunctionalsMatchScalarReference:
 
         table = _run_folds(engine, TARGETS, "onestep", counted)
         assert seen == [0, 1]
-        assert table.psi_by_fold.shape == (2, len(engine.grid))
+        assert table.psi_by_fold.shape == (2, len(engine.taus))

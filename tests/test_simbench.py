@@ -16,7 +16,6 @@ from shiftset import (
     dgp_draw,
     make_folds,
     onestep_estimate,
-    oracle_psi,
     oracle_psi_curve,
     oracle_tau0,
     plugin_estimate,
@@ -86,8 +85,8 @@ class TestDgpDraw:
 class TestOracles:
     def test_psi_bounds(self, rng):
         spec = DgpSpec("lowdim")
-        assert oracle_psi(spec, -1.0, 2000, rng.child("a")) == 0.0
-        assert oracle_psi(spec, 1.5, 2000, rng.child("b")) == 1.0
+        assert oracle_psi_curve(spec, [-1.0], 2000, rng.child("a"))[0] == 0.0
+        assert oracle_psi_curve(spec, [1.5], 2000, rng.child("b"))[0] == 1.0
 
     def test_curve_monotone(self, rng):
         for kind in ("highdim-sparse", "lowdim", "lowdim-noshift"):
@@ -117,7 +116,7 @@ class TestOracles:
     def test_tau0_consistent_with_curve(self):
         spec = DgpSpec("lowdim")
         tau0 = oracle_tau0(spec, 0.05, 200_000, RngStream(5).child("t"))
-        psi = oracle_psi(spec, tau0, 200_000, RngStream(6).child("p"))
+        psi = oracle_psi_curve(spec, [tau0], 200_000, RngStream(6).child("p"))[0]
         assert psi == pytest.approx(0.05, abs=0.005)
 
     def test_source_optimal_threshold_exceeds_target(self):
@@ -311,27 +310,27 @@ class TestRunStudy:
         assert "table" not in repr(onestep)
 
     def test_fold_methods_share_conditional_error_predictions(self, monkeypatch):
-        # One prediction per (fold, threshold) of the cross-fitted fits for
-        # all four fold methods together, not one per method; rejection
-        # sampling's one-fold fits are read once per threshold.
-        calls = []   # (fits, v, tau); holding each fits object keeps its id
+        # One grid of predictions per fold of the cross-fitted fits for all
+        # four fold methods together, not one per method; rejection
+        # sampling's one-fold fits are read once.
+        calls = []   # (fits, v); holding each fits object keeps its id
         cond_error = NuisanceFits.cond_error
 
-        def counted(fits, v, tau, X):
-            calls.append((fits, v, tau))
-            return cond_error(fits, v, tau, X)
+        def counted(fits, v, X):
+            calls.append((fits, v))
+            return cond_error(fits, v, X)
 
         monkeypatch.setattr(NuisanceFits, "cond_error", counted)
         rep = run_study(DgpSpec("lowdim"), [300], ALL_METHODS, 1,
                         self._cfg(oracle_m=2000), RngStream(14))
         assert not any(r.failed for r in rep.rows)
         by_fits = {}
-        for fits, v, tau in calls:
-            by_fits.setdefault(id(fits), (fits, []))[1].append((v, tau))
+        for fits, v in calls:
+            by_fits.setdefault(id(fits), (fits, []))[1].append(v)
         assert sorted(len(fits.g_predictors) for fits, _ in by_fits.values()) == [1, 2]
-        for fits, pairs in by_fits.values():
-            V = len(fits.g_predictors)
-            assert sorted(pairs) == [(v, tau) for v in range(V) for tau in GRID]
+        for fits, folds in by_fits.values():
+            assert fits.taus == tuple(GRID)
+            assert sorted(folds) == list(range(len(fits.g_predictors)))
 
     def test_repeated_method_rejected(self):
         with pytest.raises(ConfigurationError, match="'onestep' given twice"):

@@ -32,31 +32,31 @@ from tests.conftest import LEARNED_ENGINES, LookupPredictor, learned_engine, mak
 TARGETS = RiskTargets(0.05, 0.05)
 
 
-def table_at(sample, folds, fits, tau):
-    """The tmle table at the single threshold ``tau``: (beta, fallback),
-    one value per fold, read from its extras."""
-    table = tmle_estimate(FoldEngine(sample, folds, ThresholdGrid((tau,)), fits),
-                          TARGETS)
+def table_at(sample, folds, fits):
+    """The tmle table at the fits' single threshold: (beta, fallback), one
+    value per fold, read from its extras."""
+    table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
     return table.extras["beta"][:, 0], table.extras["fallback"][:, 0]
 
 
-def fluctuated(fits, v, tau, gamma, beta, X):
-    """Fold v's conditional-error fit at ``tau`` fluctuated on the logistic
-    scale by ``beta``, before clipping, at the points ``X``."""
-    e = fits.cond_error(v, tau, X)
+def fluctuated(fits, v, ti, gamma, beta, X):
+    """Fold v's conditional-error fit at threshold index ``ti`` fluctuated
+    on the logistic scale by ``beta``, before clipping, at the points
+    ``X``."""
+    e = fits.cond_error(v, X)[ti]
     w = odds_weight(fits.propensity(v, X), gamma)
     return expit(logit(np.clip(e, 1e-6, 1.0 - 1e-6)) + beta * w)
 
 
-def score_residual(sample, folds, fits, v, tau, beta):
+def score_residual(sample, folds, fits, v, ti, beta):
     """In-fold weighted score equation value, |sum| / |I_v|, of the logistic
-    fluctuation by ``beta``."""
+    fluctuation by ``beta`` at threshold index ``ti``."""
     idx = folds.indices(v)
     src = idx[sample.a[idx] == 1]
     gamma = empirical_gamma(sample, idx)
     w = odds_weight(fits.propensity(v, sample.x[src]), gamma)
-    z = miscoverage_vector(sample.score[src], tau)
-    resid = np.sum(w * (z - fluctuated(fits, v, tau, gamma, beta, sample.x[src])))
+    z = miscoverage_vector(sample.score[src], fits.taus[ti])
+    resid = np.sum(w * (z - fluctuated(fits, v, ti, gamma, beta, sample.x[src])))
     return abs(float(resid)) / idx.size
 
 
@@ -80,11 +80,11 @@ class TestTargetFold:
         g_map = ConstantPredictor(g_val)
         fits = NuisanceFits(taus=(0.5,), g_predictors=(g_map,) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        beta, fallback = table_at(sample, folds, fits, 0.5)
+        beta, fallback = table_at(sample, folds, fits)
         assert not fallback[0]  # a constant fit at 0.5 is targeted: logistic
         assert beta[0] == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(
-            fluctuated(fits, 0, 0.5, gamma0, beta[0], sample.x[:3]), 0.5, atol=1e-9)
+            fluctuated(fits, 0, 0, gamma0, beta[0], sample.x[:3]), 0.5, atol=1e-9)
 
     def test_constant_zero_branch(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 120, rng.child("d"))
@@ -92,10 +92,10 @@ class TestTargetFold:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        beta, fallback = table_at(sample, folds, fits, 0.0)
-        assert fits.is_constant_fit(0, 0.0)
+        beta, fallback = table_at(sample, folds, fits)
+        assert fits.constant_mask(0)[0]
         assert not fallback[0] and beta[0] == 0.0
-        np.testing.assert_array_equal(fits.cond_error(0, 0.0, sample.x), 0.0)
+        np.testing.assert_array_equal(fits.cond_error(0, sample.x), 0.0)
 
     def test_one_sided_labels_push_beta_up(self):
         # Z identically 1 on in-fold source units with a non-constant E:
@@ -108,10 +108,10 @@ class TestTargetFold:
         fits = NuisanceFits(taus=(0.5,),
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        beta, fallback = table_at(sample, folds, fits, 0.5)
+        beta, fallback = table_at(sample, folds, fits)
         assert not fallback[0]
         assert beta[0] > 0
-        assert score_residual(sample, folds, fits, 0, 0.5, beta[0]) <= 1e-6
+        assert score_residual(sample, folds, fits, 0, 0, beta[0]) <= 1e-6
 
     def test_extreme_offsets_trigger_least_squares(self):
         # A non-constant fit that emits exact 0/1 values on in-fold source
@@ -124,7 +124,7 @@ class TestTargetFold:
         fits = NuisanceFits(taus=(0.5,),
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        beta, fallback = table_at(sample, folds, fits, 0.5)
+        beta, fallback = table_at(sample, folds, fits)
         assert fallback[0]
         # no-intercept least squares of (Z - E) on W, W = (1, 1) here
         z = np.array([0.0, 1.0])
@@ -134,7 +134,7 @@ class TestTargetFold:
         beta_manual = np.sum(w * (z - e)) / np.sum(w * w)
         assert beta[0] == pytest.approx(beta_manual)
         # the unit at x = 1.0 leads fold 0
-        ctx = FoldEngine(sample, folds, ThresholdGrid((0.5,)), fits).contexts[0]
+        ctx = FoldEngine(sample, folds, fits).contexts[0]
         raw = _fluctuate(ctx.E, ctx.w, beta[:1], np.array(["least-squares"]))[0, 0]
         assert raw == pytest.approx(0.0 + beta_manual * w[0])
 
@@ -148,12 +148,12 @@ class TestTmleEstimate:
             folds = make_folds(300, 2, rng.child("f", rep))
             fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                                  BinaryLearnerSpec(), 0.01, rng.child("n", rep))
-            table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+            table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
             for v in range(2):
-                for ti, tau in enumerate(grid):
-                    if table.extras["fallback"][v, ti] or fits.is_constant_fit(v, tau):
+                for ti in range(len(grid)):
+                    if table.extras["fallback"][v, ti] or fits.constant_mask(v)[ti]:
                         continue
-                    assert score_residual(sample, folds, fits, v, tau,
+                    assert score_residual(sample, folds, fits, v, ti,
                                           table.extras["beta"][v, ti]) <= 1e-6
 
     def test_point_estimates_stay_in_unit_interval(self, rng):
@@ -163,7 +163,7 @@ class TestTmleEstimate:
         folds = make_folds(400, 2, rng.child("f"))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert np.all(table.psi >= 0.0) and np.all(table.psi <= 1.0)
         assert np.all(table.psi_by_fold >= 0.0)
         assert np.all(table.psi_by_fold <= 1.0)
@@ -174,7 +174,7 @@ class TestTmleEstimate:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0 and table.sigma[0] == 0.0
 
     def test_identity_targeting_matches_plugin(self):
@@ -187,8 +187,7 @@ class TestTmleEstimate:
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((ConstantPredictor(0.5),),) * 2,
                             delta=0.0)
-        grid = ThresholdGrid((0.5,))
-        engine = FoldEngine(sample, folds, grid, fits)
+        engine = FoldEngine(sample, folds, fits)
         t_tmle = tmle_estimate(engine, TARGETS)
         t_plug = plugin_estimate(engine, TARGETS)
         np.testing.assert_allclose(t_tmle.extras["beta"], 0.0, atol=1e-9)
@@ -202,7 +201,7 @@ class TestTmleEstimate:
         fits = oracle_nuisances(spec, grid)
         sample = dgp_draw(spec, 10_000, rng.child("d"))
         folds = make_folds(10_000, 2, rng.child("f"))
-        table = tmle_estimate(FoldEngine(sample, folds, grid, fits), TARGETS)
+        table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert abs(table.psi[0] - 0.05) <= 3 * table.sigma[0] / np.sqrt(10_000)
 
     def test_close_to_onestep_on_real_fits(self, rng):
@@ -213,7 +212,7 @@ class TestTmleEstimate:
         grid = ThresholdGrid((0.15,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01, rng.child("n"))
-        engine = FoldEngine(sample, folds, grid, fits)
+        engine = FoldEngine(sample, folds, fits)
         t1 = onestep_estimate(engine, TARGETS)
         t2 = tmle_estimate(engine, TARGETS)
         assert abs(t1.psi[0] - t2.psi[0]) < 0.02
@@ -322,7 +321,7 @@ def mixed_mode_fold():
     g = LookupPredictor({1.0: 0.2, 2.0: 0.7, 3.0: 0.5}, default=0.4)
     fits = NuisanceFits(taus=taus, g_predictors=(g, g),
                         e_predictors=(e_row, e_row), delta=0.0)
-    return sample, folds, ThresholdGrid(taus), fits
+    return sample, folds, fits
 
 
 class TestVectorizedTargetingMatchesScalarReference:
@@ -332,8 +331,8 @@ class TestVectorizedTargetingMatchesScalarReference:
             assert_fold_matches_reference(ctx)
 
     def test_every_mode_in_one_fold(self):
-        sample, folds, grid, fits = mixed_mode_fold()
-        ctx = FoldEngine(sample, folds, grid, fits).contexts[0]
+        sample, folds, fits = mixed_mode_fold()
+        ctx = FoldEngine(sample, folds, fits).contexts[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             mode = assert_fold_matches_reference(ctx)
