@@ -304,6 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_sim.add_argument("--n", type=int, required=True)
     sp_sim.add_argument("--reps", type=int, default=200)
     sp_sim.add_argument("--oracle-m", type=int, default=100_000)
+    sp_sim.add_argument("--workers", type=int, default=None,
+                        help="worker processes for the replications (default: "
+                             "one per usable CPU); outputs do not depend on it")
 
     sp_or = sub.add_parser("oracle", help="true coverage-error curve and threshold")
     add_common(sp_or)
@@ -492,7 +495,7 @@ def cmd_simulate(args) -> int:
     cfg = _study_config(args, oracle_m=args.oracle_m)
     spec = DgpSpec(_DGP_ALIASES[args.dgp])
     report = run_study(spec, [args.n], methods, args.reps, cfg,
-                       RngStream(args.seed))
+                       RngStream(args.seed), workers=args.workers)
 
     rows_path = args.output + ".jsonl"
     with open(rows_path, "w") as fh:

@@ -33,7 +33,8 @@ _STUMP_BLOCK = 1 << 17
 _PREDICT_TERMS = 1 << 14
 # Elements in one (rows, p + 1) block of the logistic design.  Every sum over
 # rows runs block by block in a fixed order, and no block's matrix product is
-# large enough for BLAS to split it across threads.
+# large enough for BLAS to split it across threads; predictions run in blocks
+# of about the same size.
 _IRLS_BLOCK = 1 << 12
 
 
@@ -133,7 +134,18 @@ class LogisticRidgePredictor(FittedPredictor):
     def _predict(self, X):
         if self.x_mean is not None:
             X = (X - self.x_mean) / self.x_scale
-        return expit(self.intercept + X @ self.coef)
+        # Row blocks, so that no product is large enough for BLAS to start
+        # its threads.  Each output is the dot product one product over all
+        # rows gives: blocks start at multiples of 64 rows, and a last block
+        # of one row, which numpy sends to another kernel, joins the block
+        # before it.
+        n = X.shape[0]
+        step = max(64, _IRLS_BLOCK // (self.p + 1) // 64 * 64)
+        starts = range(0, max(n - 1, 1), step)
+        eta = np.empty(n)
+        for s, e in zip(starts, [*starts[1:], n]):
+            np.matmul(X[s:e], self.coef, out=eta[s:e])
+        return expit(self.intercept + eta)
 
 
 class BoostedStumpsPredictor(FittedPredictor):

@@ -21,6 +21,10 @@ on purpose.
 
 from __future__ import annotations
 
+import numbers
+import os
+import sys
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -489,49 +493,137 @@ def _ensure_methods(methods) -> tuple[str, ...]:
     return methods
 
 
+def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
+    """Every method on replication ``rep`` at sample size ``n``, seeded from
+    that job's own streams."""
+    spec, methods, cfg, rng, oracle = study
+    data = Dataset(dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep)), cfg,
+                   rng.child(f"folds-n{n}", rep),
+                   rng.child(f"nuisance-n{n}", rep),
+                   rng.child(f"method-rs-n{n}", rep), oracle)
+    data.folds  # so a fold count that cannot split n fails any study
+    rows = []
+    for method in methods:
+        try:
+            res = METHODS[method](data)
+        except _FAILURE_ERRORS as exc:
+            rows.append(ReplicationRow(
+                method=method, n=n, rep=rep, tau_hat=0.0,
+                sentinel=False, true_error=None, covered=False,
+                failed=True, failure=type(exc).__name__))
+            continue
+        err = (oracle.psi_at(res.tau_hat) if res.true_error is None
+               else res.true_error)
+        rows.append(ReplicationRow(
+            method=method, n=n, rep=rep, tau_hat=res.tau_hat,
+            sentinel=res.sentinel, true_error=err,
+            covered=bool(err <= cfg.targets.alpha_error),
+            failed=False, info=res.info, table=res.table))
+    return rows
+
+
+# The study a forked worker serves; set only in the workers.
+_WORKER_STUDY = None
+
+
+def _init_worker(study) -> None:
+    global _WORKER_STUDY
+    _WORKER_STUDY = study
+
+
+def _replicate_in_worker(job):
+    """A job's rows and the warnings it issued, or None if it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rows = _replicate(_WORKER_STUDY, *job)
+        except Exception:
+            return None
+    return rows, [(str(w.message), w.category, w.filename, w.lineno)
+                  for w in caught]
+
+
+def _reissue(caught) -> None:
+    """Issue a worker's warnings here, through this process's filters and
+    the registry of the module that issued them, as ``warnings.warn`` does."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(message, category, filename, lineno,
+                               module=module.get("__name__"),
+                               registry=module.setdefault("__warningregistry__", {}))
+
+
+def _run_jobs(study, jobs, workers: int | None) -> list[ReplicationRow]:
+    """The rows of every job, in job order.
+
+    Jobs run in a pool of forked workers, which inherit the study and its
+    oracle, when more than one worker would serve and fork is available;
+    otherwise they run here.  A worker's warnings are issued again here in
+    job order, and a job that raised in a worker is run again here, so that
+    it raises and warns as it would in the serial loop.
+    """
+    # Imported here, so that `fit`, which never forks, does not load it.
+    import multiprocessing
+
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    count = min(workers, len(jobs))
+    if (count < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return [row for job in jobs for row in _replicate(study, *job)]
+    rows = []
+    # Leaving the block on an error terminates the pool.
+    with multiprocessing.get_context("fork").Pool(
+            count, _init_worker, (study,)) as pool:
+        for job, done in zip(jobs, pool.imap(_replicate_in_worker, jobs)):
+            if done is None:
+                rows += _replicate(study, *job)
+                continue
+            _reissue(done[1])
+            rows += done[0]
+        pool.close()
+        pool.join()
+    return rows
+
+
+def _is_count(value) -> bool:
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= 1)
+
+
 def run_study(spec: DgpSpec, ns, methods, replications: int,
-              cfg: StudyConfig, rng: RngStream) -> ReplicationReport:
+              cfg: StudyConfig, rng: RngStream,
+              workers: int | None = None) -> ReplicationReport:
     """Run every method on the same simulated datasets and score each
     selected set against the shared oracle.
 
     Failures (degenerate folds, empty acceptance, bound violations) are
     recorded as uncovered rows, never dropped: they stay in the denominator
     of the reported proportions.
+
+    Replications run in ``workers`` forked processes (default: one per
+    usable CPU; 1 runs them in this process).  The report is the same for
+    any count.
     """
     methods = _ensure_methods(methods)
     ns = [int(n) for n in (ns if np.iterable(ns) else [ns])]
     for i, n in enumerate(ns):
         if n in ns[:i]:
             raise ConfigurationError(f"sample size {n} given twice")
-    if replications < 1:
-        raise ConfigurationError("need at least one replication")
+    if not _is_count(replications):
+        raise ConfigurationError(
+            f"replications must be an integer of at least 1, got {replications!r}")
+    if workers is not None and not _is_count(workers):
+        raise ConfigurationError(
+            f"workers must be an integer of at least 1, got {workers!r}")
 
     oracle = OracleEvaluator(spec, cfg.oracle_m, rng.child("oracle"))
-
-    rows: list[ReplicationRow] = []
-    for n in ns:
-        for rep in range(replications):
-            data = Dataset(dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep)), cfg,
-                           rng.child(f"folds-n{n}", rep),
-                           rng.child(f"nuisance-n{n}", rep),
-                           rng.child(f"method-rs-n{n}", rep), oracle)
-            data.folds  # so a fold count that cannot split n fails any study
-            for method in methods:
-                try:
-                    res = METHODS[method](data)
-                except _FAILURE_ERRORS as exc:
-                    rows.append(ReplicationRow(
-                        method=method, n=n, rep=rep, tau_hat=0.0,
-                        sentinel=False, true_error=None, covered=False,
-                        failed=True, failure=type(exc).__name__))
-                    continue
-                err = (oracle.psi_at(res.tau_hat) if res.true_error is None
-                       else res.true_error)
-                rows.append(ReplicationRow(
-                    method=method, n=n, rep=rep, tau_hat=res.tau_hat,
-                    sentinel=res.sentinel, true_error=err,
-                    covered=bool(err <= cfg.targets.alpha_error),
-                    failed=False, info=res.info, table=res.table))
+    jobs = [(n, rep) for n in ns for rep in range(replications)]
+    rows = _run_jobs((spec, methods, cfg, rng, oracle), jobs, workers)
 
     aggregates = []
     for n in ns:
@@ -554,7 +646,7 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
         "dgp": spec.kind,
         "ns": ns,
         "methods": list(methods),
-        "replications": replications,
+        "replications": int(replications),
         "alpha_error": cfg.targets.alpha_error,
         "alpha_conf": cfg.targets.alpha_conf,
         "V": cfg.V,

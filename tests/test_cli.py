@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -728,6 +730,34 @@ class TestCmdSimulate:
                      "--method", "onestep,magic",
                      "--output", str(tmp_path / "x.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_bad_worker_count_rejected(self, tmp_path, capsys, workers):
+        code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "2",
+                     "--method", "icp", "--workers", workers,
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "ConfigurationError: workers must be" in capsys.readouterr().err
+
+    def test_worker_count_changes_no_output_byte(self, tmp_path):
+        # With no ridge at n=30 some IRLS fits diverge, so stderr carries
+        # the fallback warnings that the workers issue.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        runs = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}.csv")
+            proc = subprocess.run(
+                [sys.executable, "-m", "shiftset.cli", "simulate", "--dgp", "highdim",
+                 "--n", "30", "--reps", "10", "--method", "onestep,tmle,rs,wcp",
+                 "--ridge", "0", "--seed", "4", "--workers", workers, "--output", out],
+                env=env, capture_output=True, text=True, timeout=300)
+            runs.append((proc.returncode, proc.stdout, proc.stderr,
+                         *(open(out + suffix, "rb").read()
+                           for suffix in ("", ".jsonl", ".meta.json"))))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "IRLS diverged" in runs[0][2]
 
 
 class TestCmdOracle:

@@ -66,6 +66,22 @@ class TestPredict:
         with pytest.raises(DataError):
             predict(pred, [1.0, 2.0])
 
+    @pytest.mark.parametrize("p", [3, 20])
+    @pytest.mark.parametrize("standardize", [False, True])
+    def test_row_blocks_match_one_product(self, p, standardize):
+        # Blocks of 1,024 rows at p=3 and 192 at p=20; the sizes cover
+        # single blocks, one-row tails and column-major input.
+        gen = np.random.default_rng(p)
+        coef = gen.standard_normal(p) * 3
+        scale = (gen.exponential(size=p), gen.exponential(size=p)) if standardize else (None, None)
+        pred = LogisticRidgePredictor(0.3, coef, p, *scale)
+        for n in (1, 2, 191, 193, 385, 1025, 2049, 4801):
+            for order in "CF":
+                X = np.asarray(gen.standard_normal((n, p)) * 4, order=order)
+                Xs = X if not standardize else (X - scale[0]) / scale[1]
+                want = np.clip(expit(0.3 + Xs @ coef), 0.0, 1.0)
+                assert pred.predict(X).tobytes() == want.tobytes(), (n, order)
+
 
 class TestLogisticRidge:
     def test_symmetric_separable_fit(self, stream):

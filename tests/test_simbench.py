@@ -1,3 +1,7 @@
+import multiprocessing
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,6 +30,7 @@ from shiftset import (
     weighted_plugin_estimate,
     wilson_interval,
 )
+from shiftset import simbench
 from shiftset.simbench import Dataset
 
 TARGETS = RiskTargets(0.05, 0.05)
@@ -342,6 +347,18 @@ class TestRunStudy:
             run_study(DgpSpec("lowdim"), [300, 400, 300], ["icp"], 1,
                       self._cfg(), RngStream(12))
 
+    @pytest.mark.parametrize("reps", [2.5, "3", 0, -1, True, None])
+    def test_replications_must_be_a_positive_integer(self, reps):
+        with pytest.raises(ConfigurationError, match="replications must be an integer"):
+            run_study(DgpSpec("lowdim"), [300], ["icp"], reps, self._cfg(),
+                      RngStream(12))
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+    def test_workers_must_be_a_positive_integer(self, workers):
+        with pytest.raises(ConfigurationError, match="workers must be an integer"):
+            run_study(DgpSpec("lowdim"), [300], ["icp"], 2, self._cfg(),
+                      RngStream(12), workers=workers)
+
 
 def assert_same_table(got, want):
     """Every field of two coverage tables, arrays compared byte for byte."""
@@ -374,3 +391,81 @@ def test_registry_matches_public_estimators(learner):
     run = rs_prepare(data.sample, cfg.rs_config, cfg.grid, spec, spec, data.rs_rng)
     assert_same_table(METHODS["rs"](data).table,
                       rs_estimate(run, data.sample, TARGETS))
+
+
+class TestWorkers:
+    """Replications run in forked workers give what the serial loop gives."""
+
+    @pytest.fixture(autouse=True)
+    def no_process_outlives_the_study(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])
+    def test_report_matches_the_serial_loop(self, learner):
+        spec = BinaryLearnerSpec(kind=learner)
+        cfg = StudyConfig(GRID, TARGETS, spec, spec, oracle_m=2000)
+        serial, forked = (run_study(DgpSpec("lowdim"), [300], ALL_METHODS, 4, cfg,
+                                    RngStream(31), workers=w) for w in (1, 2))
+        assert forked.rows == serial.rows
+        assert forked.aggregates == serial.aggregates
+        assert forked.config == serial.config
+        assert sum(r.table is not None for r in serial.rows) == 4 * 5
+        for got, want in zip(forked.rows, serial.rows):
+            if want.table is None:
+                assert got.table is None
+            else:
+                assert_same_table(got.table, want.table)
+
+    @pytest.mark.parametrize("action", ["always", "default"])
+    def test_warnings_and_the_earliest_error_match_the_serial_loop(
+            self, monkeypatch, action):
+        icp = METHODS["icp"]
+
+        def flaky(data):
+            rep = data.folds_rng.path[-1]
+            warnings.warn(f"rep {rep}")
+            warnings.warn("flaky method", RuntimeWarning)
+            if rep in (1, 2):
+                raise ValueError(f"rep {rep} failed")
+            return icp(data)
+
+        monkeypatch.setitem(METHODS, "icp", flaky)
+        seen = []
+        for workers in (1, 2):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                with pytest.raises(ValueError, match="^rep 1 failed$"):
+                    run_study(DgpSpec("lowdim"), [300], ["onestep", "icp"], 4,
+                              StudyConfig(GRID, TARGETS, oracle_m=2000),
+                              RngStream(32), workers=workers)
+            seen.append([(str(w.message), w.category, w.filename, w.lineno)
+                         for w in caught])
+        assert seen[0] == seen[1]
+        messages = [w[0] for w in seen[0]]
+        assert messages == (["rep 0", "flaky method", "rep 1", "flaky method"]
+                            if action == "always" else
+                            ["rep 0", "flaky method", "rep 1"])
+        assert {w[2] for w in seen[0]} == {__file__}
+
+    def test_a_daemon_process_runs_the_study_itself(self):
+        # A pool's workers are daemons, which may not start processes.
+        args = (DgpSpec("lowdim"), [300], ["icp"], 2,
+                StudyConfig(GRID, TARGETS, oracle_m=2000), RngStream(34))
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply(run_study, args, {"workers": 2})
+        assert inside.rows == run_study(*args, workers=1).rows
+
+    def test_no_reference_to_a_finished_study_is_kept(self, monkeypatch):
+        built = []
+
+        class Tracked(OracleEvaluator):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(simbench, "OracleEvaluator", Tracked)
+        run_study(DgpSpec("lowdim"), [300], ["icp", "wcp"], 3,
+                  StudyConfig(GRID, TARGETS, oracle_m=2000), RngStream(33),
+                  workers=2)
+        assert len(built) == 1 and built[0]() is None
