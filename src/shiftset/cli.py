@@ -1,4 +1,4 @@
-"""Command-line surface: CSV ingestion, method dispatch, serialization.
+"""Command-line surface: method dispatch and serialization.
 
 Three subcommands:
 
@@ -9,33 +9,31 @@ Three subcommands:
 * ``oracle``   - write the true coverage-error curve and optimal threshold
                  for a built-in DGP.
 
-CSV schema: header row with columns ``a`` (0/1), ``score`` (blank allowed
-only when a=0), and ``x1..xp``.  Outputs carry 17 significant digits so a
-round trip is bit-faithful, and contain nothing clock- or host-dependent:
-rerunning a command with the same seed reproduces files byte for byte.
+``fit`` reads its CSV through :mod:`shiftset.csvio`.  Outputs carry 17
+significant digits so a round trip is bit-faithful, and contain nothing
+clock- or host-dependent: rerunning a command with the same seed reproduces
+files byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import warnings
-from itertools import compress
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .core import (
     ConfigurationError,
-    DataError,
-    ObservedSample,
     RiskTargets,
     RngStream,
     ShiftsetError,
     ThresholdGrid,
 )
+# CsvSchemaWarning and emit_csv are imported from here by callers of the CLI.
+from .csvio import CsvSchemaWarning, _fmt, emit_csv, ingest_csv
 from .learners import BinaryLearnerSpec
 from .onestep import CoverageTable
 from .rejsamp import RsConfig
@@ -57,204 +55,6 @@ _DGP_ALIASES = {
     "lowdim": "lowdim",
     "lowdim-noshift": "lowdim-noshift",
 }
-
-_BLOCK_ROWS = 1024  # exact path: CSV rows converted at a time; bounds the tokens held in memory
-# Widths of the Latin-1 byte fields that the one-pass path reads `a` and `score`
-# into: a token that fills its field may have been cut short, so it is not plain.
-_A_WIDTH, _SCORE_WIDTH = 2, 32
-
-
-def _fmt(x: float) -> str:
-    """17 significant digits: enough for an exact float round trip."""
-    return format(float(x), ".17g")
-
-
-# ---------------------------------------------------------------------------
-# CSV ingestion / emission
-# ---------------------------------------------------------------------------
-
-class CsvSchemaWarning(UserWarning):
-    pass
-
-
-class _NotPlain(Exception):
-    """The data rows leave the subset that the one-pass reader handles."""
-
-
-def ingest_csv(path: str) -> ObservedSample:
-    """Read an observed sample from CSV.
-
-    Column ``a`` must be 0 or 1; ``score`` must be blank exactly when a=0
-    (values there are ignored with one warning per file); covariates are
-    ``x1..xp`` in any order.  Errors carry 1-based file line numbers.
-
-    Plain files are read in one ``np.loadtxt`` pass; a file with quotes, NUL
-    characters, over-long lines or anything that pass cannot judge exactly
-    (including every invalid value) is read again by the exact csv reader,
-    the only one that accepts it or writes its error.
-    """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) < len(header):
-            raise DataError(f"{path}: duplicate header names in {header}")
-        cols = {name: i for i, name in enumerate(header)}
-        if "a" not in cols or "score" not in cols:
-            raise DataError(f"{path}: header must contain 'a' and 'score'")
-        x_names = [h for h in header if h not in ("a", "score")]
-        p = len(x_names)
-        expected = [f"x{j}" for j in range(1, p + 1)]
-        if p == 0 or sorted(x_names) != sorted(expected):
-            raise DataError(
-                f"{path}: covariate columns must be exactly x1..xp, got {x_names}")
-        layout = (path, header, cols["a"], cols["score"], [cols[n] for n in expected])
-        try:
-            a, score, x, stray = _read_plain(fh, layout)
-        except _NotPlain:
-            fh.seek(0)
-            a, score, x, stray = _read_exact(fh, layout)
-    if stray.size:
-        warnings.warn(f"{path}: score ignored on {stray.size} target row(s) "
-                      f"(first at line {stray[0]})", CsvSchemaWarning, stacklevel=2)
-    if (a == 1).sum() == 0 or (a == 0).sum() == 0:
-        raise DataError(f"{path}: need at least one source (a=1) and one "
-                        "target (a=0) row")
-    return ObservedSample(a=a, x=x, score=score)
-
-
-def _read_plain(fh, layout):
-    """Read the data rows in one ``np.loadtxt`` pass: (a, score, x, stray-score
-    lines).  Raises ``_NotPlain`` unless every row is valid and plain."""
-    _, header, a_col, s_col, x_cols = layout
-    fields = [(name, "f8") for name in header]
-    fields[a_col] = ("a", f"S{_A_WIDTH}")
-    fields[s_col] = ("score", f"S{_SCORE_WIDTH}")
-    blanks = []  # per blank line, the number of data rows before it
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(_plain_lines(fh, blanks), dtype=fields, delimiter=",",
-                              comments=None, quotechar=None, ndmin=1)
-    except (ValueError, Warning):
-        raise _NotPlain from None
-    a_tok, s_tok = rows["a"], rows["score"]
-    src = a_tok == b"1"
-    if not (src | (a_tok == b"0")).all() or (np.char.str_len(s_tok) == _SCORE_WIDTH).any():
-        raise _NotPlain
-    score = np.full(len(rows), np.nan)
-    try:
-        score[src] = np.fromiter(map(float, s_tok[src].tolist()), float)
-    except ValueError:
-        raise _NotPlain from None
-    x = np.column_stack([rows[header[c]] for c in x_cols])
-    if not (np.isfinite(score[src]).all() and np.isfinite(x).all()):
-        raise _NotPlain
-    stray = np.array([i for i in np.flatnonzero(~src & (s_tok != b""))
-                      if s_tok[i].decode("latin-1").strip()], dtype=np.int64)
-    lines = 2 + stray + np.searchsorted(blanks, stray, side="right")
-    return src.astype(np.int8), score, x, lines
-
-
-def _plain_lines(fh, blanks):
-    """The data lines of the open file, skipping blank ones (noted in
-    ``blanks``); raises ``_NotPlain`` at a quote, a NUL or an over-long line."""
-    limit = csv.field_size_limit()
-    for k, line in enumerate(fh):
-        if '"' in line or "\0" in line or len(line) > limit:
-            raise _NotPlain
-        if line.rstrip("\r\n"):
-            yield line
-        else:
-            blanks.append(k - len(blanks))
-
-
-def _read_exact(fh, layout):
-    """Read the data rows of the file, rewound, with the csv reader, block by
-    block: (a, score, x, stray-score lines).  Writes every row error."""
-    path = layout[0]
-    reader = csv.reader(fh)
-    next(reader)  # the header, checked already
-    blocks, block = [], []
-    try:
-        for record in enumerate(reader, start=2):
-            if record[1]:
-                block.append(record)
-            if len(block) == _BLOCK_ROWS:
-                blocks.append(_convert_block(layout, block))
-                block = []
-    except (csv.Error, UnicodeDecodeError):
-        if block:  # report an invalid row read before the unreadable one
-            _convert_block(layout, block)
-        raise
-    if block:
-        blocks.append(_convert_block(layout, block))
-    if not blocks:
-        raise DataError(f"{path}: no data rows")
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
-
-
-def _convert_block(layout, block):
-    """Convert and validate a block by column: (a, score, x, stray-score lines).
-    A block that fails is checked row by row, raising its first row's error."""
-    _, header, a_col, s_col, x_cols = layout
-    lines, rows = zip(*block)
-    try:
-        if set(map(len, rows)) != {len(header)}:
-            raise ValueError
-        fields = list(zip(*rows))
-        a_raw = list(map(str.strip, fields[a_col]))
-        src = np.array(a_raw) == "1"
-        score = np.full(len(rows), np.nan)
-        score[src] = np.fromiter(map(float, compress(fields[s_col], src)), float)
-        x = np.column_stack([np.fromiter(map(float, fields[c]), float) for c in x_cols])
-        if not ({"0", "1"}.issuperset(a_raw) and np.isfinite(score[src]).all()
-                and np.isfinite(x).all()):
-            raise ValueError
-    except ValueError:
-        for line_no, row in block:
-            _check_row(layout, line_no, row)
-        # Every row is valid, so float() refused padding that strip() removes
-        # (ASCII \x1c-\x1f): convert the stripped tokens instead.
-        return _convert_block(layout, [(n, [t.strip() for t in row]) for n, row in block])
-    stray = ~src & np.fromiter(map(bool, map(str.strip, fields[s_col])), bool)
-    return src.astype(np.int8), score, x, np.array(lines)[stray]
-
-
-def _check_row(layout, line_no: int, row) -> None:
-    """Raise the DataError for the first invalid field of one row, if any."""
-    path, header, a_col, s_col, x_cols = layout
-    where = f"{path}:{line_no}"
-    if len(row) != len(header):
-        raise DataError(f"{where}: expected {len(header)} fields")
-    a_raw = row[a_col].strip()
-    if a_raw not in ("0", "1"):
-        raise DataError(f"{where}: 'a' must be 0 or 1, got {a_raw!r}")
-    if a_raw == "1" and not row[s_col].strip():
-        raise DataError(f"{where}: source row is missing its score")
-    for c in ([s_col] if a_raw == "1" else []) + x_cols:
-        text = row[c].strip()
-        try:
-            value = float(text)
-        except ValueError:
-            raise DataError(f"{where}: column {header[c]!r} has a malformed "
-                            f"number {text!r}") from None
-        if not np.isfinite(value):
-            raise DataError(f"{where}: column {header[c]!r} must be finite")
-
-
-def emit_csv(sample: ObservedSample, path: str) -> None:
-    """Write a sample in the ingestion schema (exact round trip)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "score"] + [f"x{j}" for j in range(1, sample.p + 1)])
-        for i in range(sample.n):
-            score = _fmt(sample.score[i]) if sample.a[i] == 1 else ""
-            writer.writerow([str(int(sample.a[i])), score]
-                            + [_fmt(v) for v in sample.x[i]])
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ class BoundViolationError(ShiftsetError, RuntimeError):
     """An observed importance weight exceeded the fixed rejection bound."""
 
 
+class WorkerError(ShiftsetError, RuntimeError):
+    """A worker process died (say, killed by the OOM killer) before its job
+    finished."""
+
+
 # ---------------------------------------------------------------------------
 # Deterministic RNG streams
 # ---------------------------------------------------------------------------

@@ -1,0 +1,103 @@
+"""One runner for lists of independent jobs, as ``simulate``'s replications
+and ``fit``'s CSV chunks are.
+
+Jobs run in forked worker processes when more than one worker would serve,
+and in the calling process otherwise.  Either way the caller sees what a
+serial loop gives: results in job order, each job's warnings issued here in
+that order, and the earliest failing job's error.
+"""
+
+from __future__ import annotations
+
+import os
+import sys
+import warnings
+from collections import deque
+
+from .core import WorkerError
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: the default worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The job function a forked worker serves; set only in the workers.
+_WORKER_FN = None
+
+
+def _init_worker(fn) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
+
+
+def _call_in_worker(job):
+    """A job's result and the warnings it issued, or None if it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = _WORKER_FN(*job)
+        except Exception:
+            return None
+    return result, [(str(w.message), w.category, w.filename, w.lineno)
+                    for w in caught]
+
+
+def _reissue(caught) -> None:
+    """Issue a worker's warnings here, through this process's filters and
+    the registry of the module that issued them, as ``warnings.warn`` does."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = vars(modules[filename]) if filename in modules else {}
+        warnings.warn_explicit(message, category, filename, lineno,
+                               module=module.get("__name__"),
+                               registry=module.setdefault("__warningregistry__", {}))
+
+
+def run_jobs(fn, jobs, workers: int | None = None):
+    """Yield ``fn(*job)`` for each job, in job order.
+
+    The jobs run in ``workers`` forked processes (default: one per usable
+    CPU), which inherit ``fn`` and whatever it holds, when more than one
+    would serve, the ``fork`` start method exists and this process is not a
+    daemon; otherwise they run here.  A job that raised in a worker is run
+    again here, so that it raises and warns as it would in the serial loop.
+    A worker that dies raises :class:`WorkerError`.  Once the generator is
+    exhausted or closed, no worker is left running.
+    """
+    jobs = list(jobs)
+    count = min(usable_cpus() if workers is None else workers, len(jobs))
+    if count >= 2:
+        # Imported here, so that a call that never forks does not load them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            pool = ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
+                                       _init_worker, (fn,))
+            try:
+                # Each future is dropped once read, so that a result is held
+                # here only until the caller has taken it.
+                pending = deque((job, pool.submit(_call_in_worker, job)) for job in jobs)
+                while pending:
+                    job, future = pending.popleft()
+                    done = future.result()
+                    if done is None:
+                        yield fn(*job)
+                        continue
+                    _reissue(done[1])
+                    yield done[0]
+            except BrokenProcessPool as exc:
+                raise WorkerError("a worker process died before its job "
+                                  "finished") from exc
+            finally:
+                pool.shutdown(cancel_futures=True)
+            return
+    for job in jobs:
+        yield fn(*job)

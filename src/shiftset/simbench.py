@@ -22,11 +22,9 @@ on purpose.
 from __future__ import annotations
 
 import numbers
-import os
-import sys
-import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,6 +58,7 @@ from .onestep import (
     select_threshold,
     weighted_plugin_estimate,
 )
+from .parallel import run_jobs
 from .rejsamp import RsConfig, rs_estimate, rs_prepare
 from .tmle import tmle_estimate
 
@@ -522,74 +521,6 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
     return rows
 
 
-# The study a forked worker serves; set only in the workers.
-_WORKER_STUDY = None
-
-
-def _init_worker(study) -> None:
-    global _WORKER_STUDY
-    _WORKER_STUDY = study
-
-
-def _replicate_in_worker(job):
-    """A job's rows and the warnings it issued, or None if it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            rows = _replicate(_WORKER_STUDY, *job)
-        except Exception:
-            return None
-    return rows, [(str(w.message), w.category, w.filename, w.lineno)
-                  for w in caught]
-
-
-def _reissue(caught) -> None:
-    """Issue a worker's warnings here, through this process's filters and
-    the registry of the module that issued them, as ``warnings.warn`` does."""
-    if not caught:
-        return
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, category, filename, lineno in caught:
-        module = vars(modules[filename]) if filename in modules else {}
-        warnings.warn_explicit(message, category, filename, lineno,
-                               module=module.get("__name__"),
-                               registry=module.setdefault("__warningregistry__", {}))
-
-
-def _run_jobs(study, jobs, workers: int | None) -> list[ReplicationRow]:
-    """The rows of every job, in job order.
-
-    Jobs run in a pool of forked workers, which inherit the study and its
-    oracle, when more than one worker would serve and fork is available;
-    otherwise they run here.  A worker's warnings are issued again here in
-    job order, and a job that raised in a worker is run again here, so that
-    it raises and warns as it would in the serial loop.
-    """
-    # Imported here, so that `fit`, which never forks, does not load it.
-    import multiprocessing
-
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    count = min(workers, len(jobs))
-    if (count < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return [row for job in jobs for row in _replicate(study, *job)]
-    rows = []
-    # Leaving the block on an error terminates the pool.
-    with multiprocessing.get_context("fork").Pool(
-            count, _init_worker, (study,)) as pool:
-        for job, done in zip(jobs, pool.imap(_replicate_in_worker, jobs)):
-            if done is None:
-                rows += _replicate(study, *job)
-                continue
-            _reissue(done[1])
-            rows += done[0]
-        pool.close()
-        pool.join()
-    return rows
-
-
 def _is_count(value) -> bool:
     return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= 1)
@@ -623,7 +554,8 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
 
     oracle = OracleEvaluator(spec, cfg.oracle_m, rng.child("oracle"))
     jobs = [(n, rep) for n in ns for rep in range(replications)]
-    rows = _run_jobs((spec, methods, cfg, rng, oracle), jobs, workers)
+    study = (spec, methods, cfg, rng, oracle)
+    rows = list(chain.from_iterable(run_jobs(partial(_replicate, study), jobs, workers)))
 
     aggregates = []
     for n in ns:

@@ -1,4 +1,5 @@
 import functools
+import signal
 
 import numpy as np
 import pytest
@@ -76,3 +77,16 @@ def learned_engine(kind, learner, n, step):
         except (DegenerateFoldError, UnfittableFoldError):
             continue
     raise AssertionError("no seed gives usable folds")
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for over a minute, instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the test ran for over 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,8 +1,10 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftset import DataError, DgpSpec, ObservedSample, RngStream, cli, dgp_draw
+from shiftset import (DataError, DgpSpec, ObservedSample, RngStream, cli, csvio, dgp_draw,
+                      parallel)
 from shiftset.cli import CsvSchemaWarning, emit_csv, ingest_csv, main
 
 
@@ -71,7 +74,7 @@ class TestIngestCsv:
         assert (s.n_source, s.n_target, s.p) == (1, 1, 1)
 
     def test_utf8_bom_header_exact_path(self, tmp_path):
-        # the exact reader rereads from the start of the file, past the BOM again
+        # the exact reader reads on from the header, past which the BOM lies
         p = tmp_path / "d.csv"
         p.write_bytes(b'\xef\xbb\xbfa,score,x1\r\n1,0.7,0.1\r\n0,,"-0.2"\r\n')
         s = ingest_csv(str(p))
@@ -309,7 +312,20 @@ def refuse_exact(fh, layout):
 @pytest.fixture
 def one_pass_only(monkeypatch):
     """Fail the test if the exact reader runs."""
-    monkeypatch.setattr(cli, "_read_exact", refuse_exact)
+    monkeypatch.setattr(csvio, "_read_exact", refuse_exact)
+
+
+# Chunk sizes for the one-pass reader: the default reads these small files in
+# one chunk in this process; 1 cuts after every line, and 24 after a line or
+# two, into chunks that forked workers read.
+CHUNK_BYTES = [None, 1, 24]
+
+
+@pytest.fixture(params=CHUNK_BYTES, ids=lambda b: f"chunk{b or ''}")
+def chunk_bytes(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", request.param)
+    return request.param
 
 
 def quote_one_field(text, line_no):
@@ -325,7 +341,7 @@ class TestIngestContract:
     # ``_BLOCK_ROWS`` is patched with raising=False so that these tests also
     # run against a row-at-a-time reader that has no blocks.
     @pytest.mark.parametrize("case", sorted(DIALECT_CASES))
-    def test_dialect_matches_reference(self, tmp_path, case):
+    def test_dialect_matches_reference(self, tmp_path, chunk_bytes, case):
         text, error = DIALECT_CASES[case]
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode())
@@ -337,7 +353,8 @@ class TestIngestContract:
             assert got[0] == kind and error in got[1]
 
     @pytest.mark.parametrize("case", PLAIN_CASES)
-    def test_plain_dialect_takes_one_pass(self, tmp_path, one_pass_only, case):
+    def test_plain_dialect_takes_one_pass(self, tmp_path, one_pass_only, chunk_bytes,
+                                          case):
         p = tmp_path / "d.csv"
         p.write_bytes(DIALECT_CASES[case][0].encode())
         assert assert_matches_reference(str(p))[0] == "ok"
@@ -365,7 +382,7 @@ class TestIngestContract:
     @pytest.mark.parametrize("block_rows", [1, 7, 64, 100_000])
     @pytest.mark.parametrize("bad", ["first", "last"])
     def test_many_blocks_bad_cell(self, tmp_path, monkeypatch, block_rows, bad):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows, raising=False)
+        monkeypatch.setattr(csvio, "_BLOCK_ROWS", block_rows, raising=False)
         rows = [f"{i % 2},{'0.5' if i % 2 else ''},{i},{-i}" for i in range(200)]
         rows[0 if bad == "first" else -1] = "1,0.5,7,inf"
         p = tmp_path / "d.csv"
@@ -376,7 +393,7 @@ class TestIngestContract:
         assert got[1].endswith(f":{line}: column 'x2' must be finite")
 
     def test_many_blocks_valid(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7, raising=False)
+        monkeypatch.setattr(csvio, "_BLOCK_ROWS", 7, raising=False)
         sample = dgp_draw(DgpSpec("highdim-sparse"), 100, RngStream(5).child("d"))
         path = tmp_path / "d.csv"
         emit_csv(sample, str(path))
@@ -384,7 +401,7 @@ class TestIngestContract:
         assert assert_matches_reference(str(path))[0] == "ok"
 
     def test_bad_row_reported_before_unreadable_row(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", 100, raising=False)
+        monkeypatch.setattr(csvio, "_BLOCK_ROWS", 100, raising=False)
         p = write(tmp_path / "d.csv", quote_one_field(
             H + "1,0.5,1,oops\n0,,3,4\n0,," + "9" * 80 + ",1\n", 3))
         old_limit = csv.field_size_limit(40)
@@ -392,6 +409,118 @@ class TestIngestContract:
             assert assert_matches_reference(p)[0] == "DataError"
         finally:
             csv.field_size_limit(old_limit)
+
+
+@pytest.fixture
+def chunk_readers(tmp_path, monkeypatch):
+    """The ids of the processes that read the one-pass reader's chunks, in
+    the order they read them, as a function."""
+    log = tmp_path / "readers.txt"
+    read = csvio._read_chunk
+
+    def noted(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return read(*args)
+
+    monkeypatch.setattr(csvio, "_read_chunk", noted)
+    return lambda: [int(pid) for pid in log.read_text().split()]
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+
+
+def plain_rows(n):
+    return [f"{i % 2},{'0.5' if i % 2 else ''},{i},{-i}" for i in range(n)]
+
+
+class TestChunkedIngest:
+    """Large plain files are read in chunks of whole lines, by forked
+    workers, with what one pass over the file gives."""
+
+    def test_small_file_is_one_chunk_read_here(self, tmp_path, monkeypatch, one_pass_only,
+                                               chunk_readers):
+        def no_fork():
+            raise AssertionError("a process was forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        sample = dgp_draw(DgpSpec("highdim-sparse"), 400, RngStream(7).child("d"))
+        path = str(tmp_path / "d.csv")
+        emit_csv(sample, path)
+        assert ingest_csv(path).x.tobytes() == sample.x.tobytes()
+        assert chunk_readers() == [os.getpid()]
+
+    def test_large_file_is_read_by_workers(self, tmp_path, monkeypatch, one_pass_only,
+                                           chunk_readers, two_cpus):
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", 4096)
+        sample = dgp_draw(DgpSpec("highdim-sparse"), 400, RngStream(7).child("d"))
+        path = str(tmp_path / "d.csv")
+        emit_csv(sample, path)
+        got = ingest_csv(path)
+        assert (got.a.tobytes(), got.x.tobytes(), got.score.tobytes()) == (
+            sample.a.tobytes(), sample.x.tobytes(), sample.score.tobytes())
+        readers = chunk_readers()
+        assert len(readers) > os.path.getsize(path) // 8192
+        assert os.getpid() not in readers and len(set(readers)) == 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("chunk", [1, 30, 200])
+    def test_stray_score_in_a_later_chunk(self, tmp_path, monkeypatch, one_pass_only,
+                                          chunk):
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", chunk)
+        rows = plain_rows(60)
+        rows[40], rows[50] = "0,0.25,40,-40", "0, 7 ,50,-50"
+        p = tmp_path / "d.csv"
+        p.write_text(H + "\n".join(rows) + "\n")
+        got = assert_matches_reference(str(p))
+        assert got[-1][:2] == (2, 42)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 9, 17, 33])
+    def test_blank_and_crlf_lines_on_chunk_boundaries(self, tmp_path, monkeypatch,
+                                                      one_pass_only, chunk):
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", chunk)
+        rows = plain_rows(30)
+        rows[21] = "0,0.4,21,-21"
+        ends = ["\r\n", "\n", "\r\n\r\n", "\n\n\n", "\r\n\n"]
+        text = "a,score,x1,x2\r\n\r\n" + "".join(
+            row + ends[i % len(ends)] for i, row in enumerate(rows))
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        got = assert_matches_reference(str(p))
+        # Before row 21: the header, a blank line, 21 rows and 16 blank lines.
+        assert got[0] == "ok" and got[-1][:2] == (1, 40)
+
+    def test_lone_cr_file_is_one_chunk(self, tmp_path, monkeypatch, one_pass_only,
+                                       chunk_readers):
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", 1)
+        p = tmp_path / "d.csv"
+        p.write_bytes(("a,score,x1,x2\r" + "\r\r".join(plain_rows(20)) + "\r").encode())
+        assert assert_matches_reference(str(p))[0] == "ok"
+        assert chunk_readers() == [os.getpid()]
+
+    def test_byte_order_mark(self, tmp_path, monkeypatch, one_pass_only):
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", 16)
+        rows = plain_rows(40)
+        rows[30] = "0,9,30,-30"
+        text = (H + "\n".join(rows) + "\n").encode()
+        bare, marked = tmp_path / "bare.csv", tmp_path / "marked.csv"
+        bare.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        got = outcome(ingest_csv, str(marked))
+        assert got == outcome(reference_ingest_csv, str(bare))
+        assert got[-1][:2] == (1, 32)
+
+    @pytest.mark.parametrize("chunk", [1, 50])
+    def test_bad_cell_in_a_later_chunk(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", chunk)
+        rows = plain_rows(60)
+        rows[45] = "1,0.5,4x5,-45"
+        p = tmp_path / "d.csv"
+        p.write_text(H + "\n".join(rows[:20]) + "\n\n" + "\n".join(rows[20:]) + "\n")
+        got = assert_matches_reference(str(p))
+        assert got == ("DataError", f"{p}:48: column 'x1' has a malformed number '4x5'")
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
@@ -424,18 +553,20 @@ def write_rows(path, rows, quote_last):
 
 
 class TestIngestProperties:
-    @given(observed_samples(), st.integers(1, 8))
+    @given(observed_samples(), st.integers(1, 8), st.sampled_from(CHUNK_BYTES))
     @settings(max_examples=60, deadline=None)
-    def test_round_trip_is_byte_identical(self, sample, block_rows):
+    def test_round_trip_is_byte_identical(self, sample, block_rows, chunk_bytes):
         with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_BLOCK_ROWS", block_rows, raising=False)
+            mp.setattr(csvio, "_BLOCK_ROWS", block_rows, raising=False)
+            if chunk_bytes is not None:
+                mp.setattr(csvio, "_CHUNK_BYTES", chunk_bytes)
             path = os.path.join(d, "s.csv")
             emit_csv(sample, path)
             with open(path, newline="", encoding="utf-8") as fh:
                 quoted = os.path.join(d, "q.csv")
                 write_rows(quoted, list(csv.reader(fh)), quote_last=True)
             exact = ingest_csv(quoted)
-            mp.setattr(cli, "_read_exact", refuse_exact)
+            mp.setattr(csvio, "_read_exact", refuse_exact)
             back = ingest_csv(path)
         for got in (back, exact):
             assert got.a.dtype == sample.a.dtype and got.x.shape == sample.x.shape
@@ -443,14 +574,18 @@ class TestIngestProperties:
             assert got.x.tobytes() == sample.x.tobytes()
             assert got.score.tobytes() == sample.score.tobytes()
 
-    @given(observed_samples(), st.integers(1, 8), st.data())
+    @given(observed_samples(), st.integers(1, 8), st.sampled_from(CHUNK_BYTES),
+           st.data())
     @settings(max_examples=80, deadline=None)
-    def test_one_corrupt_cell_matches_reference(self, sample, block_rows, data):
+    def test_one_corrupt_cell_matches_reference(self, sample, block_rows, chunk_bytes,
+                                                data):
         i = data.draw(st.integers(0, sample.n - 1))
         col = data.draw(st.integers(-1, sample.p + 1))
         token = data.draw(st.sampled_from(BAD_TOKENS) | st.text(max_size=4))
         with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_BLOCK_ROWS", block_rows, raising=False)
+            mp.setattr(csvio, "_BLOCK_ROWS", block_rows, raising=False)
+            if chunk_bytes is not None:
+                mp.setattr(csvio, "_CHUNK_BYTES", chunk_bytes)
             path = os.path.join(d, "s.csv")
             emit_csv(sample, path)
             with open(path, newline="", encoding="utf-8") as fh:
@@ -537,6 +672,42 @@ class TestCmdFit:
         assert stray == [f"{path}: score ignored on 1 target row(s) "
                          f"(first at line {target + 1})"]
         assert stray[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["onestep", "tmle", "rs", "icp"])
+    def test_chunked_read_changes_no_output_byte(self, tmp_path, monkeypatch, capsys,
+                                                 two_cpus, method):
+        sample = dgp_draw(DgpSpec("lowdim"), 400, RngStream(17).child("d"))
+        path = str(tmp_path / "stray.csv")
+        emit_csv(sample, path)
+        lines = open(path).read().splitlines()
+        lines[300] = "0,0.5," + lines[300].split(",", 2)[2]
+        open(path, "w").write("\n".join(lines) + "\n")
+        runs = []
+        for chunk in (None, 2048):
+            if chunk:
+                monkeypatch.setattr(csvio, "_CHUNK_BYTES", chunk)
+            code, out = self.run_fit(tmp_path, path, method)
+            assert multiprocessing.active_children() == []
+            runs.append((code, *capsys.readouterr(),
+                         *(open(out + suffix, "rb").read() for suffix in ("", ".meta.json"))))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "(first at line 301)" in runs[0][2]
+
+    def test_chunked_read_reports_a_killed_worker(self, tmp_path, sample_csv, monkeypatch,
+                                                  capsys, two_cpus, deadline):
+        parent, read = os.getpid(), csvio._read_chunk
+
+        def killing(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read(*args)
+
+        monkeypatch.setattr(csvio, "_read_chunk", killing)
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", 2048)
+        code, _ = self.run_fit(tmp_path, sample_csv, "icp")
+        assert code == 1
+        assert "error: WorkerError: a worker process died" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
 
     def test_wcp_rejected_for_fit(self, tmp_path, sample_csv):
         with pytest.raises(SystemExit):
