@@ -12,11 +12,12 @@ from __future__ import annotations
 import codecs
 import csv
 import io
-import mmap
 import os
+import shutil
 import stat
+import tempfile
 import warnings
-from contextlib import closing
+from contextlib import closing, contextmanager
 from functools import partial
 from itertools import compress
 
@@ -27,8 +28,9 @@ from .core import DataError, ObservedSample
 
 _BLOCK_ROWS = 1024  # exact path: CSV rows converted at a time; bounds the tokens held in memory
 # One-pass path: data bytes below which a file is read here in one chunk, and
-# about the most that one chunk of a larger file holds.
-_CHUNK_BYTES = 1 << 21
+# about the most that one chunk of a larger file holds.  Two forked workers
+# cost about 30 ms, which parsing about 3 MiB in them repays (BENCH_16.json).
+_CHUNK_BYTES = 3 << 20
 # Widths of the Latin-1 byte fields that the one-pass path reads `a` and `score`
 # into: a token that fills its field may have been cut short, so it is not plain.
 _A_WIDTH, _SCORE_WIDTH = 2, 32
@@ -58,10 +60,10 @@ def ingest_csv(path: str) -> ObservedSample:
     forked workers when the file has several; a file with quotes, NUL
     characters, over-long lines or anything that reader cannot judge exactly
     (including every invalid value) is read again by the exact csv reader,
-    the only one that accepts it or writes its error.  The arrays of a plain
-    file live in anonymous memory that the reading workers shared.
+    the only one that accepts it or writes its error.  A stream that is not a
+    regular file, such as a pipe, is first copied to a temporary file.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _rereadable(path) as source, open(source, newline="", encoding="utf-8-sig") as fh:
         head = []  # the lines that the header record takes
         reader = csv.reader(_noting(fh, head))
         try:
@@ -82,7 +84,7 @@ def ingest_csv(path: str) -> ObservedSample:
                 f"{path}: covariate columns must be exactly x1..xp, got {x_names}")
         layout = (path, header, cols["a"], cols["score"], [cols[n] for n in expected])
         try:
-            a, score, x, stray = _read_plain(fh, layout, "".join(head))
+            a, score, x, stray = _read_plain(source, layout, "".join(head))
         except _NotPlain:
             a, score, x, stray = _read_exact(fh, layout)
     if stray.size:
@@ -94,6 +96,20 @@ def ingest_csv(path: str) -> ObservedSample:
     return ObservedSample(a=a, x=x, score=score)
 
 
+@contextmanager
+def _rereadable(path):
+    """``path`` if it names a regular file, else the name of a temporary copy
+    of the stream it names: the one-pass reader reads a file at offsets, and
+    the exact reader reads it again."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        yield path
+        return
+    with open(path, "rb") as stream, tempfile.NamedTemporaryFile() as copy:
+        shutil.copyfileobj(stream, copy)
+        copy.flush()
+        yield copy.name
+
+
 def _noting(lines, seen):
     """The lines, each noted in ``seen`` as it is taken."""
     for line in lines:
@@ -101,48 +117,36 @@ def _noting(lines, seen):
         yield line
 
 
-def _read_plain(fh, layout, head):
-    """Read the data rows that follow the header text ``head`` in chunks of
-    whole lines, in forked workers when there are several: (a, score, x,
-    stray-score lines).  Raises ``_NotPlain`` unless every row is valid and
-    plain, or if the file is not a regular one."""
-    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-        raise _NotPlain
-    with open(layout[0], "rb") as raw:
+def _read_plain(source, layout, head):
+    """Read the data rows of the regular file ``source`` that follow the header
+    text ``head`` in chunks of whole lines, in forked workers when there are
+    several: (a, score, x, stray-score lines).  Raises ``_NotPlain`` unless
+    every row is valid and plain."""
+    with open(source, "rb") as raw:
         start = len(head.encode())
         if raw.read(3) == codecs.BOM_UTF8:
             start += 3
-        chunks = _split_lines(raw, start)
-        firsts = np.cumsum([0] + [lines for _, _, lines in chunks])
-        # Chunk i writes its rows from row firsts[i] on, into memory that
-        # forked workers share; the rows then close up over the blank lines.
-        size, p = int(firsts[-1]), len(layout[4])
-        shared = mmap.mmap(-1, max(1, size * (8 * p + 9)))
-        x = np.frombuffer(shared, float, size * p).reshape(size, p)
-        score = np.frombuffer(shared, float, size, 8 * size * p)
-        a = np.frombuffer(shared, np.int8, size, 8 * size * (p + 1))
-        read = partial(_read_chunk, layout, raw.fileno(), (a, score, x))
-        jobs = [(offset, length, first)
-                for (offset, length, _), first in zip(chunks, firsts)]
-        strays, row = [], 0
-        with closing(parallel.run_jobs(read, jobs)) as parts:
-            for first, (rows, stray) in zip(firsts, parts):
-                if row < first:
-                    for column in (a, score, x):
-                        column[row:row + rows] = column[first:first + rows]
-                strays.append(2 + first + stray)
-                row += rows
-    if row == 0:
+        read = partial(_read_chunk, layout, raw.fileno())
+        with closing(parallel.run_jobs(read, _split_lines(raw, start))) as parts:
+            return _join(list(parts))
+
+
+def _join(parts):
+    """The arrays of the whole file from its chunks' (a, score, x, stray-score
+    line offsets, line count), in file order."""
+    if not any(len(part[0]) for part in parts):
         raise _NotPlain  # the exact reader reports the missing rows
-    return a[:row], score[:row], x[:row], np.concatenate(strays)
+    a, score, x, strays, counts = zip(*parts)
+    firsts = np.cumsum((2,) + counts[:-1])  # the file line of each chunk's first line
+    return (np.concatenate(a), np.concatenate(score), np.concatenate(x),
+            np.concatenate([first + stray for first, stray in zip(firsts, strays)]))
 
 
 def _split_lines(raw, start):
-    """(byte offset, byte length, line count) of the chunks of whole lines
-    that hold the binary file ``raw`` from byte ``start`` on.  Fewer than
-    ``_CHUNK_BYTES`` bytes are one chunk; more are cut, each cut after a
-    newline, into chunks of at most about that size whose count the usable
-    CPUs divide."""
+    """(byte offset, byte length) of the chunks of whole lines that hold the
+    binary file ``raw`` from byte ``start`` on.  Fewer than ``_CHUNK_BYTES``
+    bytes are one chunk; more are cut, each cut after a newline, into chunks
+    of at most about that size whose count the usable CPUs divide."""
     size = os.fstat(raw.fileno()).st_size
     data = size - start
     cpus = parallel.usable_cpus()
@@ -152,36 +156,16 @@ def _split_lines(raw, start):
     while start < size:
         raw.seek(min(start + step, size) - 1)
         raw.readline()
-        end = raw.tell()
-        chunks.append((start, end - start, _count_lines(raw, start, end)))
-        start = end
+        chunks.append((start, raw.tell() - start))
+        start = raw.tell()
     return chunks
 
 
-def _count_lines(raw, start, end, piece=1 << 16) -> int:
-    """The lines in bytes ``start`` to ``end`` of the binary file ``raw`` as
-    text mode splits them: each ends at a LF, a CR-LF pair or a lone CR, and
-    the last may have no end.  Reads a small piece at a time."""
-    buf = bytearray(piece)
-    raw.seek(start)
-    lines, last = 0, 10
-    while start < end:
-        got = raw.readinto(memoryview(buf)[:min(piece, end - start)])
-        v = np.frombuffer(buf, np.uint8, got)
-        lf, cr = v == 10, v == 13
-        crlf = np.count_nonzero(lf[1:] & cr[:-1]) + (last == 13 and lf[0])
-        lines += np.count_nonzero(lf) + np.count_nonzero(cr) - crlf
-        last = v[-1]
-        start += got
-    return int(lines) + (last not in (10, 13))
-
-
-def _read_chunk(layout, fd, out, offset, length, first):
+def _read_chunk(layout, fd, offset, length):
     """Read the whole data lines in bytes ``offset`` to ``offset + length``
-    of the file ``fd`` in one ``np.loadtxt`` pass into the arrays ``out`` =
-    (a, score, x) from row ``first`` on: (row count, stray-score line
-    offsets in the chunk).  Raises ``_NotPlain`` unless every row is valid
-    and plain."""
+    of the file ``fd`` in one ``np.loadtxt`` pass: (a, score, x, stray-score
+    line offsets, line count).  Raises ``_NotPlain`` unless every row is
+    valid and plain."""
     _, header, a_col, s_col, x_cols = layout
     text = io.TextIOWrapper(io.BytesIO(os.pread(fd, length, offset)),
                             encoding="utf-8", newline="")
@@ -201,20 +185,18 @@ def _read_chunk(layout, fd, out, offset, length, first):
     src = a_tok == b"1"
     if not (src | (a_tok == b"0")).all() or (np.char.str_len(s_tok) == _SCORE_WIDTH).any():
         raise _NotPlain
-    a, score, x = (column[first:first + len(rows)] for column in out)
-    a[:] = src
-    score.fill(np.nan)
+    score = np.full(len(rows), np.nan)
     try:
         score[src] = np.fromiter(map(float, s_tok[src].tolist()), float)
     except ValueError:
         raise _NotPlain from None
-    for j, c in enumerate(x_cols):
-        x[:, j] = rows[header[c]]
+    x = np.column_stack([rows[header[c]] for c in x_cols])
     if not (np.isfinite(score[src]).all() and np.isfinite(x).all()):
         raise _NotPlain
     stray = np.array([i for i in np.flatnonzero(~src & (s_tok != b""))
                       if s_tok[i].decode("latin-1").strip()], dtype=np.int64)
-    return len(rows), stray + np.searchsorted(blanks, stray, side="right")
+    return (src.astype(np.int8), score, x,
+            stray + np.searchsorted(blanks, stray, side="right"), len(rows) + len(blanks))
 
 
 def _plain_lines(lines, blanks):

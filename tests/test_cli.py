@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 
@@ -521,6 +522,66 @@ class TestChunkedIngest:
         p.write_text(H + "\n".join(rows[:20]) + "\n\n" + "\n".join(rows[20:]) + "\n")
         got = assert_matches_reference(str(p))
         assert got == ("DataError", f"{p}:48: column 'x1' has a malformed number '4x5'")
+
+
+def piped(reader, path, data):
+    """What ``reader`` makes of ``data`` written to the FIFO ``path`` by
+    another thread."""
+    writer = threading.Thread(target=lambda: path.write_bytes(data), daemon=True)
+    writer.start()
+    try:
+        return outcome(reader, str(path))
+    finally:
+        writer.join(10)
+
+
+@pytest.fixture
+def fifo(tmp_path):
+    path = tmp_path / "in.fifo"
+    os.mkfifo(path)
+    return path
+
+
+class TestPipedIngest:
+    """A stream that is not a regular file is copied to a temporary file and
+    read as that file is."""
+
+    @pytest.mark.parametrize("case", PLAIN_CASES)
+    def test_plain_pipe_takes_one_pass(self, fifo, one_pass_only, case):
+        data = DIALECT_CASES[case][0].encode()
+        got = piped(ingest_csv, fifo, data)
+        assert got[0] == "ok" and got == piped(reference_ingest_csv, fifo, data)
+
+    @pytest.mark.parametrize("case", sorted(set(DIALECT_CASES) - set(PLAIN_CASES)))
+    def test_other_pipe_matches_reference(self, fifo, case):
+        data = DIALECT_CASES[case][0].encode()
+        assert piped(ingest_csv, fifo, data) == piped(reference_ingest_csv, fifo, data)
+
+    def test_large_pipe_is_read_by_workers(self, tmp_path, fifo, monkeypatch, one_pass_only,
+                                           chunk_readers, two_cpus):
+        monkeypatch.setattr(csvio, "_CHUNK_BYTES", 4096)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        os.mkdir(tmp_path / "tmp")
+        rows = plain_rows(3000)
+        rows[2500] = "0,0.5,2500,-2500"
+        data = (H + "\n".join(rows) + "\n").encode()
+        got = piped(ingest_csv, fifo, data)
+        assert got == piped(reference_ingest_csv, fifo, data)
+        assert got[-1][:2] == (1, 2502)
+        assert os.getpid() not in chunk_readers() and len(set(chunk_readers())) == 2
+        assert os.listdir(tmp_path / "tmp") == []
+
+    @pytest.mark.parametrize("bad_row", [b"", b"1,0.5,1,oops\n"])
+    def test_undecodable_pipe_reads_as_a_file(self, tmp_path, fifo, bad_row):
+        data = H.encode() + bad_row + b"0,,3,4\n" * 5000 + b"0,,3,\xff\n"
+        got = piped(ingest_csv, fifo, data)
+        if bad_row:
+            assert got == piped(reference_ingest_csv, fifo, data)
+        else:
+            # Where a pipe's reads end moves the position that the error names.
+            (tmp_path / "d.csv").write_bytes(data)
+            assert got == outcome(ingest_csv, str(tmp_path / "d.csv"))
+        assert got[0] == ("DataError" if bad_row else "UnicodeDecodeError")
 
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
