@@ -18,6 +18,8 @@ files byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import sys
 import warnings
@@ -27,6 +29,7 @@ from scipy.special import betaincinv
 
 from .core import (
     ConfigurationError,
+    DataError,
     RiskTargets,
     RngStream,
     ShiftsetError,
@@ -34,12 +37,14 @@ from .core import (
 )
 # CsvSchemaWarning and emit_csv are imported from here by callers of the CLI.
 from .csvio import CsvSchemaWarning, _fmt, emit_csv, ingest_csv
-from .learners import BinaryLearnerSpec
+from .learners import LEARNER_KINDS, BinaryLearnerSpec
 from .onestep import CoverageTable
 from .rejsamp import RsConfig
 from .simbench import (
     ALL_METHODS,
+    DGP_KINDS,
     METHODS,
+    AggregateRow,
     Dataset,
     DgpSpec,
     StudyConfig,
@@ -49,12 +54,8 @@ from .simbench import (
     run_study,
 )
 
-_DGP_ALIASES = {
-    "highdim": "highdim-sparse",
-    "highdim-sparse": "highdim-sparse",
-    "lowdim": "lowdim",
-    "lowdim-noshift": "lowdim-noshift",
-}
+# "highdim" is the one alias of a DGP kind.
+_DGP_CHOICES = sorted(DGP_KINDS + ("highdim",))
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="propensity truncation bound")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--output", required=False, default=None)
-        sp.add_argument("--g-learner", default="logistic-ridge",
-                        choices=("logistic-ridge", "boosted-stumps"))
-        sp.add_argument("--e-learner", default="logistic-ridge",
-                        choices=("logistic-ridge", "boosted-stumps"))
+        sp.add_argument("--g-learner", default="logistic-ridge", choices=LEARNER_KINDS)
+        sp.add_argument("--e-learner", default="logistic-ridge", choices=LEARNER_KINDS)
         sp.add_argument("--ridge", type=float, default=1e-6)
         sp.add_argument("--bhat-mult", type=float, default=1.3)
         sp.add_argument("--bhat-fixed", type=float, default=None)
@@ -95,74 +94,59 @@ def _build_parser() -> argparse.ArgumentParser:
     # Weighted conformal needs the oracle's target draws: simulation only.
     sp_fit.add_argument("--method", required=True,
                         choices=[m for m in METHODS if m != "wcp"])
+    sp_fit.set_defaults(run=cmd_fit)
 
     sp_sim = sub.add_parser("simulate", help="replication study on a built-in DGP")
     add_common(sp_sim)
     sp_sim.add_argument("--method", required=True,
                         help="comma-separated subset of: " + ",".join(ALL_METHODS))
-    sp_sim.add_argument("--dgp", required=True, choices=sorted(_DGP_ALIASES))
+    sp_sim.add_argument("--dgp", required=True, choices=_DGP_CHOICES)
     sp_sim.add_argument("--n", type=int, required=True)
     sp_sim.add_argument("--reps", type=int, default=200)
     sp_sim.add_argument("--oracle-m", type=int, default=100_000)
     sp_sim.add_argument("--workers", type=int, default=None,
                         help="worker processes for the replications (default: "
                              "one per usable CPU); outputs do not depend on it")
+    sp_sim.set_defaults(run=cmd_simulate)
 
     sp_or = sub.add_parser("oracle", help="true coverage-error curve and threshold")
     add_common(sp_or)
-    sp_or.add_argument("--dgp", required=True, choices=sorted(_DGP_ALIASES))
+    sp_or.add_argument("--dgp", required=True, choices=_DGP_CHOICES)
     sp_or.add_argument("--oracle-m", type=int, default=100_000)
+    sp_or.set_defaults(run=cmd_oracle)
 
     return parser, {"fit": sp_fit, "simulate": sp_sim, "oracle": sp_or}
 
 
-def _apply_config_file(subparser, sub_argv, args):
-    """Merge a key=value config file under explicit command-line flags."""
-    if args.config is None:
-        return args
+def _config_defaults(subparser, path) -> dict:
+    """A key=value config file's values, typed as ``subparser`` types its
+    flags, for use as its defaults: explicit flags still win."""
     actions = {a.dest: a for a in subparser._actions}
-    overrides = {}
-    with open(args.config, encoding="utf-8-sig") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
-            raise ConfigurationError(f"{args.config}: not UTF-8 text ({exc.reason})") from None
+            raise ConfigurationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    values = {}
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigurationError(
-                f"{args.config}:{line_no}: expected key=value")
+            raise ConfigurationError(f"{path}:{line_no}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in actions:
-            raise ConfigurationError(
-                f"{args.config}:{line_no}: unknown key {key!r}")
-        overrides[dest] = (line_no, key, value)
-    explicit = _explicit_dests(subparser, sub_argv)
-    for dest, (line_no, key, value) in overrides.items():
-        if dest in explicit:
-            continue
-        action = actions[dest]
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
         if action.type is not None:
             try:
                 value = action.type(value)
             except ValueError:
                 raise ConfigurationError(
-                    f"{args.config}:{line_no}: {key} = {value!r} is not a valid "
+                    f"{path}:{line_no}: {key} = {value!r} is not a valid "
                     f"{action.type.__name__}") from None
-        setattr(args, dest, value)
-    return args
-
-
-def _explicit_dests(parser, argv):
-    out = set()
-    for a in parser._actions:
-        for opt in a.option_strings:
-            if opt in argv or any(tok.startswith(opt + "=") for tok in argv):
-                out.add(a.dest)
-    return out
+        values[action.dest] = value
+    return values
 
 
 def _parse_grid(text: str) -> ThresholdGrid:
@@ -189,9 +173,8 @@ def _study_config(args, **extra) -> StudyConfig:
         **extra)
 
 
-def _require_output(args):
-    if args.output is None:
-        raise ConfigurationError("--output is required")
+def _dgp_spec(name: str) -> DgpSpec:
+    return DgpSpec("highdim-sparse" if name == "highdim" else name)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +194,13 @@ def _write_meta(path, meta: dict):
         fh.write("\n")
 
 
+def _cell(value) -> str:
+    """A CSV cell: a string as it is, an integer exactly, a float by _fmt."""
+    if isinstance(value, str):
+        return value
+    return str(value) if isinstance(value, int) else _fmt(value)
+
+
 def _table_rows(table: CoverageTable, selected_tau, sentinel):
     rows = []
     for i, tau in enumerate(table.taus):
@@ -225,7 +215,6 @@ def _table_rows(table: CoverageTable, selected_tau, sentinel):
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    _require_output(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         meta, rows, summary = _fit(args)
@@ -240,7 +229,10 @@ def cmd_fit(args) -> int:
 
 def _fit(args):
     """Run the ``fit`` command's method: (meta, table rows, summary line)."""
-    sample = ingest_csv(args.input)
+    try:
+        sample = ingest_csv(args.input)
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise DataError(f"{args.input}: {exc}") from None
     cfg = _study_config(args)
     targets = cfg.targets
     root = RngStream(args.seed)
@@ -290,10 +282,9 @@ def _fit(args):
 
 
 def cmd_simulate(args) -> int:
-    _require_output(args)
     methods = _ensure_methods(m.strip() for m in args.method.split(",") if m.strip())
     cfg = _study_config(args, oracle_m=args.oracle_m)
-    spec = DgpSpec(_DGP_ALIASES[args.dgp])
+    spec = _dgp_spec(args.dgp)
     report = run_study(spec, [args.n], methods, args.reps, cfg,
                        RngStream(args.seed), workers=args.workers)
 
@@ -313,17 +304,9 @@ def cmd_simulate(args) -> int:
                                       else v) for k, v in sorted(r.info.items())}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    agg_rows = []
-    for a in report.aggregates:
-        agg_rows.append([
-            a.method, str(a.n), str(a.reps), str(a.failures), str(a.covered),
-            _fmt(a.proportion), _fmt(a.wilson_lo), _fmt(a.wilson_hi),
-            _fmt(a.tau_mean), _fmt(a.tau_median), str(a.sentinel_count),
-        ])
-    _write_table_csv(args.output, agg_rows,
-                     ["method", "n", "reps", "failures", "covered",
-                      "proportion", "wilson_lo", "wilson_hi",
-                      "tau_mean", "tau_median", "sentinel_count"])
+    _write_table_csv(args.output,
+                     ([_cell(v) for v in dataclasses.astuple(a)] for a in report.aggregates),
+                     [f.name for f in dataclasses.fields(AggregateRow)])
     _write_meta(args.output + ".meta.json", {"command": "simulate",
                                              **report.config})
     for a in report.aggregates:
@@ -334,9 +317,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _require_output(args)
     grid = _parse_grid(args.grid)
-    spec = DgpSpec(_DGP_ALIASES[args.dgp])
+    spec = _dgp_spec(args.dgp)
     root = RngStream(args.seed)
     tau0 = oracle_tau0(spec, args.alpha_error, args.oracle_m,
                        root.child("oracle-tau0"))
@@ -361,12 +343,13 @@ def main(argv=None) -> int:
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(subparsers[args.command], argv, args)
-        if args.command == "fit":
-            return cmd_fit(args)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        return cmd_oracle(args)
+        if args.config is not None:
+            subparser = subparsers[args.command]
+            subparser.set_defaults(**_config_defaults(subparser, args.config))
+            args = parser.parse_args(argv)
+        if args.output is None:
+            raise ConfigurationError("--output is required")
+        return args.run(args)
     except ShiftsetError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

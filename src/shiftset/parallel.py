@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 import sys
 import warnings
-from collections import deque
 
 from .core import WorkerError
 
@@ -82,12 +81,9 @@ def run_jobs(fn, jobs, workers: int | None = None):
             pool = ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
                                        _init_worker, (fn,))
             try:
-                # Each future is dropped once read, so that a result is held
-                # here only until the caller has taken it.
-                pending = deque((job, pool.submit(_call_in_worker, job)) for job in jobs)
-                while pending:
-                    job, future = pending.popleft()
-                    done = future.result()
+                # map yields in job order and drops each future once read, so
+                # a result is held here only until the caller has taken it.
+                for job, done in zip(jobs, pool.map(_call_in_worker, jobs)):
                     if done is None:
                         yield fn(*job)
                         continue

@@ -134,6 +134,12 @@ class DgpSpec:
             u2 = -0.03 - 1.5 * x1 - 2.4 * x2 + 0.3 * x3
         return _softmax3(u1, u2)
 
+    def draw_scores(self, X: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+        """Draw one label per row of X and return the labels' scores."""
+        u = gen.uniform(size=X.shape[0])
+        y = (u[:, None] > np.cumsum(self.label_probs(X), axis=1)).sum(axis=1)
+        return self.score_table(X)[np.arange(X.shape[0]), y]
+
     # -- true nuisance functions ---------------------------------------
 
     def true_likelihood_ratio(self, X: np.ndarray) -> np.ndarray:
@@ -170,12 +176,7 @@ def dgp_draw(spec: DgpSpec, n: int, rng: RngStream) -> ObservedSample:
     gen = rng.generator()
     a = gen.binomial(1, 0.5, size=n).astype(np.int8)
     X = spec.draw_x(n, a, gen)
-    probs = spec.label_probs(X)
-    u = gen.uniform(size=n)
-    cum = np.cumsum(probs, axis=1)
-    y = (u[:, None] > cum).sum(axis=1)
-    scores = spec.score_table(X)[np.arange(n), y]
-    score = np.where(a == 1, scores, np.nan)
+    score = np.where(a == 1, spec.draw_scores(X, gen), np.nan)
     return ObservedSample(a=a, x=X, score=score)
 
 
@@ -186,6 +187,16 @@ def dgp_draw(spec: DgpSpec, n: int, rng: RngStream) -> ObservedSample:
 _CHUNK = 200_000
 
 
+def _target_draws(spec: DgpSpec, M: int, gen: np.random.Generator):
+    """M target covariate rows in chunks of at most _CHUNK.  M is checked at
+    the call; each chunk is drawn from ``gen`` only when asked for, so the
+    caller's own draws from ``gen`` come between the chunks."""
+    if M < 1:
+        raise ConfigurationError("M must be positive")
+    sizes = [min(_CHUNK, M - done) for done in range(0, M, _CHUNK)]
+    return (spec.draw_x(m, np.zeros(m, dtype=int), gen) for m in sizes)
+
+
 def oracle_psi_curve(spec: DgpSpec, taus, M: int, rng: RngStream) -> np.ndarray:
     """True coverage-error curve on a grid, sharing the covariate draws.
 
@@ -193,20 +204,13 @@ def oracle_psi_curve(spec: DgpSpec, taus, M: int, rng: RngStream) -> np.ndarray:
     target covariate draws, so the curve is nondecreasing in tau by
     construction.
     """
-    if M < 1:
-        raise ConfigurationError("M must be positive")
+    draws = _target_draws(spec, M, rng.generator())
     taus = np.asarray(list(taus), dtype=float)
-    gen = rng.generator()
     totals = np.zeros(taus.shape[0])
-    done = 0
-    while done < M:
-        m = min(_CHUNK, M - done)
-        X = spec.draw_x(m, np.zeros(m, dtype=int), gen)
-        probs = spec.label_probs(X)
-        scores = spec.score_table(X)
+    for X in draws:
+        probs, scores = spec.label_probs(X), spec.score_table(X)
         for i, tau in enumerate(taus):
             totals[i] += float(np.sum(probs * (scores < tau)))
-        done += m
     return totals / M
 
 
@@ -218,20 +222,9 @@ def oracle_tau0(spec: DgpSpec, alpha_error: float, M: int, rng: RngStream) -> fl
     """
     if not (0.0 <= alpha_error <= 1.0):
         raise ConfigurationError(f"alpha_error must lie in [0, 1], got {alpha_error}")
-    if M < 1:
-        raise ConfigurationError("M must be positive")
     gen = rng.generator()
-    out = np.empty(M)
-    done = 0
-    while done < M:
-        m = min(_CHUNK, M - done)
-        X = spec.draw_x(m, np.zeros(m, dtype=int), gen)
-        probs = spec.label_probs(X)
-        u = gen.uniform(size=m)
-        y = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-        out[done:done + m] = spec.score_table(X)[np.arange(m), y]
-        done += m
-    return float(np.quantile(out, alpha_error))
+    scores = [spec.draw_scores(X, gen) for X in _target_draws(spec, M, gen)]
+    return float(np.quantile(np.concatenate(scores), alpha_error))
 
 
 class OracleEvaluator:

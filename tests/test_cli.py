@@ -805,6 +805,24 @@ class TestCmdFit:
         assert code == 1
         assert "ConfigurationError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row", [
+        b"1,0.5,\xff,1,1\n",
+        b"1,0.5," + b"1" * (csv.field_size_limit() + 1) + b",1,1\n",
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_unreadable_row_is_one_error_line(self, tmp_path, sample_csv, capsys,
+                                              bad_row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(open(sample_csv, "rb").read() + bad_row)
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--input", str(path), "--method", "onestep",
+                     "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith(f"error: DataError: {path}: ")
+        assert err.count("\n") == 1
+        assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
+
 
 class TestCmdSimulate:
     def test_rows_and_determinism(self, tmp_path):
@@ -1074,3 +1092,65 @@ class TestConfigFile:
         assert code == 1
         err = capsys.readouterr().err
         assert "ConfigurationError" in err and str(cfg) in err
+
+    def fit_with_config(self, tmp_path, sample_csv, text, *flags, output=True):
+        cfg = write(tmp_path / "run.cfg", text)
+        argv = ["fit", "--input", sample_csv, "--method", "onestep", "--config", cfg]
+        if output:
+            argv += ["--output", str(tmp_path / "o.csv")]
+        return main(argv + list(flags)), cfg
+
+    def test_equals_form_flag_overrides(self, tmp_path, sample_csv):
+        code, _ = self.fit_with_config(tmp_path, sample_csv, "seed=9\n", "--seed=4")
+        assert code == 0
+        assert json.load(open(tmp_path / "o.csv.meta.json"))["seed"] == 4
+
+    def test_output_from_file_alone(self, tmp_path, sample_csv):
+        out = tmp_path / "from-file.csv"
+        code, _ = self.fit_with_config(tmp_path, sample_csv, f"output={out}\n",
+                                       output=False)
+        assert code == 0
+        assert out.exists() and (tmp_path / "from-file.csv.meta.json").exists()
+
+    def test_simulate_only_keys_apply(self, tmp_path, monkeypatch):
+        seen = {}
+        real = cli.run_study
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_study", spy)
+        cfg = write(tmp_path / "run.cfg", "workers=1\noracle-m=3000\nreps=2\n")
+        out = str(tmp_path / "s.csv")
+        code = main(["simulate", "--dgp", "lowdim", "--n", "200", "--method", "icp",
+                     "--output", out, "--config", cfg])
+        assert code == 0
+        assert seen["workers"] == 1
+        meta = json.load(open(out + ".meta.json"))
+        assert (meta["oracle_m"], meta["replications"]) == (3000, 2)
+
+    def test_learner_from_file_matches_flag(self, tmp_path, sample_csv):
+        outs = []
+        for name, extra in (("flag", ["--g-learner", "boosted-stumps"]),
+                            ("file", ["--config", write(tmp_path / "run.cfg",
+                                                        "g-learner=boosted-stumps\n")])):
+            out = str(tmp_path / f"{name}.csv")
+            assert main(["fit", "--input", sample_csv, "--method", "onestep",
+                         "--output", out, *extra]) == 0
+            outs.append([open(out + ext, "rb").read() for ext in ("", ".meta.json")])
+        assert outs[0] == outs[1]
+
+    def test_badly_typed_value_under_flag_rejected(self, tmp_path, sample_csv, capsys):
+        code, cfg = self.fit_with_config(tmp_path, sample_csv, "seed=abc\n", "--seed", "4")
+        assert code == 1
+        assert f"{cfg}:1: seed = 'abc' is not a valid int" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_first_bad_line_reported(self, tmp_path, sample_csv, capsys):
+        code, cfg = self.fit_with_config(tmp_path, sample_csv,
+                                         "seed=1\nfolds=2.5\ncolour=red\n")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: folds = '2.5' is not a valid int" in err
+        assert "unknown key" not in err

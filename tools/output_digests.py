@@ -1,0 +1,119 @@
+"""Run a fixed matrix of ``shiftset`` commands and print, as JSON, each
+command's exit code, stdout, stderr and the sha256 of every file it wrote.
+
+Running it on two checkouts shows whether a change keeps ``fit``,
+``simulate`` and ``oracle`` byte-identical::
+
+    python tools/output_digests.py --src /path/to/parent > parent.json
+    python tools/output_digests.py --src . > change.json
+    diff parent.json change.json
+
+The matrix: ``fit`` for six methods on a 20,000-row and a 400-row CSV, each
+with and without a config file; ``simulate`` of all seven methods on lowdim
+and highdim with both learners; ``oracle`` on both DGPs at an M of three
+chunks; and a few inputs that ``fit`` rejects.  The input files are written
+by this script with the standard library, so both trees read the same bytes.
+Only the standard library is used here; the commands run with the
+interpreter that runs this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import hashlib
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FIT_METHODS = ("onestep", "tmle", "rs", "plugin", "wplugin", "icp")
+ALL_METHODS = ",".join(FIT_METHODS + ("wcp",))
+CONFIG = "# digest matrix\nalpha-error = 0.1\nseed = 9\ngrid = 0:0.5:0.025\n"
+
+
+def write_csv(path: Path, n: int, p: int, seed: int) -> None:
+    """n rows of a shifted sample: half target (blank score), half source."""
+    gen = random.Random(seed)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(["a", "score"] + [f"x{j}" for j in range(1, p + 1)]) + "\n")
+        for _ in range(n):
+            a = gen.randint(0, 1)
+            x = [gen.expovariate(1.0 if a else 2.0 if j < 2 else 1.0) for j in range(p)]
+            eta = 1.5 * x[0] - x[1] + 0.5 * x[2] + gen.gauss(0.0, 1.0) - 1.0
+            score = format(1.0 / (1.0 + math.exp(-eta)), ".17g") if a else ""
+            fh.write(",".join([str(a), score] + [format(v, ".17g") for v in x]) + "\n")
+
+
+def write_inputs(work: Path) -> None:
+    write_csv(work / "big.csv", 20_000, 20, 1)
+    write_csv(work / "small.csv", 400, 3, 2)
+    (work / "run.cfg").write_text(CONFIG)
+    text = (work / "small.csv").read_bytes()
+    (work / "not-utf8.csv").write_bytes(text + b"1,0.5,\xff,1,1\n")
+    long_field = "1" * (csv.field_size_limit() + 1)
+    (work / "long-field.csv").write_bytes(text + f"1,0.5,{long_field},1,1\n".encode())
+    (work / "typed-under-flag.cfg").write_text("seed = abc\n")
+    (work / "bad-then-unknown.cfg").write_text("folds = 2.5\ncolour = red\n")
+
+
+def matrix():
+    """(case name, argv) pairs; paths are relative to the case's directory."""
+    for data in ("big", "small"):
+        for method in FIT_METHODS:
+            fit = ["fit", "--input", f"../{data}.csv", "--method", method, "--output", "out.csv"]
+            yield f"fit-{data}-{method}", fit
+            yield f"fit-{data}-{method}-config", fit + ["--config", "../run.cfg", "--seed", "4"]
+    for dgp in ("lowdim", "highdim"):
+        for learner in ("logistic-ridge", "boosted-stumps"):
+            yield f"simulate-{dgp}-{learner}", [
+                "simulate", "--dgp", dgp, "--method", ALL_METHODS, "--n", "300",
+                "--reps", "3", "--oracle-m", "20000", "--seed", "5", "--workers", "2",
+                "--g-learner", learner, "--e-learner", learner, "--output", "out.csv"]
+        yield f"oracle-{dgp}", ["oracle", "--dgp", dgp, "--oracle-m", "450001",
+                                "--seed", "1", "--output", "out.csv"]
+    for data in ("not-utf8", "long-field"):
+        yield f"fit-{data}", ["fit", "--input", f"../{data}.csv", "--method", "onestep",
+                              "--output", "out.csv"]
+    for cfg in ("typed-under-flag", "bad-then-unknown"):
+        yield f"fit-config-{cfg}", ["fit", "--input", "../small.csv", "--method", "onestep",
+                                    "--output", "out.csv", "--config", f"../{cfg}.cfg",
+                                    "--seed", "4", "--folds", "2"]
+
+
+def run_case(src: Path, case_dir: Path, argv) -> dict:
+    case_dir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(src / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "from shiftset.cli import main; raise SystemExit(main())", *argv],
+        cwd=case_dir, env=env, capture_output=True, text=True)
+    files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in sorted(case_dir.iterdir())}
+    return {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr, "files": files}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, type=Path,
+                        help="checkout whose src/shiftset package is run")
+    args = parser.parse_args(argv)
+    src = args.src.resolve()
+    if not (src / "src" / "shiftset" / "cli.py").is_file():
+        parser.error(f"{src} holds no src/shiftset/cli.py")
+    with tempfile.TemporaryDirectory(prefix="shiftset-digests-") as tmp:
+        work = Path(tmp)
+        write_inputs(work)
+        report = {name: run_case(src, work / name, case_argv)
+                  for name, case_argv in matrix()}
+    json.dump(report, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
