@@ -106,7 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_sim.add_argument("--oracle-m", type=int, default=100_000)
     sp_sim.add_argument("--workers", type=int, default=None,
                         help="worker processes for the replications (default: "
-                             "one per usable CPU); outputs do not depend on it")
+                             "one per usable CPU, or one per replication when the "
+                             "CPUs do not divide a short study evenly); outputs "
+                             "do not depend on it")
     sp_sim.set_defaults(run=cmd_simulate)
 
     sp_or = sub.add_parser("oracle", help="true coverage-error curve and threshold")
@@ -231,8 +233,11 @@ def _fit(args):
     """Run the ``fit`` command's method: (meta, table rows, summary line)."""
     try:
         sample = ingest_csv(args.input)
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except csv.Error as exc:
         raise DataError(f"{args.input}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{args.input}: line {exc.line_no} is not UTF-8 text "
+                        f"({exc.reason})") from None
     cfg = _study_config(args)
     targets = cfg.targets
     root = RngStream(args.seed)

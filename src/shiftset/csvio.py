@@ -61,9 +61,12 @@ def ingest_csv(path: str) -> ObservedSample:
     characters, over-long lines or anything that reader cannot judge exactly
     (including every invalid value) is read again by the exact csv reader,
     the only one that accepts it or writes its error.  A stream that is not a
-    regular file, such as a pipe, is first copied to a temporary file.
+    regular file, such as a pipe, is first copied to a temporary file.  Bytes
+    that are not UTF-8 raise the decoder's ``UnicodeDecodeError``, whose
+    ``line_no`` names their file line.
     """
-    with _rereadable(path) as source, open(source, newline="", encoding="utf-8-sig") as fh:
+    with (_rereadable(path) as source, _noting_decode_line(source),
+          open(source, newline="", encoding="utf-8-sig") as fh):
         head = []  # the lines that the header record takes
         reader = csv.reader(_noting(fh, head))
         try:
@@ -108,6 +111,25 @@ def _rereadable(path):
         shutil.copyfileobj(stream, copy)
         copy.flush()
         yield copy.name
+
+
+@contextmanager
+def _noting_decode_line(source):
+    """Set ``line_no`` on a ``UnicodeDecodeError`` raised inside: the first
+    line of ``source``, counted as the csv reader counts them, that is not
+    UTF-8.  The error's own position is an offset in the decoder's buffer."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        with open(source, "rb") as raw:
+            lines = (line for chunk in raw for line in chunk.splitlines(keepends=True))
+            for line_no, line in enumerate(lines, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError:
+                    exc.line_no = line_no
+                    break
+        raise
 
 
 def _noting(lines, seen):

@@ -135,16 +135,18 @@ class LogisticRidgePredictor(FittedPredictor):
         if self.x_mean is not None:
             X = (X - self.x_mean) / self.x_scale
         # Row blocks, so that no product is large enough for BLAS to start
-        # its threads.  Each output is the dot product one product over all
-        # rows gives: blocks start at multiples of 64 rows, and a last block
-        # of one row, which numpy sends to another kernel, joins the block
-        # before it.
+        # its threads: the full blocks as one batched product, then the rest.
+        # Each output is the dot product one product over all rows gives:
+        # blocks start at multiples of 64 rows, and a last block of one row,
+        # which numpy sends to another kernel, joins the block before it.
         n = X.shape[0]
         step = max(64, _IRLS_BLOCK // (self.p + 1) // 64 * 64)
-        starts = range(0, max(n - 1, 1), step)
+        blocks = n // step - (n % step == 1 and n > step)
+        cut = blocks * step
         eta = np.empty(n)
-        for s, e in zip(starts, [*starts[1:], n]):
-            np.matmul(X[s:e], self.coef, out=eta[s:e])
+        np.matmul(X[:cut].reshape(blocks, step, self.p), self.coef,
+                  out=eta[:cut].reshape(blocks, step))
+        np.matmul(X[cut:], self.coef, out=eta[cut:])
         return expit(self.intercept + eta)
 
 

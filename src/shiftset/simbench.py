@@ -163,10 +163,22 @@ class DgpSpec:
 
 
 def _softmax3(eta1: np.ndarray, eta2: np.ndarray) -> np.ndarray:
-    raw = np.column_stack([np.zeros_like(eta1), eta1, eta2])
-    raw -= raw.max(axis=1, keepdims=True)
-    e = np.exp(raw)
-    return e / e.sum(axis=1, keepdims=True)
+    # The row max and row sum written out over the three columns: the same
+    # bits as max(axis=1) and sum(axis=1), which sums (e0 + e1) + e2.  The
+    # row max is built in column 0 of the output, so the row sum is the only
+    # temporary.
+    e = np.empty((len(eta1), 3))
+    top = e[:, 0]
+    np.maximum(eta1, 0.0, out=top)
+    np.maximum(top, eta2, out=top)
+    np.subtract(eta1, top, out=e[:, 1])
+    np.subtract(eta2, top, out=e[:, 2])
+    np.subtract(0.0, top, out=top)
+    np.exp(e, out=e)
+    total = e[:, 0] + e[:, 1]
+    total += e[:, 2]
+    e /= total[:, None]
+    return e
 
 
 def dgp_draw(spec: DgpSpec, n: int, rng: RngStream) -> ObservedSample:
@@ -530,8 +542,9 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     of the reported proportions.
 
     Replications run in ``workers`` forked processes (default: one per
-    usable CPU; 1 runs them in this process).  The report is the same for
-    any count.
+    usable CPU, or one per replication when the CPUs do not divide a short
+    study evenly, see :func:`parallel.run_jobs`; 1 runs them in this
+    process).  The report is the same for any count.
     """
     methods = _ensure_methods(methods)
     ns = [int(n) for n in (ns if np.iterable(ns) else [ns])]

@@ -583,6 +583,19 @@ class TestPipedIngest:
             assert got == outcome(ingest_csv, str(tmp_path / "d.csv"))
         assert got[0] == ("DataError" if bad_row else "UnicodeDecodeError")
 
+    def test_undecodable_pipe_names_the_line_a_file_does(self, tmp_path, fifo):
+        data = H.encode() + b"0,,3,4\n" * 5000 + b"0,,3,\xff\n"
+        (tmp_path / "d.csv").write_bytes(data)
+        writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+        writer.start()
+        try:
+            for path in (fifo, tmp_path / "d.csv"):
+                with pytest.raises(UnicodeDecodeError) as info:
+                    ingest_csv(str(path))
+                assert info.value.line_no == 5002
+        finally:
+            writer.join(10)
+
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -822,6 +835,21 @@ class TestCmdFit:
         assert err.startswith(f"error: DataError: {path}: ")
         assert err.count("\n") == 1
         assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("line", [1, 2, 4002])
+    def test_undecodable_byte_names_its_file_line(self, tmp_path, capsys, newline, line):
+        # Line 4002 starts past byte 40,000, beyond the decoder's first reads.
+        rows = [b"a,score,x1,x2"] + [f"{i % 2},{'0.5' if i % 2 else ''},{i},{-i}".encode()
+                                     for i in range(5000)]
+        rows[line - 1] += b"\xff"
+        path = tmp_path / "bad.csv"
+        path.write_bytes(newline.encode().join(rows) + newline.encode())
+        code = main(["fit", "--input", str(path), "--method", "onestep",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: DataError: {path}: line {line} is not UTF-8 text (invalid start byte)\n")
 
 
 class TestCmdSimulate:

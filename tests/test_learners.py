@@ -70,12 +70,15 @@ class TestPredict:
     @pytest.mark.parametrize("standardize", [False, True])
     def test_row_blocks_match_one_product(self, p, standardize):
         # Blocks of 1,024 rows at p=3 and 192 at p=20; the sizes cover
-        # single blocks, one-row tails and column-major input.
+        # single blocks, whole blocks with and without a tail, one-row tails
+        # and column-major input.
         gen = np.random.default_rng(p)
         coef = gen.standard_normal(p) * 3
         scale = (gen.exponential(size=p), gen.exponential(size=p)) if standardize else (None, None)
         pred = LogisticRidgePredictor(0.3, coef, p, *scale)
-        for n in (1, 2, 191, 193, 385, 1025, 2049, 4801):
+        step = {3: 1024, 20: 192}[p]
+        whole = [k * step + r for k in (1, 2, 5) for r in (0, 1, 2)]
+        for n in (1, 2, 191, 193, 385, 1025, 2049, 4801, *whole):
             for order in "CF":
                 X = np.asarray(gen.standard_normal((n, p)) * 4, order=order)
                 Xs = X if not standardize else (X - scale[0]) / scale[1]

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import os
 import signal
@@ -25,6 +26,15 @@ def kill_own_worker(i):
     if in_worker() and i == 2:
         os.kill(os.getpid(), signal.SIGKILL)
     return i
+
+
+def inner_pids(i):
+    """This job's pid and the pids that a nested runner's jobs ran in."""
+    return os.getpid(), [pid for pid, _ in parallel.run_jobs(pid_of, [(j,) for j in range(4)], 2)]
+
+
+def pid_of(i):
+    return os.getpid(), i
 
 
 def fail_at_two(i):
@@ -65,6 +75,45 @@ class TestRunJobs:
     def test_a_killed_worker_raises(self, deadline):
         with pytest.raises(WorkerError, match="worker process died"):
             list(parallel.run_jobs(kill_own_worker, [(i,) for i in range(6)], 2))
+
+    def test_a_job_in_a_worker_runs_nested_jobs_itself(self):
+        got = list(parallel.run_jobs(inner_pids, [(i,) for i in range(2)], 2))
+        for outer, inner in got:
+            assert outer != PARENT
+            assert inner == [outer] * 4
+
+
+class TestPoolSize:
+    """With two CPUs, the default pool has a worker per job when the jobs do
+    not divide evenly over them and are fewer than 8."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers, *args):
+                sizes.append(max_workers)
+                super().__init__(max_workers, *args)
+
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        return sizes
+
+    @pytest.mark.parametrize("jobs, workers, size", [
+        (3, None, 3), (5, None, 5), (7, None, 7), (4, None, 2), (9, None, 2),
+        (20, None, 2), (3, 2, 2), (4, 3, 3), (20, 5, 5), (3, 8, 3)])
+    def test_pool_size(self, pools, jobs, workers, size):
+        got = list(parallel.run_jobs(pid_of, [(i,) for i in range(jobs)], workers))
+        assert [i for _, i in got] == list(range(jobs))
+        assert pools == [size]
+        assert PARENT not in {pid for pid, _ in got}
+
+    @pytest.mark.parametrize("jobs, workers", [(1, None), (3, 1), (0, None)])
+    def test_one_worker_runs_here(self, pools, jobs, workers):
+        got = list(parallel.run_jobs(pid_of, [(i,) for i in range(jobs)], workers))
+        assert got == [(PARENT, i) for i in range(jobs)]
+        assert pools == []
 
 
 def test_simulate_reports_a_killed_worker(tmp_path, capsys, monkeypatch, deadline):

@@ -58,6 +58,24 @@ class TestDgpDraw:
             np.testing.assert_allclose(spec.score_table(sample.x).sum(axis=1),
                                        1.0)
 
+    def test_softmax_matches_the_row_reductions(self):
+        def by_reductions(eta1, eta2):
+            raw = np.column_stack([np.zeros_like(eta1), eta1, eta2])
+            raw -= raw.max(axis=1, keepdims=True)
+            e = np.exp(raw)
+            return e / e.sum(axis=1, keepdims=True)
+
+        gen = np.random.default_rng(5)
+        edges = np.array([0.0, -0.0, 1.0, -1.0, 700.0, -700.0, 709.0, -745.0, 1e-300])
+        cases = [(gen.standard_normal(n) * s, gen.standard_normal(n) * s)
+                 for n in (1, 2, 3, 7, 100_001) for s in (0.5, 5.0, 300.0)]
+        cases += [(np.repeat(edges, len(edges)), np.tile(edges, len(edges))),
+                  (np.round(gen.standard_normal(1000)), np.round(gen.standard_normal(1000)))]
+        for eta1, eta2 in cases:
+            got = simbench._softmax3(eta1, eta2)
+            assert got.shape == (len(eta1), 3) and got.flags.c_contiguous
+            assert got.tobytes() == by_reductions(eta1, eta2).tobytes()
+
     def test_draw_shape_and_masking(self, rng):
         spec = DgpSpec("highdim-sparse")
         sample = dgp_draw(spec, 500, rng.child("d"))

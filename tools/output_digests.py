@@ -10,7 +10,8 @@ Running it on two checkouts shows whether a change keeps ``fit``,
 
 The matrix: ``fit`` for six methods on a 20,000-row and a 400-row CSV, each
 with and without a config file; ``simulate`` of all seven methods on lowdim
-and highdim with both learners; ``oracle`` on both DGPs at an M of three
+and highdim with both learners at two workers and with the default learners
+at the default worker count; ``oracle`` on both DGPs at an M of three
 chunks; and a few inputs that ``fit`` rejects.  The input files are written
 by this script with the standard library, so both trees read the same bytes.
 Only the standard library is used here; the commands run with the
@@ -74,6 +75,10 @@ def matrix():
                 "simulate", "--dgp", dgp, "--method", ALL_METHODS, "--n", "300",
                 "--reps", "3", "--oracle-m", "20000", "--seed", "5", "--workers", "2",
                 "--g-learner", learner, "--e-learner", learner, "--output", "out.csv"]
+        # At the default worker count, which depends on the CPUs and reps.
+        yield f"simulate-{dgp}-default-workers", [
+            "simulate", "--dgp", dgp, "--method", ALL_METHODS, "--n", "300",
+            "--reps", "3", "--oracle-m", "20000", "--seed", "6", "--output", "out.csv"]
         yield f"oracle-{dgp}", ["oracle", "--dgp", dgp, "--oracle-m", "450001",
                                 "--seed", "1", "--output", "out.csv"]
     for data in ("not-utf8", "long-field"):
