@@ -106,8 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_sim.add_argument("--oracle-m", type=int, default=100_000)
     sp_sim.add_argument("--workers", type=int, default=None,
                         help="worker processes for the replications (default: "
-                             "one per usable CPU, or one per replication when the "
-                             "CPUs do not divide a short study evenly); outputs "
+                             "one per usable CPU, or one per replication when there "
+                             "are fewer than twice as many as CPUs); outputs "
                              "do not depend on it")
     sp_sim.set_defaults(run=cmd_simulate)
 

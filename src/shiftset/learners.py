@@ -139,6 +139,8 @@ class LogisticRidgePredictor(FittedPredictor):
         # Each output is the dot product one product over all rows gives:
         # blocks start at multiples of 64 rows, and a last block of one row,
         # which numpy sends to another kernel, joins the block before it.
+        # The batch is a view of C-ordered X; X in other layouts is copied
+        # once by the reshape.
         n = X.shape[0]
         step = max(64, _IRLS_BLOCK // (self.p + 1) // 64 * 64)
         blocks = n // step - (n % step == 1 and n > step)

