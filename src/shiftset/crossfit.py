@@ -35,11 +35,20 @@ from .learners import (
     fit_binary,
     fit_binary_grid,
 )
+from .parallel import run_jobs
 
 # Where no truncation is requested (oracle fits, rejection sampling), the
 # propensity is kept this far from exact 0/1, which saturated learners emit,
 # so that the odds transform stays finite.
 PROPENSITY_GUARD = 1e-12
+
+# Sample values (n * p) from which fit_nuisances fits its folds in forked
+# workers.  Serial against forked on 2 CPUs (BENCH_19.json, crossover):
+# logistic ridge loses at 80,000 values or fewer, about ties from 120,000 to
+# 200,000 and gains from 240,000.  Boosted stumps cost more per value and gain
+# from about 6,000 (p = 3) or 10,000 (p = 20), so for them the gate is
+# conservative.
+_FORK_ELEMENTS = 150_000
 
 
 def odds_weight(g, gamma):
@@ -121,23 +130,36 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
                   g_spec: BinaryLearnerSpec, e_spec: BinaryLearnerSpec,
                   delta: float, rng: RngStream) -> NuisanceFits:
     """Fit out-of-fold propensity and conditional-error predictors: for each
-    fold v, :func:`fit_on` the fold's complement."""
+    fold v, :func:`fit_on` the fold's complement.
+
+    Every fold is checked before any is fitted.  The folds' fits are jobs of
+    :func:`parallel.run_jobs`, run in forked workers once the sample holds
+    ``_FORK_ELEMENTS`` (150,000) values, n times p, and in this process
+    below that: starting the workers costs about as much as the fits of a
+    smaller sample save on 2 CPUs (``BENCH_19.json``).  A call made from a job
+    that runs in this process, as ``simulate --workers 1`` runs its
+    replications, fits here too.  Either way the predictors, warnings and
+    errors are those of the serial loop, in fold order.
+    """
     if not (0.0 < delta < 0.5):
         raise ConfigurationError("delta must lie in (0, 0.5)")
     if folds.n != sample.n:
         raise ConfigurationError("fold plan does not match the sample size")
 
-    fitted = []
+    jobs = []
     for v in range(folds.V):
         train = folds.complement(v)
         if train.size < 2:
             raise UnfittableFoldError(f"fold {v}: complement has fewer than 2 units")
         if not np.any(sample.a[train] == 1):
             raise UnfittableFoldError(f"fold {v}: complement has no source units")
-        fitted.append(fit_on(sample, train, grid, g_spec, e_spec,
-                             rng.child("propensity", v)))
+        jobs.append((train, rng.child("propensity", v)))
 
-    g_preds, e_preds = zip(*fitted)
+    def fit(train, g_rng):
+        return fit_on(sample, train, grid, g_spec, e_spec, g_rng)
+
+    workers = None if sample.n * sample.p >= _FORK_ELEMENTS else 1
+    g_preds, e_preds = zip(*run_jobs(fit, jobs, workers))
     return NuisanceFits(taus=tuple(grid), g_predictors=g_preds,
                         e_predictors=e_preds, delta=float(delta))
 

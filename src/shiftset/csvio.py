@@ -63,12 +63,14 @@ def ingest_csv(path: str) -> ObservedSample:
     the only one that accepts it or writes its error.  A stream that is not a
     regular file, such as a pipe, is first copied to a temporary file.  Bytes
     that are not UTF-8 raise the decoder's ``UnicodeDecodeError``, whose
-    ``line_no`` names their file line.
+    ``line_no`` names their file line, unless a line before them holds an
+    error: lines are decoded one at a time, so the first error in file order
+    is raised.
     """
-    with (_rereadable(path) as source, _noting_decode_line(source),
-          open(source, newline="", encoding="utf-8-sig") as fh):
+    with _rereadable(path) as source, open(source, "rb") as raw:
+        lines = _decoded_lines(source, raw)
         head = []  # the lines that the header record takes
-        reader = csv.reader(_noting(fh, head))
+        reader = csv.reader(_noting(lines, head))
         try:
             header = next(reader)
         except StopIteration:
@@ -89,7 +91,7 @@ def ingest_csv(path: str) -> ObservedSample:
         try:
             a, score, x, stray = _read_plain(source, layout, "".join(head))
         except _NotPlain:
-            a, score, x, stray = _read_exact(fh, layout)
+            a, score, x, stray = _read_exact(lines, layout)
     if stray.size:
         warnings.warn(f"{path}: score ignored on {stray.size} target row(s) "
                       f"(first at line {stray[0]})", CsvSchemaWarning, stacklevel=2)
@@ -113,23 +115,28 @@ def _rereadable(path):
         yield copy.name
 
 
-@contextmanager
-def _noting_decode_line(source):
-    """Set ``line_no`` on a ``UnicodeDecodeError`` raised inside: the first
-    line of ``source``, counted as the csv reader counts them, that is not
-    UTF-8.  The error's own position is an offset in the decoder's buffer."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        with open(source, "rb") as raw:
-            lines = (line for chunk in raw for line in chunk.splitlines(keepends=True))
-            for line_no, line in enumerate(lines, start=1):
+def _decoded_lines(source, raw):
+    """The lines of ``raw``, the binary file ``source``, split where the csv
+    reader splits them and decoded one at a time as a ``utf-8-sig`` file, so
+    that every line before one that is not UTF-8 is read and checked first.
+    That line raises the error that a text read of ``source`` raises, with
+    ``line_no`` set to the line's number."""
+    lines = (line for chunk in raw for line in chunk.splitlines(keepends=True))
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            yield line.decode("utf-8-sig" if line_no == 1 else "utf-8")
+        except UnicodeDecodeError as error:
+            error.line_no = line_no
+            # A text read of the file fails at the same byte.  Raise its
+            # error, whose words the file's other text readers give.
+            with open(source, newline="", encoding="utf-8-sig") as fh:
                 try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError:
-                    exc.line_no = line_no
-                    break
-        raise
+                    for _ in fh:
+                        pass
+                except UnicodeDecodeError as same:
+                    same.line_no = line_no
+                    raise same from None
+            raise
 
 
 def _noting(lines, seen):

@@ -23,14 +23,27 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# The job function a forked worker serves; set only in the workers, so it
-# also tells a worker from the process that started it.
+# The job function a forked worker serves; set only in the workers.
 _WORKER_FN = None
+# Whether a job runs in this process: for the whole life of a worker, and in
+# the calling process while it runs a job itself.  The jobs of a call made
+# from inside a job run where that job runs.
+_IN_JOB = False
 
 
 def _init_worker(fn) -> None:
-    global _WORKER_FN
-    _WORKER_FN = fn
+    global _WORKER_FN, _IN_JOB
+    _WORKER_FN, _IN_JOB = fn, True
+
+
+def _run_here(fn, job):
+    """``fn(*job)`` in this process, as a job whose nested jobs run here."""
+    global _IN_JOB
+    outer, _IN_JOB = _IN_JOB, True
+    try:
+        return fn(*job)
+    finally:
+        _IN_JOB = outer
 
 
 def _call_in_worker(job):
@@ -63,9 +76,10 @@ def run_jobs(fn, jobs, workers: int | None = None):
 
     The jobs run in ``workers`` forked processes, which inherit ``fn`` and
     whatever it holds, when more than one would serve, the ``fork`` start
-    method exists and this process is neither one of these workers nor a
-    daemon (which may not start processes); otherwise they run here.  So a
-    job that calls ``run_jobs`` runs the nested jobs in its own worker.
+    method exists and this process is neither running a job nor a daemon
+    (which may not start processes); otherwise they run here.  So a job that
+    calls ``run_jobs`` runs the nested jobs where it runs itself: in its own
+    worker, or here when it runs here.
 
     By default there is one worker per usable CPU, unless there are fewer
     than twice as many jobs as CPUs: then each job gets a worker, and the
@@ -83,7 +97,7 @@ def run_jobs(fn, jobs, workers: int | None = None):
         cpus = usable_cpus()
         workers = len(jobs) if len(jobs) < 2 * cpus else cpus
     count = min(workers, len(jobs))
-    if count >= 2 and _WORKER_FN is None:
+    if count >= 2 and not _IN_JOB:
         # Imported here, so that a call that never forks does not load them.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -98,7 +112,7 @@ def run_jobs(fn, jobs, workers: int | None = None):
                 # a result is held here only until the caller has taken it.
                 for job, done in zip(jobs, pool.map(_call_in_worker, jobs)):
                     if done is None:
-                        yield fn(*job)
+                        yield _run_here(fn, job)
                         continue
                     _reissue(done[1])
                     yield done[0]
@@ -109,4 +123,4 @@ def run_jobs(fn, jobs, workers: int | None = None):
                 pool.shutdown(cancel_futures=True)
             return
     for job in jobs:
-        yield fn(*job)
+        yield _run_here(fn, job)

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import json
@@ -366,6 +367,17 @@ class TestIngestContract:
         p.write_bytes(H.encode() + bad_row + b"0,,3,4\n" * 5000 + b"0,,3,\xff\n")
         assert assert_matches_reference(str(p))[0] == (
             "DataError" if bad_row else "UnicodeDecodeError")
+
+    @pytest.mark.parametrize("end", [b"\n0,,3,4\n", b"\r0,,3,4\n", b""])
+    def test_sequence_cut_by_a_line_end_matches_reference(self, tmp_path, end):
+        # Decoded alone, the line's sequence ends early; a text read of the
+        # file sees it broken by the line end.
+        p = tmp_path / "d.csv"
+        p.write_bytes(H.encode() + b"0,,3,4\n" * 5000 + b"0,,3,\xe2\x82" + end)
+        assert assert_matches_reference(str(p))[0] == "UnicodeDecodeError"
+        with pytest.raises(UnicodeDecodeError) as info:
+            ingest_csv(str(p))
+        assert info.value.line_no == 5002
 
     def test_emit_csv_file_takes_one_pass(self, tmp_path, one_pass_only):
         sample = dgp_draw(DgpSpec("highdim-sparse"), 2000, RngStream(11).child("d"))
@@ -850,6 +862,38 @@ class TestCmdFit:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: DataError: {path}: line {line} is not UTF-8 text (invalid start byte)\n")
+
+    @pytest.mark.parametrize("bad_line, byte_line, error", [
+        (396, 402, "'a' must be 0 or 1, got '2'"),
+        (352, 402, "'a' must be 0 or 1, got '2'"),
+        (1, 5, "header must contain 'a' and 'score'"),
+    ])
+    def test_an_error_before_an_undecodable_byte_comes_first(self, tmp_path, capsys,
+                                                              bad_line, byte_line, error):
+        # Line 396 is in the decoder's read of line 402, and the header in its
+        # read of line 5: it decodes each read before the csv reader reaches
+        # the invalid line.
+        path = tmp_path / "bad.csv"
+        emit_csv(dgp_draw(DgpSpec("highdim-sparse"), 5000, RngStream(3).child("d")),
+                 str(path))
+        rows = path.read_bytes().split(b"\r\n")
+        rows[bad_line - 1] = b"2" + rows[bad_line - 1][1:]
+        rows[byte_line - 1] += b"\xff"
+        path.write_bytes(b"\r\n".join(rows))
+        code = main(["fit", "--input", str(path), "--method", "onestep",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        where = f"{path}:{bad_line}" if bad_line > 1 else f"{path}"
+        assert capsys.readouterr().err == f"error: DataError: {where}: {error}\n"
+
+    def test_a_marked_file_names_its_undecodable_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(codecs.BOM_UTF8 + b"a,score,x1\n1,0.5,1\n0,,2\n0,,3\xff\n0,,4\n")
+        code = main(["fit", "--input", str(path), "--method", "onestep",
+                     "--output", str(tmp_path / "o.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: DataError: {path}: line 4 is not UTF-8 text (invalid start byte)\n")
 
 
 class TestCmdSimulate:

@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,7 +23,8 @@ from shiftset import (
     odds_weight,
     oracle_nuisances,
 )
-from shiftset import simbench
+from shiftset import FoldPlan, RngStream, crossfit, parallel, simbench
+from shiftset.cli import main
 from tests.conftest import LookupPredictor, make_sample
 
 
@@ -123,8 +128,6 @@ class TestFitNuisances:
 
     def test_unfittable_fold(self, rng):
         # fold 1 holds every source unit, so fold 1's complement has none
-        from shiftset import FoldPlan
-
         sample = make_sample([1, 1, 1, 0, 0, 0],
                              [[float(i)] for i in range(6)],
                              [0.5, 0.6, 0.7, None, None, None])
@@ -225,3 +228,123 @@ class TestNuisanceFitsShapes:
         with pytest.raises(ConfigurationError, match="one propensity per fold"):
             NuisanceFits(taus=(0.1, 0.2), g_predictors=g_predictors,
                          e_predictors=e_predictors, delta=0.0)
+
+
+def state(obj):
+    """A predictor's attributes, arrays as dtype, shape and bytes."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.str, obj.shape, obj.tobytes()
+    if isinstance(obj, (list, tuple)):
+        return [state(v) for v in obj]
+    if hasattr(obj, "__dict__"):
+        return type(obj).__name__, {k: state(v) for k, v in vars(obj).items()}
+    return obj
+
+
+@pytest.fixture
+def fold_fitters(tmp_path, monkeypatch):
+    """Fit every fold on two CPUs, and return the ids of the processes that
+    ran ``fit_on``, in the order they ran it, as a function."""
+    log = tmp_path / "fitters.txt"
+    fit_on = crossfit.fit_on
+
+    def noted(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return fit_on(*args)
+
+    monkeypatch.setattr(crossfit, "fit_on", noted)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+
+def no_fork():
+    raise AssertionError("a process was forked")
+
+
+class TestFoldPool:
+    """From ``_FORK_ELEMENTS`` sample values on, the folds are fitted in
+    forked workers, with what fitting them here gives."""
+
+    @pytest.fixture(autouse=True)
+    def no_process_outlives_the_call(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])
+    def test_forked_fits_equal_fits_here(self, monkeypatch, fold_fitters, learner):
+        sample = dgp_draw(DgpSpec("lowdim"), 400, RngStream(4).child("d"))
+        folds = make_folds(400, 2, RngStream(4).child("f"))
+        spec = BinaryLearnerSpec(kind=learner)
+        got = []
+        for gate in (0, sample.n * sample.p + 1):
+            monkeypatch.setattr(crossfit, "_FORK_ELEMENTS", gate)
+            fits = fit_nuisances(sample, folds, ThresholdGrid.from_range(0.0, 0.3, 0.05),
+                                 spec, spec, 0.01, RngStream(4).child("n"))
+            got.append(state([fits.g_predictors, fits.e_predictors]))
+        assert got[0] == got[1]
+        pids = fold_fitters()
+        assert os.getpid() not in pids[:2] and pids[2:] == [os.getpid()] * 2
+
+    def test_warnings_come_in_fold_order(self, monkeypatch, fold_fitters):
+        # Every fit diverges on these covariates; a marker after each fold's
+        # fits shows whose IRLS warnings came first.
+        fit_on = crossfit.fit_on
+
+        def marked(sample, train, grid, g_spec, e_spec, g_rng):
+            fitted = fit_on(sample, train, grid, g_spec, e_spec, g_rng)
+            warnings.warn(f"fold {g_rng.path[-1]} fitted")
+            return fitted
+
+        monkeypatch.setattr(crossfit, "fit_on", marked)
+        n = 40
+        x = np.where(np.arange(n) % 3, 1e200, -1e200) * (1 + np.arange(n) / n)
+        a = np.arange(n) % 2
+        sample = ObservedSample(a=a, x=x[:, None],
+                                score=np.where(a == 1, np.linspace(0.05, 0.3, n), np.nan))
+        folds = make_folds(n, 2, RngStream(1).child("f"))
+        runs = []
+        for gate in (0, n + 1):
+            monkeypatch.setattr(crossfit, "_FORK_ELEMENTS", gate)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit_nuisances(sample, folds, ThresholdGrid((0.1, 0.2)), BinaryLearnerSpec(),
+                              BinaryLearnerSpec(), 0.01, RngStream(1))
+            runs.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
+        irls = ("IRLS diverged; falling back to an intercept-only fit", RuntimeWarning,
+                crossfit.__file__)
+        assert [w[:3] for w in runs[0]] == (
+            [irls] * 3 + [("fold 0 fitted", UserWarning, __file__)]
+            + [irls] * 3 + [("fold 1 fitted", UserWarning, __file__)])
+        assert runs[0] == runs[1]
+        assert os.getpid() not in fold_fitters()[:2]
+
+    def test_unfittable_fold_raises_before_any_fit(self, monkeypatch, fold_fitters):
+        monkeypatch.setattr(crossfit, "_FORK_ELEMENTS", 0)
+        monkeypatch.setattr(os, "fork", no_fork)
+        sample = make_sample([0, 1, 1, 0, 0, 1], [[float(i)] for i in range(6)],
+                             [None, 0.5, 0.6, None, None, 0.7])
+        # fold 1 holds every source unit, so fold 1's complement has none
+        folds = FoldPlan(V=2, assignment=np.array([0, 1, 1, 0, 0, 1]))
+        with pytest.raises(UnfittableFoldError, match="^fold 1: "):
+            fit_nuisances(sample, folds, ThresholdGrid((0.1,)), BinaryLearnerSpec(),
+                          BinaryLearnerSpec(), 0.01, RngStream(2))
+        assert fold_fitters() == []
+
+    def test_a_study_sample_is_fitted_here(self, monkeypatch, fold_fitters):
+        # highdim study samples hold 2,000 x 20 values, lowdim ones 2,000 x 3.
+        monkeypatch.setattr(os, "fork", no_fork)
+        sample = dgp_draw(DgpSpec("highdim-sparse"), 2000, RngStream(5).child("d"))
+        fit_nuisances(sample, make_folds(2000, 2, RngStream(5).child("f")),
+                      ThresholdGrid((0.1,)), BinaryLearnerSpec(), BinaryLearnerSpec(),
+                      0.01, RngStream(5))
+        assert fold_fitters() == [os.getpid()] * 2
+
+    def test_one_worker_study_fits_its_folds_here(self, tmp_path, monkeypatch,
+                                                  fold_fitters):
+        monkeypatch.setattr(crossfit, "_FORK_ELEMENTS", 0)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert main(["simulate", "--dgp", "lowdim", "--n", "200", "--reps", "2",
+                     "--method", "onestep", "--oracle-m", "2000", "--workers", "1",
+                     "--output", str(tmp_path / "s.csv")]) == 0
+        assert fold_fitters() == [os.getpid()] * 4

@@ -82,6 +82,17 @@ class TestRunJobs:
             assert outer != PARENT
             assert inner == [outer] * 4
 
+    @pytest.mark.parametrize("jobs, workers, fork", [
+        (2, 1, True), (1, None, True), (2, 2, False)], ids=["one-worker", "one-job", "no-fork"])
+    def test_a_job_run_here_runs_nested_jobs_here(self, monkeypatch, jobs, workers, fork):
+        if not fork:
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        got = list(parallel.run_jobs(inner_pids, [(i,) for i in range(jobs)], workers))
+        assert got == [(PARENT, [PARENT] * 4)] * jobs
+        monkeypatch.undo()
+        # Once the jobs are done, a call made here forks again.
+        assert PARENT not in {pid for pid, _ in parallel.run_jobs(pid_of, [(0,), (1,)], 2)}
+
 
 class TestPoolSize:
     """With two CPUs, the default pool has a worker per job when there are

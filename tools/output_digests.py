@@ -9,13 +9,15 @@ Running it on two checkouts shows whether a change keeps ``fit``,
     diff parent.json change.json
 
 The matrix: ``fit`` for six methods on a 20,000-row and a 400-row CSV, each
-with and without a config file; ``simulate`` of all seven methods on lowdim
-and highdim with both learners at two workers and with the default learners
-at the default worker count; ``oracle`` on both DGPs at an M of three
-chunks; and a few inputs that ``fit`` rejects.  The input files are written
-by this script with the standard library, so both trees read the same bytes.
-Only the standard library is used here; the commands run with the
-interpreter that runs this script.
+with and without a config file, and on the 20,000-row CSV (whose folds are
+fitted in forked workers) once more with boosted stumps and once with three
+folds; ``simulate`` of all seven methods on lowdim and highdim with both
+learners at two workers and with the default learners at the default worker
+count; ``oracle`` on both DGPs at an M of three chunks; and a few inputs
+that ``fit`` rejects.  The input files are written by this script with the
+standard library, so both trees read the same bytes.  Only the standard
+library is used here; the commands run with the interpreter that runs this
+script.
 """
 
 from __future__ import annotations
@@ -69,6 +71,11 @@ def matrix():
             fit = ["fit", "--input", f"../{data}.csv", "--method", method, "--output", "out.csv"]
             yield f"fit-{data}-{method}", fit
             yield f"fit-{data}-{method}-config", fit + ["--config", "../run.cfg", "--seed", "4"]
+    yield "fit-big-onestep-stumps", ["fit", "--input", "../big.csv", "--method", "onestep",
+                                     "--g-learner", "boosted-stumps",
+                                     "--e-learner", "boosted-stumps", "--output", "out.csv"]
+    yield "fit-big-tmle-3-folds", ["fit", "--input", "../big.csv", "--method", "tmle",
+                                   "--folds", "3", "--output", "out.csv"]
     for dgp in ("lowdim", "highdim"):
         for learner in ("logistic-ridge", "boosted-stumps"):
             yield f"simulate-{dgp}-{learner}", [
