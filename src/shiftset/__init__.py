@@ -11,7 +11,6 @@ from .conformal import (
     CalibrationSet,
     IcpThreshold,
     inductive_cp_threshold,
-    weighted_cp_set,
     weighted_quantile_cutoffs,
 )
 from .core import (

@@ -231,6 +231,7 @@ def cmd_fit(args) -> int:
 
 def _fit(args):
     """Run the ``fit`` command's method: (meta, table rows, summary line)."""
+    root = RngStream(args.seed)
     try:
         sample = ingest_csv(args.input)
     except csv.Error as exc:
@@ -240,7 +241,6 @@ def _fit(args):
                         f"({exc.reason})") from None
     cfg = _study_config(args)
     targets = cfg.targets
-    root = RngStream(args.seed)
 
     meta = {
         "command": "fit",

@@ -82,6 +82,8 @@ def weighted_quantile_cutoffs(cal_scores: np.ndarray, cal_weights: np.ndarray,
     cal_scores = np.asarray(cal_scores, dtype=float).reshape(-1)
     cal_weights = np.asarray(cal_weights, dtype=float).reshape(-1)
     test_weights = np.asarray(test_weights, dtype=float).reshape(-1)
+    if not (0.0 < alpha_error < 1.0):
+        raise DomainError(f"alpha_error must lie strictly inside (0, 1), got {alpha_error!r}")
     if cal_scores.shape != cal_weights.shape or cal_scores.size == 0:
         raise ConfigurationError("scores and weights must align and be non-empty")
     if test_weights.size == 0:
@@ -102,16 +104,3 @@ def weighted_quantile_cutoffs(cal_scores: np.ndarray, cal_weights: np.ndarray,
     pos = np.minimum(pos, cal_scores.size - 1)
     out = sorted_scores[pos]
     return np.where(levels <= 0.0, -np.inf, out)
-
-
-def weighted_cp_set(cal_scores: np.ndarray, cal_weights: np.ndarray,
-                    test_weight: float, candidate_scores: np.ndarray,
-                    targets: RiskTargets) -> np.ndarray:
-    """Membership decision per candidate label (represented by its score).
-
-    A candidate is kept iff its score is at least the weighted cutoff; with
-    equal weights this reproduces unweighted split conformal exactly.
-    """
-    cutoff = weighted_quantile_cutoffs(cal_scores, cal_weights, [test_weight],
-                                       targets.alpha_error)[0]
-    return np.asarray(candidate_scores, dtype=float) >= cutoff

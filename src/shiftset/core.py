@@ -12,6 +12,7 @@ is miscovered exactly when its score falls strictly below the threshold.
 
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -60,6 +61,12 @@ class WorkerError(ShiftsetError, RuntimeError):
     finished."""
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """Whether ``value`` is an integer, not a bool, of at least ``least``."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic RNG streams
 # ---------------------------------------------------------------------------
@@ -82,9 +89,15 @@ class RngStream:
     seed: int
     path: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        if not _is_count(self.seed, 0):
+            raise ConfigurationError(
+                f"seed must be a nonnegative integer, got {self.seed!r}")
+
     def child(self, purpose: str, index: int = 0) -> "RngStream":
-        if index < 0:
-            raise ConfigurationError("substream index must be nonnegative")
+        if not _is_count(index, 0):
+            raise ConfigurationError(
+                f"substream index must be a nonnegative integer, got {index!r}")
         return RngStream(self.seed, self.path + (_purpose_key(purpose), int(index)))
 
     def generator(self) -> np.random.Generator:
@@ -196,20 +209,6 @@ class ThresholdGrid:
                 f"grid step {step:g} is too fine: thresholds are rounded to 12 decimals")
         return cls(tuple(taus))
 
-    @classmethod
-    def from_score_quantiles(cls, sample: ObservedSample, k: int) -> "ThresholdGrid":
-        """Convenience grid at k evenly spaced quantiles of the observed scores.
-
-        Provided for users without an a-priori grid; no claim is made that a
-        data-driven grid is preferable to a fixed one.
-        """
-        if k < 1:
-            raise ConfigurationError("need at least one quantile")
-        scores = sample.score[sample.is_source]
-        qs = np.linspace(0.0, 1.0, k + 2)[1:-1]
-        taus = np.unique(np.quantile(scores, qs))
-        return cls(tuple(float(t) for t in taus))
-
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -270,8 +269,10 @@ def miscoverage_vector(scores: np.ndarray, tau) -> np.ndarray:
 
 def make_folds(n: int, V: int, rng: RngStream) -> FoldPlan:
     """Randomly partition [n] into V folds whose sizes differ by at most 1."""
-    if V < 2:
-        raise ConfigurationError("fold count must be at least 2")
+    if not _is_count(V, 2):
+        raise ConfigurationError(f"fold count must be an integer of at least 2, got {V!r}")
+    if not _is_count(n, 0):
+        raise ConfigurationError(f"unit count must be a nonnegative integer, got {n!r}")
     if n < V:
         raise ConfigurationError(f"cannot split {n} units into {V} folds")
     perm = rng.generator().permutation(n)

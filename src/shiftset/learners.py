@@ -12,14 +12,13 @@ label stack of a threshold grid on one design, each row as if fit alone.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import ConfigurationError, DataError, RngStream
+from .core import ConfigurationError, DataError, RngStream, _is_count
 
 LEARNER_KINDS = ("logistic-ridge", "boosted-stumps")
 
@@ -54,7 +53,6 @@ class BinaryLearnerSpec:
     rounds: int = 100
     learning_rate: float = 0.1
     min_child_weight: float = 5.0
-    standardize: bool = False
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
@@ -69,7 +67,7 @@ class BinaryLearnerSpec:
             raise ConfigurationError("min_child_weight must be finite and nonnegative")
         for name in ("max_iter", "rounds"):
             cap = getattr(self, name)
-            if not isinstance(cap, numbers.Integral) or cap < 1:
+            if not _is_count(cap):
                 raise ConfigurationError(f"{name} must be an integer of at least 1")
 
 
@@ -114,26 +112,21 @@ class ConstantPredictor(FittedPredictor):
 
 
 class LogisticRidgePredictor(FittedPredictor):
-    """Logistic model expit(intercept + x @ coef), optionally standardized.
+    """Logistic model expit(intercept + x @ coef).
 
     ``n_iter`` counts the Newton steps of the fit; ``converged`` says whether
     the penalized deviance settled within ``tol`` before ``max_iter``.
     """
 
-    def __init__(self, intercept, coef, p, x_mean=None, x_scale=None, fallback=False,
-                 n_iter=0, converged=True):
+    def __init__(self, intercept, coef, p, fallback=False, n_iter=0, converged=True):
         self.intercept = float(intercept)
         self.coef = np.asarray(coef, dtype=float)
         self.p = int(p)
-        self.x_mean = None if x_mean is None else np.asarray(x_mean, dtype=float)
-        self.x_scale = None if x_scale is None else np.asarray(x_scale, dtype=float)
         self.fallback = bool(fallback)
         self.n_iter = int(n_iter)
         self.converged = bool(converged)
 
     def _predict(self, X):
-        if self.x_mean is not None:
-            X = (X - self.x_mean) / self.x_scale
         # Row blocks, so that no product is large enough for BLAS to start
         # its threads: the full blocks as one batched product, then the rest.
         # Each output is the dot product one product over all rows gives:
@@ -283,15 +276,7 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     row's bits depend neither on the other rows nor on the BLAS thread count.
     """
     n, p = X.shape
-    x_mean = x_scale = None
-    Xw = X
-    if spec.standardize:
-        x_mean = X.mean(axis=0)
-        x_scale = X.std(axis=0)
-        x_scale = np.where(x_scale > 0, x_scale, 1.0)
-        Xw = (X - x_mean) / x_scale
-
-    design = np.column_stack([np.ones(n), Xw])
+    design = np.column_stack([np.ones(n), X])
     step = max(1, _IRLS_BLOCK // (p + 1))
     blocks = [design[s:s + step] for s in range(0, n, step)]
     penalty = np.full(p + 1, spec.ridge)
@@ -337,8 +322,8 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
                       RuntimeWarning, stacklevel=4)
     beta[~ok] = 0.0
     beta[~ok, 0] = zbar[~ok]
-    return [LogisticRidgePredictor(b[0], b[1:], p, x_mean, x_scale, fallback=not row_ok,
-                                   n_iter=k, converged=c)
+    return [LogisticRidgePredictor(b[0], b[1:], p, fallback=not row_ok, n_iter=k,
+                                   converged=c)
             for b, row_ok, k, c in zip(beta, ok, n_iter, converged)]
 
 

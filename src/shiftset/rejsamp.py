@@ -30,10 +30,13 @@ from .crossfit import NuisanceFits, fit_on, odds_weight
 from .learners import BinaryLearnerSpec
 from .onestep import CoverageTable, _wald_cub
 
+# Fraction of the sample in the training half.
+_TRAIN_FRACTION = 0.5
+
 
 @dataclass(frozen=True)
 class RsConfig:
-    """Split fraction and bound rule for rejection sampling.
+    """Bound rule for rejection sampling.
 
     ``bhat_fixed`` set -> use it as the known bound B (and fail the run if an
     observed test-half weight exceeds it).  Otherwise B is the maximum weight
@@ -41,13 +44,10 @@ class RsConfig:
     must be finite and at least 1.
     """
 
-    xi: float = 0.5
     bhat_mult: float = 1.3
     bhat_fixed: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.xi < 1.0):
-            raise ConfigurationError("split fraction must lie in (0, 1)")
         if not (1.0 <= self.bhat_mult < np.inf):
             raise ConfigurationError("bound multiplier must be finite and at least 1")
         if self.bhat_fixed is not None and not (1.0 <= self.bhat_fixed < np.inf):
@@ -83,9 +83,9 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
     """Split, fit nuisances on the training half, and run the thinning."""
     n = sample.n
     perm = rng.child("rs-split").generator().permutation(n)
-    n_train = int(round(n * config.xi))
-    if n_train < 1 or n_train >= n:
-        raise ConfigurationError("split leaves an empty half")
+    # n >= 2 (a sample holds a source and a target unit), so neither half
+    # is empty.
+    n_train = int(round(n * _TRAIN_FRACTION))
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
 

@@ -21,7 +21,6 @@ on purpose.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
@@ -45,6 +44,7 @@ from .core import (
     RngStream,
     ThresholdGrid,
     UnfittableFoldError,
+    _is_count,
     empirical_gamma,
     make_folds,
 )
@@ -183,8 +183,8 @@ def _softmax3(eta1: np.ndarray, eta2: np.ndarray) -> np.ndarray:
 
 def dgp_draw(spec: DgpSpec, n: int, rng: RngStream) -> ObservedSample:
     """Draw n units; labels (hence scores) exist only for source units."""
-    if n < 1:
-        raise ConfigurationError("need at least one unit")
+    if not _is_count(n):
+        raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
     gen = rng.generator()
     a = gen.binomial(1, 0.5, size=n).astype(np.int8)
     X = spec.draw_x(n, a, gen)
@@ -203,8 +203,8 @@ def _target_draws(spec: DgpSpec, M: int, gen: np.random.Generator):
     """M target covariate rows in chunks of at most _CHUNK.  M is checked at
     the call; each chunk is drawn from ``gen`` only when asked for, so the
     caller's own draws from ``gen`` come between the chunks."""
-    if M < 1:
-        raise ConfigurationError("M must be positive")
+    if not _is_count(M):
+        raise ConfigurationError(f"M must be an integer of at least 1, got {M!r}")
     sizes = [min(_CHUNK, M - done) for done in range(0, M, _CHUNK)]
     return (spec.draw_x(m, np.zeros(m, dtype=int), gen) for m in sizes)
 
@@ -247,8 +247,8 @@ class OracleEvaluator:
     """
 
     def __init__(self, spec: DgpSpec, M: int, rng: RngStream):
-        if M < 1:
-            raise ConfigurationError("M must be positive")
+        if not _is_count(M):
+            raise ConfigurationError(f"M must be an integer of at least 1, got {M!r}")
         gen = rng.generator()
         self.spec = spec
         self.M = int(M)
@@ -277,6 +277,9 @@ class OracleEvaluator:
 
     def psi_of_cutoffs(self, cutoffs: np.ndarray) -> float:
         cutoffs = np.asarray(cutoffs, dtype=float).reshape(-1)
+        if cutoffs.size not in (1, self.M):
+            raise ConfigurationError(
+                f"need one cutoff or one per oracle point ({self.M}), got {cutoffs.size}")
         # Label by label, left to right: the order np.sum takes along a row.
         miss = self.probs[:, 0] * (self.scores[:, 0] < cutoffs)
         for k in range(1, self.probs.shape[1]):
@@ -290,10 +293,10 @@ class OracleEvaluator:
 
 def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if n < 1:
-        raise ConfigurationError("n must be positive")
-    if not (0 <= k <= n):
-        raise ConfigurationError("k must lie in [0, n]")
+    if not _is_count(n):
+        raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
+    if not (_is_count(k, 0) and k <= n):
+        raise ConfigurationError(f"k must be an integer in [0, n], got {k!r}")
     if not (0.0 < level < 1.0):
         raise ConfigurationError("level must lie in (0, 1)")
     z = float(ndtri(0.5 + level / 2.0))
@@ -526,11 +529,6 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
     return rows
 
 
-def _is_count(value) -> bool:
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= 1)
-
-
 def run_study(spec: DgpSpec, ns, methods, replications: int,
               cfg: StudyConfig, rng: RngStream,
               workers: int | None = None) -> ReplicationReport:
@@ -547,7 +545,10 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     process).  The report is the same for any count.
     """
     methods = _ensure_methods(methods)
-    ns = [int(n) for n in (ns if np.iterable(ns) else [ns])]
+    ns = list(ns) if np.iterable(ns) else [ns]
+    if not all(_is_count(n) for n in ns):
+        raise ConfigurationError(f"sample sizes must be integers of at least 1, got {ns!r}")
+    ns = [int(n) for n in ns]
     for i, n in enumerate(ns):
         if n in ns[:i]:
             raise ConfigurationError(f"sample size {n} given twice")

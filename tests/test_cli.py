@@ -693,6 +693,10 @@ def sample_csv(tmp_path):
     return path
 
 
+NEGATIVE_SEED_ERROR = (
+    "error: ConfigurationError: seed must be a nonnegative integer, got -1\n")
+
+
 class TestCmdFit:
     def run_fit(self, tmp_path, sample_csv, method, extra=()):
         out = str(tmp_path / f"{method}.csv")
@@ -886,6 +890,18 @@ class TestCmdFit:
         where = f"{path}:{bad_line}" if bad_line > 1 else f"{path}"
         assert capsys.readouterr().err == f"error: DataError: {where}: {error}\n"
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_rejected_before_the_input_is_read(self, tmp_path, capsys, where):
+        # The input does not exist, so reading it first would fail otherwise.
+        seed = (["--seed", "-1"] if where == "flag"
+                else ["--config", write(tmp_path / "run.cfg", "seed = -1\n")])
+        out = tmp_path / "o.csv"
+        code = main(["fit", "--input", str(tmp_path / "missing.csv"), "--method",
+                     "onestep", "--output", str(out), *seed])
+        assert code == 1
+        assert capsys.readouterr().err == NEGATIVE_SEED_ERROR
+        assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
+
     def test_a_marked_file_names_its_undecodable_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(codecs.BOM_UTF8 + b"a,score,x1\n1,0.5,1\n0,,2\n0,,3\xff\n0,,4\n")
@@ -1047,6 +1063,14 @@ class TestCmdSimulate:
         assert code == 1
         assert "ConfigurationError" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",
+                     "--method", "onestep", "--oracle-m", "1000", "--seed", "-1",
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == NEGATIVE_SEED_ERROR
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_method_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",
                      "--method", "onestep,magic",
@@ -1116,6 +1140,13 @@ class TestCmdOracle:
         assert code == 1
         assert "ConfigurationError" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        code = main(["oracle", "--dgp", "lowdim", "--oracle-m", "1000", "--seed", "-1",
+                     "--output", str(tmp_path / "oracle.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == NEGATIVE_SEED_ERROR
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

@@ -17,7 +17,6 @@ from shiftset import (
     ConfigurationError,
     RiskTargets,
     inductive_cp_threshold,
-    weighted_cp_set,
     weighted_quantile_cutoffs,
 )
 
@@ -218,23 +217,15 @@ class TestWeightedQuantile:
             weighted_quantile_cutoffs(np.array(scores), np.array(weights),
                                       np.array(tws), 0.5)
 
+    @pytest.mark.parametrize("alpha", [np.nan, 1.5, -1.0, 0.0, 1.0])
+    def test_alpha_error_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(DomainError, match="alpha_error must lie strictly inside"):
+            weighted_quantile_cutoffs(np.array([0.1, 0.2, 0.3]), np.ones(3),
+                                      np.ones(1), alpha)
+
     def test_tied_scores_pool_weight(self):
         cutoff = weighted_quantile_cutoff(np.array([0.2, 0.2, 0.4]),
                                           np.array([0.1, 0.2, 0.7]),
                                           test_weight=0.0, alpha_error=0.25)
         assert cutoff == 0.2
 
-
-class TestWeightedCpSet:
-    def test_membership_rule(self):
-        members = weighted_cp_set(np.array([0.1, 0.2, 0.3]),
-                                  np.array([1.0, 1.0, 2.0]), 0.0,
-                                  np.array([0.05, 0.1, 0.25]),
-                                  RiskTargets(0.25, 0.05))
-        np.testing.assert_array_equal(members, [False, True, True])
-
-    def test_everything_included_under_dominant_test_mass(self):
-        members = weighted_cp_set(np.array([0.5]), np.array([0.1]), 10.0,
-                                  np.array([-5.0, 0.0, 5.0]),
-                                  RiskTargets(0.25, 0.05))
-        assert members.all()

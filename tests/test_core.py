@@ -133,6 +133,20 @@ class TestRngStream:
         b = RngStream(42).child("x", 1).generator().standard_normal(10)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be a nonnegative integer"):
+            RngStream(seed)
+
+    @pytest.mark.parametrize("index", [-1, 1.5, True, "1"])
+    def test_child_index_must_be_a_nonnegative_integer(self, index):
+        with pytest.raises(ConfigurationError,
+                           match="substream index must be a nonnegative integer"):
+            RngStream(3).child("a", index)
+
+    def test_numpy_integers_are_accepted(self):
+        assert RngStream(np.int64(3)).child("a", np.uint8(1)) == RngStream(3).child("a", 1)
+
 
 class TestSampleTypes:
     def test_score_presence_enforced(self):
@@ -209,14 +223,6 @@ class TestThresholdGrid:
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         assert list(grid) == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
-    def test_from_score_quantiles(self):
-        s = make_sample([1] * 9 + [0],
-                        [[float(i)] for i in range(10)],
-                        [i / 10 for i in range(1, 10)] + [None])
-        grid = ThresholdGrid.from_score_quantiles(s, 3)
-        assert len(grid) == 3
-        assert all(0.1 <= t <= 0.9 for t in grid)
-
 
 class TestRiskTargets:
     @pytest.mark.parametrize("ae,ac", [(0.0, 0.05), (1.0, 0.05), (0.05, 0.0),
@@ -249,7 +255,7 @@ PUBLIC_NAMES = """
     make_folds miscoverage_vector normal_upper_quantile odds_weight
     onestep_estimate oracle_nuisances oracle_psi_curve oracle_tau0
     plugin_estimate rs_estimate rs_prepare run_study
-    select_threshold tmle_estimate weighted_cp_set weighted_plugin_estimate
+    select_threshold tmle_estimate weighted_plugin_estimate
     weighted_quantile_cutoffs wilson_interval
 """.split()
 

@@ -67,22 +67,19 @@ class TestPredict:
             predict(pred, [1.0, 2.0])
 
     @pytest.mark.parametrize("p", [3, 20])
-    @pytest.mark.parametrize("standardize", [False, True])
-    def test_row_blocks_match_one_product(self, p, standardize):
+    def test_row_blocks_match_one_product(self, p):
         # Blocks of 1,024 rows at p=3 and 192 at p=20; the sizes cover
         # single blocks, whole blocks with and without a tail, one-row tails
         # and column-major input.
         gen = np.random.default_rng(p)
         coef = gen.standard_normal(p) * 3
-        scale = (gen.exponential(size=p), gen.exponential(size=p)) if standardize else (None, None)
-        pred = LogisticRidgePredictor(0.3, coef, p, *scale)
+        pred = LogisticRidgePredictor(0.3, coef, p)
         step = {3: 1024, 20: 192}[p]
         whole = [k * step + r for k in (1, 2, 5) for r in (0, 1, 2)]
         for n in (1, 2, 191, 193, 385, 1025, 2049, 4801, *whole):
             for order in "CF":
                 X = np.asarray(gen.standard_normal((n, p)) * 4, order=order)
-                Xs = X if not standardize else (X - scale[0]) / scale[1]
-                want = np.clip(expit(0.3 + Xs @ coef), 0.0, 1.0)
+                want = np.clip(expit(0.3 + X @ coef), 0.0, 1.0)
                 assert pred.predict(X).tobytes() == want.tobytes(), (n, order)
 
 
@@ -132,18 +129,6 @@ class TestLogisticRidge:
         assert pred.fallback
         assert any("IRLS" in str(w.message) for w in rec)
         np.testing.assert_allclose(pred.predict(X), z.mean(), atol=1e-9)
-
-    def test_standardization_flag(self, stream):
-        gen = np.random.default_rng(9)
-        X = gen.standard_normal((150, 2)) * np.array([100.0, 0.01])
-        z = (gen.uniform(size=150) < expit(X[:, 0] / 100)).astype(float)
-        pred = fit_binary(BinaryLearnerSpec(standardize=True), X, z, stream)
-        p = pred.predict(X)
-        assert np.all((p >= 0) & (p <= 1))
-        # constant-label behavior unaffected by the flag
-        const = fit_binary(BinaryLearnerSpec(standardize=True), X,
-                           np.ones(150), stream)
-        assert isinstance(const, ConstantPredictor)
 
     def test_dimension_mismatch_rejected(self, stream):
         with pytest.raises(DataError):

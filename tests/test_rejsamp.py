@@ -41,8 +41,6 @@ def mean_only_fits(monkeypatch):
 
 class TestRsConfig:
     def test_domains(self):
-        with pytest.raises(ConfigurationError):
-            RsConfig(xi=0.0)
         for bad in (0.5, float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError):
                 RsConfig(bhat_mult=bad)

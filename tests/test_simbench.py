@@ -209,6 +209,33 @@ class TestOracles:
             want = np.sum(ev.probs * (ev.scores < cutoffs[:, None]), axis=1).mean()
             assert ev.psi_of_cutoffs(cutoffs) == float(want)
 
+    @pytest.mark.parametrize("size", [0, 2, 4])
+    def test_psi_of_cutoffs_needs_one_or_one_per_point(self, size):
+        ev = OracleEvaluator(DgpSpec("lowdim"), 3, RngStream(9).child("ev"))
+        with pytest.raises(ConfigurationError,
+                           match=rf"one per oracle point \(3\), got {size}$"):
+            ev.psi_of_cutoffs(np.zeros(size))
+        assert ev.psi_of_cutoffs([0.5]) == ev.psi_of_cutoffs(np.full(3, 0.5))
+
+
+@pytest.mark.parametrize("call, args", [
+    (dgp_draw, (DgpSpec("lowdim"), 2.5, RngStream(1))),
+    (make_folds, (2.5, 2, RngStream(1))),
+    (make_folds, (10, 2.5, RngStream(1))),
+    (OracleEvaluator, (DgpSpec("lowdim"), 2.5, RngStream(1))),
+    (oracle_tau0, (DgpSpec("lowdim"), 0.05, 2.5, RngStream(1))),
+    (oracle_psi_curve, (DgpSpec("lowdim"), [0.1], 2.5, RngStream(1))),
+    (wilson_interval, (1.5, 2)),
+    (wilson_interval, (1, 2.0)),
+    (run_study, (DgpSpec("lowdim"), [300.0], ["icp"], 1,
+                 StudyConfig(grid=GRID, targets=TARGETS), RngStream(1))),
+], ids=["dgp_draw-n", "make_folds-n", "make_folds-V", "OracleEvaluator-M",
+        "oracle_tau0-M", "oracle_psi_curve-M", "wilson_interval-k",
+        "wilson_interval-n", "run_study-n"])
+def test_sizes_must_be_integers(call, args):
+    with pytest.raises(ConfigurationError, match="integer"):
+        call(*args)
+
 
 class TestWilson:
     def test_boundaries(self):

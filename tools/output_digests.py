@@ -13,11 +13,12 @@ with and without a config file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
 folds; ``simulate`` of all seven methods on lowdim and highdim with both
 learners at two workers and with the default learners at the default worker
-count; ``oracle`` on both DGPs at an M of three chunks; and a few inputs
-that ``fit`` rejects.  The input files are written by this script with the
-standard library, so both trees read the same bytes.  Only the standard
-library is used here; the commands run with the interpreter that runs this
-script.
+count; ``oracle`` on both DGPs at an M of three chunks; a few inputs that
+``fit`` rejects; and a negative seed given to each command, and to ``fit``
+through a config file.  The input files are written by this script with
+the standard library, so both trees read the same bytes.  Only the
+standard library is used here; the commands run with the interpreter that
+runs this script.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def write_inputs(work: Path) -> None:
     (work / "long-field.csv").write_bytes(text + f"1,0.5,{long_field},1,1\n".encode())
     (work / "typed-under-flag.cfg").write_text("seed = abc\n")
     (work / "bad-then-unknown.cfg").write_text("folds = 2.5\ncolour = red\n")
+    (work / "negative-seed.cfg").write_text("seed = -1\n")
 
 
 def matrix():
@@ -95,6 +97,14 @@ def matrix():
         yield f"fit-config-{cfg}", ["fit", "--input", "../small.csv", "--method", "onestep",
                                     "--output", "out.csv", "--config", f"../{cfg}.cfg",
                                     "--seed", "4", "--folds", "2"]
+    fit_small = ["fit", "--input", "../small.csv", "--method", "onestep", "--output", "out.csv"]
+    yield "fit-negative-seed", fit_small + ["--seed", "-1"]
+    yield "fit-config-negative-seed", fit_small + ["--config", "../negative-seed.cfg"]
+    yield "simulate-negative-seed", ["simulate", "--dgp", "lowdim", "--method", "onestep",
+                                     "--n", "300", "--reps", "1", "--oracle-m", "1000",
+                                     "--seed", "-1", "--output", "out.csv"]
+    yield "oracle-negative-seed", ["oracle", "--dgp", "lowdim", "--oracle-m", "1000",
+                                   "--seed", "-1", "--output", "out.csv"]
 
 
 def run_case(src: Path, case_dir: Path, argv) -> dict:
