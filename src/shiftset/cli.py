@@ -76,12 +76,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid", default="0:0.3:0.05",
                         help="threshold grid as lo:hi:step")
         sp.add_argument("--alpha-error", type=float, default=0.05)
+        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--output", required=False, default=None)
+
+    def add_study(sp):  # the estimators' flags, for fit and simulate only
+        add_common(sp)
         sp.add_argument("--alpha-conf", type=float, default=0.05)
         sp.add_argument("--folds", type=int, default=2)
         sp.add_argument("--delta", type=float, default=0.01,
                         help="propensity truncation bound")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--output", required=False, default=None)
         sp.add_argument("--g-learner", default="logistic-ridge", choices=LEARNER_KINDS)
         sp.add_argument("--e-learner", default="logistic-ridge", choices=LEARNER_KINDS)
         sp.add_argument("--ridge", type=float, default=1e-6)
@@ -89,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--bhat-fixed", type=float, default=None)
 
     sp_fit = sub.add_parser("fit", help="run one method on a CSV dataset")
-    add_common(sp_fit)
+    add_study(sp_fit)
     sp_fit.add_argument("--input", required=True)
     # Weighted conformal needs the oracle's target draws: simulation only.
     sp_fit.add_argument("--method", required=True,
@@ -97,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_fit.set_defaults(run=cmd_fit)
 
     sp_sim = sub.add_parser("simulate", help="replication study on a built-in DGP")
-    add_common(sp_sim)
+    add_study(sp_sim)
     sp_sim.add_argument("--method", required=True,
                         help="comma-separated subset of: " + ",".join(ALL_METHODS))
     sp_sim.add_argument("--dgp", required=True, choices=_DGP_CHOICES)
@@ -232,6 +235,8 @@ def cmd_fit(args) -> int:
 def _fit(args):
     """Run the ``fit`` command's method: (meta, table rows, summary line)."""
     root = RngStream(args.seed)
+    cfg = _study_config(args)
+    targets = cfg.targets
     try:
         sample = ingest_csv(args.input)
     except csv.Error as exc:
@@ -239,8 +244,6 @@ def _fit(args):
     except UnicodeDecodeError as exc:
         raise DataError(f"{args.input}: line {exc.line_no} is not UTF-8 text "
                         f"({exc.reason})") from None
-    cfg = _study_config(args)
-    targets = cfg.targets
 
     meta = {
         "command": "fit",

@@ -97,10 +97,9 @@ class NuisanceFits:
         return g
 
     def cond_error(self, v: int, X: np.ndarray) -> np.ndarray:
-        """Fold v's conditional-error predictions at X, clipped into [0, 1]:
-        one row per fitted threshold."""
-        return np.array([np.clip(pred.predict(X), 0.0, 1.0)
-                         for pred in self.e_predictors[v]])
+        """Fold v's conditional-error predictions at X, in [0, 1] as every
+        predictor's ``predict`` clips them: one row per fitted threshold."""
+        return np.array([pred.predict(X) for pred in self.e_predictors[v]])
 
     def constant_mask(self, v: int) -> np.ndarray:
         """Per fitted threshold, whether fold v's conditional-error fit is

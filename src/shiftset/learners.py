@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import ConfigurationError, DataError, RngStream, _is_count
+from .core import ConfigurationError, DataError, RngStream
 
 LEARNER_KINDS = ("logistic-ridge", "boosted-stumps")
 
@@ -35,40 +35,36 @@ _PREDICT_TERMS = 1 << 14
 # large enough for BLAS to split it across threads; predictions run in blocks
 # of about the same size.
 _IRLS_BLOCK = 1 << 12
+# IRLS stops after this many Newton steps, or once the penalized deviance
+# changes by less than the tolerance.
+_IRLS_MAX_ITER = 50
+_IRLS_TOL = 1e-8
+# Boosting rounds, shrinkage of each stump's leaves, and the least hessian
+# sum a stump's child may hold.
+_STUMP_ROUNDS = 100
+_STUMP_LEARNING_RATE = 0.1
+_STUMP_MIN_CHILD_WEIGHT = 5.0
 
 
 @dataclass(frozen=True)
 class BinaryLearnerSpec:
     """Configuration for a binary-outcome learner.
 
-    ``ridge`` penalizes non-intercept coefficients only.  The stump fields
-    (``rounds``, ``learning_rate``, ``min_child_weight``) are ignored by the
-    logistic learner and vice versa.
+    ``ridge`` penalizes non-intercept coefficients of the logistic learner
+    only.  The other settings are fixed: IRLS takes at most
+    ``_IRLS_MAX_ITER`` Newton steps to tolerance ``_IRLS_TOL``, and boosting
+    runs ``_STUMP_ROUNDS`` rounds at ``_STUMP_LEARNING_RATE`` with children
+    of hessian sum at least ``_STUMP_MIN_CHILD_WEIGHT``.
     """
 
     kind: str = "logistic-ridge"
     ridge: float = 1e-6
-    max_iter: int = 50
-    tol: float = 1e-8
-    rounds: int = 100
-    learning_rate: float = 0.1
-    min_child_weight: float = 5.0
 
     def __post_init__(self):
         if self.kind not in LEARNER_KINDS:
             raise ConfigurationError(f"unknown learner kind {self.kind!r}")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ConfigurationError("ridge strength must be finite and nonnegative")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ConfigurationError("tol must be finite and positive")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigurationError("learning_rate must be finite and positive")
-        if not (math.isfinite(self.min_child_weight) and self.min_child_weight >= 0):
-            raise ConfigurationError("min_child_weight must be finite and nonnegative")
-        for name in ("max_iter", "rounds"):
-            cap = getattr(self, name)
-            if not _is_count(cap):
-                raise ConfigurationError(f"{name} must be an integer of at least 1")
 
 
 class FittedPredictor:
@@ -115,7 +111,8 @@ class LogisticRidgePredictor(FittedPredictor):
     """Logistic model expit(intercept + x @ coef).
 
     ``n_iter`` counts the Newton steps of the fit; ``converged`` says whether
-    the penalized deviance settled within ``tol`` before ``max_iter``.
+    the penalized deviance settled within ``_IRLS_TOL`` before
+    ``_IRLS_MAX_ITER`` steps.
     """
 
     def __init__(self, intercept, coef, p, fallback=False, n_iter=0, converged=True):
@@ -254,10 +251,11 @@ def _fit_stack(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     preds = [ConstantPredictor(float(z[0]), p=p) if c else None
              for z, c in zip(Z, constant)]
     todo = np.flatnonzero(~constant)
-    fit = _fit_logistic if spec.kind == "logistic-ridge" else _fit_boosted_stumps
-    fitted = fit(spec, X, Z[todo]) if todo.size else []
-    for i, pred in zip(todo, fitted):
-        preds[i] = pred
+    if todo.size:
+        fitted = (_fit_logistic(X, Z[todo], spec.ridge) if spec.kind == "logistic-ridge"
+                  else _fit_boosted_stumps(X, Z[todo]))
+        for i, pred in zip(todo, fitted):
+            preds[i] = pred
     return tuple(preds)
 
 
@@ -265,12 +263,13 @@ def _fit_stack(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
 # Logistic ridge via IRLS
 # ---------------------------------------------------------------------------
 
-def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
+def _fit_logistic(X: np.ndarray, Z: np.ndarray, ridge: float):
     """One ridge-logistic IRLS per row of ``Z`` (no row constant), run together.
 
     Each row starts from zero and falls back to its intercept-only fit, with
     a warning, if a Newton step is singular or not finite.  A row that runs
-    to ``max_iter`` without its deviance settling is only marked
+    to ``_IRLS_MAX_ITER`` steps without its deviance settling within
+    ``_IRLS_TOL`` is only marked
     unconverged: a warning would reach the outputs that record warnings.
     Sums over units run block by block with one matrix product per row, so a
     row's bits depend neither on the other rows nor on the BLAS thread count.
@@ -279,7 +278,7 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     design = np.column_stack([np.ones(n), X])
     step = max(1, _IRLS_BLOCK // (p + 1))
     blocks = [design[s:s + step] for s in range(0, n, step)]
-    penalty = np.full(p + 1, spec.ridge)
+    penalty = np.full(p + 1, ridge)
     penalty[0] = 0.0  # intercept unpenalized
 
     # From zero, not from the intercept-only fit: on a highdim source half
@@ -290,7 +289,7 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
     n_iter, converged = np.zeros(Z.shape[0], dtype=int), np.zeros(Z.shape[0], dtype=bool)
     dev_old = np.inf
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(spec.max_iter):
+        for _ in range(_IRLS_MAX_ITER):
             mu = expit(eta)
             w = np.clip(mu * (1.0 - mu), 1e-10, None)
             # Working response for the Newton step on the penalized deviance.
@@ -310,7 +309,7 @@ def _fit_logistic(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
             ok[live[~good]] = False
             beta[live[good]] = new[good]
             n_iter[live] += 1
-            settled = good & (np.abs(dev_old - dev) < spec.tol)
+            settled = good & (np.abs(dev_old - dev) < _IRLS_TOL)
             converged[live[settled]] = True
             keep = good & ~settled
             live, Z, eta, dev_old = live[keep], Z[keep], eta[keep], dev[keep]
@@ -340,7 +339,7 @@ def _solve(lhs, rhs):
 # Gradient-boosted stumps
 # ---------------------------------------------------------------------------
 
-def _fit_boosted_stumps(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
+def _fit_boosted_stumps(X: np.ndarray, Z: np.ndarray):
     """One boosted-stump ensemble per row of ``Z`` (no row constant).
 
     Each feature is sorted once.  Every round evaluates, for all growing
@@ -363,23 +362,23 @@ def _fit_boosted_stumps(spec: BinaryLearnerSpec, X: np.ndarray, Z: np.ndarray):
         mid = np.where(np.isfinite(mid), mid, 0.5 * xs[:, :-1] + 0.5 * xs[:, 1:])
     step = max(1, _STUMP_BLOCK // (p * n))
     return [pred for start in range(0, Z.shape[0], step)
-            for pred in _grow_stumps(spec, XT, order.ravel(), mid, splittable,
+            for pred in _grow_stumps(XT, order.ravel(), mid, splittable,
                                      Z[start:start + step])]
 
 
-def _grow_stumps(spec, XT, order, mid, splittable, Z):
+def _grow_stumps(XT, order, mid, splittable, Z):
     p, n = XT.shape
     L = Z.shape[0]
     base = logit(np.clip(Z.mean(axis=1), _STUMP_CLAMP, 1.0 - _STUMP_CLAMP))
     raw = np.repeat(base[:, None], n, axis=1)
-    mcw, lr = spec.min_child_weight, spec.learning_rate
-    features = np.zeros((L, spec.rounds), dtype=np.int64)
-    thresholds, lvals, rvals = np.zeros((3, L, spec.rounds))
+    rounds, lr, mcw = _STUMP_ROUNDS, _STUMP_LEARNING_RATE, _STUMP_MIN_CHILD_WEIGHT
+    features = np.zeros((L, rounds), dtype=np.int64)
+    thresholds, lvals, rvals = np.zeros((3, L, rounds))
     grown = np.zeros(L, dtype=np.int64)
     live = np.arange(L)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        for r in range(spec.rounds):
+        for r in range(rounds):
             prob = expit(raw)
             gh = np.empty((2,) + raw.shape)
             np.subtract(Z, prob, out=gh[0])

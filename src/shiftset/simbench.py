@@ -369,6 +369,15 @@ class StudyConfig:
     rs_config: RsConfig = field(default_factory=RsConfig)
     oracle_m: int = 100_000
 
+    def __post_init__(self):
+        # As make_folds and fit_nuisances check them, before any input is
+        # read or any oracle built.
+        if not _is_count(self.V, 2):
+            raise ConfigurationError(
+                f"fold count must be an integer of at least 2, got {self.V!r}")
+        if not (0.0 < self.delta < 0.5):
+            raise ConfigurationError("delta must lie in (0, 0.5)")
+
 
 @dataclass
 class Dataset:
@@ -508,7 +517,6 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
                    rng.child(f"folds-n{n}", rep),
                    rng.child(f"nuisance-n{n}", rep),
                    rng.child(f"method-rs-n{n}", rep), oracle)
-    data.folds  # so a fold count that cannot split n fails any study
     rows = []
     for method in methods:
         try:
@@ -552,6 +560,8 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     for i, n in enumerate(ns):
         if n in ns[:i]:
             raise ConfigurationError(f"sample size {n} given twice")
+        if n < cfg.V:
+            raise ConfigurationError(f"cannot split {n} units into {cfg.V} folds")
     if not _is_count(replications):
         raise ConfigurationError(
             f"replications must be an integer of at least 1, got {replications!r}")

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftset import (DataError, DgpSpec, ObservedSample, RngStream, cli, csvio, dgp_draw,
-                      parallel)
+                      parallel, simbench)
 from shiftset.cli import CsvSchemaWarning, emit_csv, ingest_csv, main
 
 
@@ -902,6 +902,32 @@ class TestCmdFit:
         assert capsys.readouterr().err == NEGATIVE_SEED_ERROR
         assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
 
+    @pytest.mark.parametrize("flags, error", [
+        (("--alpha-error", "2"), "alpha_error must lie strictly inside (0, 1)"),
+        (("--folds", "1"), "fold count must be an integer of at least 2, got 1"),
+    ])
+    @pytest.mark.parametrize("present", [True, False], ids=["input", "missing-input"])
+    def test_configuration_checked_before_the_input_is_read(
+            self, tmp_path, sample_csv, capsys, monkeypatch, flags, error, present):
+        def refuse(path):
+            raise AssertionError("the input was read")
+
+        monkeypatch.setattr(cli, "ingest_csv", refuse)
+        path = sample_csv if present else str(tmp_path / "missing.csv")
+        code = main(["fit", "--input", path, "--method", "onestep",
+                     "--output", str(tmp_path / "o.csv"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ConfigurationError: {error}\n"
+
+    @pytest.mark.parametrize("method, flags", [("icp", ("--delta", "0.9")),
+                                               ("rs", ("--folds", "1"))])
+    def test_settings_a_method_does_not_use_are_still_checked(
+            self, tmp_path, sample_csv, capsys, method, flags):
+        code, out = self.run_fit(tmp_path, sample_csv, method, flags)
+        assert code == 1
+        assert "ConfigurationError" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_a_marked_file_names_its_undecodable_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(codecs.BOM_UTF8 + b"a,score,x1\n1,0.5,1\n0,,2\n0,,3\xff\n0,,4\n")
@@ -1077,6 +1103,23 @@ class TestCmdSimulate:
                      "--output", str(tmp_path / "x.csv")])
         assert code == 1
 
+    @pytest.mark.parametrize("flags, error", [
+        (("--folds", "1"), "fold count must be an integer of at least 2, got 1"),
+        (("--delta", "0.7"), "delta must lie in (0, 0.5)"),
+        (("--n", "1"), "cannot split 1 units into 2 folds"),
+    ])
+    def test_configuration_checked_before_the_oracle_is_built(
+            self, tmp_path, capsys, monkeypatch, flags, error):
+        def refuse(*args):
+            raise AssertionError("an oracle was built")
+
+        monkeypatch.setattr(simbench, "OracleEvaluator", refuse)
+        code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "2",
+                     "--method", "onestep", "--output", str(tmp_path / "x.csv"), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: ConfigurationError: {error}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_bad_worker_count_rejected(self, tmp_path, capsys, workers):
         code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "2",
@@ -1146,6 +1189,18 @@ class TestCmdOracle:
                      "--output", str(tmp_path / "oracle.csv")])
         assert code == 1
         assert capsys.readouterr().err == NEGATIVE_SEED_ERROR
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_oracle_flags_accepted(self, tmp_path, capsys):
+        _, subparsers = cli._build_parser()
+        flags = {s for a in subparsers["oracle"]._actions for s in a.option_strings}
+        assert flags == {"-h", "--help", "--config", "--grid", "--alpha-error", "--seed",
+                         "--output", "--dgp", "--oracle-m"}
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--dgp", "lowdim", "--oracle-m", "1000", "--folds", "3",
+                  "--output", str(tmp_path / "oracle.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --folds 3" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
 

@@ -14,8 +14,11 @@ fitted in forked workers) once more with boosted stumps and once with three
 folds; ``simulate`` of all seven methods on lowdim and highdim with both
 learners at two workers and with the default learners at the default worker
 count; ``oracle`` on both DGPs at an M of three chunks; a few inputs that
-``fit`` rejects; and a negative seed given to each command, and to ``fit``
-through a config file.  The input files are written by this script with
+``fit`` rejects; a negative seed given to each command, and to ``fit``
+through a config file; and configurations that each command rejects before
+it reads input or builds an oracle: an estimator flag given to ``oracle``,
+a bad ``--alpha-error`` given to ``fit`` with a missing input, and one fold
+given to ``simulate`` with a large oracle.  The input files are written by this script with
 the standard library, so both trees read the same bytes.  Only the
 standard library is used here; the commands run with the interpreter that
 runs this script.
@@ -105,6 +108,14 @@ def matrix():
                                      "--seed", "-1", "--output", "out.csv"]
     yield "oracle-negative-seed", ["oracle", "--dgp", "lowdim", "--oracle-m", "1000",
                                    "--seed", "-1", "--output", "out.csv"]
+    yield "oracle-folds", ["oracle", "--dgp", "lowdim", "--oracle-m", "1000",
+                           "--folds", "3", "--output", "out.csv"]
+    yield "fit-bad-alpha-missing-input", ["fit", "--input", "../missing.csv",
+                                          "--method", "onestep", "--alpha-error", "2",
+                                          "--output", "out.csv"]
+    yield "simulate-one-fold", ["simulate", "--dgp", "lowdim", "--method", "onestep",
+                                "--n", "300", "--reps", "1", "--folds", "1",
+                                "--oracle-m", "2000000", "--output", "out.csv"]
 
 
 def run_case(src: Path, case_dir: Path, argv) -> dict:
