@@ -31,7 +31,7 @@ from .core import (
     make_folds,
     miscoverage_vector,
 )
-from .crossfit import NuisanceFits, fit_nuisances, odds_weight, oracle_nuisances
+from .crossfit import NuisanceFits, fit_nuisances, odds_weight
 from .learners import (
     BinaryLearnerSpec,
     ConstantPredictor,
@@ -60,6 +60,7 @@ from .simbench import (
     ReplicationRow,
     StudyConfig,
     dgp_draw,
+    oracle_nuisances,
     oracle_psi_curve,
     oracle_tau0,
     run_study,

@@ -72,8 +72,9 @@ class NuisanceFits:
     """Cross-fitted predictors: one propensity per fold, one conditional
     error predictor per (fold, threshold of ``taus``).
 
-    ``delta = 0`` disables truncation; it serves oracle fits and rejection
-    sampling, whose one "fold" is the training half.
+    ``delta = 0`` keeps the propensity only ``PROPENSITY_GUARD`` inside
+    (0, 1); it serves rejection sampling, whose one "fold" is the training
+    half.  ``simbench.oracle_nuisances`` gives the DGP's true functions.
     """
 
     taus: tuple[float, ...]
@@ -89,12 +90,8 @@ class NuisanceFits:
                 "error predictor per threshold in each fold")
 
     def propensity(self, v: int, X: np.ndarray) -> np.ndarray:
-        g = self.g_predictors[v].predict(X)
-        if self.delta > 0.0:
-            g = np.clip(g, self.delta, 1.0 - self.delta)
-        else:
-            g = np.clip(g, PROPENSITY_GUARD, 1.0 - PROPENSITY_GUARD)
-        return g
+        bound = self.delta if self.delta > 0.0 else PROPENSITY_GUARD
+        return np.clip(self.g_predictors[v].predict(X), bound, 1.0 - bound)
 
     def cond_error(self, v: int, X: np.ndarray) -> np.ndarray:
         """Fold v's conditional-error predictions at X, in [0, 1] as every
@@ -161,47 +158,3 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
     g_preds, e_preds = zip(*run_jobs(fit, jobs, workers))
     return NuisanceFits(taus=tuple(grid), g_predictors=g_preds,
                         e_predictors=e_preds, delta=float(delta))
-
-
-class _FunctionPredictor(FittedPredictor):
-    """Wraps an analytic x -> probability function as a predictor."""
-
-    def __init__(self, fn, p):
-        self.fn = fn
-        self.p = p
-
-    def _predict(self, X):
-        return np.asarray(self.fn(X), dtype=float)
-
-
-def oracle_nuisances(dgp, grid: ThresholdGrid, V: int = 2) -> NuisanceFits:
-    """Fold-independent nuisance fits equal to a DGP's true functions.
-
-    Used for property tests that isolate estimator behavior from learner
-    error.  No truncation is applied.
-    """
-    from .simbench import DgpSpec  # deferred: simbench depends on this module
-
-    if not isinstance(dgp, DgpSpec):
-        raise ConfigurationError("oracle nuisances require a built-in DGP spec")
-
-    return _OracleFits(
-        taus=tuple(grid),
-        g_predictors=(_FunctionPredictor(dgp.true_propensity, dgp.p),) * V,
-        e_predictors=((None,) * len(grid),) * V,
-        delta=0.0,
-        dgp=dgp,
-    )
-
-
-@dataclass(frozen=True)
-class _OracleFits(NuisanceFits):
-    """Oracle nuisances, whose conditional error evaluates the DGP's label
-    probabilities and scores once for all thresholds.  They hold no
-    conditional-error predictors (``None`` in each slot), so no fit counts
-    as constant."""
-
-    dgp: object = None
-
-    def cond_error(self, v, X):
-        return np.clip(self.dgp.true_cond_errors(X, self.taus), 0.0, 1.0)

@@ -129,7 +129,7 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
 
     The variance estimate is evaluated term by term: a training-half piece
     from the source-fraction estimate and a test-half piece combining the
-    thinning indicator, the weight recentering, and the correction term.
+    run's ``accepted`` mask, the weight recentering, and the correction term.
     """
     if run.n_accepted == 0:
         raise EmptyAcceptanceError("rejection sampling accepted no units")
@@ -141,7 +141,6 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
     a_test = sample.a[run.test_idx].astype(float)
     X_test = sample.x[run.test_idx]
     w = run.what_test
-    indicator = (run.zeta <= w / run.bhat).astype(float)
     scores_acc = sample.score[run.accepted_indices()]
 
     a_train = sample.a[run.train_idx].astype(float)
@@ -158,7 +157,7 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
 
     z_full = np.zeros((taus.size, n_test))
     z_full[:, run.accepted] = z_acc
-    test_terms = (run.bhat * (a_test / gamma) * indicator * (z_full - psi[:, None])
+    test_terms = (run.bhat * (a_test / gamma) * run.accepted * (z_full - psi[:, None])
                   + (a_test * (w - 1.0) / gamma) * psi[:, None]
                   + d_tilde)
     # Python's float power (C pow), which is not always x * x in the last bit.
@@ -173,9 +172,4 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
         alpha_conf=targets.alpha_conf,
         fold_sizes=np.array([n_train, n_test], dtype=float),
         gamma_by_fold=np.array([gamma, float(np.mean(a_test))]),
-        extras={
-            "bhat": run.bhat,
-            "pi_hat": run.pi_hat,
-            "n_accepted": run.n_accepted,
-        },
     )

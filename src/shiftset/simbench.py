@@ -37,6 +37,7 @@ from .conformal import (
 from .core import (
     BoundViolationError,
     ConfigurationError,
+    DataError,
     DegenerateFoldError,
     EmptyAcceptanceError,
     ObservedSample,
@@ -48,7 +49,7 @@ from .core import (
     empirical_gamma,
     make_folds,
 )
-from .crossfit import fit_nuisances, odds_weight
+from .crossfit import PROPENSITY_GUARD, NuisanceFits, fit_nuisances, odds_weight
 from .learners import BinaryLearnerSpec
 from .onestep import (
     CoverageTable,
@@ -195,6 +196,39 @@ def dgp_draw(spec: DgpSpec, n: int, rng: RngStream) -> ObservedSample:
 # ---------------------------------------------------------------------------
 # Oracle quantities
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OracleFits(NuisanceFits):
+    """A DGP's true nuisances, the same in every fold, so they answer any
+    fold index: the propensity from the density ratio, the conditional error
+    from the label probabilities and scores, once for all thresholds.  They
+    hold no predictors, so no fit counts as constant."""
+
+    dgp: DgpSpec
+
+    def propensity(self, v, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.shape[1] != self.dgp.p:
+            raise DataError(f"expected {self.dgp.p} covariates, got {X.shape[1]}")
+        return np.clip(self.dgp.true_propensity(X), PROPENSITY_GUARD,
+                       1.0 - PROPENSITY_GUARD)
+
+    def cond_error(self, v, X):
+        return np.clip(self.dgp.true_cond_errors(X, self.taus), 0.0, 1.0)
+
+    def constant_mask(self, v):
+        return np.zeros(len(self.taus), dtype=bool)
+
+
+def oracle_nuisances(dgp: DgpSpec, grid: ThresholdGrid) -> NuisanceFits:
+    """Nuisance fits equal to a DGP's true functions, for property tests
+    that isolate estimator behavior from learner error.  The propensity is
+    kept only ``PROPENSITY_GUARD`` inside (0, 1)."""
+    if not isinstance(dgp, DgpSpec):
+        raise ConfigurationError("oracle nuisances require a built-in DGP spec")
+    return _OracleFits(taus=tuple(grid), g_predictors=(), e_predictors=(),
+                       delta=0.0, dgp=dgp)
+
 
 _CHUNK = 200_000
 
@@ -467,6 +501,8 @@ def _run_icp(data: Dataset) -> MethodResult:
 def _run_wcp(data: Dataset) -> MethodResult:
     # Importance weights from the fold-0 (out-of-fold) propensity fit,
     # evaluated at calibration and oracle covariates.
+    if data.oracle is None:
+        raise ConfigurationError("weighted conformal needs an oracle's target draws")
     fits = data.fits
     cal_idx, cal_src = data.calibration()
     if cal_src.size == cal_idx.size:
@@ -513,8 +549,18 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
     """Every method on replication ``rep`` at sample size ``n``, seeded from
     that job's own streams."""
     spec, methods, cfg, rng, oracle = study
-    data = Dataset(dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep)), cfg,
-                   rng.child(f"folds-n{n}", rep),
+
+    def failed(method, exc):
+        return ReplicationRow(
+            method=method, n=n, rep=rep, tau_hat=0.0,
+            sentinel=False, true_error=None, covered=False,
+            failed=True, failure=type(exc).__name__)
+
+    try:
+        sample = dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep))
+    except DataError as exc:  # a draw with no source or no target unit
+        return [failed(method, exc) for method in methods]
+    data = Dataset(sample, cfg, rng.child(f"folds-n{n}", rep),
                    rng.child(f"nuisance-n{n}", rep),
                    rng.child(f"method-rs-n{n}", rep), oracle)
     rows = []
@@ -522,10 +568,7 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
         try:
             res = METHODS[method](data)
         except _FAILURE_ERRORS as exc:
-            rows.append(ReplicationRow(
-                method=method, n=n, rep=rep, tau_hat=0.0,
-                sentinel=False, true_error=None, covered=False,
-                failed=True, failure=type(exc).__name__))
+            rows.append(failed(method, exc))
             continue
         err = (oracle.psi_at(res.tau_hat) if res.true_error is None
                else res.true_error)
@@ -543,9 +586,9 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     """Run every method on the same simulated datasets and score each
     selected set against the shared oracle.
 
-    Failures (degenerate folds, empty acceptance, bound violations) are
-    recorded as uncovered rows, never dropped: they stay in the denominator
-    of the reported proportions.
+    Failures (a draw with no source or no target unit, degenerate folds,
+    empty acceptance, bound violations) are recorded as uncovered rows,
+    never dropped: they stay in the denominator of the reported proportions.
 
     Replications run in ``workers`` forked processes (default: one per
     usable CPU, or one per replication when there are fewer than twice as

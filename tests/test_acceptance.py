@@ -146,7 +146,7 @@ def test_asymptotic_linearity_slope():
     spec = ss.DgpSpec("lowdim")
     tau = 0.15
     tau_index = list(GRID).index(tau)
-    fits = ss.oracle_nuisances(spec, GRID, V=2)
+    fits = ss.oracle_nuisances(spec, GRID)
     psi_true = ss.oracle_psi_curve(spec, [tau], 4_000_000,
                                    ss.RngStream(5).child("psi-hi"))[0]
 

@@ -1148,6 +1148,23 @@ class TestCmdSimulate:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and "IRLS diverged" in runs[0][2]
 
+    def test_a_draw_without_both_populations_is_a_failed_row(self, tmp_path):
+        # At 6 units some draws hold no source or no target unit; each such
+        # replication is a failed row, at any worker count, and the study
+        # goes on.
+        outputs = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}.csv")
+            assert main(["simulate", "--dgp", "lowdim", "--method", "icp", "--n", "6",
+                         "--reps", "40", "--oracle-m", "1000", "--workers", workers,
+                         "--output", out]) == 0
+            outputs.append([open(out + suffix, "rb").read()
+                            for suffix in ("", ".jsonl", ".meta.json")])
+        assert outputs[0] == outputs[1]
+        rows = [json.loads(line) for line in outputs[0][1].splitlines()]
+        assert len(rows) == 40
+        assert any(row["failed"] and row["failure"] == "DataError" for row in rows)
+
 
 class TestCmdOracle:
     def test_curve_and_tau0(self, tmp_path):

@@ -10,10 +10,13 @@ from shiftset import (
     BinaryLearnerSpec,
     ConfigurationError,
     ConstantPredictor,
+    DataError,
     DgpSpec,
     DomainError,
+    FoldEngine,
     NuisanceFits,
     ObservedSample,
+    RiskTargets,
     ThresholdGrid,
     UnfittableFoldError,
     dgp_draw,
@@ -21,7 +24,9 @@ from shiftset import (
     make_folds,
     miscoverage_vector,
     odds_weight,
+    onestep_estimate,
     oracle_nuisances,
+    tmle_estimate,
 )
 from shiftset import FoldPlan, RngStream, crossfit, parallel, simbench
 from shiftset.cli import main
@@ -170,6 +175,22 @@ class TestOracleNuisances:
     def test_unsupported_dgp(self):
         with pytest.raises(ConfigurationError):
             oracle_nuisances("not-a-dgp", ThresholdGrid((0.1,)))
+
+    def test_propensity_needs_the_dgp_width(self):
+        fits = oracle_nuisances(DgpSpec("lowdim"), ThresholdGrid((0.1,)))
+        with pytest.raises(DataError, match="expected 3 covariates, got 20"):
+            fits.propensity(0, np.zeros((2, 20)))
+
+    def test_oracle_fits_answer_every_fold(self):
+        spec, grid = DgpSpec("lowdim"), ThresholdGrid.from_range(0.0, 0.3, 0.05)
+        root = RngStream(8)
+        sample = dgp_draw(spec, 300, root.child("d"))
+        engine = FoldEngine(sample, make_folds(300, 3, root.child("f")),
+                            oracle_nuisances(spec, grid))
+        targets = RiskTargets(0.05, 0.05)
+        for table in (onestep_estimate(engine, targets), tmle_estimate(engine, targets)):
+            assert table.fold_sizes.size == 3
+            assert np.isfinite(table.psi).all() and np.isfinite(table.cub).all()
 
 
 class TestCondErrorGrid:

@@ -143,6 +143,11 @@ class TestRsEstimate:
         # accepted scores are 0.1 (Z=1) and 0.8 (Z=0) -> proportion 1/2
         assert table.psi[0] == pytest.approx(0.5)
 
+    def test_table_carries_no_extras(self):
+        # The bound, pi_hat and the acceptance count are read from the run.
+        sample, run = hand_run()
+        assert rs_estimate(run, sample, TARGETS).extras == {}
+
     def test_variance_is_positive_here(self):
         sample, run = hand_run()
         table = rs_estimate(run, sample, TARGETS)

@@ -10,6 +10,7 @@ from shiftset import (
     METHODS,
     BinaryLearnerSpec,
     ConfigurationError,
+    DataError,
     DgpSpec,
     NuisanceFits,
     OracleEvaluator,
@@ -350,6 +351,34 @@ class TestRunStudy:
                           RiskTargets(0.05, 0.05), stumps, stumps, oracle_m=2000)
         (row,) = run_study(spec, [n], ["wcp"], 1, cfg, root).rows
         assert row.failed and row.failure == "DegenerateFoldError"
+
+    def test_a_draw_without_both_populations_fails_every_method(self):
+        rep = run_study(DgpSpec("lowdim"), [6], ["rs", "icp"], 40,
+                        self._cfg(oracle_m=1000), RngStream(3), workers=1)
+        bad = {r.rep for r in rep.rows if r.failure == "DataError"}
+        assert bad
+        for r in rep.rows:
+            if r.rep in bad:
+                assert r.failure == "DataError" and not r.covered
+                assert (r.tau_hat, r.true_error, r.info, r.table) == (0.0, None, {}, None)
+        assert [a.failures >= len(bad) for a in rep.aggregates] == [True, True]
+
+    def test_a_data_error_inside_a_method_propagates(self, monkeypatch):
+        def refuse(data):
+            raise DataError("refused")
+
+        monkeypatch.setitem(simbench.METHODS, "icp", refuse)
+        with pytest.raises(DataError, match="refused"):
+            run_study(DgpSpec("lowdim"), [300], ["icp"], 1,
+                      self._cfg(oracle_m=1000), RngStream(3), workers=1)
+
+    def test_wcp_needs_an_oracle(self):
+        # As fit builds it: no oracle to score the cutoffs on.
+        root = RngStream(22)
+        data = Dataset(dgp_draw(DgpSpec("lowdim"), 200, root.child("d")),
+                       self._cfg(), root.child("f"), root.child("n"), root.child("rs"))
+        with pytest.raises(ConfigurationError, match="oracle"):
+            METHODS["wcp"](data)
 
     def test_rows_carry_their_method_tables(self):
         rep = run_study(DgpSpec("lowdim"), [300], ["onestep", "icp"], 1,

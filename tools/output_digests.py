@@ -11,17 +11,20 @@ Running it on two checkouts shows whether a change keeps ``fit``,
 The matrix: ``fit`` for six methods on a 20,000-row and a 400-row CSV, each
 with and without a config file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
-folds; ``simulate`` of all seven methods on lowdim and highdim with both
-learners at two workers and with the default learners at the default worker
-count; ``oracle`` on both DGPs at an M of three chunks; a few inputs that
-``fit`` rejects; a negative seed given to each command, and to ``fit``
-through a config file; and configurations that each command rejects before
-it reads input or builds an oracle: an estimator flag given to ``oracle``,
-a bad ``--alpha-error`` given to ``fit`` with a missing input, and one fold
-given to ``simulate`` with a large oracle.  The input files are written by this script with
-the standard library, so both trees read the same bytes.  Only the
-standard library is used here; the commands run with the interpreter that
-runs this script.
+folds; ``fit`` of onestep and icp on a valid file that only the exact reader
+accepts (quoted fields, padded ``a`` tokens, a blank line); ``simulate`` of
+all seven methods on lowdim and highdim with both learners at two workers
+and with the default learners at the default worker count, and of icp on
+draws of 6 units, some of which hold no source or no target unit;
+``oracle`` on both DGPs at an M of three chunks; a few inputs that ``fit``
+rejects; a negative seed given to each command, and to ``fit`` through a
+config file; and configurations that each command rejects before it reads
+input or builds an oracle: an estimator flag given to ``oracle``, a bad
+``--alpha-error`` given to ``fit`` with a missing input, and one fold given
+to ``simulate`` with a large oracle.  The input files are written by this
+script with the standard library, so both trees read the same bytes.  Only
+the standard library is used here; the commands run with the interpreter
+that runs this script.
 """
 
 from __future__ import annotations
@@ -61,6 +64,16 @@ def write_inputs(work: Path) -> None:
     write_csv(work / "small.csv", 400, 3, 2)
     (work / "run.cfg").write_text(CONFIG)
     text = (work / "small.csv").read_bytes()
+    # Valid, but only the exact reader accepts it: quoted fields, padded `a`
+    # tokens and a blank line.
+    lines = text.decode().splitlines()
+    exact = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        a, score, *x = line.split(",")
+        exact.append(",".join([f" {a} " if i % 5 == 0 else a,
+                               f'"{score}"' if i % 3 == 0 else score, *x]))
+    exact.insert(20, "")
+    (work / "exact.csv").write_text("\n".join(exact) + "\n")
     (work / "not-utf8.csv").write_bytes(text + b"1,0.5,\xff,1,1\n")
     long_field = "1" * (csv.field_size_limit() + 1)
     (work / "long-field.csv").write_bytes(text + f"1,0.5,{long_field},1,1\n".encode())
@@ -93,6 +106,9 @@ def matrix():
             "--reps", "3", "--oracle-m", "20000", "--seed", "6", "--output", "out.csv"]
         yield f"oracle-{dgp}", ["oracle", "--dgp", dgp, "--oracle-m", "450001",
                                 "--seed", "1", "--output", "out.csv"]
+    for method in ("onestep", "icp"):
+        yield f"fit-exact-{method}", ["fit", "--input", "../exact.csv", "--method", method,
+                                      "--output", "out.csv"]
     for data in ("not-utf8", "long-field"):
         yield f"fit-{data}", ["fit", "--input", f"../{data}.csv", "--method", "onestep",
                               "--output", "out.csv"]
@@ -116,6 +132,10 @@ def matrix():
     yield "simulate-one-fold", ["simulate", "--dgp", "lowdim", "--method", "onestep",
                                 "--n", "300", "--reps", "1", "--folds", "1",
                                 "--oracle-m", "2000000", "--output", "out.csv"]
+    # Draws of 6 units, some with no source or no target unit.
+    yield "simulate-degenerate-draws", ["simulate", "--dgp", "lowdim", "--method", "icp",
+                                        "--n", "6", "--reps", "40", "--oracle-m", "1000",
+                                        "--workers", "1", "--output", "out.csv"]
 
 
 def run_case(src: Path, case_dir: Path, argv) -> dict:
