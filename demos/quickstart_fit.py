@@ -21,8 +21,7 @@ targets = ss.RiskTargets(alpha_error=0.05, alpha_conf=0.05)
 
 folds = ss.make_folds(sample.n, 2, rng.child("folds"))
 fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
-                        ss.BinaryLearnerSpec(), delta=0.01,
-                        rng=rng.child("nuisance"))
+                        ss.BinaryLearnerSpec(), delta=0.01)
 
 # Every fold's weights, labels and predictions, shared by the fold estimators.
 engine = ss.FoldEngine(sample, folds, fits)

@@ -41,7 +41,7 @@ print(f"\nrejection-sampling threshold: {decision.tau_hat}"
 # Compare with the cross-fit corrected estimator on the same data.
 folds = ss.make_folds(sample.n, 2, rng.child("folds"))
 fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
-                        ss.BinaryLearnerSpec(), 0.01, rng.child("nuisance"))
+                        ss.BinaryLearnerSpec(), 0.01)
 one = ss.onestep_estimate(ss.FoldEngine(sample, folds, fits), targets)
 print("\n tau    rs psi (se)        one-step psi (se)")
 for i, tau in enumerate(grid):

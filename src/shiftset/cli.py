@@ -258,7 +258,7 @@ def _fit(args):
         "alpha_conf": targets.alpha_conf,
         "grid": [float(t) for t in cfg.grid],
     }
-    data = Dataset(sample, cfg, root.child("folds"), root.child("nuisance"), root)
+    data = Dataset(sample, cfg, root.child("folds"), root)
     res = METHODS[args.method](data)
     meta.update(res.meta)
     meta.update({"selected_tau": res.tau_hat, "sentinel": res.sentinel})

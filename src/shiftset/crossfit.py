@@ -23,7 +23,6 @@ from .core import (
     DomainError,
     FoldPlan,
     ObservedSample,
-    RngStream,
     ThresholdGrid,
     UnfittableFoldError,
     miscoverage_vector,
@@ -106,7 +105,7 @@ class NuisanceFits:
 
 
 def fit_on(sample: ObservedSample, train: np.ndarray, grid: ThresholdGrid,
-           g_spec: BinaryLearnerSpec, e_spec: BinaryLearnerSpec, g_rng: RngStream
+           g_spec: BinaryLearnerSpec, e_spec: BinaryLearnerSpec
            ) -> tuple[FittedPredictor, tuple[FittedPredictor, ...]]:
     """Fit the propensity on the units ``train`` and, on their source units,
     one conditional-error predictor per threshold of ``grid``.
@@ -116,7 +115,7 @@ def fit_on(sample: ObservedSample, train: np.ndarray, grid: ThresholdGrid,
     range behave deterministically.
     """
     is_src = sample.a[train] == 1
-    g = fit_binary(g_spec, sample.x[train], is_src.astype(float), g_rng)
+    g = fit_binary(g_spec, sample.x[train], is_src.astype(float))
     src = train[is_src]
     labels = miscoverage_vector(sample.score[src], grid.taus)
     return g, fit_binary_grid(e_spec, sample.x[src], labels)
@@ -124,7 +123,7 @@ def fit_on(sample: ObservedSample, train: np.ndarray, grid: ThresholdGrid,
 
 def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
                   g_spec: BinaryLearnerSpec, e_spec: BinaryLearnerSpec,
-                  delta: float, rng: RngStream) -> NuisanceFits:
+                  delta: float) -> NuisanceFits:
     """Fit out-of-fold propensity and conditional-error predictors: for each
     fold v, :func:`fit_on` the fold's complement.
 
@@ -149,10 +148,10 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
             raise UnfittableFoldError(f"fold {v}: complement has fewer than 2 units")
         if not np.any(sample.a[train] == 1):
             raise UnfittableFoldError(f"fold {v}: complement has no source units")
-        jobs.append((train, rng.child("propensity", v)))
+        jobs.append((train,))
 
-    def fit(train, g_rng):
-        return fit_on(sample, train, grid, g_spec, e_spec, g_rng)
+    def fit(train):
+        return fit_on(sample, train, grid, g_spec, e_spec)
 
     workers = None if sample.n * sample.p >= _FORK_ELEMENTS else 1
     g_preds, e_preds = zip(*run_jobs(fit, jobs, workers))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import ConfigurationError, DataError, RngStream
+from .core import ConfigurationError, DataError
 
 LEARNER_KINDS = ("logistic-ridge", "boosted-stumps")
 
@@ -214,8 +214,7 @@ class BoostedStumpsPredictor(FittedPredictor):
         return raw
 
 
-def fit_binary(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray,
-               rng: RngStream | None = None) -> FittedPredictor:
+def fit_binary(spec: BinaryLearnerSpec, X: np.ndarray, z: np.ndarray) -> FittedPredictor:
     """Fit a binary-outcome probability model.
 
     Constant labels always produce the matching constant predictor, whatever

@@ -96,7 +96,7 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
             raise DegenerateFoldError(f"{name} half lacks source or target units")
 
     gamma_train = float(np.mean(a_train == 1))
-    g, e = fit_on(sample, train_idx, grid, g_spec, e_spec, rng.child("rs-g"))
+    g, e = fit_on(sample, train_idx, grid, g_spec, e_spec)
     fits = NuisanceFits(taus=tuple(grid), g_predictors=(g,), e_predictors=(e,),
                         delta=0.0)
     what_test = odds_weight(fits.propensity(0, sample.x[test_idx]), gamma_train)

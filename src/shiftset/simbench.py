@@ -284,7 +284,6 @@ class OracleEvaluator:
         if not _is_count(M):
             raise ConfigurationError(f"M must be an integer of at least 1, got {M!r}")
         gen = rng.generator()
-        self.spec = spec
         self.M = int(M)
         self.X = spec.draw_x(self.M, np.zeros(self.M, dtype=int), gen)
         self.probs = spec.label_probs(self.X)
@@ -422,7 +421,6 @@ class Dataset:
     sample: ObservedSample
     cfg: StudyConfig
     folds_rng: RngStream
-    nuisance_rng: RngStream
     rs_rng: RngStream
     oracle: OracleEvaluator | None = None
 
@@ -434,7 +432,7 @@ class Dataset:
     def fits(self):
         cfg = self.cfg
         return fit_nuisances(self.sample, self.folds, cfg.grid, cfg.g_spec,
-                             cfg.e_spec, cfg.delta, self.nuisance_rng)
+                             cfg.e_spec, cfg.delta)
 
     @cached_property
     def engine(self) -> FoldEngine:
@@ -561,7 +559,6 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
     except DataError as exc:  # a draw with no source or no target unit
         return [failed(method, exc) for method in methods]
     data = Dataset(sample, cfg, rng.child(f"folds-n{n}", rep),
-                   rng.child(f"nuisance-n{n}", rep),
                    rng.child(f"method-rs-n{n}", rep), oracle)
     rows = []
     for method in methods:

@@ -72,7 +72,7 @@ def learned_engine(kind, learner, n, step):
         sample = dgp_draw(DgpSpec(kind), n, root.child("d"))
         folds = make_folds(n, 2, root.child("f"))
         try:
-            fits = fit_nuisances(sample, folds, grid, spec, spec, 0.01, root.child("n"))
+            fits = fit_nuisances(sample, folds, grid, spec, spec, 0.01)
             return FoldEngine(sample, folds, fits)
         except (DegenerateFoldError, UnfittableFoldError):
             continue

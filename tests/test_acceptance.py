@@ -194,7 +194,7 @@ def test_targeting_score_equation():
         sample = ss.dgp_draw(spec, 500, rng.child("d", r))
         folds = ss.make_folds(500, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, GRID, ss.BinaryLearnerSpec(),
-                                ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
+                                ss.BinaryLearnerSpec(), 0.01)
         table = ss.tmle_estimate(ss.FoldEngine(sample, folds, fits), TARGETS)
         fallback, beta = table.extras["fallback"], table.extras["beta"]
         for v in range(2):
@@ -308,7 +308,7 @@ def test_variance_ordering():
         sample = ss.dgp_draw(spec, 2000, rng.child("d", r))
         folds = ss.make_folds(2000, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, one_grid, ss.BinaryLearnerSpec(),
-                                ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
+                                ss.BinaryLearnerSpec(), 0.01)
         engine = ss.FoldEngine(sample, folds, fits)
         ps_one.append(ss.onestep_estimate(engine, TARGETS).psi[0])
         run = ss.rs_prepare(sample, ss.RsConfig(), one_grid,
@@ -337,7 +337,7 @@ def test_extreme_threshold_exactness():
         sample = ss.dgp_draw(spec, 500, rng.child("d", r))
         folds = ss.make_folds(500, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
-                                ss.BinaryLearnerSpec(), 0.01, rng.child("n", r))
+                                ss.BinaryLearnerSpec(), 0.01)
         table = ss.onestep_estimate(ss.FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0
         assert table.sigma[0] == 0.0

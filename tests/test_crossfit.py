@@ -59,7 +59,7 @@ def fitted(rng):
     folds = make_folds(400, 2, rng.child("folds"))
     grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
     fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                         BinaryLearnerSpec(), 0.01, rng.child("nuis"))
+                         BinaryLearnerSpec(), 0.01)
     return sample, folds, grid, fits
 
 
@@ -72,7 +72,7 @@ class TestFitNuisances:
         # and tau=2 gives Z == 1
         grid = ThresholdGrid((0.0, 2.0))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         for v in range(2):
             np.testing.assert_array_equal(fits.constant_mask(v), [True, True])
             E = fits.cond_error(v, sample.x)
@@ -107,7 +107,7 @@ class TestFitNuisances:
                 other.a[inside], other.x[inside], other.score[inside])
             moved = ObservedSample(a=a, x=x, score=score)
             refit = fit_nuisances(moved, folds, grid, BinaryLearnerSpec(),
-                                  BinaryLearnerSpec(), 0.01, rng.child("nuis"))
+                                  BinaryLearnerSpec(), 0.01)
             np.testing.assert_array_equal(refit.propensity(v, X_eval),
                                           fits.propensity(v, X_eval))
             assert not np.array_equal(refit.propensity(1 - v, X_eval),
@@ -124,14 +124,14 @@ class TestFitNuisances:
             z2 = miscoverage_vector(scores, t2)
             assert np.all(z1 <= z2)
 
-    def test_delta_domain(self, fitted, rng):
+    def test_delta_domain(self, fitted):
         sample, folds, grid, _ = fitted
         for bad in (0.0, 0.5, 0.7):
             with pytest.raises(ConfigurationError):
                 fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                              BinaryLearnerSpec(), bad, rng)
+                              BinaryLearnerSpec(), bad)
 
-    def test_unfittable_fold(self, rng):
+    def test_unfittable_fold(self):
         # fold 1 holds every source unit, so fold 1's complement has none
         sample = make_sample([1, 1, 1, 0, 0, 0],
                              [[float(i)] for i in range(6)],
@@ -139,7 +139,7 @@ class TestFitNuisances:
         folds_bad = FoldPlan(V=2, assignment=np.array([1, 1, 1, 0, 0, 0]))
         with pytest.raises(UnfittableFoldError):
             fit_nuisances(sample, folds_bad, ThresholdGrid((0.1,)),
-                          BinaryLearnerSpec(), BinaryLearnerSpec(), 0.01, rng)
+                          BinaryLearnerSpec(), BinaryLearnerSpec(), 0.01)
 
 
 class TestOracleNuisances:
@@ -301,7 +301,7 @@ class TestFoldPool:
         for gate in (0, sample.n * sample.p + 1):
             monkeypatch.setattr(crossfit, "_FORK_ELEMENTS", gate)
             fits = fit_nuisances(sample, folds, ThresholdGrid.from_range(0.0, 0.3, 0.05),
-                                 spec, spec, 0.01, RngStream(4).child("n"))
+                                 spec, spec, 0.01)
             got.append(state([fits.g_predictors, fits.e_predictors]))
         assert got[0] == got[1]
         pids = fold_fitters()
@@ -312,9 +312,10 @@ class TestFoldPool:
         # fits shows whose IRLS warnings came first.
         fit_on = crossfit.fit_on
 
-        def marked(sample, train, grid, g_spec, e_spec, g_rng):
-            fitted = fit_on(sample, train, grid, g_spec, e_spec, g_rng)
-            warnings.warn(f"fold {g_rng.path[-1]} fitted")
+        def marked(sample, train, grid, g_spec, e_spec):
+            fitted = fit_on(sample, train, grid, g_spec, e_spec)
+            # With two folds, fold v's training units all lie in fold 1 - v.
+            warnings.warn(f"fold {1 - folds.assignment[train[0]]} fitted")
             return fitted
 
         monkeypatch.setattr(crossfit, "fit_on", marked)
@@ -330,7 +331,7 @@ class TestFoldPool:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 fit_nuisances(sample, folds, ThresholdGrid((0.1, 0.2)), BinaryLearnerSpec(),
-                              BinaryLearnerSpec(), 0.01, RngStream(1))
+                              BinaryLearnerSpec(), 0.01)
             runs.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
         irls = ("IRLS diverged; falling back to an intercept-only fit", RuntimeWarning,
                 crossfit.__file__)
@@ -349,7 +350,7 @@ class TestFoldPool:
         folds = FoldPlan(V=2, assignment=np.array([0, 1, 1, 0, 0, 1]))
         with pytest.raises(UnfittableFoldError, match="^fold 1: "):
             fit_nuisances(sample, folds, ThresholdGrid((0.1,)), BinaryLearnerSpec(),
-                          BinaryLearnerSpec(), 0.01, RngStream(2))
+                          BinaryLearnerSpec(), 0.01)
         assert fold_fitters() == []
 
     def test_a_study_sample_is_fitted_here(self, monkeypatch, fold_fitters):
@@ -357,8 +358,7 @@ class TestFoldPool:
         monkeypatch.setattr(os, "fork", no_fork)
         sample = dgp_draw(DgpSpec("highdim-sparse"), 2000, RngStream(5).child("d"))
         fit_nuisances(sample, make_folds(2000, 2, RngStream(5).child("f")),
-                      ThresholdGrid((0.1,)), BinaryLearnerSpec(), BinaryLearnerSpec(),
-                      0.01, RngStream(5))
+                      ThresholdGrid((0.1,)), BinaryLearnerSpec(), BinaryLearnerSpec(), 0.01)
         assert fold_fitters() == [os.getpid()] * 2
 
     def test_one_worker_study_fits_its_folds_here(self, tmp_path, monkeypatch,
@@ -369,3 +369,36 @@ class TestFoldPool:
                      "--method", "onestep", "--oracle-m", "2000", "--workers", "1",
                      "--output", str(tmp_path / "s.csv")]) == 0
         assert fold_fitters() == [os.getpid()] * 4
+
+
+def no_draw(stream):
+    raise AssertionError(f"a nuisance fit drew from the stream {stream.path}")
+
+
+class TestFitsDrawNothing:
+    """The learners draw nothing, which is why neither ``fit_nuisances`` nor
+    ``fit_on`` takes a stream."""
+
+    @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])
+    def test_fits_here(self, monkeypatch, learner):
+        root = RngStream(6)
+        sample = dgp_draw(DgpSpec("lowdim"), 300, root.child("d"))
+        folds = make_folds(300, 3, root.child("f"))
+        spec = BinaryLearnerSpec(kind=learner)
+        grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        fits = fit_nuisances(sample, folds, grid, spec, spec, 0.01)
+        _, e_preds = crossfit.fit_on(sample, folds.complement(0), grid, spec, spec)
+        assert len(fits.g_predictors) == 3 and len(e_preds) == len(grid)
+
+    def test_forked_fits(self, monkeypatch, fold_fitters):
+        n = crossfit._FORK_ELEMENTS // 20 + 1
+        root = RngStream(7)
+        sample = dgp_draw(DgpSpec("highdim-sparse"), n, root.child("d"))
+        folds = make_folds(n, 2, root.child("f"))
+        monkeypatch.setattr(RngStream, "generator", no_draw)
+        fit_nuisances(sample, folds, ThresholdGrid((0.1, 0.2)), BinaryLearnerSpec(),
+                      BinaryLearnerSpec(), 0.01)
+        pids = fold_fitters()
+        assert len(pids) == 2 and os.getpid() not in pids
+        assert multiprocessing.active_children() == []

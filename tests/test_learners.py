@@ -32,11 +32,6 @@ from shiftset import learners
 from shiftset.learners import BoostedStumpsPredictor, LogisticRidgePredictor, fit_binary_grid
 
 
-@pytest.fixture
-def stream():
-    return RngStream(5).child("learner")
-
-
 def predict(pred, x):
     """Probability for a single covariate vector."""
     return float(pred.predict(np.asarray(x, dtype=float).reshape(1, -1))[0])
@@ -44,16 +39,14 @@ def predict(pred, x):
 
 class TestConstantLabels:
     @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps"])
-    def test_all_zero_labels(self, kind, stream):
-        pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)),
-                          np.zeros(5), stream)
+    def test_all_zero_labels(self, kind):
+        pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)), np.zeros(5))
         assert isinstance(pred, ConstantPredictor)
         assert predict(pred, [3.0, -1.0]) == 0.0
 
     @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps"])
-    def test_all_one_labels(self, kind, stream):
-        pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)),
-                          np.ones(5), stream)
+    def test_all_one_labels(self, kind):
+        pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)), np.ones(5))
         assert predict(pred, [0.0, 0.0]) == 1.0
 
 
@@ -85,7 +78,7 @@ class TestPredict:
 
 
 class TestLogisticRidge:
-    def test_symmetric_separable_fit(self, stream):
+    def test_symmetric_separable_fit(self):
         # Oracle: direct minimization of the penalized loss, independent of
         # the IRLS code path.
         X = np.array([[-1.0], [1.0]])
@@ -99,85 +92,85 @@ class TestLogisticRidge:
                        options={"xatol": 1e-12, "fatol": 1e-16, "maxiter": 20000})
         oracle = expit(res.x[0] + X[:, 0] * res.x[1])
 
-        pred = fit_binary(BinaryLearnerSpec(ridge=1e-6), X, z, stream)
+        pred = fit_binary(BinaryLearnerSpec(ridge=1e-6), X, z)
         p = pred.predict(X)
         assert p[0] < 0.5 < p[1]
         assert p[0] == pytest.approx(1.0 - p[1], abs=1e-9)
         np.testing.assert_allclose(p, oracle, atol=1e-6)
 
-    def test_intercept_calibration(self, stream):
+    def test_intercept_calibration(self):
         gen = np.random.default_rng(3)
         X = gen.standard_normal((200, 3))
         z = (gen.uniform(size=200) < expit(X[:, 0])).astype(float)
-        pred = fit_binary(BinaryLearnerSpec(ridge=1e-6), X, z, stream)
+        pred = fit_binary(BinaryLearnerSpec(ridge=1e-6), X, z)
         assert abs(pred.predict(X).mean() - z.mean()) < 1e-6
 
-    def test_deterministic(self, stream):
+    def test_deterministic(self):
         gen = np.random.default_rng(4)
         X = gen.standard_normal((80, 2))
         z = (gen.uniform(size=80) < 0.4).astype(float)
-        a = fit_binary(BinaryLearnerSpec(), X, z, stream)
-        b = fit_binary(BinaryLearnerSpec(), X, z, stream)
+        a = fit_binary(BinaryLearnerSpec(), X, z)
+        b = fit_binary(BinaryLearnerSpec(), X, z)
         assert a.intercept == b.intercept
         np.testing.assert_array_equal(a.coef, b.coef)
 
-    def test_divergence_falls_back_with_warning(self, stream):
+    def test_divergence_falls_back_with_warning(self):
         X = np.array([[1e200], [-1e200], [5e199]])
         z = np.array([1.0, 0.0, 1.0])
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            pred = fit_binary(BinaryLearnerSpec(), X, z, stream)
+            pred = fit_binary(BinaryLearnerSpec(), X, z)
         assert pred.fallback
         assert any("IRLS" in str(w.message) for w in rec)
         np.testing.assert_allclose(pred.predict(X), z.mean(), atol=1e-9)
 
-    def test_dimension_mismatch_rejected(self, stream):
+    def test_dimension_mismatch_rejected(self):
         with pytest.raises(DataError):
-            fit_binary(BinaryLearnerSpec(), np.zeros((4, 2)), np.zeros(3), stream)
+            fit_binary(BinaryLearnerSpec(), np.zeros((4, 2)), np.zeros(3))
 
-    def test_nonbinary_labels_rejected(self, stream):
+    def test_nonbinary_labels_rejected(self):
         with pytest.raises(DataError):
             fit_binary(BinaryLearnerSpec(), np.zeros((3, 1)),
-                       np.array([0.0, 0.5, 1.0]), stream)
+                       np.array([0.0, 0.5, 1.0]))
 
 
 class TestBoostedStumps:
-    def test_predictions_clamped(self, stream):
+    def test_predictions_clamped(self):
         gen = np.random.default_rng(11)
         X = gen.standard_normal((300, 2))
         z = (X[:, 0] > 0).astype(float)  # separable
         with mock.patch.multiple(learners, _STUMP_ROUNDS=200, _STUMP_MIN_CHILD_WEIGHT=1.0):
-            pred = fit_binary(BinaryLearnerSpec(kind="boosted-stumps"), X, z, stream)
+            pred = fit_binary(BinaryLearnerSpec(kind="boosted-stumps"), X, z)
         p = pred.predict(X)
         assert p.min() >= 1e-6 and p.max() <= 1 - 1e-6
 
-    def test_learns_a_step_function(self, stream):
+    def test_learns_a_step_function(self):
         gen = np.random.default_rng(12)
         X = gen.uniform(-1, 1, size=(500, 3))
         truth = np.where(X[:, 1] > 0.2, 0.8, 0.1)
         z = (gen.uniform(size=500) < truth).astype(float)
-        pred = fit_binary(BinaryLearnerSpec(kind="boosted-stumps"), X, z, stream)
+        pred = fit_binary(BinaryLearnerSpec(kind="boosted-stumps"), X, z)
         p = pred.predict(X)
         assert p[X[:, 1] > 0.3].mean() > 0.6
         assert p[X[:, 1] < 0.1].mean() < 0.3
 
-    def test_min_child_weight_blocks_splits(self, stream):
+    def test_min_child_weight_blocks_splits(self):
         X = np.arange(6, dtype=float).reshape(-1, 1)
         z = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
         # Hessian sum is at most 1.5, so no split can reach the weight floor.
         with mock.patch.object(learners, "_STUMP_MIN_CHILD_WEIGHT", 10.0):
-            pred = fit_binary(BinaryLearnerSpec(kind="boosted-stumps"), X, z, stream)
+            pred = fit_binary(BinaryLearnerSpec(kind="boosted-stumps"), X, z)
         p = pred.predict(X)
         np.testing.assert_allclose(p, p[0])
 
-    def test_deterministic(self, stream):
+    def test_deterministic(self):
         gen = np.random.default_rng(13)
         X = gen.standard_normal((120, 2))
         z = (gen.uniform(size=120) < 0.5).astype(float)
         spec = BinaryLearnerSpec(kind="boosted-stumps")
         with mock.patch.object(learners, "_STUMP_ROUNDS", 30):
-            a = fit_binary(spec, X, z, stream).predict(X)
-            b = fit_binary(spec, X, z, stream).predict(X)
+            a = fit_binary(spec, X, z).predict(X)
+            b = fit_binary(spec, X, z).predict(X)
         np.testing.assert_array_equal(a, b)
 
 
@@ -407,8 +400,7 @@ class TestNuisanceGridsMatchReference:
     def test_fit_nuisances(self):
         root, sample = self.draw()
         folds = make_folds(sample.n, 2, root.child("folds"))
-        fits = fit_nuisances(sample, folds, self.grid, self.spec, self.spec,
-                             0.01, root.child("nuis"))
+        fits = fit_nuisances(sample, folds, self.grid, self.spec, self.spec, 0.01)
         for v in range(folds.V):
             train = folds.complement(v)
             src = train[sample.a[train] == 1]
@@ -528,8 +520,7 @@ n = 20_000
 grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
 spec = BinaryLearnerSpec()
 sample = dgp_draw(DgpSpec("highdim-sparse"), n, root.child("dgp"))
-fits = fit_nuisances(sample, make_folds(n, 2, root.child("folds")), grid, spec,
-                     spec, 0.01, root.child("nuis"))
+fits = fit_nuisances(sample, make_folds(n, 2, root.child("folds")), grid, spec, spec, 0.01)
 run = rs_prepare(sample, RsConfig(), grid, spec, spec, root.child("rs"))
 preds = [*fits.g_predictors, *(e for row in fits.e_predictors for e in row),
          *run.fits.g_predictors, *run.fits.e_predictors[0]]

@@ -111,7 +111,7 @@ class TestGradientEval:
         folds = make_folds(120, 2, rng.child("f"))
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.1)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         for ti, tau in enumerate(grid):
             pooled = 0.0
@@ -147,7 +147,7 @@ class TestOnestepFold:
         folds = make_folds(100, 2, rng.child("f"))
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         psi, plugin, _ = onestep_fold(sample, folds, 0, fits)
         assert psi == 0.0 and plugin == 0.0
 
@@ -169,7 +169,7 @@ class TestOnestepEstimate:
         folds = make_folds(301, 2, rng.child("f"))
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         manual = (table.fold_sizes @ table.psi_by_fold) / sample.n
         np.testing.assert_allclose(table.psi, manual, rtol=0, atol=1e-15)
@@ -180,7 +180,7 @@ class TestOnestepEstimate:
         folds = make_folds(200, 2, rng.child("f"))
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0
         assert table.sigma[0] == 0.0
@@ -191,7 +191,7 @@ class TestOnestepEstimate:
         folds = make_folds(100, 2, rng.child("f"))
         grid = ThresholdGrid((0.1,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         with pytest.raises(ConfigurationError):
             onestep_estimate(FoldEngine(sample, folds, fits),
                              RiskTargets(0.05, 0.6))

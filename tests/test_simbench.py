@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftset import (
     ALL_METHODS,
@@ -13,9 +15,11 @@ from shiftset import (
     DataError,
     DgpSpec,
     NuisanceFits,
+    ObservedSample,
     OracleEvaluator,
     RiskTargets,
     RngStream,
+    ShiftsetError,
     StudyConfig,
     ThresholdGrid,
     dgp_draw,
@@ -376,7 +380,7 @@ class TestRunStudy:
         # As fit builds it: no oracle to score the cutoffs on.
         root = RngStream(22)
         data = Dataset(dgp_draw(DgpSpec("lowdim"), 200, root.child("d")),
-                       self._cfg(), root.child("f"), root.child("n"), root.child("rs"))
+                       self._cfg(), root.child("f"), root.child("rs"))
         with pytest.raises(ConfigurationError, match="oracle"):
             METHODS["wcp"](data)
 
@@ -455,7 +459,7 @@ def test_registry_matches_public_estimators(learner):
                       targets=TARGETS, g_spec=spec, e_spec=spec)
     root = RngStream(21)
     data = Dataset(dgp_draw(DgpSpec("lowdim"), 400, root.child("d")), cfg,
-                   root.child("f"), root.child("n"), root.child("rs"))
+                   root.child("f"), root.child("rs"))
     for method, estimate in [("onestep", onestep_estimate),
                              ("tmle", tmle_estimate),
                              ("plugin", plugin_estimate),
@@ -466,6 +470,55 @@ def test_registry_matches_public_estimators(learner):
     assert_same_table(METHODS["rs"](data).table,
                       rs_estimate(run, data.sample, TARGETS))
 
+
+
+@st.composite
+def hostile_samples(draw):
+    """An admissible but hostile sample and a fold count V: from 2V to 40
+    units, covariates at a scale of 1e-8, 1 or 1e8, and maybe a constant
+    column, scores tied on a 0.1 lattice or a covariate equal to ``a``, which
+    separates the populations."""
+    V = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2 * V, 40))
+    p = draw(st.sampled_from([1, 3]))
+    scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = gen.integers(0, 2, n)
+    a[:2] = 1, 0
+    x = gen.standard_normal((n, p)) * scale
+    score = gen.uniform(0.0, 0.4, n)
+    if draw(st.booleans()):
+        x = np.column_stack([x, np.full(n, scale)])
+    if draw(st.booleans()):
+        score = np.round(score, 1)
+    if draw(st.booleans()):
+        x = np.column_stack([x, a])
+    return ObservedSample(a=a, x=x, score=np.where(a == 1, score, np.nan)), V
+
+
+@settings(max_examples=40, deadline=None)
+@given(hostile_samples(), st.integers(0, 2**32 - 1))
+def test_fit_methods_keep_the_contract_on_hostile_samples(drawn, seed):
+    # Every fit method, with either learner, raises a ShiftsetError or gives
+    # a finite threshold and a finite table whose bound is not below psi.
+    sample, V = drawn
+    root = RngStream(seed)
+    for learner in ("logistic-ridge", "boosted-stumps"):
+        spec = BinaryLearnerSpec(kind=learner)
+        cfg = StudyConfig(grid=GRID, targets=TARGETS, g_spec=spec, e_spec=spec, V=V)
+        data = Dataset(sample, cfg, root.child("folds"), root)
+        for method in (m for m in METHODS if m != "wcp"):  # fit's choices
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    res = METHODS[method](data)
+                except ShiftsetError:
+                    continue
+            assert np.isfinite(res.tau_hat)
+            if res.table is not None:
+                table = res.table
+                assert np.all(np.isfinite([table.psi, table.sigma, table.cub]))
+                assert np.all(table.cub >= table.psi - 1e-12)
 
 class TestWorkers:
     """Replications run in forked workers give what the serial loop gives."""

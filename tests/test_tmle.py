@@ -91,7 +91,7 @@ class TestTargetFold:
         folds = make_folds(120, 2, rng.child("f"))
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         beta, fallback = table_at(sample, folds, fits)
         assert fits.constant_mask(0)[0]
         assert not fallback[0] and beta[0] == 0.0
@@ -147,7 +147,7 @@ class TestTmleEstimate:
             sample = dgp_draw(spec, 300, rng.child("d", rep))
             folds = make_folds(300, 2, rng.child("f", rep))
             fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                                 BinaryLearnerSpec(), 0.01, rng.child("n", rep))
+                                 BinaryLearnerSpec(), 0.01)
             table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
             for v in range(2):
                 for ti in range(len(grid)):
@@ -162,7 +162,7 @@ class TestTmleEstimate:
         sample = dgp_draw(spec, 400, rng.child("d"))
         folds = make_folds(400, 2, rng.child("f"))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert np.all(table.psi >= 0.0) and np.all(table.psi <= 1.0)
         assert np.all(table.psi_by_fold >= 0.0)
@@ -173,7 +173,7 @@ class TestTmleEstimate:
         folds = make_folds(150, 2, rng.child("f"))
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0 and table.sigma[0] == 0.0
 
@@ -211,7 +211,7 @@ class TestTmleEstimate:
         folds = make_folds(2000, 2, rng.child("f"))
         grid = ThresholdGrid((0.15,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
-                             BinaryLearnerSpec(), 0.01, rng.child("n"))
+                             BinaryLearnerSpec(), 0.01)
         engine = FoldEngine(sample, folds, fits)
         t1 = onestep_estimate(engine, TARGETS)
         t2 = tmle_estimate(engine, TARGETS)

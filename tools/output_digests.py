@@ -1,8 +1,9 @@
-"""Run a fixed matrix of ``shiftset`` commands and print, as JSON, each
-command's exit code, stdout, stderr and the sha256 of every file it wrote.
+"""Run a fixed matrix of ``shiftset`` commands, and every demo, and print,
+as JSON, each one's exit code, stdout, stderr and the sha256 of every file
+it wrote.
 
 Running it on two checkouts shows whether a change keeps ``fit``,
-``simulate`` and ``oracle`` byte-identical::
+``simulate``, ``oracle`` and the demos byte-identical::
 
     python tools/output_digests.py --src /path/to/parent > parent.json
     python tools/output_digests.py --src . > change.json
@@ -21,10 +22,12 @@ rejects; a negative seed given to each command, and to ``fit`` through a
 config file; and configurations that each command rejects before it reads
 input or builds an oracle: an estimator flag given to ``oracle``, a bad
 ``--alpha-error`` given to ``fit`` with a missing input, and one fold given
-to ``simulate`` with a large oracle.  The input files are written by this
-script with the standard library, so both trees read the same bytes.  Only
-the standard library is used here; the commands run with the interpreter
-that runs this script.
+to ``simulate`` with a large oracle.  Each ``demos/*.py`` script of the
+checkout is a ``demo-<name>`` case of its own, run with the checkout's
+``src`` as ``PYTHONPATH``.  The input files are written by this script with
+the standard library, so both trees read the same bytes.  Only the standard
+library is used here; the commands run with the interpreter that runs this
+script.
 """
 
 from __future__ import annotations
@@ -138,12 +141,20 @@ def matrix():
                                         "--workers", "1", "--output", "out.csv"]
 
 
-def run_case(src: Path, case_dir: Path, argv) -> dict:
+def cases(src: Path):
+    """(case name, argv as recorded, interpreter arguments that run it)."""
+    for name, argv in matrix():
+        yield name, argv, ["-c", "from shiftset.cli import main; raise SystemExit(main())",
+                           *argv]
+    for demo in sorted((src / "demos").glob("*.py")):
+        yield f"demo-{demo.stem}", [demo.relative_to(src).as_posix()], [str(demo)]
+
+
+def run_case(src: Path, case_dir: Path, argv, command) -> dict:
     case_dir.mkdir()
     env = dict(os.environ, PYTHONPATH=str(src / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", "from shiftset.cli import main; raise SystemExit(main())", *argv],
-        cwd=case_dir, env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *command], cwd=case_dir, env=env,
+                          capture_output=True, text=True)
     files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
              for path in sorted(case_dir.iterdir())}
     return {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
@@ -161,8 +172,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="shiftset-digests-") as tmp:
         work = Path(tmp)
         write_inputs(work)
-        report = {name: run_case(src, work / name, case_argv)
-                  for name, case_argv in matrix()}
+        report = {name: run_case(src, work / name, case_argv, command)
+                  for name, case_argv, command in cases(src)}
     json.dump(report, sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
     return 0
