@@ -124,8 +124,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_defaults(subparser, path) -> dict:
-    """A key=value config file's values, typed as ``subparser`` types its
-    flags, for use as its defaults: explicit flags still win."""
+    """A key=value config file's values, typed and checked against their
+    choices as ``subparser`` does its flags, for use as its defaults:
+    explicit flags still win.  A required flag's key is refused."""
     actions = {a.dest: a for a in subparser._actions}
     with open(path, encoding="utf-8-sig") as fh:
         try:
@@ -143,6 +144,9 @@ def _config_defaults(subparser, path) -> dict:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ConfigurationError(f"{path}:{line_no}: unknown key {key!r}")
+        if action.required:  # the flag always overrides the line
+            raise ConfigurationError(
+                f"{path}:{line_no}: {key} must be given on the command line")
         if action.type is not None:
             try:
                 value = action.type(value)
@@ -150,6 +154,10 @@ def _config_defaults(subparser, path) -> dict:
                 raise ConfigurationError(
                     f"{path}:{line_no}: {key} = {value!r} is not a valid "
                     f"{action.type.__name__}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigurationError(
+                f"{path}:{line_no}: {key} = {value!r} is not one of "
+                f"{', '.join(action.choices)}")
         values[action.dest] = value
     return values
 

@@ -17,16 +17,16 @@ import shutil
 import stat
 import tempfile
 import warnings
+from array import array
 from contextlib import closing, contextmanager
 from functools import partial
-from itertools import compress
+from math import isfinite, nan
 
 import numpy as np
 
 from . import parallel
 from .core import DataError, ObservedSample
 
-_BLOCK_ROWS = 1024  # exact path: CSV rows converted at a time; bounds the tokens held in memory
 # One-pass path: data bytes below which a file is read here in one chunk, and
 # about the most that one chunk of a larger file holds.  Two forked workers
 # cost about 30 ms, which parsing about 3 MiB in them repays (BENCH_16.json).
@@ -242,58 +242,29 @@ def _plain_lines(lines, blanks):
 
 
 def _read_exact(fh, layout):
-    """Read the data rows that follow the header with the csv reader, block
-    by block: (a, score, x, stray-score lines).  Writes every row error."""
-    path = layout[0]
-    reader = csv.reader(fh)
-    blocks, block = [], []
-    try:
-        for record in enumerate(reader, start=2):
-            if record[1]:
-                block.append(record)
-            if len(block) == _BLOCK_ROWS:
-                blocks.append(_convert_block(layout, block))
-                block = []
-    except (csv.Error, UnicodeDecodeError):
-        if block:  # report an invalid row read before the unreadable one
-            _convert_block(layout, block)
-        raise
-    if block:
-        blocks.append(_convert_block(layout, block))
-    if not blocks:
+    """Read the data rows that follow the header with the csv reader, checking
+    and converting each row as it is read into typed buffers as compact as the
+    arrays they become: (a, score, x, stray-score lines).  Writes every row error."""
+    path, _, _, s_col, _ = layout
+    a, score, x, stray = array("b"), array("d"), array("d"), array("q")
+    for line_no, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        source, value, covariates = _check_row(layout, line_no, row)
+        a.append(source)
+        score.append(value)
+        x.extend(covariates)
+        if not source and row[s_col].strip():
+            stray.append(line_no)
+    if not a:
         raise DataError(f"{path}: no data rows")
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    return (np.frombuffer(a, np.int8), np.frombuffer(score),
+            np.frombuffer(x).reshape(len(a), -1), np.frombuffer(stray, np.int64))
 
 
-def _convert_block(layout, block):
-    """Convert and validate a block by column: (a, score, x, stray-score lines).
-    A block that fails is checked row by row, raising its first row's error."""
-    _, header, a_col, s_col, x_cols = layout
-    lines, rows = zip(*block)
-    try:
-        if set(map(len, rows)) != {len(header)}:
-            raise ValueError
-        fields = list(zip(*rows))
-        a_raw = list(map(str.strip, fields[a_col]))
-        src = np.array(a_raw) == "1"
-        score = np.full(len(rows), np.nan)
-        score[src] = np.fromiter(map(float, compress(fields[s_col], src)), float)
-        x = np.column_stack([np.fromiter(map(float, fields[c]), float) for c in x_cols])
-        if not ({"0", "1"}.issuperset(a_raw) and np.isfinite(score[src]).all()
-                and np.isfinite(x).all()):
-            raise ValueError
-    except ValueError:
-        for line_no, row in block:
-            _check_row(layout, line_no, row)
-        # Every row is valid, so float() refused padding that strip() removes
-        # (ASCII \x1c-\x1f): convert the stripped tokens instead.
-        return _convert_block(layout, [(n, [t.strip() for t in row]) for n, row in block])
-    stray = ~src & np.fromiter(map(bool, map(str.strip, fields[s_col])), bool)
-    return src.astype(np.int8), score, x, np.array(lines)[stray]
-
-
-def _check_row(layout, line_no: int, row) -> None:
-    """Raise the DataError for the first invalid field of one row, if any."""
+def _check_row(layout, line_no: int, row):
+    """Check and convert one data row: (a, score, covariates).  Raises the
+    DataError for its first invalid field."""
     path, header, a_col, s_col, x_cols = layout
     where = f"{path}:{line_no}"
     if len(row) != len(header):
@@ -301,17 +272,22 @@ def _check_row(layout, line_no: int, row) -> None:
     a_raw = row[a_col].strip()
     if a_raw not in ("0", "1"):
         raise DataError(f"{where}: 'a' must be 0 or 1, got {a_raw!r}")
-    if a_raw == "1" and not row[s_col].strip():
+    source = a_raw == "1"
+    if source and not row[s_col].strip():
         raise DataError(f"{where}: source row is missing its score")
-    for c in ([s_col] if a_raw == "1" else []) + x_cols:
+    values = []
+    for c in ([s_col] if source else []) + x_cols:
         text = row[c].strip()
         try:
             value = float(text)
         except ValueError:
             raise DataError(f"{where}: column {header[c]!r} has a malformed "
                             f"number {text!r}") from None
-        if not np.isfinite(value):
+        if not isfinite(value):
             raise DataError(f"{where}: column {header[c]!r} must be finite")
+        values.append(value)
+    score = values.pop(0) if source else nan
+    return source, score, values
 
 
 def emit_csv(sample: ObservedSample, path: str) -> None:

@@ -340,8 +340,6 @@ def quote_one_field(text, line_no):
 
 
 class TestIngestContract:
-    # ``_BLOCK_ROWS`` is patched with raising=False so that these tests also
-    # run against a row-at-a-time reader that has no blocks.
     @pytest.mark.parametrize("case", sorted(DIALECT_CASES))
     def test_dialect_matches_reference(self, tmp_path, chunk_bytes, case):
         text, error = DIALECT_CASES[case]
@@ -392,10 +390,8 @@ class TestIngestContract:
         np.testing.assert_array_equal(s.x, [[2.0, 1000.0], [-4.0, 3.0]])
         np.testing.assert_array_equal(s.a, [1, 0])
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 64, 100_000])
     @pytest.mark.parametrize("bad", ["first", "last"])
-    def test_many_blocks_bad_cell(self, tmp_path, monkeypatch, block_rows, bad):
-        monkeypatch.setattr(csvio, "_BLOCK_ROWS", block_rows, raising=False)
+    def test_many_blocks_bad_cell(self, tmp_path, bad):
         rows = [f"{i % 2},{'0.5' if i % 2 else ''},{i},{-i}" for i in range(200)]
         rows[0 if bad == "first" else -1] = "1,0.5,7,inf"
         p = tmp_path / "d.csv"
@@ -405,16 +401,14 @@ class TestIngestContract:
         line = 2 if bad == "first" else 202
         assert got[1].endswith(f":{line}: column 'x2' must be finite")
 
-    def test_many_blocks_valid(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(csvio, "_BLOCK_ROWS", 7, raising=False)
+    def test_many_blocks_valid(self, tmp_path):
         sample = dgp_draw(DgpSpec("highdim-sparse"), 100, RngStream(5).child("d"))
         path = tmp_path / "d.csv"
         emit_csv(sample, str(path))
         path.write_text(quote_one_field(path.read_text(), 101))
         assert assert_matches_reference(str(path))[0] == "ok"
 
-    def test_bad_row_reported_before_unreadable_row(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(csvio, "_BLOCK_ROWS", 100, raising=False)
+    def test_bad_row_reported_before_unreadable_row(self, tmp_path):
         p = write(tmp_path / "d.csv", quote_one_field(
             H + "1,0.5,1,oops\n0,,3,4\n0,," + "9" * 80 + ",1\n", 3))
         old_limit = csv.field_size_limit(40)
@@ -639,11 +633,10 @@ def write_rows(path, rows, quote_last):
 
 
 class TestIngestProperties:
-    @given(observed_samples(), st.integers(1, 8), st.sampled_from(CHUNK_BYTES))
+    @given(observed_samples(), st.sampled_from(CHUNK_BYTES))
     @settings(max_examples=60, deadline=None)
-    def test_round_trip_is_byte_identical(self, sample, block_rows, chunk_bytes):
+    def test_round_trip_is_byte_identical(self, sample, chunk_bytes):
         with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(csvio, "_BLOCK_ROWS", block_rows, raising=False)
             if chunk_bytes is not None:
                 mp.setattr(csvio, "_CHUNK_BYTES", chunk_bytes)
             path = os.path.join(d, "s.csv")
@@ -660,16 +653,13 @@ class TestIngestProperties:
             assert got.x.tobytes() == sample.x.tobytes()
             assert got.score.tobytes() == sample.score.tobytes()
 
-    @given(observed_samples(), st.integers(1, 8), st.sampled_from(CHUNK_BYTES),
-           st.data())
+    @given(observed_samples(), st.sampled_from(CHUNK_BYTES), st.data())
     @settings(max_examples=80, deadline=None)
-    def test_one_corrupt_cell_matches_reference(self, sample, block_rows, chunk_bytes,
-                                                data):
+    def test_one_corrupt_cell_matches_reference(self, sample, chunk_bytes, data):
         i = data.draw(st.integers(0, sample.n - 1))
         col = data.draw(st.integers(-1, sample.p + 1))
         token = data.draw(st.sampled_from(BAD_TOKENS) | st.text(max_size=4))
         with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
-            mp.setattr(csvio, "_BLOCK_ROWS", block_rows, raising=False)
             if chunk_bytes is not None:
                 mp.setattr(csvio, "_CHUNK_BYTES", chunk_bytes)
             path = os.path.join(d, "s.csv")
@@ -1321,6 +1311,31 @@ class TestConfigFile:
         assert code == 1
         assert f"{cfg}:1: seed = 'abc' is not a valid int" in capsys.readouterr().err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("flags", [(), ("--g-learner", "logistic-ridge")],
+                             ids=["alone", "under-flag"])
+    def test_value_outside_choices_rejected(self, tmp_path, sample_csv, capsys, flags):
+        code, cfg = self.fit_with_config(tmp_path, sample_csv, "seed=1\ng-learner = bogus\n",
+                                         *flags)
+        assert code == 1
+        assert (f"{cfg}:2: g-learner = 'bogus' is not one of logistic-ridge, "
+                "boosted-stumps") in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("key", ["input", "method", "dgp", "n"])
+    def test_required_flag_key_rejected(self, tmp_path, sample_csv, capsys, key):
+        cfg = write(tmp_path / "run.cfg", f"# required\n{key} = lowdim\n")
+        command = {
+            "input": ["fit", "--input", sample_csv, "--method", "onestep"],
+            "method": ["fit", "--input", sample_csv, "--method", "onestep"],
+            "dgp": ["oracle", "--dgp", "lowdim", "--oracle-m", "1000"],
+            "n": ["simulate", "--dgp", "lowdim", "--n", "100", "--method", "icp",
+                  "--reps", "1", "--oracle-m", "1000"],
+        }[key]
+        out = tmp_path / "o.csv"
+        assert main(command + ["--output", str(out), "--config", cfg]) == 1
+        assert f"{cfg}:2: {key} must be given on the command line" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_first_bad_line_reported(self, tmp_path, sample_csv, capsys):
         code, cfg = self.fit_with_config(tmp_path, sample_csv,

@@ -474,40 +474,54 @@ def test_registry_matches_public_estimators(learner):
 
 @st.composite
 def hostile_samples(draw):
-    """An admissible but hostile sample and a fold count V: from 2V to 40
-    units, covariates at a scale of 1e-8, 1 or 1e8, and maybe a constant
-    column, scores tied on a 0.1 lattice or a covariate equal to ``a``, which
-    separates the populations."""
+    """An admissible but hostile sample, a fold count V and a seed whose
+    ``folds`` child is the fold stream: from 2V to 40 units, 1, 3 or 60
+    covariates at a scale of 1e-8, 1 or 1e8, and maybe a constant column, a
+    covariate equal to ``a``, which separates the populations, or a column
+    that is a linear combination of two others; scores maybe tied on a 0.1
+    lattice; and maybe exactly one source unit in each fold."""
     V = draw(st.sampled_from([2, 3]))
     n = draw(st.integers(2 * V, 40))
-    p = draw(st.sampled_from([1, 3]))
+    p = draw(st.sampled_from([1, 3, 60]))
     scale = draw(st.sampled_from([1e-8, 1.0, 1e8]))
+    seed = draw(st.integers(0, 2**32 - 1))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    a = gen.integers(0, 2, n)
-    a[:2] = 1, 0
+    if draw(st.booleans()):
+        folds = make_folds(n, V, RngStream(seed).child("folds"))
+        a = np.zeros(n, dtype=np.int64)
+        a[[folds.indices(v)[0] for v in range(V)]] = 1
+    else:
+        a = gen.integers(0, 2, n)
+        a[:2] = 1, 0
     x = gen.standard_normal((n, p)) * scale
     score = gen.uniform(0.0, 0.4, n)
     if draw(st.booleans()):
-        x = np.column_stack([x, np.full(n, scale)])
+        x[:, -1] = scale
+    if draw(st.booleans()):
+        x[:, 0] = a
+    if p >= 3 and draw(st.booleans()):
+        x[:, 1] = x[:, [0, 2]] @ gen.uniform(-2.0, 2.0, 2)
     if draw(st.booleans()):
         score = np.round(score, 1)
-    if draw(st.booleans()):
-        x = np.column_stack([x, a])
-    return ObservedSample(a=a, x=x, score=np.where(a == 1, score, np.nan)), V
+    return ObservedSample(a=a, x=x, score=np.where(a == 1, score, np.nan)), V, seed
 
 
 @settings(max_examples=40, deadline=None)
-@given(hostile_samples(), st.integers(0, 2**32 - 1))
-def test_fit_methods_keep_the_contract_on_hostile_samples(drawn, seed):
-    # Every fit method, with either learner, raises a ShiftsetError or gives
-    # a finite threshold and a finite table whose bound is not below psi.
-    sample, V = drawn
+@given(hostile_samples())
+def test_fit_methods_keep_the_contract_on_hostile_samples(drawn):
+    # Every method, with either learner, raises a ShiftsetError or gives a
+    # finite threshold and a finite table whose bound is not below psi.
+    # Weighted conformal runs on the samples with lowdim's 3 covariates,
+    # scored on a small lowdim oracle, and must give a finite true error.
+    sample, V, seed = drawn
     root = RngStream(seed)
+    oracle = (OracleEvaluator(DgpSpec("lowdim"), 300, root.child("oracle"))
+              if sample.p == 3 else None)
     for learner in ("logistic-ridge", "boosted-stumps"):
         spec = BinaryLearnerSpec(kind=learner)
         cfg = StudyConfig(grid=GRID, targets=TARGETS, g_spec=spec, e_spec=spec, V=V)
-        data = Dataset(sample, cfg, root.child("folds"), root)
-        for method in (m for m in METHODS if m != "wcp"):  # fit's choices
+        data = Dataset(sample, cfg, root.child("folds"), root, oracle)
+        for method in (m for m in METHODS if m != "wcp" or oracle is not None):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
@@ -515,6 +529,8 @@ def test_fit_methods_keep_the_contract_on_hostile_samples(drawn, seed):
                 except ShiftsetError:
                     continue
             assert np.isfinite(res.tau_hat)
+            if method == "wcp":
+                assert np.isfinite(res.true_error)
             if res.table is not None:
                 table = res.table
                 assert np.all(np.isfinite([table.psi, table.sigma, table.cub]))

@@ -13,7 +13,9 @@ The matrix: ``fit`` for six methods on a 20,000-row and a 400-row CSV, each
 with and without a config file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
 folds; ``fit`` of onestep and icp on a valid file that only the exact reader
-accepts (quoted fields, padded ``a`` tokens, a blank line); ``simulate`` of
+accepts (quoted fields, padded ``a`` tokens, a blank line), and of onestep
+on the 20,000-row CSV with one quoted field, which the exact reader reads
+too, as it is and with a malformed number on its line 15,001; ``simulate`` of
 all seven methods on lowdim and highdim with both learners at two workers
 and with the default learners at the default worker count, and of icp on
 draws of 6 units, some of which hold no source or no target unit;
@@ -77,6 +79,17 @@ def write_inputs(work: Path) -> None:
                                f'"{score}"' if i % 3 == 0 else score, *x]))
     exact.insert(20, "")
     (work / "exact.csv").write_text("\n".join(exact) + "\n")
+    # The 20,000-row file with the first field of file line 2 quoted, which
+    # only the exact reader accepts; and the same with a malformed x1 on
+    # file line 15,001.
+    big = (work / "big.csv").read_text().split("\n")
+    a, rest = big[1].split(",", 1)
+    big[1] = f'"{a}",{rest}'
+    (work / "exact-big.csv").write_text("\n".join(big))
+    cells = big[15_000].split(",")
+    cells[2] = "oops"
+    big[15_000] = ",".join(cells)
+    (work / "exact-big-bad.csv").write_text("\n".join(big))
     (work / "not-utf8.csv").write_bytes(text + b"1,0.5,\xff,1,1\n")
     long_field = "1" * (csv.field_size_limit() + 1)
     (work / "long-field.csv").write_bytes(text + f"1,0.5,{long_field},1,1\n".encode())
@@ -112,7 +125,7 @@ def matrix():
     for method in ("onestep", "icp"):
         yield f"fit-exact-{method}", ["fit", "--input", "../exact.csv", "--method", method,
                                       "--output", "out.csv"]
-    for data in ("not-utf8", "long-field"):
+    for data in ("exact-big", "exact-big-bad", "not-utf8", "long-field"):
         yield f"fit-{data}", ["fit", "--input", f"../{data}.csv", "--method", "onestep",
                               "--output", "out.csv"]
     for cfg in ("typed-under-flag", "bad-then-unknown"):
