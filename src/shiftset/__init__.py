@@ -27,7 +27,6 @@ from .core import (
     ShiftsetError,
     ThresholdGrid,
     UnfittableFoldError,
-    empirical_gamma,
     make_folds,
     miscoverage_vector,
 )
@@ -42,7 +41,6 @@ from .onestep import (
     CoverageTable,
     FoldEngine,
     ThresholdDecision,
-    normal_upper_quantile,
     onestep_estimate,
     plugin_estimate,
     select_threshold,

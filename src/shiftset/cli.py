@@ -126,8 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_defaults(subparser, path) -> dict:
     """A key=value config file's values, typed and checked against their
     choices as ``subparser`` does its flags, for use as its defaults:
-    explicit flags still win.  A required flag's key is refused."""
-    actions = {a.dest: a for a in subparser._actions}
+    explicit flags still win.  A required flag's key is refused, and
+    ``help`` and ``config`` are no keys."""
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()

@@ -15,7 +15,6 @@ from __future__ import annotations
 import numbers
 import zlib
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -67,6 +66,14 @@ def _is_count(value, least: int = 1) -> bool:
             and value >= least)
 
 
+def _check_count(value, name: str, least: int = 1) -> None:
+    """Raise ConfigurationError unless ``_is_count(value, least)``."""
+    if not _is_count(value, least):
+        rule = ("a nonnegative integer" if least == 0
+                else f"an integer of at least {least}")
+        raise ConfigurationError(f"{name} must be {rule}, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Deterministic RNG streams
 # ---------------------------------------------------------------------------
@@ -90,14 +97,10 @@ class RngStream:
     path: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not _is_count(self.seed, 0):
-            raise ConfigurationError(
-                f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_count(self.seed, "seed", 0)
 
     def child(self, purpose: str, index: int = 0) -> "RngStream":
-        if not _is_count(index, 0):
-            raise ConfigurationError(
-                f"substream index must be a nonnegative integer, got {index!r}")
+        _check_count(index, "substream index", 0)
         return RngStream(self.seed, self.path + (_purpose_key(purpose), int(index)))
 
     def generator(self) -> np.random.Generator:
@@ -269,10 +272,8 @@ def miscoverage_vector(scores: np.ndarray, tau) -> np.ndarray:
 
 def make_folds(n: int, V: int, rng: RngStream) -> FoldPlan:
     """Randomly partition [n] into V folds whose sizes differ by at most 1."""
-    if not _is_count(V, 2):
-        raise ConfigurationError(f"fold count must be an integer of at least 2, got {V!r}")
-    if not _is_count(n, 0):
-        raise ConfigurationError(f"unit count must be a nonnegative integer, got {n!r}")
+    _check_count(V, "fold count", 2)
+    _check_count(n, "unit count", 0)
     if n < V:
         raise ConfigurationError(f"cannot split {n} units into {V} folds")
     perm = rng.generator().permutation(n)
@@ -280,10 +281,3 @@ def make_folds(n: int, V: int, rng: RngStream) -> FoldPlan:
     assignment[perm] = np.arange(n) % V
     return FoldPlan(V=V, assignment=assignment)
 
-
-def empirical_gamma(sample: ObservedSample, indices: Sequence[int]) -> float:
-    """Fraction of source units among the given indices."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size == 0:
-        raise ConfigurationError("empirical_gamma requires a non-empty index set")
-    return float(np.mean(sample.a[idx] == 1))

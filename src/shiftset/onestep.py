@@ -30,7 +30,6 @@ from scipy.special import ndtri
 from .core import (
     ConfigurationError,
     DegenerateFoldError,
-    DomainError,
     FoldPlan,
     ObservedSample,
     RiskTargets,
@@ -39,13 +38,6 @@ from .core import (
 from .crossfit import NuisanceFits, odds_weight
 
 ZERO_SENTINEL = 0.0
-
-
-def normal_upper_quantile(alpha: float) -> float:
-    """(1 - alpha) quantile of the standard normal."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError("alpha must lie in (0, 1)")
-    return float(ndtri(1.0 - alpha))
 
 
 @dataclass(frozen=True)
@@ -144,7 +136,7 @@ class FoldEngine:
 def _wald_cub(psi: np.ndarray, sigma: np.ndarray, n: int,
               alpha_conf: float) -> np.ndarray:
     """One-sided Wald confidence upper bound of each estimate."""
-    return psi + normal_upper_quantile(alpha_conf) * sigma / np.sqrt(n)
+    return psi + float(ndtri(1.0 - alpha_conf)) * sigma / np.sqrt(n)
 
 
 def _run_folds(engine: FoldEngine, targets: RiskTargets, method: str, fold_fn,

@@ -45,8 +45,8 @@ from .core import (
     RngStream,
     ThresholdGrid,
     UnfittableFoldError,
+    _check_count,
     _is_count,
-    empirical_gamma,
     make_folds,
 )
 from .crossfit import PROPENSITY_GUARD, NuisanceFits, fit_nuisances, odds_weight
@@ -184,8 +184,7 @@ def _softmax3(eta1: np.ndarray, eta2: np.ndarray) -> np.ndarray:
 
 def dgp_draw(spec: DgpSpec, n: int, rng: RngStream) -> ObservedSample:
     """Draw n units; labels (hence scores) exist only for source units."""
-    if not _is_count(n):
-        raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
+    _check_count(n, "n")
     gen = rng.generator()
     a = gen.binomial(1, 0.5, size=n).astype(np.int8)
     X = spec.draw_x(n, a, gen)
@@ -237,8 +236,7 @@ def _target_draws(spec: DgpSpec, M: int, gen: np.random.Generator):
     """M target covariate rows in chunks of at most _CHUNK.  M is checked at
     the call; each chunk is drawn from ``gen`` only when asked for, so the
     caller's own draws from ``gen`` come between the chunks."""
-    if not _is_count(M):
-        raise ConfigurationError(f"M must be an integer of at least 1, got {M!r}")
+    _check_count(M, "M")
     sizes = [min(_CHUNK, M - done) for done in range(0, M, _CHUNK)]
     return (spec.draw_x(m, np.zeros(m, dtype=int), gen) for m in sizes)
 
@@ -281,8 +279,7 @@ class OracleEvaluator:
     """
 
     def __init__(self, spec: DgpSpec, M: int, rng: RngStream):
-        if not _is_count(M):
-            raise ConfigurationError(f"M must be an integer of at least 1, got {M!r}")
+        _check_count(M, "M")
         gen = rng.generator()
         self.M = int(M)
         self.X = spec.draw_x(self.M, np.zeros(self.M, dtype=int), gen)
@@ -326,8 +323,7 @@ class OracleEvaluator:
 
 def wilson_interval(k: int, n: int, level: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    if not _is_count(n):
-        raise ConfigurationError(f"n must be an integer of at least 1, got {n!r}")
+    _check_count(n, "n")
     if not (_is_count(k, 0) and k <= n):
         raise ConfigurationError(f"k must be an integer in [0, n], got {k!r}")
     if not (0.0 < level < 1.0):
@@ -405,9 +401,7 @@ class StudyConfig:
     def __post_init__(self):
         # As make_folds and fit_nuisances check them, before any input is
         # read or any oracle built.
-        if not _is_count(self.V, 2):
-            raise ConfigurationError(
-                f"fold count must be an integer of at least 2, got {self.V!r}")
+        _check_count(self.V, "fold count", 2)
         if not (0.0 < self.delta < 0.5):
             raise ConfigurationError("delta must lie in (0, 0.5)")
 
@@ -505,7 +499,7 @@ def _run_wcp(data: Dataset) -> MethodResult:
     cal_idx, cal_src = data.calibration()
     if cal_src.size == cal_idx.size:
         raise DegenerateFoldError("calibration fold has no target units")
-    gamma0 = empirical_gamma(data.sample, cal_idx)
+    gamma0 = cal_src.size / cal_idx.size
     w_cal = odds_weight(fits.propensity(0, data.sample.x[cal_src]), gamma0)
     w_eval = odds_weight(fits.propensity(0, data.oracle.X), gamma0)
     cutoffs = weighted_quantile_cutoffs(data.sample.score[cal_src], w_cal,
@@ -602,12 +596,9 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
             raise ConfigurationError(f"sample size {n} given twice")
         if n < cfg.V:
             raise ConfigurationError(f"cannot split {n} units into {cfg.V} folds")
-    if not _is_count(replications):
-        raise ConfigurationError(
-            f"replications must be an integer of at least 1, got {replications!r}")
-    if workers is not None and not _is_count(workers):
-        raise ConfigurationError(
-            f"workers must be an integer of at least 1, got {workers!r}")
+    _check_count(replications, "replications")
+    if workers is not None:
+        _check_count(workers, "workers")
 
     oracle = OracleEvaluator(spec, cfg.oracle_m, rng.child("oracle"))
     jobs = [(n, rep) for n in ns for rep in range(replications)]

@@ -200,7 +200,7 @@ def test_targeting_score_equation():
         for v in range(2):
             idx = folds.indices(v)
             src = idx[sample.a[idx] == 1]
-            gamma = ss.empirical_gamma(sample, idx)
+            gamma = float(np.mean(sample.a[idx] == 1))
             w = ss.odds_weight(fits.propensity(v, sample.x[src]), gamma)
             constant = fits.constant_mask(v)
             E = fits.cond_error(v, sample.x[src])

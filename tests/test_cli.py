@@ -705,18 +705,6 @@ class TestCmdFit:
         assert code == 0
         rows = self.read_table(out)
         assert len(rows) == 7  # default grid 0:0.3:0.05
-        selected = [r for r in rows if r["selected"] == "1"]
-        meta = json.load(open(out + ".meta.json"))
-        if meta["sentinel"]:
-            assert not selected
-        else:
-            assert len(selected) == 1
-            assert float(selected[0]["tau"]) == meta["selected_tau"]
-        # prefix rule audit: every threshold up to the selected one is below
-        # the miscoverage level
-        for r in rows:
-            if float(r["tau"]) <= meta["selected_tau"] and not meta["sentinel"]:
-                assert float(r["cub"]) < 0.05
 
     def test_tmle_estimates_in_unit_interval(self, tmp_path, sample_csv):
         code, out = self.run_fit(tmp_path, sample_csv, "tmle")
@@ -735,6 +723,26 @@ class TestCmdFit:
         for r in rows:
             for col in ("tau", "psi_hat", "se", "cub"):
                 assert np.isfinite(float(r[col]))
+
+    @pytest.mark.parametrize("alpha_conf", ["0.05", "0.2", "0.3"])
+    @pytest.mark.parametrize("method", ["onestep", "tmle", "rs", "plugin", "wplugin", "icp"])
+    def test_table_invariants(self, tmp_path, sample_csv, method, alpha_conf):
+        # The rules that perfbench's check_fit applies to every fit table.
+        code, out = self.run_fit(tmp_path, sample_csv, method,
+                                 ["--alpha-conf", alpha_conf])
+        assert code == 0
+        rows = self.read_table(out)
+        meta = json.load(open(out + ".meta.json"))
+        tau, psi, cub = ([float(r[col]) for r in rows] for col in ("tau", "psi_hat", "cub"))
+        assert all(c >= p for c, p in zip(cub, psi))
+        selected = [i for i, r in enumerate(rows) if r["selected"] == "1"]
+        assert len(selected) <= 1
+        assert meta["sentinel"] == (not selected)
+        if selected:
+            i = selected[0]
+            assert all(c < 0.05 for c in cub[:i + 1])
+            assert i + 1 == len(rows) or cub[i + 1] >= 0.05
+            assert meta["selected_tau"] == tau[i]
 
     @pytest.mark.parametrize("method", ["onestep", "rs", "icp"])
     def test_csv_warning_reaches_meta(self, tmp_path, method, capsys):
@@ -1335,6 +1343,17 @@ class TestConfigFile:
         out = tmp_path / "o.csv"
         assert main(command + ["--output", str(out), "--config", cfg]) == 1
         assert f"{cfg}:2: {key} must be given on the command line" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("help", "yes"), ("config", "other.cfg")])
+    def test_help_and_config_keys_rejected(self, tmp_path, capsys, key, value):
+        # Neither is a setting: --help takes no value and the command line's
+        # --config names the file being read.
+        cfg = write(tmp_path / "run.cfg", f"# not settings\n{key} = {value}\n")
+        out = tmp_path / "o.csv"
+        assert main(["oracle", "--dgp", "lowdim", "--oracle-m", "1000",
+                     "--output", str(out), "--config", cfg]) == 1
+        assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_first_bad_line_reported(self, tmp_path, sample_csv, capsys):

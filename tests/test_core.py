@@ -16,7 +16,6 @@ from shiftset import (
     RngStream,
     ThresholdGrid,
     core,
-    empirical_gamma,
     make_folds,
     miscoverage_vector,
 )
@@ -96,25 +95,6 @@ class TestMakeFolds:
         assert sorted(seen.tolist()) == list(range(n))
         sizes = plan.sizes()
         assert sizes.max() - sizes.min() <= 1
-
-
-class TestEmpiricalGamma:
-    def test_half(self):
-        s = make_sample([1, 1, 0, 0], [[0.0]] * 4, [0.5, 0.6, None, None])
-        assert empirical_gamma(s, [0, 1, 2, 3]) == 0.5
-
-    def test_all_source_subset(self):
-        s = make_sample([1, 1, 0, 0], [[0.0]] * 4, [0.5, 0.6, None, None])
-        assert empirical_gamma(s, [0, 1]) == 1.0
-
-    def test_quarter(self):
-        s = make_sample([1, 0, 0, 0], [[0.0]] * 4, [0.5, None, None, None])
-        assert empirical_gamma(s, [0, 1, 2, 3]) == 0.25
-
-    def test_empty_rejected(self):
-        s = make_sample([1, 0], [[0.0]] * 2, [0.5, None])
-        with pytest.raises(ConfigurationError):
-            empirical_gamma(s, [])
 
 
 class TestRngStream:
@@ -251,8 +231,8 @@ PUBLIC_NAMES = """
     METHODS NuisanceFits ObservedSample OracleEvaluator ReplicationReport
     ReplicationRow RiskTargets RngStream RsConfig RsRun ShiftsetError
     StudyConfig ThresholdDecision ThresholdGrid UnfittableFoldError dgp_draw
-    empirical_gamma fit_binary fit_nuisances inductive_cp_threshold
-    make_folds miscoverage_vector normal_upper_quantile odds_weight
+    fit_binary fit_nuisances inductive_cp_threshold
+    make_folds miscoverage_vector odds_weight
     onestep_estimate oracle_nuisances oracle_psi_curve oracle_tau0
     plugin_estimate rs_estimate rs_prepare run_study
     select_threshold tmle_estimate weighted_plugin_estimate

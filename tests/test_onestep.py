@@ -19,7 +19,6 @@ from shiftset import (
     dgp_draw,
     fit_nuisances,
     make_folds,
-    normal_upper_quantile,
     odds_weight,
     onestep_estimate,
     oracle_nuisances,
@@ -276,14 +275,6 @@ class TestSelectThreshold:
         table = self._table([0.05], [0.05])  # equal, not below
         dec = select_threshold(table, TARGETS)
         assert dec.is_sentinel
-
-
-def test_normal_quantile_matches_reference():
-    # 1.6448536269514722 is the 0.95 standard normal quantile
-    assert normal_upper_quantile(0.05) == pytest.approx(1.6448536269514722,
-                                                        abs=1e-9)
-    with pytest.raises(DomainError):
-        normal_upper_quantile(0.0)
 
 
 # ---------------------------------------------------------------------------

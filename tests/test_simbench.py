@@ -1,6 +1,7 @@
 import multiprocessing
 import warnings
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -223,23 +224,48 @@ class TestOracles:
         assert ev.psi_of_cutoffs([0.5]) == ev.psi_of_cutoffs(np.full(3, 0.5))
 
 
-@pytest.mark.parametrize("call, args", [
-    (dgp_draw, (DgpSpec("lowdim"), 2.5, RngStream(1))),
-    (make_folds, (2.5, 2, RngStream(1))),
-    (make_folds, (10, 2.5, RngStream(1))),
-    (OracleEvaluator, (DgpSpec("lowdim"), 2.5, RngStream(1))),
-    (oracle_tau0, (DgpSpec("lowdim"), 0.05, 2.5, RngStream(1))),
-    (oracle_psi_curve, (DgpSpec("lowdim"), [0.1], 2.5, RngStream(1))),
-    (wilson_interval, (1.5, 2)),
-    (wilson_interval, (1, 2.0)),
-    (run_study, (DgpSpec("lowdim"), [300.0], ["icp"], 1,
-                 StudyConfig(grid=GRID, targets=TARGETS), RngStream(1))),
+_STUDY_CFG = StudyConfig(grid=GRID, targets=TARGETS)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (dgp_draw, (DgpSpec("lowdim"), 2.5, RngStream(1)),
+     "n must be an integer of at least 1, got 2.5"),
+    (make_folds, (2.5, 2, RngStream(1)),
+     "unit count must be a nonnegative integer, got 2.5"),
+    (make_folds, (10, 2.5, RngStream(1)),
+     "fold count must be an integer of at least 2, got 2.5"),
+    (OracleEvaluator, (DgpSpec("lowdim"), 2.5, RngStream(1)),
+     "M must be an integer of at least 1, got 2.5"),
+    (oracle_tau0, (DgpSpec("lowdim"), 0.05, 2.5, RngStream(1)),
+     "M must be an integer of at least 1, got 2.5"),
+    (oracle_psi_curve, (DgpSpec("lowdim"), [0.1], 2.5, RngStream(1)),
+     "M must be an integer of at least 1, got 2.5"),
+    (wilson_interval, (1.5, 2), "k must be an integer in [0, n], got 1.5"),
+    (wilson_interval, (1, 2.0), "n must be an integer of at least 1, got 2.0"),
+    (run_study, (DgpSpec("lowdim"), [300.0], ["icp"], 1, _STUDY_CFG, RngStream(1)),
+     "sample sizes must be integers of at least 1, got [300.0]"),
+    (dgp_draw, (DgpSpec("lowdim"), True, RngStream(1)),
+     "n must be an integer of at least 1, got True"),
+    (RngStream, (-1,), "seed must be a nonnegative integer, got -1"),
+    (RngStream, (True,), "seed must be a nonnegative integer, got True"),
+    (RngStream(1).child, ("x", -1),
+     "substream index must be a nonnegative integer, got -1"),
+    (partial(StudyConfig, V=1), (GRID, TARGETS),
+     "fold count must be an integer of at least 2, got 1"),
+    (run_study, (DgpSpec("lowdim"), [300], ["icp"], 0, _STUDY_CFG, RngStream(1)),
+     "replications must be an integer of at least 1, got 0"),
+    (run_study, (DgpSpec("lowdim"), [300], ["icp"], 1, _STUDY_CFG, RngStream(1), 0),
+     "workers must be an integer of at least 1, got 0"),
 ], ids=["dgp_draw-n", "make_folds-n", "make_folds-V", "OracleEvaluator-M",
         "oracle_tau0-M", "oracle_psi_curve-M", "wilson_interval-k",
-        "wilson_interval-n", "run_study-n"])
-def test_sizes_must_be_integers(call, args):
-    with pytest.raises(ConfigurationError, match="integer"):
+        "wilson_interval-n", "run_study-n", "dgp_draw-bool-n", "RngStream-seed",
+        "RngStream-bool-seed", "RngStream-child-index", "StudyConfig-V",
+        "run_study-replications", "run_study-workers"])
+def test_sizes_must_be_integers(call, args, message):
+    # Each count check's whole message, as every entry point words it.
+    with pytest.raises(ConfigurationError) as info:
         call(*args)
+    assert str(info.value) == message
 
 
 class TestWilson:

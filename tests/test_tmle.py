@@ -14,7 +14,6 @@ from shiftset import (
     RngStream,
     ThresholdGrid,
     dgp_draw,
-    empirical_gamma,
     fit_nuisances,
     make_folds,
     miscoverage_vector,
@@ -53,7 +52,7 @@ def score_residual(sample, folds, fits, v, ti, beta):
     fluctuation by ``beta`` at threshold index ``ti``."""
     idx = folds.indices(v)
     src = idx[sample.a[idx] == 1]
-    gamma = empirical_gamma(sample, idx)
+    gamma = float(np.mean(sample.a[idx] == 1))
     w = odds_weight(fits.propensity(v, sample.x[src]), gamma)
     z = miscoverage_vector(sample.score[src], fits.taus[ti])
     resid = np.sum(w * (z - fluctuated(fits, v, ti, gamma, beta, sample.x[src])))
