@@ -277,7 +277,8 @@ def _fit(args):
         if res.sentinel:
             psi_hat, se, cub = 0.0, 0.0, 0.0
         else:
-            psi_hat = k / (m + 1)
+            # The median, below cub since alpha_conf < 0.5.
+            psi_hat = float(betaincinv(k, m + 1 - k, 0.5))
             se = float(np.sqrt(k * (m + 1 - k) / ((m + 1) ** 2 * (m + 2))))
             cub = float(betaincinv(k, m + 1 - k, 1 - targets.alpha_conf))
         rows = [[_fmt(res.tau_hat), _fmt(psi_hat), _fmt(se), _fmt(cub),

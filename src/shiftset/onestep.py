@@ -44,9 +44,7 @@ ZERO_SENTINEL = 0.0
 class CoverageTable:
     """Per-threshold estimates, standard errors, and Wald CUBs.
 
-    ``psi_by_fold`` and ``plugin_by_fold`` have shape (V, T) and carry the
-    fold-level diagnostics; ``extras`` holds method-specific metadata such as
-    TMLE fallback flags.
+    ``extras`` holds method-specific metadata such as TMLE fallback flags.
     """
 
     method: str
@@ -56,10 +54,6 @@ class CoverageTable:
     cub: np.ndarray
     n: int
     alpha_conf: float
-    fold_sizes: np.ndarray
-    gamma_by_fold: np.ndarray
-    psi_by_fold: np.ndarray | None = None
-    plugin_by_fold: np.ndarray | None = None
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -141,9 +135,9 @@ def _wald_cub(psi: np.ndarray, sigma: np.ndarray, n: int,
 
 def _run_folds(engine: FoldEngine, targets: RiskTargets, method: str, fold_fn,
                extras=None) -> CoverageTable:
-    """Apply fold_fn(ctx) -> (psi_v, plugin_v, sigma2_v), each an array over
-    the grid, at every fold, and pool the folds with |fold| weights."""
-    psi_by_fold, plugin_by_fold, sigma2_by_fold = (
+    """Apply fold_fn(ctx) -> (psi_v, sigma2_v), each an array over the grid,
+    at every fold, and pool the folds with |fold| weights."""
+    psi_by_fold, sigma2_by_fold = (
         np.array(rows) for rows in zip(*map(fold_fn, engine.contexts)))
     weights = engine.fold_sizes / engine.n
     psi = weights @ psi_by_fold
@@ -152,9 +146,6 @@ def _run_folds(engine: FoldEngine, targets: RiskTargets, method: str, fold_fn,
         method=method, taus=np.array(engine.taus, dtype=float), psi=psi,
         sigma=sigma, cub=_wald_cub(psi, sigma, engine.n, targets.alpha_conf),
         n=engine.n, alpha_conf=targets.alpha_conf,
-        fold_sizes=engine.fold_sizes,
-        gamma_by_fold=np.array([ctx.gamma for ctx in engine.contexts]),
-        psi_by_fold=psi_by_fold, plugin_by_fold=plugin_by_fold,
         extras=dict(extras or {}),
     )
 
@@ -183,20 +174,20 @@ def _sigma2(ctx: _FoldContext, fitted: np.ndarray, center: np.ndarray) -> np.nda
 
 
 def _fold_onestep(ctx: _FoldContext):
-    """(psi_v, plugin_v, sigma2_v) over the fold's grid."""
+    """(psi_v, sigma2_v) over the fold's grid."""
     plugin = _target_mean(ctx, ctx.E)
     correction = (np.where(ctx.src, ctx.w, 0.0) * (ctx.Z - ctx.E) / ctx.gamma).mean(axis=1)
-    return plugin + correction, plugin, _sigma2(ctx, ctx.E, plugin)
+    return plugin + correction, _sigma2(ctx, ctx.E, plugin)
 
 
 def _fold_plugin(ctx: _FoldContext):
     plugin = _target_mean(ctx, ctx.E)
-    return plugin, plugin, _sigma2(ctx, ctx.E, plugin)
+    return plugin, _sigma2(ctx, ctx.E, plugin)
 
 
 def _fold_wplugin(ctx: _FoldContext):
     psi = (ctx.w[ctx.src] * _columns(ctx.Z, ctx.src)).mean(axis=1)
-    return psi, psi, _sigma2(ctx, ctx.E, psi)
+    return psi, _sigma2(ctx, ctx.E, psi)
 
 
 def onestep_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:

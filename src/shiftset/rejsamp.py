@@ -170,6 +170,4 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
         method="rs", taus=taus, psi=psi, sigma=sigma,
         cub=_wald_cub(psi, sigma, n, targets.alpha_conf), n=n,
         alpha_conf=targets.alpha_conf,
-        fold_sizes=np.array([n_train, n_test], dtype=float),
-        gamma_by_fold=np.array([gamma, float(np.mean(a_test))]),
     )

@@ -101,26 +101,22 @@ def _fluctuations(ctx: _FoldContext):
 
 
 def _fold_tmle(ctx: _FoldContext, beta: np.ndarray, mode: np.ndarray):
-    """(psi_v, plugin_v, sigma2_v) over the fold's grid, given the fold's
-    fluctuations."""
+    """(psi_v, sigma2_v) over the fold's grid, given the fold's fluctuations."""
     raw = _fluctuate(ctx.E, ctx.w, beta, mode)
     psi = _target_mean(ctx, np.clip(raw, 0.0, 1.0))
-    return psi, _target_mean(ctx, ctx.E), _sigma2(ctx, raw, psi)
+    return psi, _sigma2(ctx, raw, psi)
 
 
 def tmle_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
     """Targeted coverage table over the engine's grid.
 
     ``extras['fallback']`` marks (fold, threshold) pairs where least squares
-    replaced the logistic fluctuation; ``extras['beta']`` holds the fitted
-    fluctuation coefficients, with the same (fold, threshold) shape.
-    Least-squares values are clipped to [0, 1] only for the reported point
-    estimate (see ``extras['ls_clip']``).
+    replaced the logistic fluctuation.  Least-squares values are clipped to
+    [0, 1] only for the reported point estimate (see ``extras['ls_clip']``).
     """
     betas, modes = map(np.array, zip(*map(_fluctuations, engine.contexts)))
     extras = {
         "fallback": modes == "least-squares",
-        "beta": betas,
         "ls_clip": "least-squares path clipped to [0,1] for psi only",
     }
     return _run_folds(engine, targets, "tmle",

@@ -15,6 +15,7 @@ from scipy.stats import chi2
 
 import shiftset as ss
 from shiftset.cli import main
+from shiftset.tmle import _fluctuations, _fold_tmle
 
 GRID = ss.ThresholdGrid.from_range(0.0, 0.3, 0.05)
 TARGETS = ss.RiskTargets(0.05, 0.05)
@@ -195,9 +196,11 @@ def test_targeting_score_equation():
         folds = ss.make_folds(500, 2, rng.child("f", r))
         fits = ss.fit_nuisances(sample, folds, GRID, ss.BinaryLearnerSpec(),
                                 ss.BinaryLearnerSpec(), 0.01)
-        table = ss.tmle_estimate(ss.FoldEngine(sample, folds, fits), TARGETS)
-        fallback, beta = table.extras["fallback"], table.extras["beta"]
+        engine = ss.FoldEngine(sample, folds, fits)
+        fallback = ss.tmle_estimate(engine, TARGETS).extras["fallback"]
         for v in range(2):
+            beta, mode = _fluctuations(engine.contexts[v])
+            psi_v, _ = _fold_tmle(engine.contexts[v], beta, mode)
             idx = folds.indices(v)
             src = idx[sample.a[idx] == 1]
             gamma = float(np.mean(sample.a[idx] == 1))
@@ -209,10 +212,10 @@ def test_targeting_score_equation():
                     continue
                 z = ss.miscoverage_vector(sample.score[src], tau)
                 e = np.clip(E[ti], 1e-6, 1.0 - 1e-6)
-                targeted = expit(logit(e) + beta[v, ti] * w)
+                targeted = expit(logit(e) + beta[ti] * w)
                 resid = abs(float(np.sum(w * (z - targeted))))
                 worst = max(worst, resid / idx.size)
-                psi_ok &= 0.0 <= table.psi_by_fold[v, ti] <= 1.0
+                psi_ok &= 0.0 <= psi_v[ti] <= 1.0
                 checked += 1
     ok = worst <= 1e-6 and psi_ok and checked > 0
     report("targeting score equation", ok,

@@ -76,9 +76,20 @@ def gradient_eval(a, x, score, tau, e_hat, g_hat, gamma_hat, psi_plugin):
 
 def onestep_fold(sample, folds, v, fits):
     """One fold's corrected estimate, plug-in estimate and gamma at the
-    fits' single threshold, read off the library's table."""
-    table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
-    return table.psi_by_fold[v, 0], table.plugin_by_fold[v, 0], table.gamma_by_fold[v]
+    fits' single threshold, read off the fold functions."""
+    ctx = FoldEngine(sample, folds, fits).contexts[v]
+    return _fold_onestep(ctx)[0][0], _fold_plugin(ctx)[0][0], ctx.gamma
+
+
+def pooled(engine, fold_fn):
+    """(psi, sigma) pooled from fold_fn's per-fold values with |fold|
+    weights, folds summed in order."""
+    psi, sigma2 = np.zeros(len(engine.taus)), np.zeros(len(engine.taus))
+    for ctx, size in zip(engine.contexts, engine.fold_sizes):
+        psi_v, sigma2_v = fold_fn(ctx)
+        psi += size / engine.n * psi_v
+        sigma2 += size / engine.n * sigma2_v
+    return psi, np.sqrt(sigma2)
 
 
 class TestGradientEval:
@@ -105,15 +116,19 @@ class TestGradientEval:
 
     def test_vectorized_folds_match_unit_by_unit_reference(self, rng):
         # Every fold's plug-in value and one-step estimate, and the pooled
-        # variance, equal those built from unit-by-unit influence terms.
+        # estimate and variance, equal those built from unit-by-unit
+        # influence terms.
         sample = dgp_draw(DgpSpec("lowdim"), 120, rng.child("d"))
         folds = make_folds(120, 2, rng.child("f"))
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.1)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01)
-        table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
+        engine = FoldEngine(sample, folds, fits)
+        table = onestep_estimate(engine, TARGETS)
+        fold_psi = [_fold_onestep(ctx)[0] for ctx in engine.contexts]
+        fold_plugin = [_fold_plugin(ctx)[0] for ctx in engine.contexts]
         for ti, tau in enumerate(grid):
-            pooled = 0.0
+            pooled_psi = pooled_var = 0.0
             for v in range(2):
                 idx = folds.indices(v)
                 gamma = float(np.mean(sample.a[idx] == 1))
@@ -125,11 +140,13 @@ class TestGradientEval:
                                        tau, e_hat, g_hat, gamma, plugin)
                          for i in idx]
                 src_sum = sum(t for i, t in zip(idx, terms) if sample.a[i] == 1)
-                assert table.plugin_by_fold[v, ti] == pytest.approx(plugin, abs=1e-12)
-                assert table.psi_by_fold[v, ti] == pytest.approx(
-                    plugin + src_sum / idx.size, abs=1e-12)
-                pooled += idx.size / sample.n * np.mean(np.square(terms))
-            assert table.sigma[ti] ** 2 == pytest.approx(pooled, rel=1e-12, abs=1e-15)
+                psi_v = plugin + src_sum / idx.size
+                assert fold_plugin[v][ti] == pytest.approx(plugin, abs=1e-12)
+                assert fold_psi[v][ti] == pytest.approx(psi_v, abs=1e-12)
+                pooled_psi += idx.size / sample.n * psi_v
+                pooled_var += idx.size / sample.n * np.mean(np.square(terms))
+            assert table.psi[ti] == pytest.approx(pooled_psi, abs=1e-12)
+            assert table.sigma[ti] ** 2 == pytest.approx(pooled_var, rel=1e-12, abs=1e-15)
 
 
 class TestOnestepFold:
@@ -169,9 +186,11 @@ class TestOnestepEstimate:
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01)
-        table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
-        manual = (table.fold_sizes @ table.psi_by_fold) / sample.n
-        np.testing.assert_allclose(table.psi, manual, rtol=0, atol=1e-15)
+        engine = FoldEngine(sample, folds, fits)
+        table = onestep_estimate(engine, TARGETS)
+        psi, sigma = pooled(engine, _fold_onestep)
+        np.testing.assert_allclose(table.psi, psi, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(table.sigma, sigma, rtol=1e-14, atol=1e-15)
         assert np.all(table.cub >= table.psi)
 
     def test_zero_variance_at_extreme_threshold(self, rng):
@@ -212,8 +231,10 @@ class TestOnestepEstimate:
 class TestBaselines:
     def test_plugin_drops_correction(self):
         sample, folds, fits = four_unit_fixture()
-        table = plugin_estimate(FoldEngine(sample, folds, fits), TARGETS)
-        assert table.psi_by_fold[0, 0] == pytest.approx(0.3)
+        engine = FoldEngine(sample, folds, fits)
+        assert _fold_plugin(engine.contexts[0])[0][0] == pytest.approx(0.3)
+        table = plugin_estimate(engine, TARGETS)
+        assert table.psi[0] == pytest.approx(pooled(engine, _fold_plugin)[0][0])
 
     def test_plugin_sigma_matches_onestep(self):
         sample, folds, fits = four_unit_fixture()
@@ -224,9 +245,11 @@ class TestBaselines:
 
     def test_weighted_plugin_hand_example(self):
         sample, folds, fits = four_unit_fixture()
-        table = weighted_plugin_estimate(FoldEngine(sample, folds, fits), TARGETS)
+        engine = FoldEngine(sample, folds, fits)
         # (2*1 + 0.5*0) / 2 = 1.0; unnormalized weights may exceed 1
-        assert table.psi_by_fold[0, 0] == pytest.approx(1.0)
+        assert _fold_wplugin(engine.contexts[0])[0][0] == pytest.approx(1.0)
+        table = weighted_plugin_estimate(engine, TARGETS)
+        assert table.psi[0] == pytest.approx(pooled(engine, _fold_wplugin)[0][0])
 
     def test_weighted_plugin_reduces_to_source_mean_with_unit_weights(self):
         # Balanced fold (gamma 1/2) and g == 1/2 give W == 1, so the fold
@@ -240,9 +263,10 @@ class TestBaselines:
                             e_predictors=((ConstantPredictor(0.2),),) * 2,
                             delta=0.0)
         engine = FoldEngine(sample, folds, fits)
+        assert _fold_wplugin(engine.contexts[0])[0][0] == pytest.approx(1.0)  # Z = 1
+        assert _fold_wplugin(engine.contexts[1])[0][0] == pytest.approx(0.0)  # Z = 0
         table = weighted_plugin_estimate(engine, TARGETS)
-        assert table.psi_by_fold[0, 0] == pytest.approx(1.0)  # Z = 1
-        assert table.psi_by_fold[1, 0] == pytest.approx(0.0)  # Z = 0
+        assert table.psi[0] == pytest.approx(0.5)  # two folds of two units
 
 
 class TestSelectThreshold:
@@ -251,9 +275,7 @@ class TestSelectThreshold:
         cubs = np.asarray(cubs, dtype=float)
         return CoverageTable(method="onestep", taus=taus, psi=cubs - 0.01,
                              sigma=np.zeros_like(cubs) + 0.001, cub=cubs,
-                             n=100, alpha_conf=0.05,
-                             fold_sizes=np.array([50.0, 50.0]),
-                             gamma_by_fold=np.array([0.5, 0.5]))
+                             n=100, alpha_conf=0.05)
 
     def test_prefix_rule_blocks_later_dips(self):
         table = self._table([0.05, 0.10, 0.15, 0.20, 0.25],
@@ -281,20 +303,19 @@ class TestSelectThreshold:
 # Scalar references: one fold and one threshold index at a time
 # ---------------------------------------------------------------------------
 
-def reference_fold_onestep(ctx, ti):
-    """(psi_v, plugin_v, sigma2_v) at threshold index ``ti``."""
+def reference_fold_plugin(ctx, ti):
+    """(psi_v, sigma2_v) at threshold index ``ti``."""
     e_vals, z = ctx.E[ti], ctx.Z[ti]
     plugin = float(e_vals[~ctx.src].mean())
-    src_term = np.where(ctx.src, ctx.w, 0.0) * (z - e_vals) / ctx.gamma
-    psi = plugin + float(src_term.mean())
     d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
                  (e_vals - plugin) / (1.0 - ctx.gamma))
-    return psi, plugin, float(np.mean(d * d))
+    return plugin, float(np.mean(d * d))
 
 
-def reference_fold_plugin(ctx, ti):
-    psi, plugin, s2 = reference_fold_onestep(ctx, ti)
-    return plugin, plugin, s2
+def reference_fold_onestep(ctx, ti):
+    plugin, s2 = reference_fold_plugin(ctx, ti)
+    src_term = np.where(ctx.src, ctx.w, 0.0) * (ctx.Z[ti] - ctx.E[ti]) / ctx.gamma
+    return plugin + float(src_term.mean()), s2
 
 
 def reference_fold_wplugin(ctx, ti):
@@ -302,7 +323,7 @@ def reference_fold_wplugin(ctx, ti):
     psi = float((ctx.w[ctx.src] * z[ctx.src]).mean())
     d = np.where(ctx.src, ctx.w * (z - e_vals) / ctx.gamma,
                  (e_vals - psi) / (1.0 - ctx.gamma))
-    return psi, psi, float(np.mean(d * d))
+    return psi, float(np.mean(d * d))
 
 
 def assert_same_fold_values(got, ctx, reference):
@@ -344,4 +365,4 @@ class TestFoldFunctionalsMatchScalarReference:
 
         table = _run_folds(engine, TARGETS, "onestep", counted)
         assert seen == [0, 1]
-        assert table.psi_by_fold.shape == (2, len(engine.taus))
+        assert table.psi.shape == (len(engine.taus),)

@@ -31,11 +31,14 @@ from tests.conftest import LEARNED_ENGINES, LookupPredictor, learned_engine, mak
 TARGETS = RiskTargets(0.05, 0.05)
 
 
-def table_at(sample, folds, fits):
-    """The tmle table at the fits' single threshold: (beta, fallback), one
-    value per fold, read from its extras."""
-    table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
-    return table.extras["beta"][:, 0], table.extras["fallback"][:, 0]
+def fluctuations_at(sample, folds, fits):
+    """(beta, fallback) at the fits' single threshold, one value per fold:
+    beta from each fold's fluctuations, fallback from the tmle table's
+    extras."""
+    engine = FoldEngine(sample, folds, fits)
+    table = tmle_estimate(engine, TARGETS)
+    beta = np.array([_fluctuations(ctx)[0][0] for ctx in engine.contexts])
+    return beta, table.extras["fallback"][:, 0]
 
 
 def fluctuated(fits, v, ti, gamma, beta, X):
@@ -79,7 +82,7 @@ class TestTargetFold:
         g_map = ConstantPredictor(g_val)
         fits = NuisanceFits(taus=(0.5,), g_predictors=(g_map,) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        beta, fallback = table_at(sample, folds, fits)
+        beta, fallback = fluctuations_at(sample, folds, fits)
         assert not fallback[0]  # a constant fit at 0.5 is targeted: logistic
         assert beta[0] == pytest.approx(0.0, abs=1e-9)
         np.testing.assert_allclose(
@@ -91,7 +94,7 @@ class TestTargetFold:
         grid = ThresholdGrid((0.0,))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01)
-        beta, fallback = table_at(sample, folds, fits)
+        beta, fallback = fluctuations_at(sample, folds, fits)
         assert fits.constant_mask(0)[0]
         assert not fallback[0] and beta[0] == 0.0
         np.testing.assert_array_equal(fits.cond_error(0, sample.x), 0.0)
@@ -107,7 +110,7 @@ class TestTargetFold:
         fits = NuisanceFits(taus=(0.5,),
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        beta, fallback = table_at(sample, folds, fits)
+        beta, fallback = fluctuations_at(sample, folds, fits)
         assert not fallback[0]
         assert beta[0] > 0
         assert score_residual(sample, folds, fits, 0, 0, beta[0]) <= 1e-6
@@ -123,7 +126,7 @@ class TestTargetFold:
         fits = NuisanceFits(taus=(0.5,),
                             g_predictors=(ConstantPredictor(0.5),) * 2,
                             e_predictors=((e_map,),) * 2, delta=0.0)
-        beta, fallback = table_at(sample, folds, fits)
+        beta, fallback = fluctuations_at(sample, folds, fits)
         assert fallback[0]
         # no-intercept least squares of (Z - E) on W, W = (1, 1) here
         z = np.array([0.0, 1.0])
@@ -147,13 +150,14 @@ class TestTmleEstimate:
             folds = make_folds(300, 2, rng.child("f", rep))
             fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                                  BinaryLearnerSpec(), 0.01)
-            table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
+            engine = FoldEngine(sample, folds, fits)
+            table = tmle_estimate(engine, TARGETS)
             for v in range(2):
+                beta, _ = _fluctuations(engine.contexts[v])
                 for ti in range(len(grid)):
                     if table.extras["fallback"][v, ti] or fits.constant_mask(v)[ti]:
                         continue
-                    assert score_residual(sample, folds, fits, v, ti,
-                                          table.extras["beta"][v, ti]) <= 1e-6
+                    assert score_residual(sample, folds, fits, v, ti, beta[ti]) <= 1e-6
 
     def test_point_estimates_stay_in_unit_interval(self, rng):
         spec = DgpSpec("highdim-sparse")
@@ -162,10 +166,12 @@ class TestTmleEstimate:
         folds = make_folds(400, 2, rng.child("f"))
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01)
-        table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
+        engine = FoldEngine(sample, folds, fits)
+        table = tmle_estimate(engine, TARGETS)
         assert np.all(table.psi >= 0.0) and np.all(table.psi <= 1.0)
-        assert np.all(table.psi_by_fold >= 0.0)
-        assert np.all(table.psi_by_fold <= 1.0)
+        for ctx in engine.contexts:
+            psi_v, _ = _fold_tmle(ctx, *_fluctuations(ctx))
+            assert np.all(psi_v >= 0.0) and np.all(psi_v <= 1.0)
 
     def test_constant_zero_gives_zero_estimate_and_sigma(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 150, rng.child("d"))
@@ -189,7 +195,8 @@ class TestTmleEstimate:
         engine = FoldEngine(sample, folds, fits)
         t_tmle = tmle_estimate(engine, TARGETS)
         t_plug = plugin_estimate(engine, TARGETS)
-        np.testing.assert_allclose(t_tmle.extras["beta"], 0.0, atol=1e-9)
+        betas = [_fluctuations(ctx)[0] for ctx in engine.contexts]
+        np.testing.assert_allclose(betas, 0.0, atol=1e-9)
         np.testing.assert_allclose(t_tmle.psi, t_plug.psi, atol=1e-9)
 
     def test_noshift_oracle_recovers_level(self):
@@ -264,7 +271,7 @@ def reference_target(ctx, ti):
 
 
 def reference_fold_tmle(ctx, ti):
-    """(psi_v, plugin_v, sigma2_v) at threshold index ``ti``."""
+    """(psi_v, sigma2_v) at threshold index ``ti``."""
     beta, mode = reference_target(ctx, ti)
     e_vals, z = ctx.E[ti], ctx.Z[ti]
     if mode == "constant":
@@ -276,7 +283,7 @@ def reference_fold_tmle(ctx, ti):
     psi_v = float(np.clip(raw, 0.0, 1.0)[~ctx.src].mean())
     d = np.where(ctx.src, ctx.w * (z - raw) / ctx.gamma,
                  (raw - psi_v) / (1.0 - ctx.gamma))
-    return psi_v, float(e_vals[~ctx.src].mean()), float(np.mean(d * d))
+    return psi_v, float(np.mean(d * d))
 
 
 def assert_fold_matches_reference(ctx):
@@ -295,6 +302,7 @@ def assert_fold_matches_reference(ctx):
             <= {str(w.message) for w in ref_warnings})
     assert beta.tobytes() == np.array([b for b, _ in ref]).tobytes()
     assert mode.tolist() == [m for _, m in ref]
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
     return mode

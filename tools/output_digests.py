@@ -14,26 +14,27 @@ with and without a config file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
 folds; ``fit`` of onestep and rs on the 400-row CSV at ``--alpha-conf 0.2``,
 so that the Wald bound is taken at a quantile other than the default, and of
-icp at ``--alpha-conf 0.45``, where its ``cub`` falls below its ``psi_hat``
-(see README, **Outputs**); ``fit`` of onestep and icp on a valid file that
-only the exact reader accepts (quoted fields, padded ``a`` tokens, a blank
-line), and of onestep on the 20,000-row CSV with one quoted field, which the
-exact reader reads too, as it is and with a malformed number on its line
-15,001; ``simulate`` of all seven methods on lowdim and highdim with both
-learners at two workers and with the default learners at the default worker
-count, and of icp on draws of 6 units, some of which hold no source or no
-target unit; ``oracle`` on both DGPs at an M of three chunks; a few inputs
-that ``fit`` rejects; a negative seed given to each command, and to ``fit``
-through a config file; config files that hold ``help = yes`` or
-``config = other.cfg``, which are unknown keys; and configurations that each command
-rejects before it reads input or builds an oracle: an estimator flag given
-to ``oracle``, a bad ``--alpha-error`` given to ``fit`` with a missing
-input, and one fold given to ``simulate`` with a large oracle. Each
-``demos/*.py`` script of the checkout is a ``demo-<name>`` case of its own,
-run with the checkout's ``src`` as ``PYTHONPATH``. The input files are
-written by this script with the standard library, so both trees read the
-same bytes. Only the standard library is used here; the commands run with
-the interpreter that runs this script.
+icp at ``--alpha-conf 0.45``, where its ``cub`` lies just above its
+``psi_hat`` (see README, **Outputs**); ``fit`` of onestep and icp on a valid
+file that only the exact reader accepts (quoted fields, padded ``a`` tokens,
+a blank line), and of onestep on the 20,000-row CSV with one quoted field,
+which the exact reader reads too, as it is and with a malformed number on
+its line 15,001; ``simulate`` of all seven methods on lowdim and highdim
+with both learners at two workers and with the default learners at the
+default worker count, and on lowdim at three folds, and of icp on draws of 6
+units, some of which hold no source or no target unit; ``oracle`` on both
+DGPs at an M of three chunks; a few inputs that ``fit`` rejects; a negative
+seed given to each command, and to ``fit`` through a config file; config
+files that hold ``help = yes`` or ``config = other.cfg``, which are unknown
+keys; and configurations that each command rejects before it reads input or
+builds an oracle: an estimator flag given to ``oracle``, a bad
+``--alpha-error`` given to ``fit`` with a missing input, and one fold given
+to ``simulate`` with a large oracle. Each ``demos/*.py`` script of the
+checkout is a ``demo-<name>`` case of its own, run with the checkout's
+``src`` as ``PYTHONPATH``. The input files are written by this script with
+the standard library, so both trees read the same bytes. Only the standard
+library is used here; the commands run with the interpreter that runs this
+script.
 """
 
 from __future__ import annotations
@@ -128,6 +129,9 @@ def matrix():
             "--reps", "3", "--oracle-m", "20000", "--seed", "6", "--output", "out.csv"]
         yield f"oracle-{dgp}", ["oracle", "--dgp", dgp, "--oracle-m", "450001",
                                 "--seed", "1", "--output", "out.csv"]
+    yield "simulate-lowdim-3-folds", [
+        "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
+        "--reps", "3", "--oracle-m", "20000", "--folds", "3", "--output", "out.csv"]
     for method, alpha_conf in (("onestep", "0.2"), ("rs", "0.2"), ("icp", "0.45")):
         yield f"fit-small-{method}-alpha-conf-{alpha_conf}", [
             "fit", "--input", "../small.csv", "--method", method,
