@@ -3,8 +3,10 @@ generators.
 
 The curve is the probability, in the target population, that the true
 label's score falls below each threshold; the optimal threshold is the
-0.05-quantile of target scores.  Useful for judging how much room each
-generator leaves between grid points.
+largest threshold whose probability is at most 0.05.  One
+``OracleEvaluator`` per generator answers both from the same weighted
+points, so the curve is at most 0.05 exactly up to that threshold.  Useful
+for judging how much room each generator leaves between grid points.
 """
 
 import numpy as np
@@ -16,9 +18,9 @@ rng = ss.RngStream(2024)
 
 for kind in ("highdim-sparse", "lowdim", "lowdim-noshift"):
     spec = ss.DgpSpec(kind)
-    curve = ss.oracle_psi_curve(spec, list(grid), 200_000,
-                                rng.child(f"curve-{kind}"))
-    tau0 = ss.oracle_tau0(spec, 0.05, 200_000, rng.child(f"tau0-{kind}"))
+    oracle = ss.OracleEvaluator(spec, 200_000, rng.child(f"curve-{kind}"))
+    curve = oracle.psi_curve(grid)
+    tau0 = oracle.tau0(0.05)
     print(f"\n=== {kind} ===")
     print("tau   :", "  ".join(f"{t:5.2f}" for t in grid))
     print("error :", "  ".join(f"{v:5.3f}" for v in curve))

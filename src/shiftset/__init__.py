@@ -59,8 +59,6 @@ from .simbench import (
     StudyConfig,
     dgp_draw,
     oracle_nuisances,
-    oracle_psi_curve,
-    oracle_tau0,
     run_study,
     wilson_interval,
 )

@@ -7,7 +7,7 @@ Three subcommands:
 * ``simulate`` - run the replication harness on a built-in DGP and write
                  per-replication rows (JSON lines) plus an aggregate CSV;
 * ``oracle``   - write the true coverage-error curve and optimal threshold
-                 for a built-in DGP.
+                 of a built-in DGP, from the oracle ``simulate`` scores against.
 
 ``fit`` reads its CSV through :mod:`shiftset.csvio`.  Outputs carry 17
 significant digits so a round trip is bit-faithful, and contain nothing
@@ -47,10 +47,10 @@ from .simbench import (
     AggregateRow,
     Dataset,
     DgpSpec,
+    OracleEvaluator,
     StudyConfig,
+    _check_alpha,
     _ensure_methods,
-    oracle_psi_curve,
-    oracle_tau0,
     run_study,
 )
 
@@ -337,10 +337,11 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     grid = _parse_grid(args.grid)
     spec = _dgp_spec(args.dgp)
-    root = RngStream(args.seed)
-    tau0 = oracle_tau0(spec, args.alpha_error, args.oracle_m,
-                       root.child("oracle-tau0"))
-    curve = oracle_psi_curve(spec, list(grid), args.oracle_m, root.child("oracle-psi"))
+    rng = RngStream(args.seed).child("oracle")  # run_study's oracle stream
+    _check_alpha(args.alpha_error)
+    oracle = OracleEvaluator(spec, args.oracle_m, rng)
+    tau0 = oracle.tau0(args.alpha_error)
+    curve = oracle.psi_curve(grid)
     rows = [[_fmt(t), _fmt(v)] for t, v in zip(grid, curve)]
     _write_table_csv(args.output, rows, ["tau", "psi"])
     _write_meta(args.output + ".meta.json", {

@@ -13,10 +13,9 @@ probabilities:
 * ``lowdim-noshift`` - the same outcome model with identical covariate
   distributions.
 
-Oracle coverage errors marginalize the three labels analytically and
-Monte-Carlo only over target covariates; the oracle threshold follows the
-sampled-label quantile recipe instead, so the two are computed differently
-on purpose.
+The oracle marginalizes the three labels analytically and Monte-Carlos only
+over target covariates; its coverage errors and its threshold come from the
+same weighted points.
 """
 
 from __future__ import annotations
@@ -232,60 +231,43 @@ def oracle_nuisances(dgp: DgpSpec, grid: ThresholdGrid) -> NuisanceFits:
 _CHUNK = 200_000
 
 
-def _target_draws(spec: DgpSpec, M: int, gen: np.random.Generator):
-    """M target covariate rows in chunks of at most _CHUNK.  M is checked at
-    the call; each chunk is drawn from ``gen`` only when asked for, so the
-    caller's own draws from ``gen`` come between the chunks."""
-    _check_count(M, "M")
-    sizes = [min(_CHUNK, M - done) for done in range(0, M, _CHUNK)]
-    return (spec.draw_x(m, np.zeros(m, dtype=int), gen) for m in sizes)
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 <= alpha <= 1.0):
+        raise ConfigurationError(f"alpha_error must lie in [0, 1], got {alpha}")
 
 
-def oracle_psi_curve(spec: DgpSpec, taus, M: int, rng: RngStream) -> np.ndarray:
-    """True coverage-error curve on a grid, sharing the covariate draws.
-
-    Labels are marginalized analytically; randomness enters only through M
-    target covariate draws, so the curve is nondecreasing in tau by
-    construction.
-    """
-    draws = _target_draws(spec, M, rng.generator())
-    taus = np.asarray(list(taus), dtype=float)
-    totals = np.zeros(taus.shape[0])
-    for X in draws:
-        probs, scores = spec.label_probs(X), spec.score_table(X)
-        for i, tau in enumerate(taus):
-            totals[i] += float(np.sum(probs * (scores < tau)))
-    return totals / M
-
-
-def oracle_tau0(spec: DgpSpec, alpha_error: float, M: int, rng: RngStream) -> float:
-    """Optimal threshold: the alpha_error quantile of sampled target scores.
-
-    Labels are drawn, not marginalized, matching the Monte-Carlo recipe used
-    to calibrate the simulation studies.
-    """
-    if not (0.0 <= alpha_error <= 1.0):
-        raise ConfigurationError(f"alpha_error must lie in [0, 1], got {alpha_error}")
-    gen = rng.generator()
-    scores = [spec.draw_scores(X, gen) for X in _target_draws(spec, M, gen)]
-    return float(np.quantile(np.concatenate(scores), alpha_error))
+_NEEDS_POINTS = "weighted conformal (wcp) needs an oracle built with points=True"
 
 
 class OracleEvaluator:
-    """Shared target-population draws for scoring selected thresholds.
-
-    Built once per study; evaluates the true coverage error of any fixed
-    threshold, and of per-covariate cutoffs (for weighted conformal sets).
+    """The target population as M covariate draws, made in chunks of about
+    _CHUNK, with the labels marginalized: point (x, y) weighs Pr(y | x) / M.
+    It answers the true coverage error of thresholds and the oracle threshold;
+    with ``points=True`` it keeps ``X``, ``probs`` and ``scores`` for wcp.
     """
 
-    def __init__(self, spec: DgpSpec, M: int, rng: RngStream):
+    def __init__(self, spec: DgpSpec, M: int, rng: RngStream, *, points: bool = False):
         _check_count(M, "M")
         gen = rng.generator()
         self.M = int(M)
-        self.X = spec.draw_x(self.M, np.zeros(self.M, dtype=int), gen)
-        self.probs = spec.label_probs(self.X)
-        self.scores = spec.score_table(self.X)
-        flat = self.scores.reshape(-1)
+        # No chunk but the first has one row: numpy multiplies a one-row matrix
+        # as a vector, in other bits than lowdim's draw_x of all M rows at once.
+        stops = [*range(_CHUNK, self.M - 1, _CHUNK), self.M]
+        # One chunk's points are kept as drawn, so that a study's oracle (one
+        # chunk at the default M) holds no second copy of them.
+        self.X = np.empty((self.M, spec.p)) if points and len(stops) > 1 else None
+        probs, scores = np.empty((self.M, 3)), np.empty((self.M, 3))
+        for start, stop in zip([0, *stops], stops):
+            X = spec.draw_x(stop - start, np.zeros(stop - start, dtype=int), gen)
+            rows = slice(start, stop)
+            probs[rows], scores[rows] = spec.label_probs(X), spec.score_table(X)
+            if self.X is not None:
+                self.X[rows] = X
+        if points and self.X is None:
+            self.X = X
+        del X
+        self.probs, self.scores = (probs, scores) if points else (None, None)
+        flat = scores.reshape(-1)
         # Without ties (or NaN) every sort gives the one sorting permutation,
         # so the fast unstable sort stands unless adjacent scores fail to
         # increase strictly.
@@ -294,18 +276,34 @@ class OracleEvaluator:
         if not np.all(self._sorted_scores[1:] > self._sorted_scores[:-1]):
             order = np.argsort(flat, kind="stable")
             self._sorted_scores = flat[order]
-        # In place, so that the build holds as few score-sized arrays at once
-        # as it can.
-        self._cum_weights = self.probs.reshape(-1)[order]
-        del order
+        # In place, and without the unsorted arrays unless the points are kept:
+        # the build holds as few score-sized arrays at once as it can.
+        del flat, scores
+        self._cum_weights = probs.reshape(-1)[order]
+        del order, probs
         np.cumsum(self._cum_weights, out=self._cum_weights)
         self._cum_weights /= self.M
 
     def psi_at(self, tau: float) -> float:
-        idx = int(np.searchsorted(self._sorted_scores, tau, side="left"))
-        return float(self._cum_weights[idx - 1]) if idx > 0 else 0.0
+        return float(self.psi_curve([tau])[0])
+
+    def psi_curve(self, taus) -> np.ndarray:
+        """The true coverage error at each threshold, with one search."""
+        idx = np.searchsorted(self._sorted_scores, np.asarray(list(taus), dtype=float),
+                              side="left")
+        return np.where(idx > 0, self._cum_weights[idx - 1], 0.0)
+
+    def tau0(self, alpha: float) -> float:
+        """The largest threshold whose coverage error is at most ``alpha``:
+        ``psi_at(tau) <= alpha`` exactly when ``tau <= tau0(alpha)``, for any
+        alpha below the total weight.  Past it, the largest score."""
+        _check_alpha(alpha)
+        i = int(np.searchsorted(self._cum_weights, alpha, side="right"))
+        return float(self._sorted_scores[min(i, self._sorted_scores.size - 1)])
 
     def psi_of_cutoffs(self, cutoffs: np.ndarray) -> float:
+        if self.X is None:
+            raise ConfigurationError(_NEEDS_POINTS)
         cutoffs = np.asarray(cutoffs, dtype=float).reshape(-1)
         if cutoffs.size not in (1, self.M):
             raise ConfigurationError(
@@ -493,8 +491,8 @@ def _run_icp(data: Dataset) -> MethodResult:
 def _run_wcp(data: Dataset) -> MethodResult:
     # Importance weights from the fold-0 (out-of-fold) propensity fit,
     # evaluated at calibration and oracle covariates.
-    if data.oracle is None:
-        raise ConfigurationError("weighted conformal needs an oracle's target draws")
+    if data.oracle is None or data.oracle.X is None:
+        raise ConfigurationError(_NEEDS_POINTS)
     fits = data.fits
     cal_idx, cal_src = data.calibration()
     if cal_src.size == cal_idx.size:
@@ -600,7 +598,8 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     if workers is not None:
         _check_count(workers, "workers")
 
-    oracle = OracleEvaluator(spec, cfg.oracle_m, rng.child("oracle"))
+    oracle = OracleEvaluator(spec, cfg.oracle_m, rng.child("oracle"),
+                             points="wcp" in methods)
     jobs = [(n, rep) for n in ns for rep in range(replications)]
     study = (spec, methods, cfg, rng, oracle)
     rows = list(chain.from_iterable(run_jobs(partial(_replicate, study), jobs, workers)))

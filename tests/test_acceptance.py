@@ -89,8 +89,8 @@ def test_method_ranking_highdim_plugin(highdim_ranking):
     """
     spec = ss.DgpSpec("highdim-sparse")
     rng = ss.RngStream(20260813)
-    psi_true = ss.oracle_psi_curve(spec, GRID, 2_000_000,
-                                   rng.child("oracle-curve"))
+    psi_true = ss.OracleEvaluator(spec, 2_000_000,
+                                  rng.child("oracle-curve")).psi_curve(GRID)
     inner = (psi_true > 0) & (psi_true < 1)
 
     def errors(method):
@@ -148,8 +148,8 @@ def test_asymptotic_linearity_slope():
     tau = 0.15
     tau_index = list(GRID).index(tau)
     fits = ss.oracle_nuisances(spec, GRID)
-    psi_true = ss.oracle_psi_curve(spec, [tau], 4_000_000,
-                                   ss.RngStream(5).child("psi-hi"))[0]
+    psi_true = ss.OracleEvaluator(spec, 4_000_000,
+                                  ss.RngStream(5).child("psi-hi")).psi_at(tau)
 
     def influence_mean(sample):
         g0 = spec.true_propensity(sample.x)

@@ -1192,8 +1192,36 @@ class TestCmdOracle:
             main(["oracle", "--dgp", "lowdim", "--oracle-m", "100000",
                   "--output", out, "--seed", seed])
             vals.append(json.load(open(out + ".meta.json"))["tau0"])
-        # order-statistic SE at M=1e5 is about 4e-4 here
+        # tau0 reads the cumulative weights, whose Monte-Carlo error is below
+        # that of the sampled-label order statistic (SE about 4e-4 at M=1e5
+        # here)
         assert abs(vals[0] - vals[1]) < 3e-3
+
+    def test_oracle_and_simulate_share_their_oracle(self, tmp_path):
+        # At one seed and M, `oracle` writes the curve and tau0 of the
+        # evaluator that `simulate` scores every selected threshold against.
+        grid, seed, m = "0:0.3:0.005", 4, 30_000
+        common = ["--dgp", "lowdim", "--grid", grid, "--seed", str(seed),
+                  "--oracle-m", str(m)]
+        out, sim = str(tmp_path / "oracle.csv"), str(tmp_path / "sim.csv")
+        assert main(["oracle", *common, "--output", out]) == 0
+        assert main(["simulate", *common, "--method", "onestep,tmle,plugin,wplugin,icp,wcp",
+                     "--n", "300", "--reps", "6", "--alpha-conf", "0.3", "--workers", "1",
+                     "--output", sim]) == 0
+        oracle = simbench.OracleEvaluator(DgpSpec("lowdim"), m, RngStream(seed).child("oracle"))
+        with open(out) as fh:
+            curve = list(csv.DictReader(fh))
+        assert len(curve) == 61
+        for row in curve:
+            assert float(row["psi"]) == oracle.psi_at(float(row["tau"]))
+        tau0 = json.load(open(out + ".meta.json"))["tau0"]
+        assert tau0 == oracle.tau0(0.05)
+        rows = [json.loads(line) for line in open(sim + ".jsonl")]
+        scored = [r for r in rows if not r["failed"] and r["method"] != "wcp"]
+        assert len(scored) >= 25
+        assert {r["covered"] for r in scored} == {True, False}
+        for r in scored:
+            assert r["covered"] == (r["tau_hat"] <= tau0)
 
     @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_rejected(self, tmp_path, capsys, alpha):

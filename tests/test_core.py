@@ -233,7 +233,7 @@ PUBLIC_NAMES = """
     StudyConfig ThresholdDecision ThresholdGrid UnfittableFoldError dgp_draw
     fit_binary fit_nuisances inductive_cp_threshold
     make_folds miscoverage_vector odds_weight
-    onestep_estimate oracle_nuisances oracle_psi_curve oracle_tau0
+    onestep_estimate oracle_nuisances
     plugin_estimate rs_estimate rs_prepare run_study
     select_threshold tmle_estimate weighted_plugin_estimate
     weighted_quantile_cutoffs wilson_interval

@@ -13,6 +13,7 @@ from shiftset import (
     FoldEngine,
     FoldPlan,
     NuisanceFits,
+    OracleEvaluator,
     RiskTargets,
     RngStream,
     ThresholdGrid,
@@ -22,7 +23,6 @@ from shiftset import (
     odds_weight,
     onestep_estimate,
     oracle_nuisances,
-    oracle_tau0,
     plugin_estimate,
     select_threshold,
     weighted_plugin_estimate,
@@ -218,7 +218,7 @@ class TestOnestepEstimate:
         # At the true 0.05-quantile threshold the coverage error is 0.05.
         rng = RngStream(2718)
         spec = DgpSpec("lowdim-noshift")
-        tau0 = oracle_tau0(spec, 0.05, 400_000, rng.child("tau0"))
+        tau0 = OracleEvaluator(spec, 400_000, rng.child("tau0")).tau0(0.05)
         grid = ThresholdGrid((tau0,))
         fits = oracle_nuisances(spec, grid)
         sample = dgp_draw(spec, 10_000, rng.child("d"))

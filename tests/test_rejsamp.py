@@ -173,11 +173,11 @@ class TestRsEstimate:
     def test_noshift_estimated_nuisances_recover_level(self):
         # threshold at the true 0.05-quantile: corrected estimate within
         # 3 standard errors of 0.05
-        from shiftset import oracle_tau0
+        from shiftset import OracleEvaluator
 
         rng = RngStream(31415)
         spec = DgpSpec("lowdim-noshift")
-        tau0 = oracle_tau0(spec, 0.05, 400_000, rng.child("tau0"))
+        tau0 = OracleEvaluator(spec, 400_000, rng.child("tau0")).tau0(0.05)
         grid = ThresholdGrid((tau0,))
         sample = dgp_draw(spec, 8000, rng.child("d"))
         run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from shiftset import (
     ALL_METHODS,
+    DGP_KINDS,
     METHODS,
     BinaryLearnerSpec,
     ConfigurationError,
@@ -26,8 +27,6 @@ from shiftset import (
     dgp_draw,
     make_folds,
     onestep_estimate,
-    oracle_psi_curve,
-    oracle_tau0,
     plugin_estimate,
     rs_estimate,
     rs_prepare,
@@ -113,40 +112,54 @@ class TestDgpDraw:
 
 class TestOracles:
     def test_psi_bounds(self, rng):
-        spec = DgpSpec("lowdim")
-        assert oracle_psi_curve(spec, [-1.0], 2000, rng.child("a"))[0] == 0.0
-        assert oracle_psi_curve(spec, [1.5], 2000, rng.child("b"))[0] == 1.0
+        ev = OracleEvaluator(DgpSpec("lowdim"), 2000, rng.child("a"))
+        assert ev.psi_at(-1.0) == 0.0
+        # the total weight, summed point by point in score order
+        assert ev.psi_at(1.5) == ev._cum_weights[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_curve_monotone(self, rng):
         for kind in ("highdim-sparse", "lowdim", "lowdim-noshift"):
-            curve = oracle_psi_curve(DgpSpec(kind), list(GRID), 20_000,
-                                     rng.child(kind))
+            curve = OracleEvaluator(DgpSpec(kind), 20_000, rng.child(kind)).psi_curve(GRID)
             assert np.all(np.diff(curve) >= 0)
 
     def test_tau0_extremes(self, rng):
-        spec = DgpSpec("lowdim")
-        lo = oracle_tau0(spec, 0.0, 5000, rng.child("q0"))
-        hi = oracle_tau0(spec, 1.0, 5000, RngStream(1).child("q0"))
-        mid = oracle_tau0(spec, 0.05, 5000, rng.child("q1"))
-        assert lo < mid < hi
+        ev = OracleEvaluator(DgpSpec("lowdim"), 5000, rng.child("q0"))
+        assert ev.tau0(0.0) < ev.tau0(0.05) < ev.tau0(1.0)
 
     def test_tau0_seed_stability(self):
-        # two seeds at M=100000 should agree within 3 order-statistic SEs
+        # Two seeds at M=100000 should agree within 3 standard errors of the
+        # sampled-label order statistic, which bounds the Monte-Carlo error
+        # of the marginalized weights.
         spec = DgpSpec("lowdim")
         M, alpha, h = 100_000, 0.05, 0.01
-        t1 = oracle_tau0(spec, alpha, M, RngStream(1).child("t"))
-        t2 = oracle_tau0(spec, alpha, M, RngStream(2).child("t"))
-        qlo = oracle_tau0(spec, alpha - h, M, RngStream(3).child("t"))
-        qhi = oracle_tau0(spec, alpha + h, M, RngStream(3).child("t"))
+        t1 = OracleEvaluator(spec, M, RngStream(1).child("t")).tau0(alpha)
+        t2 = OracleEvaluator(spec, M, RngStream(2).child("t")).tau0(alpha)
+        ev3 = OracleEvaluator(spec, M, RngStream(3).child("t"))
+        qlo, qhi = ev3.tau0(alpha - h), ev3.tau0(alpha + h)
         dens = 2 * h / max(qhi - qlo, 1e-12)
         se = np.sqrt(alpha * (1 - alpha) / M) / dens
         assert abs(t1 - t2) < 3 * np.sqrt(2) * se
 
     def test_tau0_consistent_with_curve(self):
         spec = DgpSpec("lowdim")
-        tau0 = oracle_tau0(spec, 0.05, 200_000, RngStream(5).child("t"))
-        psi = oracle_psi_curve(spec, [tau0], 200_000, RngStream(6).child("p"))[0]
+        tau0 = OracleEvaluator(spec, 200_000, RngStream(5).child("t")).tau0(0.05)
+        psi = OracleEvaluator(spec, 200_000, RngStream(6).child("p")).psi_at(tau0)
         assert psi == pytest.approx(0.05, abs=0.005)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.05, 0.2, 0.5])
+    def test_tau0_is_where_psi_at_crosses_alpha(self, alpha):
+        ev = OracleEvaluator(DgpSpec("highdim-sparse"), 3000, RngStream(4).child("ev"))
+        tau0 = ev.tau0(alpha)
+        assert ev.psi_at(tau0) <= alpha < ev.psi_at(np.nextafter(tau0, 2.0))
+        taus = np.concatenate([ev._sorted_scores, np.random.default_rng(1).uniform(0, 1, 500)])
+        for tau in taus:
+            assert (ev.psi_at(tau) <= alpha) == (tau <= tau0)
+
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5, float("nan")])
+    def test_tau0_needs_a_level_in_the_unit_interval(self, alpha):
+        ev = OracleEvaluator(DgpSpec("lowdim"), 10, RngStream(4).child("ev"))
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 1\]"):
+            ev.tau0(alpha)
 
     def test_source_optimal_threshold_exceeds_target(self):
         # the shift concentrates target covariates where scores run lower
@@ -168,12 +181,67 @@ class TestOracles:
 
     def test_evaluator_matches_curve(self):
         spec = DgpSpec("lowdim")
-        ev = OracleEvaluator(spec, 50_000, RngStream(8).child("ev"))
-        curve = oracle_psi_curve(spec, list(GRID), 50_000, RngStream(8).child("ev"))
+        ev = OracleEvaluator(spec, 50_000, RngStream(8).child("ev"), points=True)
+        curve = ev.psi_curve(GRID)
         for tau, psi in zip(GRID, curve):
-            assert ev.psi_at(tau) == pytest.approx(psi, abs=1e-12)
+            # the curve as a sum over every point's labels, one tau at a time
+            assert np.sum(ev.probs * (ev.scores < tau)) / ev.M == pytest.approx(psi, abs=1e-12)
+            assert ev.psi_at(tau) == psi
         cut = np.full(ev.M, 0.15)
         assert ev.psi_of_cutoffs(cut) == pytest.approx(ev.psi_at(0.15), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", DGP_KINDS)
+    @pytest.mark.parametrize("M", [450_001, 400_001])
+    def test_chunked_build_matches_one_draw(self, kind, M):
+        # Two full chunks and a remainder (of one row at 400,001, which the
+        # last chunk takes), against all rows drawn at once.
+        spec = DgpSpec(kind)
+        X = spec.draw_x(M, np.zeros(M, dtype=int), RngStream(12).child("ev").generator())
+        probs, scores = spec.label_probs(X), spec.score_table(X)
+        order = np.argsort(scores.reshape(-1), kind="stable")
+        sorted_scores = scores.reshape(-1)[order]
+        cum = np.cumsum(probs.reshape(-1)[order]) / M
+        ev = OracleEvaluator(spec, M, RngStream(12).child("ev"), points=True)
+        assert ev.X.tobytes() == X.tobytes()
+        del X
+        taus = np.arange(0, 201) * 0.005
+        want = [float(cum[i - 1]) if i else 0.0
+                for i in np.searchsorted(sorted_scores, taus, side="left")]
+        got = [ev.psi_at(tau) for tau in taus]
+        assert got == want
+        assert ev.psi_curve(taus).tolist() == got
+        for cutoffs in np.random.default_rng(3).uniform(0.0, 0.6, (3, M)):
+            miss = np.sum(probs * (scores < cutoffs[:, None]), axis=1).mean()
+            assert ev.psi_of_cutoffs(cutoffs) == float(miss)
+
+    def test_points_only_on_request(self):
+        root = RngStream(8)
+        bare = OracleEvaluator(DgpSpec("lowdim"), 3000, root.child("ev"))
+        full = OracleEvaluator(DgpSpec("lowdim"), 3000, root.child("ev"), points=True)
+        assert bare.X is bare.probs is bare.scores is None
+        assert full.X.shape == (3000, 3)
+        assert bare._sorted_scores.tobytes() == full._sorted_scores.tobytes()
+        assert bare._cum_weights.tobytes() == full._cum_weights.tobytes()
+        with pytest.raises(ConfigurationError, match=r"\(wcp\).*points=True"):
+            bare.psi_of_cutoffs([0.1])
+        data = Dataset(dgp_draw(DgpSpec("lowdim"), 200, root.child("d")),
+                       StudyConfig(GRID, TARGETS), root.child("f"), root.child("rs"), bare)
+        with pytest.raises(ConfigurationError, match=r"\(wcp\).*points=True"):
+            METHODS["wcp"](data)
+
+    @pytest.mark.parametrize("methods, points", [(["icp"], False), (["icp", "wcp"], True)])
+    def test_studies_keep_points_for_wcp(self, monkeypatch, methods, points):
+        built = []
+
+        class Tracked(OracleEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.X is not None)
+
+        monkeypatch.setattr(simbench, "OracleEvaluator", Tracked)
+        run_study(DgpSpec("lowdim"), [300], methods, 1,
+                  StudyConfig(GRID, TARGETS, oracle_m=2000), RngStream(33), workers=1)
+        assert built == [points]
 
     @staticmethod
     def spy_argsort(monkeypatch):
@@ -191,7 +259,8 @@ class TestOracles:
         table = DgpSpec.score_table
         monkeypatch.setattr(DgpSpec, "score_table", lambda self, X: np.round(table(self, X), 2))
         kinds = self.spy_argsort(monkeypatch)
-        ev = OracleEvaluator(DgpSpec("lowdim"), 20_000, RngStream(8).child("ev"))
+        ev = OracleEvaluator(DgpSpec("lowdim"), 20_000, RngStream(8).child("ev"),
+                             points=True)
         assert kinds == [None, "stable"]
         monkeypatch.undo()
         flat = ev.scores.reshape(-1)
@@ -208,7 +277,8 @@ class TestOracles:
     @pytest.mark.parametrize("M", [3, 10, 50, 20_000])
     def test_psi_of_cutoffs_sums_labels_in_row_order(self, M):
         # Small M: a one-ulp change in one row's sum often survives the mean.
-        ev = OracleEvaluator(DgpSpec("highdim-sparse"), M, RngStream(9).child("ev"))
+        ev = OracleEvaluator(DgpSpec("highdim-sparse"), M, RngStream(9).child("ev"),
+                             points=True)
         gen = np.random.default_rng(0)
         draws = [gen.uniform(0.0, 1.0, ev.M) for _ in range(20)]
         for cutoffs in (*draws, ev.scores[:, 1], np.full(ev.M, 0.2)):
@@ -217,7 +287,7 @@ class TestOracles:
 
     @pytest.mark.parametrize("size", [0, 2, 4])
     def test_psi_of_cutoffs_needs_one_or_one_per_point(self, size):
-        ev = OracleEvaluator(DgpSpec("lowdim"), 3, RngStream(9).child("ev"))
+        ev = OracleEvaluator(DgpSpec("lowdim"), 3, RngStream(9).child("ev"), points=True)
         with pytest.raises(ConfigurationError,
                            match=rf"one per oracle point \(3\), got {size}$"):
             ev.psi_of_cutoffs(np.zeros(size))
@@ -236,10 +306,6 @@ _STUDY_CFG = StudyConfig(grid=GRID, targets=TARGETS)
      "fold count must be an integer of at least 2, got 2.5"),
     (OracleEvaluator, (DgpSpec("lowdim"), 2.5, RngStream(1)),
      "M must be an integer of at least 1, got 2.5"),
-    (oracle_tau0, (DgpSpec("lowdim"), 0.05, 2.5, RngStream(1)),
-     "M must be an integer of at least 1, got 2.5"),
-    (oracle_psi_curve, (DgpSpec("lowdim"), [0.1], 2.5, RngStream(1)),
-     "M must be an integer of at least 1, got 2.5"),
     (wilson_interval, (1.5, 2), "k must be an integer in [0, n], got 1.5"),
     (wilson_interval, (1, 2.0), "n must be an integer of at least 1, got 2.0"),
     (run_study, (DgpSpec("lowdim"), [300.0], ["icp"], 1, _STUDY_CFG, RngStream(1)),
@@ -257,10 +323,9 @@ _STUDY_CFG = StudyConfig(grid=GRID, targets=TARGETS)
     (run_study, (DgpSpec("lowdim"), [300], ["icp"], 1, _STUDY_CFG, RngStream(1), 0),
      "workers must be an integer of at least 1, got 0"),
 ], ids=["dgp_draw-n", "make_folds-n", "make_folds-V", "OracleEvaluator-M",
-        "oracle_tau0-M", "oracle_psi_curve-M", "wilson_interval-k",
-        "wilson_interval-n", "run_study-n", "dgp_draw-bool-n", "RngStream-seed",
-        "RngStream-bool-seed", "RngStream-child-index", "StudyConfig-V",
-        "run_study-replications", "run_study-workers"])
+        "wilson_interval-k", "wilson_interval-n", "run_study-n", "dgp_draw-bool-n",
+        "RngStream-seed", "RngStream-bool-seed", "RngStream-child-index",
+        "StudyConfig-V", "run_study-replications", "run_study-workers"])
 def test_sizes_must_be_integers(call, args, message):
     # Each count check's whole message, as every entry point words it.
     with pytest.raises(ConfigurationError) as info:
@@ -541,7 +606,7 @@ def test_fit_methods_keep_the_contract_on_hostile_samples(drawn):
     # scored on a small lowdim oracle, and must give a finite true error.
     sample, V, seed = drawn
     root = RngStream(seed)
-    oracle = (OracleEvaluator(DgpSpec("lowdim"), 300, root.child("oracle"))
+    oracle = (OracleEvaluator(DgpSpec("lowdim"), 300, root.child("oracle"), points=True)
               if sample.p == 3 else None)
     for learner in ("logistic-ridge", "boosted-stumps"):
         spec = BinaryLearnerSpec(kind=learner)
@@ -629,8 +694,8 @@ class TestWorkers:
         built = []
 
         class Tracked(OracleEvaluator):
-            def __init__(self, *args):
-                super().__init__(*args)
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
                 built.append(weakref.ref(self))
 
         monkeypatch.setattr(simbench, "OracleEvaluator", Tracked)

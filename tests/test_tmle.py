@@ -10,6 +10,7 @@ from shiftset import (
     FoldEngine,
     FoldPlan,
     NuisanceFits,
+    OracleEvaluator,
     RiskTargets,
     RngStream,
     ThresholdGrid,
@@ -20,7 +21,6 @@ from shiftset import (
     odds_weight,
     onestep_estimate,
     oracle_nuisances,
-    oracle_tau0,
     plugin_estimate,
     tmle_estimate,
 )
@@ -202,7 +202,7 @@ class TestTmleEstimate:
     def test_noshift_oracle_recovers_level(self):
         rng = RngStream(1618)
         spec = DgpSpec("lowdim-noshift")
-        tau0 = oracle_tau0(spec, 0.05, 400_000, rng.child("tau0"))
+        tau0 = OracleEvaluator(spec, 400_000, rng.child("tau0")).tau0(0.05)
         grid = ThresholdGrid((tau0,))
         fits = oracle_nuisances(spec, grid)
         sample = dgp_draw(spec, 10_000, rng.child("d"))

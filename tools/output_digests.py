@@ -21,13 +21,14 @@ a blank line), and of onestep on the 20,000-row CSV with one quoted field,
 which the exact reader reads too, as it is and with a malformed number on
 its line 15,001; ``simulate`` of all seven methods on lowdim and highdim
 with both learners at two workers and with the default learners at the
-default worker count, and on lowdim at three folds, and of icp on draws of 6
-units, some of which hold no source or no target unit; ``oracle`` on both
-DGPs at an M of three chunks; a few inputs that ``fit`` rejects; a negative
-seed given to each command, and to ``fit`` through a config file; config
-files that hold ``help = yes`` or ``config = other.cfg``, which are unknown
-keys; and configurations that each command rejects before it reads input or
-builds an oracle: an estimator flag given to ``oracle``, a bad
+default worker count, on lowdim at three folds, and on lowdim at one worker
+against an oracle of two full chunks and a remainder (M = 450,001), and of
+icp on draws of 6 units, some of which hold no source or no target unit;
+``oracle`` on both DGPs at that M; a few inputs that ``fit`` rejects; a
+negative seed given to each command, and to ``fit`` through a config file;
+config files that hold ``help = yes`` or ``config = other.cfg``, which are
+unknown keys; and configurations that each command rejects before it reads
+input or builds an oracle: an estimator flag given to ``oracle``, a bad
 ``--alpha-error`` given to ``fit`` with a missing input, and one fold given
 to ``simulate`` with a large oracle. Each ``demos/*.py`` script of the
 checkout is a ``demo-<name>`` case of its own, run with the checkout's
@@ -129,6 +130,11 @@ def matrix():
             "--reps", "3", "--oracle-m", "20000", "--seed", "6", "--output", "out.csv"]
         yield f"oracle-{dgp}", ["oracle", "--dgp", dgp, "--oracle-m", "450001",
                                 "--seed", "1", "--output", "out.csv"]
+    # An oracle of two full chunks and a remainder, with wcp's points.
+    yield "simulate-lowdim-oracle-450001", [
+        "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
+        "--reps", "2", "--oracle-m", "450001", "--seed", "7", "--workers", "1",
+        "--output", "out.csv"]
     yield "simulate-lowdim-3-folds", [
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
         "--reps", "3", "--oracle-m", "20000", "--folds", "3", "--output", "out.csv"]
