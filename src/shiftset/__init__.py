@@ -8,7 +8,6 @@ bounds, from which the largest certifiable threshold is selected.
 """
 
 from .conformal import (
-    CalibrationSet,
     IcpThreshold,
     inductive_cp_threshold,
     weighted_quantile_cutoffs,
@@ -48,7 +47,6 @@ from .onestep import (
 )
 from .rejsamp import RsConfig, RsRun, rs_estimate, rs_prepare
 from .simbench import (
-    ALL_METHODS,
     DGP_KINDS,
     METHODS,
     AggregateRow,

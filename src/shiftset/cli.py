@@ -41,7 +41,6 @@ from .learners import LEARNER_KINDS, BinaryLearnerSpec
 from .onestep import CoverageTable
 from .rejsamp import RsConfig
 from .simbench import (
-    ALL_METHODS,
     DGP_KINDS,
     METHODS,
     AggregateRow,
@@ -88,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--g-learner", default="logistic-ridge", choices=LEARNER_KINDS)
         sp.add_argument("--e-learner", default="logistic-ridge", choices=LEARNER_KINDS)
         sp.add_argument("--ridge", type=float, default=1e-6)
-        sp.add_argument("--bhat-mult", type=float, default=1.3)
         sp.add_argument("--bhat-fixed", type=float, default=None)
 
     sp_fit = sub.add_parser("fit", help="run one method on a CSV dataset")
@@ -102,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_sim = sub.add_parser("simulate", help="replication study on a built-in DGP")
     add_study(sp_sim)
     sp_sim.add_argument("--method", required=True,
-                        help="comma-separated subset of: " + ",".join(ALL_METHODS))
+                        help="comma-separated subset of: " + ",".join(METHODS))
     sp_sim.add_argument("--dgp", required=True, choices=_DGP_CHOICES)
     sp_sim.add_argument("--n", type=int, required=True)
     sp_sim.add_argument("--reps", type=int, default=200)
@@ -183,7 +181,7 @@ def _study_config(args, **extra) -> StudyConfig:
         g_spec=BinaryLearnerSpec(kind=args.g_learner, ridge=args.ridge),
         e_spec=BinaryLearnerSpec(kind=args.e_learner, ridge=args.ridge),
         V=args.folds, delta=args.delta,
-        rs_config=RsConfig(bhat_mult=args.bhat_mult, bhat_fixed=args.bhat_fixed),
+        rs_config=RsConfig(bhat_fixed=args.bhat_fixed),
         **extra)
 
 

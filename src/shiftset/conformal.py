@@ -10,7 +10,6 @@ the test point contributing its own weight mass below every score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -21,36 +20,14 @@ from .core import ConfigurationError, DomainError, RiskTargets
 SENTINEL_TAU = 0.0
 
 
-@dataclass(frozen=True)
-class CalibrationSet:
-    """Scores of source units reserved for calibration."""
-
-    scores: np.ndarray
-
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=float).reshape(-1)
-        object.__setattr__(self, "scores", scores)
-        if scores.size < 1:
-            raise ConfigurationError("calibration set must be non-empty")
-        if not np.all(np.isfinite(scores)):
-            raise ConfigurationError("calibration scores must be finite")
-
-    @property
-    def m(self) -> int:
-        return int(self.scores.size)
-
-    def sorted(self) -> np.ndarray:
-        return np.sort(self.scores)
-
-
 class IcpThreshold(NamedTuple):
     tau: float
     k: int | None
     is_sentinel: bool
 
 
-def inductive_cp_threshold(cal: CalibrationSet, targets: RiskTargets) -> IcpThreshold:
-    """PAC-tuned split-conformal threshold.
+def inductive_cp_threshold(scores: np.ndarray, targets: RiskTargets) -> IcpThreshold:
+    """PAC-tuned split-conformal threshold from the m calibration scores.
 
     Picks the largest k >= 1 with Pr(Bin(m, alpha_error) >= k) >= 1 -
     alpha_conf and returns the k-th smallest calibration score; the
@@ -58,7 +35,12 @@ def inductive_cp_threshold(cal: CalibrationSet, targets: RiskTargets) -> IcpThre
     (smaller sets), so the rule takes the most aggressive certifiable order
     statistic.
     """
-    m = cal.m
+    scores = np.asarray(scores, dtype=float).reshape(-1)
+    if scores.size < 1:
+        raise ConfigurationError("calibration set must be non-empty")
+    if not np.all(np.isfinite(scores)):
+        raise ConfigurationError("calibration scores must be finite")
+    m = scores.size
     # Pr(Bin(m, a) >= k) = I_a(k, m - k + 1) for k = 1..m, decreasing in k.
     ks = np.arange(1, m + 1)
     tail = betainc(ks, m - ks + 1, targets.alpha_error)
@@ -66,7 +48,7 @@ def inductive_cp_threshold(cal: CalibrationSet, targets: RiskTargets) -> IcpThre
     if not feasible.any():
         return IcpThreshold(SENTINEL_TAU, None, True)
     k = int(np.flatnonzero(feasible)[-1]) + 1
-    return IcpThreshold(float(cal.sorted()[k - 1]), k, False)
+    return IcpThreshold(float(np.sort(scores)[k - 1]), k, False)
 
 
 def weighted_quantile_cutoffs(cal_scores: np.ndarray, cal_weights: np.ndarray,

@@ -71,7 +71,6 @@ class ThresholdDecision:
 
     tau_hat: float
     is_sentinel: bool
-    method: str
     table: CoverageTable
     alpha_error: float
 
@@ -229,4 +228,4 @@ def select_threshold(table: CoverageTable, targets: RiskTargets) -> ThresholdDec
     prefix_ok = np.logical_and.accumulate(feasible)
     sentinel = not prefix_ok.any()
     tau_hat = ZERO_SENTINEL if sentinel else float(table.taus[np.flatnonzero(prefix_ok)[-1]])
-    return ThresholdDecision(tau_hat, sentinel, table.method, table, targets.alpha_error)
+    return ThresholdDecision(tau_hat, sentinel, table, targets.alpha_error)

@@ -32,6 +32,8 @@ from .onestep import CoverageTable, _wald_cub
 
 # Fraction of the sample in the training half.
 _TRAIN_FRACTION = 0.5
+# The bound rule's multiplier when no bound is known (see RsConfig).
+_BHAT_MULT = 1.3
 
 
 @dataclass(frozen=True)
@@ -39,17 +41,14 @@ class RsConfig:
     """Bound rule for rejection sampling.
 
     ``bhat_fixed`` set -> use it as the known bound B (and fail the run if an
-    observed test-half weight exceeds it).  Otherwise B is the maximum weight
-    over test-half source units times ``bhat_mult``, floored at 1.  Both
-    must be finite and at least 1.
+    observed test-half weight exceeds it); it must be finite and at least 1.
+    With no known bound, B = max(1, 1.3 * the largest test-half source
+    weight).
     """
 
-    bhat_mult: float = 1.3
     bhat_fixed: float | None = None
 
     def __post_init__(self):
-        if not (1.0 <= self.bhat_mult < np.inf):
-            raise ConfigurationError("bound multiplier must be finite and at least 1")
         if self.bhat_fixed is not None and not (1.0 <= self.bhat_fixed < np.inf):
             raise ConfigurationError("fixed bound must be finite and at least 1")
 
@@ -109,7 +108,7 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
             raise BoundViolationError(
                 f"fixed bound {bhat} below observed weight {w_src_max:.6g}")
     else:
-        bhat = max(1.0, config.bhat_mult * w_src_max)
+        bhat = max(1.0, _BHAT_MULT * w_src_max)
 
     zeta = rng.child("rs-zeta").generator().uniform(size=test_idx.size)
     accepted = src_test & (zeta <= what_test / bhat)

@@ -28,11 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .conformal import (
-    CalibrationSet,
-    inductive_cp_threshold,
-    weighted_quantile_cutoffs,
-)
+from .conformal import inductive_cp_threshold, weighted_quantile_cutoffs
 from .core import (
     BoundViolationError,
     ConfigurationError,
@@ -281,8 +277,13 @@ class OracleEvaluator:
         del flat, scores
         self._cum_weights = probs.reshape(-1)[order]
         del order, probs
-        np.cumsum(self._cum_weights, out=self._cum_weights)
-        self._cum_weights /= self.M
+        cum = self._cum_weights
+        np.cumsum(cum, out=cum)
+        cum /= self.M
+        # The rounded sum may stray from 1 either way: never above 1, and
+        # exactly 1 past every score.
+        np.minimum(cum, 1.0, out=cum)
+        cum[-1] = 1.0
 
     def psi_at(self, tau: float) -> float:
         return float(self.psi_curve([tau])[0])
@@ -296,7 +297,7 @@ class OracleEvaluator:
     def tau0(self, alpha: float) -> float:
         """The largest threshold whose coverage error is at most ``alpha``:
         ``psi_at(tau) <= alpha`` exactly when ``tau <= tau0(alpha)``, for any
-        alpha below the total weight.  Past it, the largest score."""
+        alpha below 1.  Past it, the largest score."""
         _check_alpha(alpha)
         i = int(np.searchsorted(self._cum_weights, alpha, side="right"))
         return float(self._sorted_scores[min(i, self._sorted_scores.size - 1)])
@@ -482,10 +483,10 @@ def _run_rs(data: Dataset) -> MethodResult:
 
 
 def _run_icp(data: Dataset) -> MethodResult:
-    cal = CalibrationSet(data.sample.score[data.calibration()[1]])
-    res = inductive_cp_threshold(cal, data.cfg.targets)
+    scores = data.sample.score[data.calibration()[1]]
+    res = inductive_cp_threshold(scores, data.cfg.targets)
     return MethodResult(res.tau, res.is_sentinel, {"k": res.k},
-                        {"calibration_size": cal.m, "order_statistic": res.k})
+                        {"calibration_size": scores.size, "order_statistic": res.k})
 
 
 def _run_wcp(data: Dataset) -> MethodResult:
@@ -520,7 +521,6 @@ METHODS: dict[str, Callable[[Dataset], MethodResult]] = {
     "icp": _run_icp,
     "wcp": _run_wcp,
 }
-ALL_METHODS = tuple(METHODS)
 
 
 def _ensure_methods(methods) -> tuple[str, ...]:

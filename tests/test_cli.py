@@ -830,9 +830,8 @@ class TestCmdFit:
         assert "BoundViolationError" in capsys.readouterr().err
 
     def test_non_finite_bound_rejected(self, tmp_path, sample_csv, capsys):
-        # max(1.0, nan) is 1.0, so a NaN multiplier would pass as bound 1
         code = main(["fit", "--input", sample_csv, "--method", "rs",
-                     "--output", str(tmp_path / "o.csv"), "--bhat-mult", "nan"])
+                     "--output", str(tmp_path / "o.csv"), "--bhat-fixed", "nan"])
         assert code == 1
         assert "ConfigurationError" in capsys.readouterr().err
 
@@ -1387,6 +1386,23 @@ class TestConfigFile:
         assert main(["oracle", "--dgp", "lowdim", "--oracle-m", "1000",
                      "--output", str(out), "--config", cfg]) == 1
         assert f"{cfg}:2: unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "simulate"])
+    def test_bound_multiplier_is_no_setting(self, tmp_path, sample_csv, capsys, command):
+        # The multiplier of the rejection-sampling bound rule is fixed at 1.3.
+        out = tmp_path / "o.csv"
+        argv = {"fit": ["fit", "--input", sample_csv, "--method", "rs"],
+                "simulate": ["simulate", "--dgp", "lowdim", "--n", "100", "--method", "rs",
+                             "--reps", "1", "--oracle-m", "1000"]}[command]
+        argv += ["--output", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--bhat-mult", "1.3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bhat-mult 1.3" in capsys.readouterr().err
+        cfg = write(tmp_path / "run.cfg", "bhat-mult = 1.3\n")
+        assert main(argv + ["--config", cfg]) == 1
+        assert f"{cfg}:1: unknown key 'bhat-mult'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_first_bad_line_reported(self, tmp_path, sample_csv, capsys):

@@ -12,7 +12,6 @@ from scipy.stats import beta, binom
 
 import shiftset
 from shiftset import (
-    CalibrationSet,
     DomainError,
     ConfigurationError,
     RiskTargets,
@@ -38,9 +37,9 @@ class TestIncompleteBetaForms:
         for m in [*range(1, 130), 250, 1000, 1001, 5000]:
             ks = np.arange(1, m + 1)
             tail = binom.sf(ks - 1, m, alpha)
-            cal = CalibrationSet(np.arange(m, dtype=float))
             feasible = np.flatnonzero(tail >= 1.0 - 0.05)
-            res = inductive_cp_threshold(cal, RiskTargets(alpha, 0.05))
+            res = inductive_cp_threshold(np.arange(m, dtype=float),
+                                         RiskTargets(alpha, 0.05))
             assert res.k == (int(feasible[-1]) + 1 if feasible.size else None)
             np.testing.assert_array_equal(betainc(ks, m - ks + 1, alpha), tail)
 
@@ -70,26 +69,25 @@ class TestInductiveCp:
         assert exact_binom_tail(100, 0.05, 2) >= 0.95
         assert exact_binom_tail(100, 0.05, 3) < 0.95
         scores = np.linspace(0.01, 1.0, 100)
-        res = inductive_cp_threshold(CalibrationSet(scores), TARGETS)
+        res = inductive_cp_threshold(scores, TARGETS)
         assert res.k == 2
         assert res.tau == pytest.approx(np.sort(scores)[1])
         assert not res.is_sentinel
 
     def test_single_point_sentinel(self):
-        res = inductive_cp_threshold(CalibrationSet(np.array([0.4])), TARGETS)
+        res = inductive_cp_threshold(np.array([0.4]), TARGETS)
         assert res.is_sentinel and res.tau == 0.0 and res.k is None
 
     def test_lax_error_level_takes_max_score(self):
         scores = np.array([0.2, 0.9, 0.5, 0.1, 0.7])
-        res = inductive_cp_threshold(CalibrationSet(scores),
-                                     RiskTargets(0.999, 0.05))
+        res = inductive_cp_threshold(scores, RiskTargets(0.999, 0.05))
         assert res.k == 5
         assert res.tau == 0.9
 
     def test_rule_matches_exact_tail_oracle(self):
         for m in (10, 37, 250):
             scores = np.linspace(0, 1, m)
-            res = inductive_cp_threshold(CalibrationSet(scores), TARGETS)
+            res = inductive_cp_threshold(scores, TARGETS)
             ks = [k for k in range(1, m + 1)
                   if exact_binom_tail(m, 0.05, k) >= 0.95]
             if not ks:
@@ -100,11 +98,20 @@ class TestInductiveCp:
     def test_monotone_in_calibration_size(self):
         last_k = 0
         for m in range(1, 120):
-            res = inductive_cp_threshold(CalibrationSet(np.linspace(0, 1, m)),
-                                         TARGETS)
+            res = inductive_cp_threshold(np.linspace(0, 1, m), TARGETS)
             k = 0 if res.is_sentinel else res.k
             assert k >= last_k
             last_k = k
+
+    @pytest.mark.parametrize("scores, message", [
+        (np.array([]), "calibration set must be non-empty"),
+        (np.array([0.2, np.nan]), "calibration scores must be finite"),
+        (np.array([0.2, np.inf]), "calibration scores must be finite"),
+        (np.array([-np.inf, 0.2]), "calibration scores must be finite"),
+    ], ids=["empty", "nan", "inf", "-inf"])
+    def test_bad_scores_rejected(self, scores, message):
+        with pytest.raises(ConfigurationError, match=message):
+            inductive_cp_threshold(scores, TARGETS)
 
 
 def reference_weighted_quantile_cutoff(cal_scores, cal_weights, test_weight,

@@ -224,8 +224,8 @@ class TestFoldPlan:
 
 
 PUBLIC_NAMES = """
-    ALL_METHODS AggregateRow BinaryLearnerSpec BoundViolationError
-    CalibrationSet ConfigurationError ConstantPredictor CoverageTable
+    AggregateRow BinaryLearnerSpec BoundViolationError
+    ConfigurationError ConstantPredictor CoverageTable
     DGP_KINDS DataError DegenerateFoldError DgpSpec DomainError
     EmptyAcceptanceError FittedPredictor FoldEngine FoldPlan IcpThreshold
     METHODS NuisanceFits ObservedSample OracleEvaluator ReplicationReport

@@ -43,10 +43,8 @@ class TestRsConfig:
     def test_domains(self):
         for bad in (0.5, float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError):
-                RsConfig(bhat_mult=bad)
-            with pytest.raises(ConfigurationError):
                 RsConfig(bhat_fixed=bad)
-        RsConfig(bhat_mult=1.0, bhat_fixed=1.0)
+        RsConfig(bhat_fixed=1.0)
 
 
 class TestRsPrepare:

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftset import (
-    ALL_METHODS,
     DGP_KINDS,
     METHODS,
     BinaryLearnerSpec,
@@ -114,8 +113,16 @@ class TestOracles:
     def test_psi_bounds(self, rng):
         ev = OracleEvaluator(DgpSpec("lowdim"), 2000, rng.child("a"))
         assert ev.psi_at(-1.0) == 0.0
-        # the total weight, summed point by point in score order
-        assert ev.psi_at(1.5) == ev._cum_weights[-1] == pytest.approx(1.0, abs=1e-12)
+        assert ev.psi_at(1.5) == 1.0
+
+    @pytest.mark.parametrize("kind", DGP_KINDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_curve_is_a_probability(self, kind, seed):
+        # the rounded cumsum of the weights strays from 1 either way
+        ev = OracleEvaluator(DgpSpec(kind), 20_000, RngStream(seed).child("oracle"))
+        curve = ev.psi_curve(np.arange(0, 301) * 0.005)
+        assert np.all((curve >= 0.0) & (curve <= 1.0))
+        assert curve[-1] == 1.0
 
     def test_curve_monotone(self, rng):
         for kind in ("highdim-sparse", "lowdim", "lowdim-noshift"):
@@ -201,6 +208,8 @@ class TestOracles:
         order = np.argsort(scores.reshape(-1), kind="stable")
         sorted_scores = scores.reshape(-1)[order]
         cum = np.cumsum(probs.reshape(-1)[order]) / M
+        np.minimum(cum, 1.0, out=cum)
+        cum[-1] = 1.0
         ev = OracleEvaluator(spec, M, RngStream(12).child("ev"), points=True)
         assert ev.X.tobytes() == X.tobytes()
         del X
@@ -268,6 +277,8 @@ class TestOracles:
         assert not np.array_equal(np.argsort(flat), order)  # the tie order matters
         sorted_scores = flat[order]
         cum = np.cumsum(ev.probs.reshape(-1)[order]) / ev.M
+        np.minimum(cum, 1.0, out=cum)
+        cum[-1] = 1.0
         assert ev._sorted_scores.tobytes() == sorted_scores.tobytes()
         assert ev._cum_weights.tobytes() == cum.tobytes()
         for tau in np.unique(flat)[::7]:
@@ -418,7 +429,7 @@ class TestRunStudy:
         cfg = StudyConfig(grid=GRID, targets=TARGETS, g_spec=stumps,
                           e_spec=stumps, oracle_m=2000)
         rows = {r.method: r for r in
-                run_study(spec, [n], ALL_METHODS, 1, cfg, root).rows}
+                run_study(spec, [n], tuple(METHODS), 1, cfg, root).rows}
         fold_methods = {"onestep", "tmle", "plugin", "wplugin"}
         assert {m for m, r in rows.items() if r.failed} == fold_methods
         for m in fold_methods:
@@ -495,7 +506,7 @@ class TestRunStudy:
             return cond_error(fits, v, X)
 
         monkeypatch.setattr(NuisanceFits, "cond_error", counted)
-        rep = run_study(DgpSpec("lowdim"), [300], ALL_METHODS, 1,
+        rep = run_study(DgpSpec("lowdim"), [300], tuple(METHODS), 1,
                         self._cfg(oracle_m=2000), RngStream(14))
         assert not any(r.failed for r in rep.rows)
         by_fits = {}
@@ -639,7 +650,7 @@ class TestWorkers:
     def test_report_matches_the_serial_loop(self, learner):
         spec = BinaryLearnerSpec(kind=learner)
         cfg = StudyConfig(GRID, TARGETS, spec, spec, oracle_m=2000)
-        serial, forked = (run_study(DgpSpec("lowdim"), [300], ALL_METHODS, 4, cfg,
+        serial, forked = (run_study(DgpSpec("lowdim"), [300], tuple(METHODS), 4, cfg,
                                     RngStream(31), workers=w) for w in (1, 2))
         assert forked.rows == serial.rows
         assert forked.aggregates == serial.aggregates

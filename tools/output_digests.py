@@ -15,19 +15,22 @@ fitted in forked workers) once more with boosted stumps and once with three
 folds; ``fit`` of onestep and rs on the 400-row CSV at ``--alpha-conf 0.2``,
 so that the Wald bound is taken at a quantile other than the default, and of
 icp at ``--alpha-conf 0.45``, where its ``cub`` lies just above its
-``psi_hat`` (see README, **Outputs**); ``fit`` of onestep and icp on a valid
-file that only the exact reader accepts (quoted fields, padded ``a`` tokens,
-a blank line), and of onestep on the 20,000-row CSV with one quoted field,
-which the exact reader reads too, as it is and with a malformed number on
-its line 15,001; ``simulate`` of all seven methods on lowdim and highdim
-with both learners at two workers and with the default learners at the
-default worker count, on lowdim at three folds, and on lowdim at one worker
-against an oracle of two full chunks and a remainder (M = 450,001), and of
-icp on draws of 6 units, some of which hold no source or no target unit;
-``oracle`` on both DGPs at that M; a few inputs that ``fit`` rejects; a
-negative seed given to each command, and to ``fit`` through a config file;
-config files that hold ``help = yes`` or ``config = other.cfg``, which are
-unknown keys; and configurations that each command rejects before it reads
+``psi_hat`` (see README, **Outputs**); ``fit`` of rs on the 400-row CSV
+with a known bound (``--bhat-fixed 10``), and with a config file that sets
+``bhat-mult``, a key that ``fit`` no longer takes; ``fit`` of onestep and
+icp on a valid file that only the exact reader accepts (quoted fields,
+padded ``a`` tokens, a blank line), and of onestep on the 20,000-row CSV
+with one quoted field, which the exact reader reads too, as it is and with
+a malformed number on its line 15,001; ``simulate`` of all seven methods on
+lowdim and highdim with both learners at two workers and with the default
+learners at the default worker count, on lowdim at three folds, and on
+lowdim at one worker against an oracle of two full chunks and a remainder
+(M = 450,001), and of icp on draws of 6 units, some of which hold no source
+or no target unit; ``oracle`` on both DGPs at that M, and on lowdim at
+M = 2,000 on a grid that reaches past every score, where the coverage error
+is exactly 1; a few inputs that ``fit`` rejects; a negative seed given to
+each command, and to ``fit`` through a config file; config files that hold
+``help = yes`` or ``config = other.cfg``, which are unknown keys; and configurations that each command rejects before it reads
 input or builds an oracle: an estimator flag given to ``oracle``, a bad
 ``--alpha-error`` given to ``fit`` with a missing input, and one fold given
 to ``simulate`` with a large oracle. Each ``demos/*.py`` script of the
@@ -104,6 +107,7 @@ def write_inputs(work: Path) -> None:
     (work / "negative-seed.cfg").write_text("seed = -1\n")
     (work / "help-key.cfg").write_text("help = yes\n")
     (work / "config-key.cfg").write_text("config = other.cfg\n")
+    (work / "bhat-mult.cfg").write_text("bhat-mult = 1.3\n")
 
 
 def matrix():
@@ -130,6 +134,9 @@ def matrix():
             "--reps", "3", "--oracle-m", "20000", "--seed", "6", "--output", "out.csv"]
         yield f"oracle-{dgp}", ["oracle", "--dgp", dgp, "--oracle-m", "450001",
                                 "--seed", "1", "--output", "out.csv"]
+    yield "oracle-lowdim-past-every-score", [
+        "oracle", "--dgp", "lowdim", "--grid", "0:1.5:0.5", "--oracle-m", "2000",
+        "--output", "out.csv"]
     # An oracle of two full chunks and a remainder, with wcp's points.
     yield "simulate-lowdim-oracle-450001", [
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
@@ -142,6 +149,9 @@ def matrix():
         yield f"fit-small-{method}-alpha-conf-{alpha_conf}", [
             "fit", "--input", "../small.csv", "--method", method,
             "--alpha-conf", alpha_conf, "--output", "out.csv"]
+    fit_small_rs = ["fit", "--input", "../small.csv", "--method", "rs", "--output", "out.csv"]
+    yield "fit-small-rs-bhat-fixed", fit_small_rs + ["--bhat-fixed", "10"]
+    yield "fit-config-bhat-mult", fit_small_rs + ["--config", "../bhat-mult.cfg"]
     for method in ("onestep", "icp"):
         yield f"fit-exact-{method}", ["fit", "--input", "../exact.csv", "--method", method,
                                       "--output", "out.csv"]
