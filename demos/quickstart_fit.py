@@ -6,8 +6,6 @@ cross-fitted nuisances, corrected coverage-error estimates with confidence
 upper bounds, and threshold selection.
 """
 
-import numpy as np
-
 import shiftset as ss
 
 rng = ss.RngStream(7)
@@ -29,11 +27,10 @@ table = ss.onestep_estimate(engine, targets)
 decision = ss.select_threshold(table, targets)
 
 print(f"\n{'tau':>6} {'psi_hat':>9} {'se':>9} {'cub':>9}")
-for tau, psi, sigma, cub in zip(table.taus, table.psi, table.sigma, table.cub):
+for tau, psi, se, cub in zip(table.taus, table.psi, table.se, table.cub):
     mark = " <- selected" if (not decision.is_sentinel
                               and tau == decision.tau_hat) else ""
-    print(f"{tau:6.2f} {psi:9.4f} {sigma / np.sqrt(table.n):9.4f} "
-          f"{cub:9.4f}{mark}")
+    print(f"{tau:6.2f} {psi:9.4f} {se:9.4f} {cub:9.4f}{mark}")
 
 if decision.is_sentinel:
     print("\nno threshold certifiable; fall back to the most conservative set")

@@ -45,8 +45,8 @@ fits = ss.fit_nuisances(sample, folds, grid, ss.BinaryLearnerSpec(),
 one = ss.onestep_estimate(ss.FoldEngine(sample, folds, fits), targets)
 print("\n tau    rs psi (se)        one-step psi (se)")
 for i, tau in enumerate(grid):
-    print(f"{tau:5.2f}  {table.psi[i]:7.4f} ({table.sigma[i] / np.sqrt(sample.n):.4f})"
-          f"    {one.psi[i]:7.4f} ({one.sigma[i] / np.sqrt(sample.n):.4f})")
+    print(f"{tau:5.2f}  {table.psi[i]:7.4f} ({table.se[i]:.4f})"
+          f"    {one.psi[i]:7.4f} ({one.se[i]:.4f})")
 print("\nthe rejection-sampling standard errors are systematically wider:")
 print(f"  mean se ratio = "
-      f"{np.mean(table.sigma[1:] / np.maximum(one.sigma[1:], 1e-12)):.2f}")
+      f"{np.mean(table.se[1:] / np.maximum(one.se[1:], 1e-12)):.2f}")

@@ -25,7 +25,6 @@ import sys
 import warnings
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .core import (
     ConfigurationError,
@@ -217,7 +216,7 @@ def _table_rows(table: CoverageTable, selected_tau, sentinel):
     rows = []
     for i, tau in enumerate(table.taus):
         selected = (not sentinel) and tau == selected_tau
-        rows.append([_fmt(tau), _fmt(table.psi[i]), _fmt(table.sigma[i] / np.sqrt(table.n)),
+        rows.append([_fmt(tau), _fmt(table.psi[i]), _fmt(table.se[i]),
                      _fmt(table.cub[i]), "1" if selected else "0"])
     return rows
 
@@ -269,23 +268,6 @@ def _fit(args):
     res = METHODS[args.method](data)
     meta.update(res.meta)
     meta.update({"selected_tau": res.tau_hat, "sentinel": res.sentinel})
-
-    if res.table is None:  # icp: exact distribution of the k-th order statistic
-        k, m = res.meta["order_statistic"], res.meta["calibration_size"]
-        if res.sentinel:
-            psi_hat, se, cub = 0.0, 0.0, 0.0
-        else:
-            # The median, below cub since alpha_conf < 0.5.
-            psi_hat = float(betaincinv(k, m + 1 - k, 0.5))
-            se = float(np.sqrt(k * (m + 1 - k) / ((m + 1) ** 2 * (m + 2))))
-            cub = float(betaincinv(k, m + 1 - k, 1 - targets.alpha_conf))
-        rows = [[_fmt(res.tau_hat), _fmt(psi_hat), _fmt(se), _fmt(cub),
-                 "0" if res.sentinel else "1"]]
-        if res.sentinel:
-            return meta, rows, (f"icp: no certifiable order statistic among "
-                                f"{m} calibration scores; sentinel 0 recorded")
-        return meta, rows, (f"icp: selected tau={res.tau_hat:.4g} "
-                            f"(order statistic {k} of {m})")
 
     table = res.table
     rows = _table_rows(table, res.tau_hat, res.sentinel)

@@ -15,9 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc
 
-from .core import ConfigurationError, DomainError, RiskTargets
-
-SENTINEL_TAU = 0.0
+from .core import SENTINEL_TAU, ConfigurationError, DomainError, RiskTargets
 
 
 class IcpThreshold(NamedTuple):

@@ -245,6 +245,10 @@ class FoldPlan:
         return np.bincount(self.assignment, minlength=self.V)
 
 
+# Recorded when no threshold is certifiable: C_0(x) keeps every label.
+SENTINEL_TAU = 0.0
+
+
 @dataclass(frozen=True)
 class RiskTargets:
     """Miscoverage level and confidence level for the PAC criterion."""

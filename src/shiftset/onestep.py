@@ -23,11 +23,13 @@ the point estimate swapped out, so all three produce comparable tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from .core import (
+    SENTINEL_TAU,
     ConfigurationError,
     DegenerateFoldError,
     FoldPlan,
@@ -37,48 +39,35 @@ from .core import (
 )
 from .crossfit import NuisanceFits, odds_weight
 
-ZERO_SENTINEL = 0.0
-
 
 @dataclass(frozen=True)
 class CoverageTable:
-    """Per-threshold estimates, standard errors, and Wald CUBs.
+    """Per-threshold estimates, standard errors, and confidence upper
+    bounds, the rows ``fit`` writes, at strictly increasing thresholds.
 
     ``extras`` holds method-specific metadata such as TMLE fallback flags.
     """
 
-    method: str
     taus: np.ndarray
     psi: np.ndarray
-    sigma: np.ndarray
+    se: np.ndarray
     cub: np.ndarray
-    n: int
-    alpha_conf: float
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_conf < 0.5):
-            raise ConfigurationError("alpha_conf must lie in (0, 0.5)")
-        if np.any(self.sigma < 0):
-            raise ConfigurationError("sigma must be nonnegative")
+        if np.any(np.diff(self.taus) <= 0):
+            raise ConfigurationError("thresholds must be strictly increasing")
+        if np.any(self.se < 0):
+            raise ConfigurationError("se must be nonnegative")
         if np.any(self.cub < self.psi - 1e-12):
             raise ConfigurationError("CUB below point estimate")
 
 
-@dataclass(frozen=True)
-class ThresholdDecision:
-    """Selected threshold (or the zero sentinel) plus the full audit table."""
+class ThresholdDecision(NamedTuple):
+    """Selected threshold, or the zero sentinel."""
 
     tau_hat: float
     is_sentinel: bool
-    table: CoverageTable
-    alpha_error: float
-
-    def __post_init__(self):
-        if not self.is_sentinel:
-            sel = self.table.taus <= self.tau_hat
-            if not np.all(self.table.cub[sel] < self.alpha_error):
-                raise ConfigurationError("prefix feasibility violated")
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +121,7 @@ def _wald_cub(psi: np.ndarray, sigma: np.ndarray, n: int,
     return psi + float(ndtri(1.0 - alpha_conf)) * sigma / np.sqrt(n)
 
 
-def _run_folds(engine: FoldEngine, targets: RiskTargets, method: str, fold_fn,
+def _run_folds(engine: FoldEngine, targets: RiskTargets, fold_fn,
                extras=None) -> CoverageTable:
     """Apply fold_fn(ctx) -> (psi_v, sigma2_v), each an array over the grid,
     at every fold, and pool the folds with |fold| weights."""
@@ -142,11 +131,8 @@ def _run_folds(engine: FoldEngine, targets: RiskTargets, method: str, fold_fn,
     psi = weights @ psi_by_fold
     sigma = np.sqrt(weights @ sigma2_by_fold)
     return CoverageTable(
-        method=method, taus=np.array(engine.taus, dtype=float), psi=psi,
-        sigma=sigma, cub=_wald_cub(psi, sigma, engine.n, targets.alpha_conf),
-        n=engine.n, alpha_conf=targets.alpha_conf,
-        extras=dict(extras or {}),
-    )
+        taus=np.array(engine.taus, dtype=float), psi=psi, se=sigma / np.sqrt(engine.n),
+        cub=_wald_cub(psi, sigma, engine.n, targets.alpha_conf), extras=dict(extras or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +181,12 @@ def onestep_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
     The point estimate may fall outside [0, 1]; ``tmle_estimate`` is the
     range-respecting alternative.
     """
-    return _run_folds(engine, targets, "onestep", _fold_onestep)
+    return _run_folds(engine, targets, _fold_onestep)
 
 
 def plugin_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
     """Plug-in baseline: same pipeline without the one-step correction."""
-    return _run_folds(engine, targets, "plugin", _fold_plugin)
+    return _run_folds(engine, targets, _fold_plugin)
 
 
 def weighted_plugin_estimate(engine: FoldEngine,
@@ -211,7 +197,7 @@ def weighted_plugin_estimate(engine: FoldEngine,
     errors reuse the influence-term machinery with the centering constant
     replaced by this estimate.
     """
-    return _run_folds(engine, targets, "wplugin", _fold_wplugin)
+    return _run_folds(engine, targets, _fold_wplugin)
 
 
 # ---------------------------------------------------------------------------
@@ -227,5 +213,5 @@ def select_threshold(table: CoverageTable, targets: RiskTargets) -> ThresholdDec
     feasible = table.cub < targets.alpha_error
     prefix_ok = np.logical_and.accumulate(feasible)
     sentinel = not prefix_ok.any()
-    tau_hat = ZERO_SENTINEL if sentinel else float(table.taus[np.flatnonzero(prefix_ok)[-1]])
-    return ThresholdDecision(tau_hat, sentinel, table, targets.alpha_error)
+    tau_hat = SENTINEL_TAU if sentinel else float(table.taus[np.flatnonzero(prefix_ok)[-1]])
+    return ThresholdDecision(tau_hat, sentinel)

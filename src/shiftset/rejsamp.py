@@ -165,8 +165,5 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
            + (n / n_test) * np.mean(test_terms**2, axis=1))
     sigma = np.sqrt(var)
 
-    return CoverageTable(
-        method="rs", taus=taus, psi=psi, sigma=sigma,
-        cub=_wald_cub(psi, sigma, n, targets.alpha_conf), n=n,
-        alpha_conf=targets.alpha_conf,
-    )
+    return CoverageTable(taus=taus, psi=psi, se=sigma / np.sqrt(n),
+                         cub=_wald_cub(psi, sigma, n, targets.alpha_conf))

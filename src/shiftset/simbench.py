@@ -26,7 +26,7 @@ from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import betaincinv, ndtri
 
 from .conformal import inductive_cp_threshold, weighted_quantile_cutoffs
 from .core import (
@@ -442,8 +442,9 @@ class Dataset:
 
 class MethodResult(NamedTuple):
     """What one method selected on one dataset: ``info`` goes to a
-    ``simulate`` row, ``meta`` to the ``fit`` metadata.  Only weighted
-    conformal, which is scored on its cutoffs, sets ``true_error``."""
+    ``simulate`` row, ``meta`` to the ``fit`` metadata, ``table`` to the
+    ``fit`` table.  Weighted conformal, which is scored on its cutoffs, sets
+    ``true_error`` and no table."""
 
     tau_hat: float
     sentinel: bool
@@ -483,10 +484,22 @@ def _run_rs(data: Dataset) -> MethodResult:
 
 
 def _run_icp(data: Dataset) -> MethodResult:
+    """The split-conformal threshold and its one-row table: the median, standard
+    deviation and 1 - alpha_conf quantile of the Beta(k, m + 1 - k) law of the
+    k-th order statistic's coverage error, or zeros at the sentinel."""
     scores = data.sample.score[data.calibration()[1]]
     res = inductive_cp_threshold(scores, data.cfg.targets)
-    return MethodResult(res.tau, res.is_sentinel, {"k": res.k},
-                        {"calibration_size": scores.size, "order_statistic": res.k})
+    k, m = res.k, scores.size
+    if res.is_sentinel:
+        psi_hat, se, cub = 0.0, 0.0, 0.0
+    else:
+        # The median, below cub since alpha_conf < 0.5.
+        psi_hat = float(betaincinv(k, m + 1 - k, 0.5))
+        se = float(np.sqrt(k * (m + 1 - k) / ((m + 1) ** 2 * (m + 2))))
+        cub = float(betaincinv(k, m + 1 - k, 1 - data.cfg.targets.alpha_conf))
+    return MethodResult(res.tau, res.is_sentinel, {"k": k},
+                        {"calibration_size": m, "order_statistic": k},
+                        CoverageTable(*map(np.atleast_1d, (res.tau, psi_hat, se, cub))))
 
 
 def _run_wcp(data: Dataset) -> MethodResult:

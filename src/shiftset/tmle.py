@@ -119,6 +119,6 @@ def tmle_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
         "fallback": modes == "least-squares",
         "ls_clip": "least-squares path clipped to [0,1] for psi only",
     }
-    return _run_folds(engine, targets, "tmle",
+    return _run_folds(engine, targets,
                       lambda ctx: _fold_tmle(ctx, betas[ctx.v], modes[ctx.v]),
                       extras=extras)

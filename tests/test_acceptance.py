@@ -343,7 +343,7 @@ def test_extreme_threshold_exactness():
                                 ss.BinaryLearnerSpec(), 0.01)
         table = ss.onestep_estimate(ss.FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0
-        assert table.sigma[0] == 0.0
+        assert table.se[0] == 0.0
         covered += table.cub[0] >= 0.0  # true error at tau=0 is exactly 0
     ok = covered == 100
     report("extreme-threshold exactness", ok,

@@ -31,5 +31,7 @@ def test_readme_quickstart_runs():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(code, "README.md", "exec"), namespace)
-    assert namespace["decision"].table is namespace["table"]
-    assert namespace["tmle_table"].method == "tmle"
+    decision, table = namespace["decision"], namespace["table"]
+    assert decision.is_sentinel or decision.tau_hat in table.taus
+    tmle_psi = namespace["tmle_table"].psi
+    assert 0.0 <= tmle_psi.min() and tmle_psi.max() <= 1.0

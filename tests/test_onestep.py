@@ -146,7 +146,8 @@ class TestGradientEval:
                 pooled_psi += idx.size / sample.n * psi_v
                 pooled_var += idx.size / sample.n * np.mean(np.square(terms))
             assert table.psi[ti] == pytest.approx(pooled_psi, abs=1e-12)
-            assert table.sigma[ti] ** 2 == pytest.approx(pooled_var, rel=1e-12, abs=1e-15)
+            assert ((table.se[ti] * np.sqrt(sample.n)) ** 2
+                    == pytest.approx(pooled_var, rel=1e-12, abs=1e-15))
 
 
 class TestOnestepFold:
@@ -190,7 +191,8 @@ class TestOnestepEstimate:
         table = onestep_estimate(engine, TARGETS)
         psi, sigma = pooled(engine, _fold_onestep)
         np.testing.assert_allclose(table.psi, psi, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(table.sigma, sigma, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(table.se * np.sqrt(engine.n), sigma,
+                                   rtol=1e-14, atol=1e-15)
         assert np.all(table.cub >= table.psi)
 
     def test_zero_variance_at_extreme_threshold(self, rng):
@@ -201,7 +203,7 @@ class TestOnestepEstimate:
                              BinaryLearnerSpec(), 0.01)
         table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
         assert table.psi[0] == 0.0
-        assert table.sigma[0] == 0.0
+        assert table.se[0] == 0.0
         assert table.cub[0] == 0.0
 
     def test_alpha_conf_above_half_rejected(self, rng):
@@ -224,7 +226,7 @@ class TestOnestepEstimate:
         sample = dgp_draw(spec, 10_000, rng.child("d"))
         folds = make_folds(10_000, 2, rng.child("f"))
         table = onestep_estimate(FoldEngine(sample, folds, fits), TARGETS)
-        halfwidth = 3 * table.sigma[0] / np.sqrt(10_000)
+        halfwidth = 3 * table.se[0]
         assert abs(table.psi[0] - 0.05) <= halfwidth
 
 
@@ -241,7 +243,7 @@ class TestBaselines:
         engine = FoldEngine(sample, folds, fits)
         t_plug = plugin_estimate(engine, TARGETS)
         t_one = onestep_estimate(engine, TARGETS)
-        np.testing.assert_allclose(t_plug.sigma, t_one.sigma)
+        np.testing.assert_allclose(t_plug.se, t_one.se)
 
     def test_weighted_plugin_hand_example(self):
         sample, folds, fits = four_unit_fixture()
@@ -273,9 +275,14 @@ class TestSelectThreshold:
     def _table(self, taus, cubs):
         taus = np.asarray(taus, dtype=float)
         cubs = np.asarray(cubs, dtype=float)
-        return CoverageTable(method="onestep", taus=taus, psi=cubs - 0.01,
-                             sigma=np.zeros_like(cubs) + 0.001, cub=cubs,
-                             n=100, alpha_conf=0.05)
+        return CoverageTable(taus=taus, psi=cubs - 0.01,
+                             se=np.zeros_like(cubs) + 0.001, cub=cubs)
+
+    @pytest.mark.parametrize("taus", [[0.1, 0.05], [0.05, 0.05]])
+    def test_thresholds_must_increase(self, taus):
+        # Out of order, the array-order prefix would not be the tau-order one.
+        with pytest.raises(ConfigurationError, match="strictly increasing"):
+            self._table(taus, [0.01, 0.02])
 
     def test_prefix_rule_blocks_later_dips(self):
         table = self._table([0.05, 0.10, 0.15, 0.20, 0.25],
@@ -363,6 +370,6 @@ class TestFoldFunctionalsMatchScalarReference:
             seen.append(ctx.v)
             return _fold_onestep(ctx)
 
-        table = _run_folds(engine, TARGETS, "onestep", counted)
+        table = _run_folds(engine, TARGETS, counted)
         assert seen == [0, 1]
         assert table.psi.shape == (len(engine.taus),)

@@ -149,7 +149,7 @@ class TestRsEstimate:
     def test_variance_is_positive_here(self):
         sample, run = hand_run()
         table = rs_estimate(run, sample, TARGETS)
-        assert table.sigma[0] > 0
+        assert table.se[0] > 0
         assert table.cub[0] > table.psi[0]
 
     def test_below_support_threshold_gives_exact_zero(self, rng):
@@ -158,7 +158,7 @@ class TestRsEstimate:
         run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))
         table = rs_estimate(run, sample, TARGETS)
         assert table.psi[0] == 0.0
-        assert table.sigma[0] == 0.0
+        assert table.se[0] == 0.0
         assert table.cub[0] == 0.0
 
     def test_empty_acceptance_raises(self, rng):
@@ -180,7 +180,7 @@ class TestRsEstimate:
         sample = dgp_draw(spec, 8000, rng.child("d"))
         run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))
         table = rs_estimate(run, sample, TARGETS)
-        assert abs(table.psi[0] - 0.05) <= 3 * table.sigma[0] / np.sqrt(8000)
+        assert abs(table.psi[0] - 0.05) <= 3 * table.se[0]
 
 
 def reference_rs_estimate(run, sample, grid):
@@ -227,7 +227,7 @@ class TestRsEstimateMatchesScalarReference:
         table = rs_estimate(run, sample, TARGETS)
         psi, sigma = reference_rs_estimate(run, sample, grid)
         assert table.psi.tobytes() == psi.tobytes()
-        assert table.sigma.tobytes() == sigma.tobytes()
+        assert table.se.tobytes() == (sigma / np.sqrt(n)).tobytes()
 
     def test_psi_is_squared_as_a_python_float(self):
         # Python squares a float with C pow, which differs from psi * psi in
@@ -247,4 +247,5 @@ class TestRsEstimateMatchesScalarReference:
         table = rs_estimate(run, sample, TARGETS)
         psi = float(table.psi[0])
         assert psi == 0.8329 and psi**2 != psi * psi
-        assert table.sigma.tobytes() == reference_rs_estimate(run, sample, grid)[1].tobytes()
+        sigma = reference_rs_estimate(run, sample, grid)[1]
+        assert table.se.tobytes() == (sigma / np.sqrt(42)).tobytes()

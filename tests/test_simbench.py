@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binomtest
 
 from shiftset import (
     DGP_KINDS,
@@ -363,6 +364,19 @@ class TestWilson:
             assert lo == pytest.approx(slo, abs=1e-10)
             assert hi == pytest.approx(shi, abs=1e-10)
 
+    def test_against_scipy(self):
+        for n in range(1, 61):
+            for k in range(n + 1):
+                for level in (0.9, 0.95, 0.99):
+                    lo, hi = wilson_interval(k, n, level)
+                    ref = binomtest(k, n).proportion_ci(level, method="wilson")
+                    assert lo == pytest.approx(ref.low, abs=1e-12)
+                    assert hi == pytest.approx(ref.high, abs=1e-12)
+                    if k == 0:
+                        assert lo == 0.0
+                    if k == n:
+                        assert hi == 1.0
+
     def test_domain(self):
         with pytest.raises(ConfigurationError):
             wilson_interval(5, 0)
@@ -491,8 +505,22 @@ class TestRunStudy:
                         self._cfg(oracle_m=2000), RngStream(15))
         onestep, icp = rep.rows
         assert onestep.table.psi.shape == (len(GRID),)
-        assert icp.table is None
+        assert icp.table.psi.shape == (1,)
         assert "table" not in repr(onestep)
+
+    @pytest.mark.parametrize("alpha_error", [0.05, 0.01])
+    def test_icp_rows_carry_their_beta_row(self, alpha_error):
+        # About 75 calibration scores: at 0.01 no order statistic is certifiable.
+        cfg = StudyConfig(grid=GRID, targets=RiskTargets(alpha_error, 0.05), oracle_m=2000)
+        rep = run_study(DgpSpec("lowdim"), [300], ["icp"], 3, cfg, RngStream(15))
+        for row in rep.rows:
+            table = row.table
+            assert row.sentinel == (alpha_error == 0.01)
+            assert table.taus.tolist() == [row.tau_hat]
+            if row.sentinel:
+                assert [table.psi[0], table.se[0], table.cub[0]] == [0.0, 0.0, 0.0]
+            else:
+                assert 0.0 < table.psi[0] <= table.cub[0] and table.se[0] > 0.0
 
     def test_fold_methods_share_conditional_error_predictions(self, monkeypatch):
         # One grid of predictions per fold of the cross-fitted fits for all
@@ -635,7 +663,7 @@ def test_fit_methods_keep_the_contract_on_hostile_samples(drawn):
                 assert np.isfinite(res.true_error)
             if res.table is not None:
                 table = res.table
-                assert np.all(np.isfinite([table.psi, table.sigma, table.cub]))
+                assert np.all(np.isfinite([table.psi, table.se, table.cub]))
                 assert np.all(table.cub >= table.psi - 1e-12)
 
 class TestWorkers:
@@ -655,7 +683,7 @@ class TestWorkers:
         assert forked.rows == serial.rows
         assert forked.aggregates == serial.aggregates
         assert forked.config == serial.config
-        assert sum(r.table is not None for r in serial.rows) == 4 * 5
+        assert sum(r.table is not None for r in serial.rows) == 4 * 6
         for got, want in zip(forked.rows, serial.rows):
             if want.table is None:
                 assert got.table is None

@@ -180,7 +180,7 @@ class TestTmleEstimate:
         fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                              BinaryLearnerSpec(), 0.01)
         table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
-        assert table.psi[0] == 0.0 and table.sigma[0] == 0.0
+        assert table.psi[0] == 0.0 and table.se[0] == 0.0
 
     def test_identity_targeting_matches_plugin(self):
         # beta == 0 in every fold: the targeted table equals the plug-in one.
@@ -208,7 +208,7 @@ class TestTmleEstimate:
         sample = dgp_draw(spec, 10_000, rng.child("d"))
         folds = make_folds(10_000, 2, rng.child("f"))
         table = tmle_estimate(FoldEngine(sample, folds, fits), TARGETS)
-        assert abs(table.psi[0] - 0.05) <= 3 * table.sigma[0] / np.sqrt(10_000)
+        assert abs(table.psi[0] - 0.05) <= 3 * table.se[0]
 
     def test_close_to_onestep_on_real_fits(self, rng):
         # Both remove the same first-order bias; with sane nuisances the two

@@ -9,13 +9,16 @@ Running it on two checkouts shows whether a change keeps ``fit``,
     python tools/output_digests.py --src . > change.json
     diff parent.json change.json
 
-The matrix: ``fit`` for six methods on a 20,000-row and a 400-row CSV, each
-with and without a config file, and on the 20,000-row CSV (whose folds are
+The matrix, 61 command cases (65 with the four demos): ``fit`` for six
+methods on a 20,000-row and a 400-row CSV, each with and without a config
+file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
 folds; ``fit`` of onestep and rs on the 400-row CSV at ``--alpha-conf 0.2``,
 so that the Wald bound is taken at a quantile other than the default, and of
 icp at ``--alpha-conf 0.45``, where its ``cub`` lies just above its
-``psi_hat`` (see README, **Outputs**); ``fit`` of rs on the 400-row CSV
+``psi_hat`` (see README, **Outputs**), and at ``--alpha-error 0.01``, where
+no order statistic of its 93 calibration scores is certifiable and it
+records the zero sentinel; ``fit`` of rs on the 400-row CSV
 with a known bound (``--bhat-fixed 10``), and with a config file that sets
 ``bhat-mult``, a key that ``fit`` no longer takes; ``fit`` of onestep and
 icp on a valid file that only the exact reader accepts (quoted fields,
@@ -149,6 +152,8 @@ def matrix():
         yield f"fit-small-{method}-alpha-conf-{alpha_conf}", [
             "fit", "--input", "../small.csv", "--method", method,
             "--alpha-conf", alpha_conf, "--output", "out.csv"]
+    yield "fit-small-icp-sentinel", ["fit", "--input", "../small.csv", "--method", "icp",
+                                     "--alpha-error", "0.01", "--output", "out.csv"]
     fit_small_rs = ["fit", "--input", "../small.csv", "--method", "rs", "--output", "out.csv"]
     yield "fit-small-rs-bhat-fixed", fit_small_rs + ["--bhat-fixed", "10"]
     yield "fit-config-bhat-mult", fit_small_rs + ["--config", "../bhat-mult.cfg"]
