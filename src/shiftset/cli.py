@@ -285,6 +285,20 @@ def cmd_simulate(args) -> int:
     spec = _dgp_spec(args.dgp)
     report = run_study(spec, [args.n], methods, args.reps, cfg,
                        RngStream(args.seed), workers=args.workers)
+    meta = {
+        "command": "simulate",
+        "dgp": spec.kind,
+        "ns": [args.n],
+        "methods": list(methods),
+        "replications": args.reps,
+        "alpha_error": cfg.targets.alpha_error,
+        "alpha_conf": cfg.targets.alpha_conf,
+        "V": cfg.V,
+        "delta": cfg.delta,
+        "grid": list(cfg.grid),
+        "oracle_m": cfg.oracle_m,
+        "seed": args.seed,
+    }
 
     rows_path = args.output + ".jsonl"
     with open(rows_path, "w") as fh:
@@ -305,8 +319,7 @@ def cmd_simulate(args) -> int:
     _write_table_csv(args.output,
                      ([_cell(v) for v in dataclasses.astuple(a)] for a in report.aggregates),
                      [f.name for f in dataclasses.fields(AggregateRow)])
-    _write_meta(args.output + ".meta.json", {"command": "simulate",
-                                             **report.config})
+    _write_meta(args.output + ".meta.json", meta)
     for a in report.aggregates:
         print(f"{a.method}: n={a.n} proportion={a.proportion:.4g} "
               f"wilson=[{a.wilson_lo:.4g}, {a.wilson_hi:.4g}] "

@@ -91,13 +91,12 @@ class _FoldContext:
             raise DegenerateFoldError(
                 f"fold {v} has {n_src} source and {n_tgt} target units")
         self.v = v
-        self.taus = fits.taus
         self.src = a == 1
         self.gamma = n_src / idx.size
         X = sample.x[idx]
         self.w = odds_weight(fits.propensity(v, X), self.gamma)
-        self.Z = np.zeros((len(self.taus), idx.size))
-        self.Z[:, self.src] = miscoverage_vector(sample.score[idx[self.src]], self.taus)
+        self.Z = np.zeros((len(fits.taus), idx.size))
+        self.Z[:, self.src] = miscoverage_vector(sample.score[idx[self.src]], fits.taus)
         self.E = fits.cond_error(v, X)
         self.constant = fits.constant_mask(v)
 

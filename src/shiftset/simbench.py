@@ -348,18 +348,24 @@ _FAILURE_ERRORS = (DegenerateFoldError, EmptyAcceptanceError,
 
 @dataclass(frozen=True)
 class ReplicationRow:
+    """One method's threshold on one replication, scored by the oracle; a
+    failed row holds only the name of its error, in ``failure``."""
+
     method: str
     n: int
     rep: int
-    tau_hat: float
-    sentinel: bool
-    true_error: float | None
-    covered: bool
-    failed: bool
+    tau_hat: float = 0.0
+    sentinel: bool = False
+    true_error: float | None = None
+    covered: bool = False
     failure: str = ""
     info: dict = field(default_factory=dict)
     # The method's estimated curve, for callers of run_study; not serialized.
     table: CoverageTable | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failure)
 
 
 @dataclass(frozen=True)
@@ -379,9 +385,11 @@ class AggregateRow:
 
 @dataclass(frozen=True)
 class ReplicationReport:
+    """Every row, and one aggregate per (n, method); ``simulate`` writes
+    the study's settings to its metadata itself."""
+
     rows: tuple[ReplicationRow, ...]
     aggregates: tuple[AggregateRow, ...]
-    config: dict
 
 
 @dataclass(frozen=True)
@@ -469,7 +477,7 @@ def _run_tmle(data: Dataset) -> MethodResult:
     fallback = int(table.extras["fallback"].sum())
     return _selected(table, data.cfg.targets, {"fallback_count": fallback},
                      {"tmle_fallback_count": fallback,
-                      "tmle_clipping": table.extras["ls_clip"]})
+                      "tmle_clipping": "least-squares path clipped to [0,1] for psi only"})
 
 
 def _run_rs(data: Dataset) -> MethodResult:
@@ -552,17 +560,11 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
     """Every method on replication ``rep`` at sample size ``n``, seeded from
     that job's own streams."""
     spec, methods, cfg, rng, oracle = study
-
-    def failed(method, exc):
-        return ReplicationRow(
-            method=method, n=n, rep=rep, tau_hat=0.0,
-            sentinel=False, true_error=None, covered=False,
-            failed=True, failure=type(exc).__name__)
-
     try:
         sample = dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep))
     except DataError as exc:  # a draw with no source or no target unit
-        return [failed(method, exc) for method in methods]
+        return [ReplicationRow(method, n, rep, failure=type(exc).__name__)
+                for method in methods]
     data = Dataset(sample, cfg, rng.child(f"folds-n{n}", rep),
                    rng.child(f"method-rs-n{n}", rep), oracle)
     rows = []
@@ -570,7 +572,7 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
         try:
             res = METHODS[method](data)
         except _FAILURE_ERRORS as exc:
-            rows.append(failed(method, exc))
+            rows.append(ReplicationRow(method, n, rep, failure=type(exc).__name__))
             continue
         err = (oracle.psi_at(res.tau_hat) if res.true_error is None
                else res.true_error)
@@ -578,7 +580,7 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
             method=method, n=n, rep=rep, tau_hat=res.tau_hat,
             sentinel=res.sentinel, true_error=err,
             covered=bool(err <= cfg.targets.alpha_error),
-            failed=False, info=res.info, table=res.table))
+            info=res.info, table=res.table))
     return rows
 
 
@@ -589,8 +591,9 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     selected set against the shared oracle.
 
     Failures (a draw with no source or no target unit, degenerate folds,
-    empty acceptance, bound violations) are recorded as uncovered rows,
-    never dropped: they stay in the denominator of the reported proportions.
+    empty acceptance, bound violations) are recorded as uncovered rows that
+    name the error, never dropped: they stay in the denominator of the
+    reported proportions.
 
     Replications run in ``workers`` forked processes (default: one per
     usable CPU, or one per replication when there are fewer than twice as
@@ -634,18 +637,4 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
                 sentinel_count=sum(r.sentinel for r in sub),
             ))
 
-    config = {
-        "dgp": spec.kind,
-        "ns": ns,
-        "methods": list(methods),
-        "replications": int(replications),
-        "alpha_error": cfg.targets.alpha_error,
-        "alpha_conf": cfg.targets.alpha_conf,
-        "V": cfg.V,
-        "delta": cfg.delta,
-        "grid": list(cfg.grid),
-        "oracle_m": cfg.oracle_m,
-        "seed": rng.seed,
-    }
-    return ReplicationReport(rows=tuple(rows), aggregates=tuple(aggregates),
-                             config=config)
+    return ReplicationReport(rows=tuple(rows), aggregates=tuple(aggregates))

@@ -36,16 +36,16 @@ _NEWTON_TOL = 1e-10  # on the mean score
 
 
 def _fluctuate(E: np.ndarray, w: np.ndarray, beta: np.ndarray,
-               mode: np.ndarray) -> np.ndarray:
+               logistic: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Fluctuated values, before any clipping, of the conditional errors
     ``E`` (one row per threshold) at points with weights ``w``, by each
-    row's coefficient and mode."""
+    row's coefficient: on the logit scale in the ``logistic`` rows, linearly
+    in the ``fallback`` rows.  A row in neither, a kept constant fit, stays
+    ``E`` even where a weight overflowed to inf."""
     raw = E.copy()
-    rows = mode == "logistic"
-    off = logit(np.clip(E[rows], _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
-    raw[rows] = expit(off + beta[rows, None] * w)
-    rows = mode == "least-squares"
-    raw[rows] = E[rows] + beta[rows, None] * w
+    off = logit(np.clip(E[logistic], _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
+    raw[logistic] = expit(off + beta[logistic, None] * w)
+    raw[fallback] = E[fallback] + beta[fallback, None] * w
     return raw
 
 
@@ -79,30 +79,31 @@ def _newton_logistic(offset: np.ndarray, w: np.ndarray, z: np.ndarray):
 
 
 def _fluctuations(ctx: _FoldContext):
-    """(beta, mode) at every threshold of the fold.
+    """(beta, logistic, fallback) at every threshold of the fold: each
+    coefficient, and the masks of the logistic and least-squares paths.
 
-    A constant 0/1 conditional-error fit is kept as is.  Otherwise the
-    logistic fluctuation is solved, and least squares replaces it where an
-    in-fold source unit's fit is at 0 or 1 or the Newton solve fails.
+    A constant 0/1 conditional-error fit is kept as is, in neither mask at
+    beta = 0.  Otherwise the logistic fluctuation is solved, and least
+    squares replaces it where an in-fold source unit's fit is at 0 or 1 or
+    the Newton solve fails.
     """
-    T = len(ctx.taus)
     e_src, z_src, w_src = _columns(ctx.E, ctx.src), _columns(ctx.Z, ctx.src), ctx.w[ctx.src]
     constant = ctx.constant & ((ctx.E[:, 0] == 0.0) | (ctx.E[:, 0] == 1.0))
     ls = ~constant & np.any((e_src <= 0.0) | (e_src >= 1.0), axis=1)
-    beta = np.zeros(T)
+    beta = np.zeros(len(ctx.E))
     rows = np.flatnonzero(~constant & ~ls)
     offset = logit(np.clip(e_src[rows], _LOGIT_CLAMP, 1.0 - _LOGIT_CLAMP))
     beta[rows], converged = _newton_logistic(offset, w_src, z_src[rows])
     ls[rows[~converged]] = True
     denom = float(np.sum(w_src * w_src))
     beta[ls] = np.sum(w_src * (z_src[ls] - e_src[ls]), axis=1) / denom if denom > 0 else 0.0
-    mode = np.where(constant, "constant", np.where(ls, "least-squares", "logistic"))
-    return beta, mode
+    return beta, ~constant & ~ls, ls
 
 
-def _fold_tmle(ctx: _FoldContext, beta: np.ndarray, mode: np.ndarray):
+def _fold_tmle(ctx: _FoldContext, beta: np.ndarray, logistic: np.ndarray,
+               fallback: np.ndarray):
     """(psi_v, sigma2_v) over the fold's grid, given the fold's fluctuations."""
-    raw = _fluctuate(ctx.E, ctx.w, beta, mode)
+    raw = _fluctuate(ctx.E, ctx.w, beta, logistic, fallback)
     psi = _target_mean(ctx, np.clip(raw, 0.0, 1.0))
     return psi, _sigma2(ctx, raw, psi)
 
@@ -110,15 +111,10 @@ def _fold_tmle(ctx: _FoldContext, beta: np.ndarray, mode: np.ndarray):
 def tmle_estimate(engine: FoldEngine, targets: RiskTargets) -> CoverageTable:
     """Targeted coverage table over the engine's grid.
 
-    ``extras['fallback']`` marks (fold, threshold) pairs where least squares
-    replaced the logistic fluctuation.  Least-squares values are clipped to
-    [0, 1] only for the reported point estimate (see ``extras['ls_clip']``).
+    ``extras['fallback']``, a (fold, threshold) boolean array, marks the
+    pairs where least squares replaced the logistic fluctuation.  Their
+    values are clipped to [0, 1] only for the point estimate.
     """
-    betas, modes = map(np.array, zip(*map(_fluctuations, engine.contexts)))
-    extras = {
-        "fallback": modes == "least-squares",
-        "ls_clip": "least-squares path clipped to [0,1] for psi only",
-    }
-    return _run_folds(engine, targets,
-                      lambda ctx: _fold_tmle(ctx, betas[ctx.v], modes[ctx.v]),
-                      extras=extras)
+    fluct = [_fluctuations(ctx) for ctx in engine.contexts]
+    return _run_folds(engine, targets, lambda ctx: _fold_tmle(ctx, *fluct[ctx.v]),
+                      extras={"fallback": np.array([f[2] for f in fluct])})

@@ -199,8 +199,8 @@ def test_targeting_score_equation():
         engine = ss.FoldEngine(sample, folds, fits)
         fallback = ss.tmle_estimate(engine, TARGETS).extras["fallback"]
         for v in range(2):
-            beta, mode = _fluctuations(engine.contexts[v])
-            psi_v, _ = _fold_tmle(engine.contexts[v], beta, mode)
+            beta, logistic, fallback_v = _fluctuations(engine.contexts[v])
+            psi_v, _ = _fold_tmle(engine.contexts[v], beta, logistic, fallback_v)
             idx = folds.indices(v)
             src = idx[sample.a[idx] == 1]
             gamma = float(np.mean(sample.a[idx] == 1))

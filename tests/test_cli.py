@@ -801,6 +801,17 @@ class TestCmdFit:
         assert "error: WorkerError: a worker process died" in capsys.readouterr().err
         assert multiprocessing.active_children() == []
 
+    def test_sentinel_summary_line(self, tmp_path, sample_csv, capsys):
+        # No order statistic of icp's calibration scores is certifiable at
+        # this level: the table selects no row.
+        code, out = self.run_fit(tmp_path, sample_csv, "icp", ["--alpha-error", "0.01"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "icp: no certifiable threshold (alpha_error=0.01); sentinel 0 recorded\n")
+        assert [r["selected"] for r in self.read_table(out)] == ["0"]
+        meta = json.load(open(out + ".meta.json"))
+        assert (meta["sentinel"], meta["selected_tau"]) == (True, 0.0)
+
     def test_wcp_rejected_for_fit(self, tmp_path, sample_csv):
         with pytest.raises(SystemExit):
             main(["fit", "--input", sample_csv, "--method", "wcp",
@@ -954,6 +965,20 @@ class TestCmdSimulate:
         assert open(out1 + ".jsonl", "rb").read() == open(out2 + ".jsonl", "rb").read()
         assert open(out1 + ".meta.json", "rb").read() == open(out2 + ".meta.json", "rb").read()
 
+    def test_meta_records_the_study_settings(self, tmp_path):
+        # Exactly these 12 keys, each value from its flag.
+        out = str(tmp_path / "s.csv")
+        assert main(["simulate", "--dgp", "highdim", "--n", "90", "--reps", "2",
+                     "--method", "icp, onestep", "--alpha-error", "0.1",
+                     "--alpha-conf", "0.2", "--folds", "3", "--delta", "0.02",
+                     "--grid", "0:0.2:0.1", "--oracle-m", "1000", "--seed", "8",
+                     "--workers", "1", "--output", out]) == 0
+        assert json.load(open(out + ".meta.json")) == {
+            "command": "simulate", "dgp": "highdim-sparse", "ns": [90],
+            "methods": ["icp", "onestep"], "replications": 2, "alpha_error": 0.1,
+            "alpha_conf": 0.2, "V": 3, "delta": 0.02, "grid": [0.0, 0.1, 0.2],
+            "oracle_m": 1000, "seed": 8}
+
     # SHA-256 of each output as first recorded, and the two icp tables as
     # re-recorded when icp's psi_hat became the Beta median; identical with
     # OPENBLAS_NUM_THREADS=1.  A refactor must not change them.
@@ -1083,7 +1108,8 @@ class TestCmdSimulate:
         assert "ConfigurationError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0:nan:0.05", "0:inf:0.05", "nan:0.3:0.05",
-                                      "0:0.3:inf", "0:0.3:x", "0:1e300:1e-300"])
+                                      "0:0.3:inf", "0:0.3:x", "0:1e300:1e-300",
+                                      "0:0.3"])
     def test_non_finite_grid_rejected(self, tmp_path, capsys, grid):
         code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",
                      "--method", "onestep", "--grid", grid,
@@ -1104,6 +1130,14 @@ class TestCmdSimulate:
                      "--method", "onestep,magic",
                      "--output", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_empty_method_list_rejected(self, tmp_path, capsys):
+        code = main(["simulate", "--dgp", "lowdim", "--n", "100", "--reps", "1",
+                     "--method", ",", "--output", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: ConfigurationError: need at least one method\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flags, error", [
         (("--folds", "1"), "fold count must be an integer of at least 2, got 1"),
@@ -1316,6 +1350,27 @@ class TestConfigFile:
                                        output=False)
         assert code == 0
         assert out.exists() and (tmp_path / "from-file.csv.meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "simulate", "oracle"])
+    def test_output_required(self, tmp_path, capsys, command):
+        # Neither the command line nor a config file names the output; the
+        # input, which does not exist, is never read.
+        argv = {"fit": ["fit", "--input", str(tmp_path / "missing.csv"),
+                        "--method", "onestep"],
+                "simulate": ["simulate", "--dgp", "lowdim", "--n", "100",
+                             "--method", "icp", "--reps", "1"],
+                "oracle": ["oracle", "--dgp", "lowdim"]}[command]
+        cfg = write(tmp_path / "run.cfg", "seed = 3\n")
+        for extra in ([], ["--config", cfg]):
+            assert main(argv + extra) == 1
+            assert capsys.readouterr().err == "error: ConfigurationError: --output is required\n"
+
+    def test_line_without_equals_rejected(self, tmp_path, sample_csv, capsys):
+        code, cfg = self.fit_with_config(tmp_path, sample_csv, "seed=1\nfolds 3\n")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigurationError: {cfg}:2: expected key=value\n")
+        assert not (tmp_path / "o.csv").exists()
 
     def test_simulate_only_keys_apply(self, tmp_path, monkeypatch):
         seen = {}

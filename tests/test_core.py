@@ -139,6 +139,15 @@ class TestSampleTypes:
         with pytest.raises(DataError):
             make_sample([1, 1], [[0.0], [0.0]], [0.5, 0.2])
 
+    @pytest.mark.parametrize("a, x, score, message", [
+        ([1, 0], [[0.0], [0.0], [0.0]], [0.5, np.nan], "one row per unit"),
+        ([1, 0], [[0.0], [0.0]], [0.5, np.nan, 0.2], "one row per unit"),
+        ([1, 2], [[0.0], [0.0]], [0.5, np.nan], "must be 0/1"),
+    ])
+    def test_rows_and_indicator_checked(self, a, x, score, message):
+        with pytest.raises(DataError, match=message):
+            ObservedSample(a=np.array(a), x=np.array(x), score=np.array(score))
+
     def test_unit_round_trip(self):
         # Each row of the arrays is one unit: (a, x, score), NaN for targets.
         s = make_sample([1, 0], [[1.0], [2.0]], [0.7, None])
@@ -199,9 +208,19 @@ class TestThresholdGrid:
         with pytest.raises(ConfigurationError, match=f"step {args[2]:g}"):
             ThresholdGrid.from_range(*args)
 
+    @pytest.mark.parametrize("args", [(0.0, 0.3, 0.0), (0.0, 0.3, -0.05), (0.3, 0.0, 0.05)])
+    def test_step_and_order_checked(self, args):
+        with pytest.raises(ConfigurationError, match=r"step > 0 and hi >= lo"):
+            ThresholdGrid.from_range(*args)
+
     def test_from_range_hits_endpoints(self):
         grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
         assert list(grid) == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
+
+    def test_from_range_drops_a_point_past_hi(self):
+        # 0.28 rounds to six steps, whose end, 0.3, lies past it.
+        grid = ThresholdGrid.from_range(0.0, 0.28, 0.05)
+        assert list(grid) == [0.0, 0.05, 0.1, 0.15, 0.2, 0.25]
 
 
 class TestRiskTargets:
@@ -221,6 +240,14 @@ class TestFoldPlan:
             FoldPlan(V=2, assignment=np.array([0, 0, 0]))
         with pytest.raises(ConfigurationError):
             FoldPlan(V=3, assignment=np.array([0, 1, 0, 1]))
+
+    @pytest.mark.parametrize("V, assignment, message", [
+        (1, [0, 0, 0], "^fold count must be at least 2$"),
+        (2, [0, 0, 0, 1], "^fold sizes must differ by at most one$"),
+    ])
+    def test_fold_count_and_balance_checked(self, V, assignment, message):
+        with pytest.raises(ConfigurationError, match=message):
+            FoldPlan(V=V, assignment=np.array(assignment))
 
 
 PUBLIC_NAMES = """

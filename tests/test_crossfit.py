@@ -141,6 +141,18 @@ class TestFitNuisances:
             fit_nuisances(sample, folds_bad, ThresholdGrid((0.1,)),
                           BinaryLearnerSpec(), BinaryLearnerSpec(), 0.01)
 
+    @pytest.mark.parametrize("assignment, error, message", [
+        ([0, 1, 0, 1], ConfigurationError, "fold plan does not match the sample size"),
+        # fold 0's complement is the one unit in fold 1
+        ([0, 0, 1], UnfittableFoldError, "fold 0: complement has fewer than 2 units"),
+    ], ids=["mismatched-plan", "one-unit-complement"])
+    def test_plan_checked_before_any_fit(self, assignment, error, message):
+        sample = make_sample([1, 0, 1], [[0.0], [1.0], [2.0]], [0.5, None, 0.6])
+        folds = FoldPlan(V=2, assignment=np.array(assignment))
+        with pytest.raises(error, match=f"^{message}$"):
+            fit_nuisances(sample, folds, ThresholdGrid((0.1,)),
+                          BinaryLearnerSpec(), BinaryLearnerSpec(), 0.01)
+
 
 class TestOracleNuisances:
     def test_noshift_propensity_is_half(self):

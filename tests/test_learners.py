@@ -49,6 +49,11 @@ class TestConstantLabels:
         pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)), np.ones(5))
         assert predict(pred, [0.0, 0.0]) == 1.0
 
+    @pytest.mark.parametrize("value", [1.5, -0.1])
+    def test_constant_outside_unit_interval_rejected(self, value):
+        with pytest.raises(ConfigurationError, match=r"must lie in \[0, 1\]"):
+            ConstantPredictor(value)
+
 
 class TestPredict:
     def test_zero_coefficients_give_half(self):
@@ -127,6 +132,11 @@ class TestLogisticRidge:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DataError):
             fit_binary(BinaryLearnerSpec(), np.zeros((4, 2)), np.zeros(3))
+
+    @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps"])
+    def test_empty_sample_rejected(self, kind):
+        with pytest.raises(DataError, match="^cannot fit on an empty sample$"):
+            fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((0, 2)), np.zeros(0))
 
     def test_nonbinary_labels_rejected(self):
         with pytest.raises(DataError):

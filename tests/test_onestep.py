@@ -284,6 +284,15 @@ class TestSelectThreshold:
         with pytest.raises(ConfigurationError, match="strictly increasing"):
             self._table(taus, [0.01, 0.02])
 
+    @pytest.mark.parametrize("psi, se, message", [
+        (0.01, -0.001, "se must be nonnegative"),
+        (0.03, 0.001, "CUB below point estimate"),
+    ], ids=["negative-se", "cub-below-psi"])
+    def test_se_and_cub_checked(self, psi, se, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            CoverageTable(taus=np.array([0.05, 0.1]), psi=np.full(2, psi),
+                          se=np.full(2, se), cub=np.array([0.02, 0.02]))
+
     def test_prefix_rule_blocks_later_dips(self):
         table = self._table([0.05, 0.10, 0.15, 0.20, 0.25],
                             [0.01, 0.02, 0.03, 0.06, 0.04])
@@ -335,7 +344,7 @@ def reference_fold_wplugin(ctx, ti):
 
 def assert_same_fold_values(got, ctx, reference):
     """Each of the functional's arrays equals the reference bit for bit."""
-    want = np.array([reference(ctx, ti) for ti in range(len(ctx.taus))]).T
+    want = np.array([reference(ctx, ti) for ti in range(len(ctx.E))]).T
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

@@ -19,6 +19,7 @@ from shiftset import (
     NuisanceFits,
     ObservedSample,
     OracleEvaluator,
+    ReplicationRow,
     RiskTargets,
     RngStream,
     ShiftsetError,
@@ -383,6 +384,11 @@ class TestWilson:
         with pytest.raises(ConfigurationError):
             wilson_interval(11, 10)
 
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_level_must_lie_strictly_inside_unit_interval(self, level):
+        with pytest.raises(ConfigurationError, match=r"^level must lie in \(0, 1\)$"):
+            wilson_interval(5, 10, level)
+
 
 class TestRunStudy:
     def _cfg(self, oracle_m=20_000):
@@ -447,8 +453,10 @@ class TestRunStudy:
         fold_methods = {"onestep", "tmle", "plugin", "wplugin"}
         assert {m for m, r in rows.items() if r.failed} == fold_methods
         for m in fold_methods:
-            assert rows[m].failure == "DegenerateFoldError"
+            # A failed row is its name, its replication and its error.
+            assert rows[m] == ReplicationRow(m, n, 0, failure="DegenerateFoldError")
             assert (rows[m].tau_hat, rows[m].true_error, rows[m].info) == (0.0, None, {})
+            assert not rows[m].covered and rows[m].table is None
         # The other methods give what they give on their own, which is
         # what they gave before the fold methods shared one engine.
         alone = run_study(spec, [n], ["rs", "icp", "wcp"], 1, cfg, root).rows
@@ -682,7 +690,6 @@ class TestWorkers:
                                     RngStream(31), workers=w) for w in (1, 2))
         assert forked.rows == serial.rows
         assert forked.aggregates == serial.aggregates
-        assert forked.config == serial.config
         assert sum(r.table is not None for r in serial.rows) == 4 * 6
         for got, want in zip(forked.rows, serial.rows):
             if want.table is None:

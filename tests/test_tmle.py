@@ -137,8 +137,27 @@ class TestTargetFold:
         assert beta[0] == pytest.approx(beta_manual)
         # the unit at x = 1.0 leads fold 0
         ctx = FoldEngine(sample, folds, fits).contexts[0]
-        raw = _fluctuate(ctx.E, ctx.w, beta[:1], np.array(["least-squares"]))[0, 0]
+        raw = _fluctuate(ctx.E, ctx.w, beta[:1], np.array([False]), np.array([True]))[0, 0]
         assert raw == pytest.approx(0.0 + beta_manual * w[0])
+
+    def test_kept_constant_fit_ignores_an_infinite_weight(self):
+        # A propensity of 1e-320 at the target unit x = 3 overflows its odds
+        # weight to inf.  The kept constant fit stays 0 there, as the
+        # plug-in's does; adding 0 * inf would make it nan.
+        sample = make_sample(a=[1, 1, 0, 1, 0, 0],
+                             x=[[1.0], [2.0], [3.0], [4.0], [5.0], [6.0]],
+                             score=[0.7, 0.3, None, 0.5, None, None])
+        folds = FoldPlan(V=2, assignment=np.array([0, 0, 0, 1, 1, 1]))
+        g = LookupPredictor({3.0: 1e-320}, default=0.5)
+        fits = NuisanceFits(taus=(0.1,), g_predictors=(g, g),
+                            e_predictors=((ConstantPredictor(0.0),),) * 2, delta=1e-320)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in _sigma2
+            engine = FoldEngine(sample, folds, fits)
+            table = tmle_estimate(engine, TARGETS)
+            plugin = plugin_estimate(engine, TARGETS)
+        assert np.isinf(engine.contexts[0].w[2])
+        assert (table.psi[0], table.se[0]) == (0.0, 0.0)
+        assert table.psi.tobytes() == plugin.psi.tobytes()
 
 
 class TestTmleEstimate:
@@ -153,7 +172,7 @@ class TestTmleEstimate:
             engine = FoldEngine(sample, folds, fits)
             table = tmle_estimate(engine, TARGETS)
             for v in range(2):
-                beta, _ = _fluctuations(engine.contexts[v])
+                beta = _fluctuations(engine.contexts[v])[0]
                 for ti in range(len(grid)):
                     if table.extras["fallback"][v, ti] or fits.constant_mask(v)[ti]:
                         continue
@@ -288,20 +307,23 @@ def reference_fold_tmle(ctx, ti):
 
 def assert_fold_matches_reference(ctx):
     """Fluctuations and fold values equal the scalar references bit for
-    bit, with no warning the references do not give."""
+    bit, with no warning the references do not give; the references' modes,
+    one per threshold."""
     with warnings.catch_warnings(record=True) as got_warnings:
         warnings.simplefilter("always")
-        beta, mode = _fluctuations(ctx)
-        got = _fold_tmle(ctx, beta, mode)
+        beta, logistic, fallback = _fluctuations(ctx)
+        got = _fold_tmle(ctx, beta, logistic, fallback)
     with warnings.catch_warnings(record=True) as ref_warnings:
         warnings.simplefilter("always")
-        ref = [reference_target(ctx, ti) for ti in range(len(ctx.taus))]
+        ref = [reference_target(ctx, ti) for ti in range(len(ctx.E))]
         want = np.array([reference_fold_tmle(ctx, ti)
-                         for ti in range(len(ctx.taus))]).T
+                         for ti in range(len(ctx.E))]).T
     assert ({str(w.message) for w in got_warnings}
             <= {str(w.message) for w in ref_warnings})
     assert beta.tobytes() == np.array([b for b, _ in ref]).tobytes()
-    assert mode.tolist() == [m for _, m in ref]
+    mode = np.array([m for _, m in ref])
+    assert logistic.tolist() == (mode == "logistic").tolist()
+    assert fallback.tolist() == (mode == "least-squares").tolist()
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
