@@ -24,8 +24,6 @@ import json
 import sys
 import warnings
 
-import numpy as np
-
 from .core import (
     ConfigurationError,
     DataError,
@@ -184,6 +182,22 @@ def _study_config(args, **extra) -> StudyConfig:
         **extra)
 
 
+def _study_settings(cfg: StudyConfig) -> dict:
+    """The reverse of :func:`_study_config`: ``cfg``'s estimator settings
+    under their flag names, for the metadata of ``fit`` and ``simulate``."""
+    return {
+        "alpha_error": cfg.targets.alpha_error,
+        "alpha_conf": cfg.targets.alpha_conf,
+        "folds": cfg.V,
+        "delta": cfg.delta,
+        "grid": [float(t) for t in cfg.grid],
+        "g_learner": cfg.g_spec.kind,
+        "e_learner": cfg.e_spec.kind,
+        "ridge": cfg.g_spec.ridge,  # both learners take --ridge
+        "bhat_fixed": cfg.rs_config.bhat_fixed,
+    }
+
+
 def _dgp_spec(name: str) -> DgpSpec:
     return DgpSpec("highdim-sparse" if name == "highdim" else name)
 
@@ -242,7 +256,6 @@ def _fit(args):
     """Run the ``fit`` command's method: (meta, table rows, summary line)."""
     root = RngStream(args.seed)
     cfg = _study_config(args)
-    targets = cfg.targets
     try:
         sample = ingest_csv(args.input)
     except csv.Error as exc:
@@ -251,29 +264,16 @@ def _fit(args):
         raise DataError(f"{args.input}: line {exc.line_no} is not UTF-8 text "
                         f"({exc.reason})") from None
 
-    meta = {
-        "command": "fit",
-        "method": args.method,
-        "seed": args.seed,
-        "n": sample.n,
-        "n1": sample.n_source,
-        "n0": sample.n_target,
-        "folds": args.folds,
-        "delta": args.delta,
-        "alpha_error": targets.alpha_error,
-        "alpha_conf": targets.alpha_conf,
-        "grid": [float(t) for t in cfg.grid],
-    }
-    data = Dataset(sample, cfg, root.child("folds"), root)
-    res = METHODS[args.method](data)
-    meta.update(res.meta)
-    meta.update({"selected_tau": res.tau_hat, "sentinel": res.sentinel})
+    res = METHODS[args.method](Dataset(sample, cfg, root.child("folds"), root))
+    meta = {"command": "fit", "method": args.method, "seed": args.seed, "n": sample.n,
+            "n1": sample.n_source, "n0": sample.n_target, **_study_settings(cfg),
+            **res.info, "selected_tau": res.tau_hat, "sentinel": res.sentinel}
 
     table = res.table
     rows = _table_rows(table, res.tau_hat, res.sentinel)
     if res.sentinel:
-        return meta, rows, (f"{args.method}: no certifiable threshold "
-                            f"(alpha_error={targets.alpha_error:.4g}); sentinel 0 recorded")
+        return meta, rows, (f"{args.method}: no certifiable threshold (alpha_error="
+                            f"{cfg.targets.alpha_error:.4g}); sentinel 0 recorded")
     i = list(table.taus).index(res.tau_hat)
     return meta, rows, (f"{args.method}: selected tau={res.tau_hat:.4g} "
                         f"(psi_hat={table.psi[i]:.4g}, cub={table.cub[i]:.4g})")
@@ -285,20 +285,9 @@ def cmd_simulate(args) -> int:
     spec = _dgp_spec(args.dgp)
     report = run_study(spec, [args.n], methods, args.reps, cfg,
                        RngStream(args.seed), workers=args.workers)
-    meta = {
-        "command": "simulate",
-        "dgp": spec.kind,
-        "ns": [args.n],
-        "methods": list(methods),
-        "replications": args.reps,
-        "alpha_error": cfg.targets.alpha_error,
-        "alpha_conf": cfg.targets.alpha_conf,
-        "V": cfg.V,
-        "delta": cfg.delta,
-        "grid": list(cfg.grid),
-        "oracle_m": cfg.oracle_m,
-        "seed": args.seed,
-    }
+    meta = {"command": "simulate", "dgp": spec.kind, "ns": [args.n],
+            "methods": list(methods), "replications": args.reps,
+            "oracle_m": cfg.oracle_m, "seed": args.seed, **_study_settings(cfg)}
 
     rows_path = args.output + ".jsonl"
     with open(rows_path, "w") as fh:
@@ -312,8 +301,7 @@ def cmd_simulate(args) -> int:
             if r.failure:
                 record["failure"] = r.failure
             if r.info:
-                record["info"] = {k: (float(v) if isinstance(v, (int, float, np.floating))
-                                      else v) for k, v in sorted(r.info.items())}
+                record["info"] = r.info
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     _write_table_csv(args.output,

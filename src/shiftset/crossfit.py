@@ -50,6 +50,16 @@ PROPENSITY_GUARD = 1e-12
 _FORK_ELEMENTS = 150_000
 
 
+def _check_delta(delta: float) -> None:
+    """Refuse a truncation bound outside [PROPENSITY_GUARD, 0.5): below the
+    guard, the odds weight of a propensity truncated at delta can overflow."""
+    if not (0.0 < delta < 0.5):
+        raise ConfigurationError("delta must lie in (0, 0.5)")
+    if delta < PROPENSITY_GUARD:
+        raise ConfigurationError(
+            f"delta must be at least {PROPENSITY_GUARD:g}, got {delta!r}")
+
+
 def odds_weight(g, gamma):
     """Importance weight ((1 - g) / g) * (gamma / (1 - gamma)).
 
@@ -136,8 +146,7 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
     replications, fits here too.  Either way the predictors, warnings and
     errors are those of the serial loop, in fold order.
     """
-    if not (0.0 < delta < 0.5):
-        raise ConfigurationError("delta must lie in (0, 0.5)")
+    _check_delta(delta)
     if folds.n != sample.n:
         raise ConfigurationError("fold plan does not match the sample size")
 

@@ -44,7 +44,13 @@ from .core import (
     _is_count,
     make_folds,
 )
-from .crossfit import PROPENSITY_GUARD, NuisanceFits, fit_nuisances, odds_weight
+from .crossfit import (
+    PROPENSITY_GUARD,
+    NuisanceFits,
+    _check_delta,
+    fit_nuisances,
+    odds_weight,
+)
 from .learners import BinaryLearnerSpec
 from .onestep import (
     CoverageTable,
@@ -409,8 +415,7 @@ class StudyConfig:
         # As make_folds and fit_nuisances check them, before any input is
         # read or any oracle built.
         _check_count(self.V, "fold count", 2)
-        if not (0.0 < self.delta < 0.5):
-            raise ConfigurationError("delta must lie in (0, 0.5)")
+        _check_delta(self.delta)
 
 
 @dataclass
@@ -449,35 +454,31 @@ class Dataset:
 
 
 class MethodResult(NamedTuple):
-    """What one method selected on one dataset: ``info`` goes to a
-    ``simulate`` row, ``meta`` to the ``fit`` metadata, ``table`` to the
-    ``fit`` table.  Weighted conformal, which is scored on its cutoffs, sets
-    ``true_error`` and no table."""
+    """What one method selected on one dataset: ``info``, the run's facts
+    as plain ints, floats or None, goes to a ``simulate`` row and to the
+    ``fit`` metadata, ``table`` to the ``fit`` table.  Weighted conformal, which is
+    scored on its cutoffs, sets ``true_error`` and no table."""
 
     tau_hat: float
     sentinel: bool
     info: dict
-    meta: dict
     table: CoverageTable | None = None
     true_error: float | None = None
 
 
-def _selected(table, targets, info, meta) -> MethodResult:
+def _selected(table, targets, info) -> MethodResult:
     dec = select_threshold(table, targets)
-    return MethodResult(dec.tau_hat, dec.is_sentinel, info, meta, table)
+    return MethodResult(dec.tau_hat, dec.is_sentinel, info, table)
 
 
 def _run_fold_estimate(data: Dataset, estimate) -> MethodResult:
-    return _selected(estimate(data.engine, data.cfg.targets), data.cfg.targets,
-                     {}, {})
+    return _selected(estimate(data.engine, data.cfg.targets), data.cfg.targets, {})
 
 
 def _run_tmle(data: Dataset) -> MethodResult:
     table = tmle_estimate(data.engine, data.cfg.targets)
-    fallback = int(table.extras["fallback"].sum())
-    return _selected(table, data.cfg.targets, {"fallback_count": fallback},
-                     {"tmle_fallback_count": fallback,
-                      "tmle_clipping": "least-squares path clipped to [0,1] for psi only"})
+    return _selected(table, data.cfg.targets,
+                     {"fallback_count": int(table.extras["fallback"].sum())})
 
 
 def _run_rs(data: Dataset) -> MethodResult:
@@ -486,9 +487,7 @@ def _run_rs(data: Dataset) -> MethodResult:
                      cfg.e_spec, data.rs_rng)
     table = rs_estimate(run, data.sample, cfg.targets)
     return _selected(table, cfg.targets,
-                     {"n_accepted": run.n_accepted, "bhat": run.bhat},
-                     {"bhat": run.bhat, "pi_hat": run.pi_hat,
-                      "n_accepted": run.n_accepted})
+                     {"bhat": run.bhat, "n_accepted": run.n_accepted, "pi_hat": run.pi_hat})
 
 
 def _run_icp(data: Dataset) -> MethodResult:
@@ -505,8 +504,7 @@ def _run_icp(data: Dataset) -> MethodResult:
         psi_hat = float(betaincinv(k, m + 1 - k, 0.5))
         se = float(np.sqrt(k * (m + 1 - k) / ((m + 1) ** 2 * (m + 2))))
         cub = float(betaincinv(k, m + 1 - k, 1 - data.cfg.targets.alpha_conf))
-    return MethodResult(res.tau, res.is_sentinel, {"k": k},
-                        {"calibration_size": m, "order_statistic": k},
+    return MethodResult(res.tau, res.is_sentinel, {"calibration_size": m, "k": k},
                         CoverageTable(*map(np.atleast_1d, (res.tau, psi_hat, se, cub))))
 
 
@@ -525,7 +523,7 @@ def _run_wcp(data: Dataset) -> MethodResult:
     cutoffs = weighted_quantile_cutoffs(data.sample.score[cal_src], w_cal,
                                         w_eval, data.cfg.targets.alpha_error)
     tau_descr = float(np.median(np.maximum(cutoffs, 0.0)))
-    return MethodResult(tau_descr, False, {"cutoff_median": tau_descr}, {},
+    return MethodResult(tau_descr, False, {"cutoff_median": tau_descr},
                         true_error=data.oracle.psi_of_cutoffs(cutoffs))
 
 

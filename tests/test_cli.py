@@ -711,7 +711,7 @@ class TestCmdFit:
         assert code == 0
         meta = json.load(open(out + ".meta.json"))
         rows = self.read_table(out)
-        if meta["tmle_fallback_count"] == 0:
+        if meta["fallback_count"] == 0:
             assert all(0.0 <= float(r["psi_hat"]) <= 1.0 for r in rows)
 
     @pytest.mark.parametrize("method", ["plugin", "wplugin", "rs", "icp"])
@@ -917,6 +917,9 @@ class TestCmdFit:
     @pytest.mark.parametrize("flags, error", [
         (("--alpha-error", "2"), "alpha_error must lie strictly inside (0, 1)"),
         (("--folds", "1"), "fold count must be an integer of at least 2, got 1"),
+        # Below 1e-12 the odds weight of a propensity truncated at delta can
+        # overflow.
+        (("--delta", "1e-320"), "delta must be at least 1e-12, got 1e-320"),
     ])
     @pytest.mark.parametrize("present", [True, False], ids=["input", "missing-input"])
     def test_configuration_checked_before_the_input_is_read(
@@ -926,10 +929,12 @@ class TestCmdFit:
 
         monkeypatch.setattr(cli, "ingest_csv", refuse)
         path = sample_csv if present else str(tmp_path / "missing.csv")
+        out = tmp_path / "o.csv"
         code = main(["fit", "--input", path, "--method", "onestep",
-                     "--output", str(tmp_path / "o.csv"), *flags])
+                     "--output", str(out), *flags])
         assert code == 1
         assert capsys.readouterr().err == f"error: ConfigurationError: {error}\n"
+        assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
 
     @pytest.mark.parametrize("method, flags", [("icp", ("--delta", "0.9")),
                                                ("rs", ("--folds", "1"))])
@@ -966,97 +971,136 @@ class TestCmdSimulate:
         assert open(out1 + ".meta.json", "rb").read() == open(out2 + ".meta.json", "rb").read()
 
     def test_meta_records_the_study_settings(self, tmp_path):
-        # Exactly these 12 keys, each value from its flag.
+        # Exactly these 16 keys, each value from its flag; --workers changes
+        # no output, so it is none of them.
         out = str(tmp_path / "s.csv")
         assert main(["simulate", "--dgp", "highdim", "--n", "90", "--reps", "2",
                      "--method", "icp, onestep", "--alpha-error", "0.1",
                      "--alpha-conf", "0.2", "--folds", "3", "--delta", "0.02",
                      "--grid", "0:0.2:0.1", "--oracle-m", "1000", "--seed", "8",
-                     "--workers", "1", "--output", out]) == 0
+                     "--e-learner", "boosted-stumps", "--ridge", "0.5",
+                     "--bhat-fixed", "40", "--workers", "1", "--output", out]) == 0
         assert json.load(open(out + ".meta.json")) == {
             "command": "simulate", "dgp": "highdim-sparse", "ns": [90],
             "methods": ["icp", "onestep"], "replications": 2, "alpha_error": 0.1,
-            "alpha_conf": 0.2, "V": 3, "delta": 0.02, "grid": [0.0, 0.1, 0.2],
-            "oracle_m": 1000, "seed": 8}
+            "alpha_conf": 0.2, "folds": 3, "delta": 0.02, "grid": [0.0, 0.1, 0.2],
+            "g_learner": "logistic-ridge", "e_learner": "boosted-stumps",
+            "ridge": 0.5, "bhat_fixed": 40.0, "oracle_m": 1000, "seed": 8}
 
-    # SHA-256 of each output as first recorded, and the two icp tables as
-    # re-recorded when icp's psi_hat became the Beta median; identical with
-    # OPENBLAS_NUM_THREADS=1.  A refactor must not change them.
+    def test_fit_and_simulate_record_each_fact_alike(self, tmp_path, sample_csv):
+        # The same flags give both commands' metadata the same settings, and
+        # each method's run facts the same keys and JSON types in a fit's
+        # metadata as in a simulate row, at one worker or two.
+        flags = ["--alpha-conf", "0.2", "--folds", "3", "--ridge", "0.001", "--seed", "3"]
+        facts = {"tmle": ["fallback_count"], "rs": ["bhat", "n_accepted", "pi_hat"],
+                 "icp": ["calibration_size", "k"]}
+        fit_meta = {}
+        for method in facts:
+            out = str(tmp_path / f"fit-{method}.csv")
+            assert main(["fit", "--input", sample_csv, "--method", method,
+                         "--output", out, *flags]) == 0
+            fit_meta[method] = json.load(open(out + ".meta.json"))
+        outputs = []
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}.csv")
+            assert main(["simulate", "--dgp", "lowdim", "--n", "400", "--reps", "2",
+                         "--method", ",".join(facts), "--oracle-m", "2000",
+                         "--workers", workers, "--output", out, *flags]) == 0
+            outputs.append([open(out + suffix, "rb").read()
+                            for suffix in ("", ".jsonl", ".meta.json")])
+        assert outputs[0] == outputs[1]
+        sim_meta = json.loads(outputs[0][2])
+        settings = ["alpha_error", "alpha_conf", "folds", "delta", "grid",
+                    "g_learner", "e_learner", "ridge", "bhat_fixed", "seed"]
+        rows = [json.loads(line) for line in outputs[0][1].splitlines()]
+        assert len(rows) == 6
+        for row in rows:
+            meta = fit_meta[row["method"]]
+            assert {k: meta[k] for k in settings} == {k: sim_meta[k] for k in settings}
+            assert sorted(row["info"]) == facts[row["method"]]
+            assert [type(meta[k]) for k in facts[row["method"]]] == [
+                type(row["info"][k]) for k in facts[row["method"]]]
+
+    # SHA-256 of each output as first recorded, the two icp tables as
+    # re-recorded when icp's psi_hat became the Beta median, and the metadata
+    # and JSONL rows as re-recorded when each run fact and setting got one
+    # key; identical with OPENBLAS_NUM_THREADS=1.  A refactor must not change
+    # them.
     PINNED = {
         "simulate-lowdim-stumps": {
             "": "88e908013a03960167d0247ab0a5d1cbe02f28b7eabceabb03eb21ee81ba67d6",
-            ".jsonl": "b181dd51f8de1bb6b7372b60220e222b674cd2ce36139eaa5afaa957c9e73e98",
-            ".meta.json": "f690727195fa64a7e38b5e51c9a54aa8005155ccc65c0e44a7150845f33dd38c",
+            ".jsonl": "95b1c0a78803df61a339866b2aa1e476f69c6b9ef815af19eb482121451ed00f",
+            ".meta.json": "65aec22d1b49078ab485cb60fb310fcb214ef8ec13fbce6d4e3378f3a45ed407",
         },
         "simulate-highdim-logistic": {
             "": "292d28574a5b6c6b201c88ea5c6f35f2b675a9b87c23efa66bba2f7b5c5edbe6",
-            ".jsonl": "162525491d7d4b1f9e68cff7eb1ac3e2c537e2ce8d735d27acc03f4359870e18",
-            ".meta.json": "6f3bd5efe5df382cc4cdff01d223eec61b0e9381ae6263b518c3fe1a0011e392",
+            ".jsonl": "f9950d52147ff7bce5cfb573af8d5ea59081ab7302340e69874f1bbdd0263561",
+            ".meta.json": "36c3d8aecd8af97761e5414c4db71c9e1d2bf4140e0f57185797312aef0ca3c4",
         },
         "fit-onestep": {
             "": "7441495d0b49b607bcc0fece58d7077808b0aa1ff0c3e2dc4bf117c24f7e1386",
-            ".meta.json": "b91ebff4c4627062e61d6b436cfab8c58004cf3d843dbc3a3351bfc0338a0073",
+            ".meta.json": "e1bcf9875f5f9bfc906b64e5a0eb8cb77fdebfb2b4feb02f0f6ce9966235820c",
         },
         "fit-tmle": {
             "": "c0b7a888fb57ebbc859354098672f09223cc7e87953082be39112c57e59de975",
-            ".meta.json": "ca34d4fe9d1fb18ce28379e209376d7f3a02acfb53c8c8aaf9ab787df007f893",
+            ".meta.json": "3fa2954b3269bb00b27b020c3725746efd6359eae8e5f2d94648389b508714a3",
         },
         "fit-rs": {
             "": "5dc7c4c53aa7eb9a856af33e969b21b271bcc35da65262b3f1d287b47c3e51e3",
-            ".meta.json": "c0767540275a3d1398310754b339e1dc139528b6be09c7f42bfcbf054de7bad3",
+            ".meta.json": "54a348f4602fb5257f35953bf4981696fc6ab1e9a1153cfe67e0049596f60806",
         },
         "fit-rs-fine-grid": {
             "": "9e16b7b07931495be17a1203e58d6b3c5ce6dc2dfd38ce60875350c983bc4981",
-            ".meta.json": "f5bc8657cbdcc0640c6231b0ff4a83271c266df17d65c671478c599483521e57",
+            ".meta.json": "4e5cfe4c730dfc964143469f1ca5aab5358bdfcc8206b4cc55b44abf3441e806",
         },
         "fit-onestep-fine-grid": {
             "": "88ff24952fb81bc64073edfd1e03d0a39ad579d0b6881e761757e5f578d894f0",
-            ".meta.json": "07145a59b0c8967ec3c5696a0699501995f999754c244ac93acb2897b95a6769",
+            ".meta.json": "e85544bf4e0836135080054bb45492153b74472127ce044ad82f9b7607d313f5",
         },
         "fit-tmle-fine-grid": {
             "": "9e9018a5b75e9de4f32ea445d0bec5c9348db91a2a90435dc7fb51aeb4c21b1b",
-            ".meta.json": "36f96bfc89b1fc081f34fa797d15be0a3a3e486d9fd9d5622b5dbada2066613e",
+            ".meta.json": "db1833c448ee7c4a3e087209c8c557e752522fe1d66274d6098daa8bd7e5e8fd",
         },
         "fit-plugin": {
             "": "3b804fca0e41f35a0fa6b2c48043294c5070856a3a19f37ee2ef902c96339558",
-            ".meta.json": "6059b1ef98c5075dfda0a227e9d484d1c5c2eabc40ad25cd0ffc0fe820045a7c",
+            ".meta.json": "55c468a077f80b97ac6970cc22ecad0bde54f76dcb6bc2f6050aea7944959bed",
         },
         "fit-wplugin": {
             "": "b1260b841945b12ef56827bf58daa32a0f663f3407f152053fa7d7e02efa0711",
-            ".meta.json": "289c0b6e6ba7eafd9d6a58f9605afa5bd7bc698f831bfda030866a2375602b50",
+            ".meta.json": "6475acc4fb7e040e4f3a33f7501d6fc2d1fb768c1f3de4b0b04882e8b61fbb51",
         },
         "fit-icp": {
             "": "ef30c793dfc6f9e72471ad2f08c0078376ee84bfbe51b90f1d95f0e3e285deb8",
-            ".meta.json": "fa656f4b6481d7c0f3b1b2a6497b67fbedca9af10cf8ff6e1b5dea53b403753a",
+            ".meta.json": "b25524a499ea83a62c87ac5f926831f44ad63c59b3539778c8cb3cf5697105ae",
         },
         "simulate-lowdim-noshift-logistic": {
             "": "05dbc64fd684d837a10165482f3d30c0bca32a75130ab3123783b91ca9810333",
-            ".jsonl": "7b967b2c3c6523cd77a90d331d7165d84cc03c90c968aa9c45f51ae5b5df3f41",
-            ".meta.json": "000c53d994e35c6d2db2590fcfe07b96443045848b6d2b5d31abc4a0cc4d98be",
+            ".jsonl": "9b3f05247783df92b46f4678e7195d2e4acf0d888cc465bd2f722d44dce3d455",
+            ".meta.json": "9424f1c1563544f45618009e8aa3dc88183f01a73ea9c9c1c54eb7db939d175c",
         },
         "fit-highdim-stumps-onestep": {
             "": "be21db1aa851634ab861acd317c30f536c43803e2858655d5d64e381cabb6632",
-            ".meta.json": "4d738b3d614aa44ec8d4a69783fbba36f6bd9a7778ee5aa3f836ba914647da9f",
+            ".meta.json": "d8c87610fc35d9f9c8018afcf3086c5c18bdcabe45e65baf34dac3f6ccbeb050",
         },
         "fit-highdim-stumps-tmle": {
             "": "afd0c876bb28e6ccd13a65068527dcc628d546c5080f8b053cdd4e434fcbb91e",
-            ".meta.json": "840c40de4f9db6d9eea1a8d4069ae2522296f6dab204f71568db5d3fa7b71e17",
+            ".meta.json": "a518f592c020dd40424bf3bbb4eb99977670935cc3e4edb56a1c4816854a3288",
         },
         "fit-highdim-stumps-rs": {
             "": "d097370b9f5b15e4cdd9c20c90690023c94a2166cdc5769e998642b99b092631",
-            ".meta.json": "cacb369d210bacb4fce7ec25743cdae621b3dac2b882dadd2a999caa2a483c20",
+            ".meta.json": "192ccab8bf8c37b405ed66877f926e4b3f27c590340cda929827b8aeccd65325",
         },
         "fit-highdim-stumps-plugin": {
             "": "0b012f713d8c88e1095f19251b60d7e938127e143ed46146543b72ffdbd50c7d",
-            ".meta.json": "2061ae51c323369acda5f294018fd10cdbbcb9f2a3d5bdddb469f54efa1533f5",
+            ".meta.json": "0fe0d6e96548e82ffc4e98bddeb96193256f093acfaf133e99ffdd9d8c5cc756",
         },
         "fit-highdim-stumps-wplugin": {
             "": "9739df7e9078662a52fffa1b035ffeb7a675ced39665358e529fe2609507869f",
-            ".meta.json": "65a9b1073dd51f88cae0910fa94e3f177b478d7f51682d2dfd3f18df9ac6c395",
+            ".meta.json": "d019888e4add036b06dd5a02146d4abe5bcd46db0d80e0aa95e6ff6b0e702932",
         },
         "fit-highdim-stumps-icp": {
             "": "51d3dff241260dd8d9b042e420563c3eb1c592ce35783c10fdf80217d0ef1de2",
-            ".meta.json": "505d2e11e0c62318eefed41733a78555e184450a1984fdb88685c941e0dfc458",
+            ".meta.json": "88effa00c330b02c19f04b05cd8393b0f7e4c411b4c6e798c6784d14e775414d",
         },
     }
 
@@ -1143,6 +1187,7 @@ class TestCmdSimulate:
         (("--folds", "1"), "fold count must be an integer of at least 2, got 1"),
         (("--delta", "0.7"), "delta must lie in (0, 0.5)"),
         (("--n", "1"), "cannot split 1 units into 2 folds"),
+        (("--delta", "1e-13"), "delta must be at least 1e-12, got 1e-13"),
     ])
     def test_configuration_checked_before_the_oracle_is_built(
             self, tmp_path, capsys, monkeypatch, flags, error):

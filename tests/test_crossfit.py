@@ -127,9 +127,17 @@ class TestFitNuisances:
     def test_delta_domain(self, fitted):
         sample, folds, grid, _ = fitted
         for bad in (0.0, 0.5, 0.7):
-            with pytest.raises(ConfigurationError):
+            with pytest.raises(ConfigurationError, match=r"delta must lie in \(0, 0\.5\)"):
                 fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
                               BinaryLearnerSpec(), bad)
+        # Below PROPENSITY_GUARD an odds weight could overflow to inf.
+        for bad in (1e-13, 1e-320):
+            with pytest.raises(ConfigurationError, match="delta must be at least 1e-12"):
+                fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
+                              BinaryLearnerSpec(), bad)
+        fits = fit_nuisances(sample, folds, grid, BinaryLearnerSpec(),
+                             BinaryLearnerSpec(), crossfit.PROPENSITY_GUARD)
+        assert fits.delta == crossfit.PROPENSITY_GUARD
 
     def test_unfittable_fold(self):
         # fold 1 holds every source unit, so fold 1's complement has none

@@ -462,8 +462,9 @@ class TestRunStudy:
         alone = run_study(spec, [n], ["rs", "icp", "wcp"], 1, cfg, root).rows
         assert [rows[r.method] for r in alone] == list(alone)
         assert (rows["rs"].tau_hat, rows["rs"].true_error, rows["rs"].info) == (
-            0.1, 0.03343439237556639, {"n_accepted": 3, "bhat": 1.3})
-        assert (rows["icp"].sentinel, rows["icp"].info) == (True, {"k": None})
+            0.1, 0.03343439237556639, {"bhat": 1.3, "n_accepted": 3, "pi_hat": 1.0})
+        assert (rows["icp"].sentinel, rows["icp"].info) == (
+            True, {"calibration_size": 2, "k": None})
         assert rows["wcp"].info == {"cutoff_median": 0.0}
 
     def test_wcp_fails_on_a_calibration_fold_without_target_units(self):
