@@ -329,6 +329,7 @@ def cmd_oracle(args) -> int:
         "command": "oracle",
         "dgp": spec.kind,
         "alpha_error": args.alpha_error,
+        "grid": [float(t) for t in grid],
         "oracle_m": args.oracle_m,
         "seed": args.seed,
         "tau0": tau0,

@@ -36,9 +36,7 @@ from .learners import (
 )
 from .parallel import run_jobs
 
-# Where no truncation is requested (oracle fits, rejection sampling), the
-# propensity is kept this far from exact 0/1, which saturated learners emit,
-# so that the odds transform stays finite.
+# The least truncation bound: below it the odds weight can overflow.
 PROPENSITY_GUARD = 1e-12
 
 # Sample values (n * p) from which fit_nuisances fits its folds in forked
@@ -81,9 +79,9 @@ class NuisanceFits:
     """Cross-fitted predictors: one propensity per fold, one conditional
     error predictor per (fold, threshold of ``taus``).
 
-    ``delta = 0`` keeps the propensity only ``PROPENSITY_GUARD`` inside
-    (0, 1); it serves rejection sampling, whose one "fold" is the training
-    half.  ``simbench.oracle_nuisances`` gives the DGP's true functions.
+    The propensity is truncated into [delta, 1 - delta]; rejection sampling
+    (one "fold", the training half) and ``simbench.oracle_nuisances`` (the
+    DGP's true functions) truncate at ``PROPENSITY_GUARD``.
     """
 
     taus: tuple[float, ...]
@@ -99,12 +97,11 @@ class NuisanceFits:
                 "error predictor per threshold in each fold")
 
     def propensity(self, v: int, X: np.ndarray) -> np.ndarray:
-        bound = self.delta if self.delta > 0.0 else PROPENSITY_GUARD
-        return np.clip(self.g_predictors[v].predict(X), bound, 1.0 - bound)
+        return np.clip(self.g_predictors[v].predict(X), self.delta, 1.0 - self.delta)
 
     def cond_error(self, v: int, X: np.ndarray) -> np.ndarray:
-        """Fold v's conditional-error predictions at X, in [0, 1] as every
-        predictor's ``predict`` clips them: one row per fitted threshold."""
+        """Fold v's conditional-error predictions at X, in [0, 1]: one row
+        per fitted threshold."""
         return np.array([pred.predict(X) for pred in self.e_predictors[v]])
 
     def constant_mask(self, v: int) -> np.ndarray:

@@ -68,14 +68,13 @@ class BinaryLearnerSpec:
 
 
 class FittedPredictor:
-    """A fitted x -> probability map.  Immutable and safe to share."""
+    """A fitted x -> probability map.  Immutable and safe to share.  Each
+    ``_predict`` keeps its own range in [0, 1]; ``p = None`` takes any width."""
 
-    p: int
+    p: int | None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = self._check(X)
-        out = self._predict(X)
-        return np.clip(out, 0.0, 1.0)
+        return self._predict(self._check(X))
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -95,10 +94,6 @@ class ConstantPredictor(FittedPredictor):
             raise ConfigurationError("constant probability must lie in [0, 1]")
         self.value = float(value)
         self.p = p
-
-    def _check(self, X):
-        # Dimension is irrelevant for a constant; accept any width.
-        return np.atleast_2d(np.asarray(X, dtype=float))
 
     def _predict(self, X):
         return np.full(X.shape[0], self.value)

@@ -26,7 +26,7 @@ from .core import (
     ThresholdGrid,
     miscoverage_vector,
 )
-from .crossfit import NuisanceFits, fit_on, odds_weight
+from .crossfit import PROPENSITY_GUARD, NuisanceFits, fit_on, odds_weight
 from .learners import BinaryLearnerSpec
 from .onestep import CoverageTable, _wald_cub
 
@@ -56,7 +56,7 @@ class RsConfig:
 @dataclass(frozen=True)
 class RsRun:
     """Frozen state of one rejection-sampling pass; ``fits`` holds the
-    training-half nuisances as a one-fold, untruncated :class:`NuisanceFits`."""
+    training-half nuisances as one fold truncated at ``PROPENSITY_GUARD``."""
 
     train_idx: np.ndarray
     test_idx: np.ndarray
@@ -97,7 +97,7 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
     gamma_train = float(np.mean(a_train == 1))
     g, e = fit_on(sample, train_idx, grid, g_spec, e_spec)
     fits = NuisanceFits(taus=tuple(grid), g_predictors=(g,), e_predictors=(e,),
-                        delta=0.0)
+                        delta=PROPENSITY_GUARD)
     what_test = odds_weight(fits.propensity(0, sample.x[test_idx]), gamma_train)
 
     src_test = a_test == 1

@@ -210,8 +210,7 @@ class _OracleFits(NuisanceFits):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dgp.p:
             raise DataError(f"expected {self.dgp.p} covariates, got {X.shape[1]}")
-        return np.clip(self.dgp.true_propensity(X), PROPENSITY_GUARD,
-                       1.0 - PROPENSITY_GUARD)
+        return np.clip(self.dgp.true_propensity(X), self.delta, 1.0 - self.delta)
 
     def cond_error(self, v, X):
         return np.clip(self.dgp.true_cond_errors(X, self.taus), 0.0, 1.0)
@@ -223,11 +222,11 @@ class _OracleFits(NuisanceFits):
 def oracle_nuisances(dgp: DgpSpec, grid: ThresholdGrid) -> NuisanceFits:
     """Nuisance fits equal to a DGP's true functions, for property tests
     that isolate estimator behavior from learner error.  The propensity is
-    kept only ``PROPENSITY_GUARD`` inside (0, 1)."""
+    truncated at ``PROPENSITY_GUARD``."""
     if not isinstance(dgp, DgpSpec):
         raise ConfigurationError("oracle nuisances require a built-in DGP spec")
     return _OracleFits(taus=tuple(grid), g_predictors=(), e_predictors=(),
-                       delta=0.0, dgp=dgp)
+                       delta=PROPENSITY_GUARD, dgp=dgp)
 
 
 _CHUNK = 200_000

@@ -936,6 +936,25 @@ class TestCmdFit:
         assert capsys.readouterr().err == f"error: ConfigurationError: {error}\n"
         assert not out.exists() and not (tmp_path / "o.csv.meta.json").exists()
 
+    def test_a_missing_input_exits_with_its_os_error(self, tmp_path, capsys):
+        path, out = tmp_path / "missing.csv", tmp_path / "o.csv"
+        code = main(["fit", "--input", str(path), "--method", "onestep",
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{path}'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_output_in_a_missing_directory_exits_with_its_os_error(
+            self, tmp_path, sample_csv, capsys):
+        out = tmp_path / "absent" / "o.csv"
+        code = main(["fit", "--input", sample_csv, "--method", "onestep",
+                     "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{out}'\n")
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("method, flags", [("icp", ("--delta", "0.9")),
                                                ("rs", ("--folds", "1"))])
     def test_settings_a_method_does_not_use_are_still_checked(
@@ -1262,6 +1281,21 @@ class TestCmdOracle:
         taus = [float(ln.split(",")[0]) for ln in lines]
         below = [t for t, p in zip(taus, psis) if p <= 0.051]
         assert max(below) <= meta["tau0"] <= 0.3
+
+    def test_meta_records_the_grid(self, tmp_path):
+        # Two grids give two tables; their metadata differ only in "grid".
+        metas = {}
+        for grid in ("0:0.3:0.05", "0:0.3:0.01"):
+            out = str(tmp_path / f"oracle-{grid}.csv")
+            assert main(["oracle", "--dgp", "lowdim", "--oracle-m", "2000",
+                         "--grid", grid, "--output", out]) == 0
+            metas[grid] = json.load(open(out + ".meta.json"))
+            with open(out) as fh:
+                taus = [float(row["tau"]) for row in csv.DictReader(fh)]
+            assert metas[grid]["grid"] == taus == list(cli._parse_grid(grid))
+        coarse, fine = metas.values()
+        assert len(coarse.pop("grid")) == 7 and len(fine.pop("grid")) == 31
+        assert coarse == fine
 
     def test_two_seeds_agree(self, tmp_path):
         vals = []

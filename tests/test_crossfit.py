@@ -30,6 +30,7 @@ from shiftset import (
 )
 from shiftset import FoldPlan, RngStream, crossfit, parallel, simbench
 from shiftset.cli import main
+from shiftset.learners import LogisticRidgePredictor
 from tests.conftest import LookupPredictor, make_sample
 
 
@@ -86,6 +87,16 @@ class TestFitNuisances:
         fits_hi = NuisanceFits(taus=(0.1,), g_predictors=(ConstantPredictor(0.999),),
                                e_predictors=((ConstantPredictor(0.0),),), delta=0.01)
         np.testing.assert_array_equal(fits_hi.propensity(0, np.zeros((3, 1))), 0.99)
+
+    @pytest.mark.parametrize("delta", [crossfit.PROPENSITY_GUARD, 0.01])
+    def test_saturated_propensity_lands_on_delta(self, delta):
+        # expit rounds the log-odds -1000 and 1000 to exactly 0 and 1.
+        g = LogisticRidgePredictor(0.0, [1e3], 1)
+        X = np.array([[-1.0], [1.0]])
+        assert g.predict(X).tolist() == [0.0, 1.0]
+        fits = NuisanceFits(taus=(0.1,), g_predictors=(g,),
+                            e_predictors=((ConstantPredictor(0.0),),), delta=delta)
+        assert fits.propensity(0, X).tolist() == [delta, 1.0 - delta]
 
     def test_truncation_invariant_on_fits(self, fitted):
         sample, folds, grid, fits = fitted
@@ -195,6 +206,15 @@ class TestOracleNuisances:
     def test_unsupported_dgp(self):
         with pytest.raises(ConfigurationError):
             oracle_nuisances("not-a-dgp", ThresholdGrid((0.1,)))
+
+    def test_truncated_at_the_guard(self):
+        # The true highdim propensity 1 / (1 + 4 exp(-(x1 + x2))) is about
+        # 2.5e-305 at x1 + x2 = -700 and exactly 1 at x1 + x2 = 100.
+        fits = oracle_nuisances(DgpSpec("highdim-sparse"), ThresholdGrid((0.1,)))
+        assert fits.delta == crossfit.PROPENSITY_GUARD
+        X = np.zeros((2, 20))
+        X[:, :2] = [[-350.0, -350.0], [50.0, 50.0]]
+        assert fits.propensity(0, X).tolist() == [fits.delta, 1.0 - fits.delta]
 
     def test_propensity_needs_the_dgp_width(self):
         fits = oracle_nuisances(DgpSpec("lowdim"), ThresholdGrid((0.1,)))

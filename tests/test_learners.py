@@ -49,6 +49,13 @@ class TestConstantLabels:
         pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)), np.ones(5))
         assert predict(pred, [0.0, 0.0]) == 1.0
 
+    @pytest.mark.parametrize("kind", ["logistic-ridge", "boosted-stumps"])
+    def test_fitted_constant_checks_the_width(self, kind):
+        pred = fit_binary(BinaryLearnerSpec(kind=kind), np.zeros((5, 2)), np.ones(5))
+        assert isinstance(pred, ConstantPredictor)
+        with pytest.raises(DataError, match="^expected 2 covariates, got 3$"):
+            pred.predict(np.zeros((4, 3)))
+
     @pytest.mark.parametrize("value", [1.5, -0.1])
     def test_constant_outside_unit_interval_rejected(self, value):
         with pytest.raises(ConfigurationError, match=r"must lie in \[0, 1\]"):

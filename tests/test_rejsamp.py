@@ -19,7 +19,7 @@ from shiftset import (
     rs_prepare,
 )
 from shiftset import crossfit
-from shiftset.learners import ConstantPredictor
+from shiftset.learners import ConstantPredictor, LogisticRidgePredictor
 from tests.conftest import make_sample
 
 TARGETS = RiskTargets(0.05, 0.05)
@@ -97,6 +97,20 @@ class TestRsPrepare:
         with pytest.raises(BoundViolationError):
             rs_prepare(sample, RsConfig(bhat_fixed=1.0), GRID, LOGIT, LOGIT,
                        rng.child("r"))
+
+    def test_saturated_propensity_truncated_at_the_guard(self, rng, monkeypatch):
+        # expit rounds this propensity to exactly 0 below x1 = -0.75 and to
+        # exactly 1 above x1 = 0.04.
+        saturated = LogisticRidgePredictor(0.0, [1e3, 0.0, 0.0], 3)
+        monkeypatch.setattr(crossfit, "fit_binary", lambda spec, X, z: saturated)
+        sample = dgp_draw(DgpSpec("lowdim"), 400, rng.child("d"))
+        run = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, rng.child("r"))
+        assert run.fits.delta == crossfit.PROPENSITY_GUARD
+        X = sample.x[run.test_idx]
+        raw, g = saturated.predict(X), run.fits.propensity(0, X)
+        assert (raw == 0.0).any() and (raw == 1.0).any()
+        np.testing.assert_array_equal(g[raw == 0.0], run.fits.delta)
+        np.testing.assert_array_equal(g[raw == 1.0], 1.0 - run.fits.delta)
 
     def test_determinism(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))

@@ -9,7 +9,7 @@ Running it on two checkouts shows whether a change keeps ``fit``,
     python tools/output_digests.py --src . > change.json
     diff parent.json change.json
 
-The matrix, 63 command cases (67 with the four demos): ``fit`` for six
+The matrix, 65 command cases (69 with the four demos): ``fit`` for six
 methods on a 20,000-row and a 400-row CSV, each with and without a config
 file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
@@ -31,8 +31,9 @@ lowdim at one worker against an oracle of two full chunks and a remainder
 (M = 450,001), and of icp on draws of 6 units, some of which hold no source
 or no target unit; ``oracle`` on both DGPs at that M, and on lowdim at
 M = 2,000 on a grid that reaches past every score, where the coverage error
-is exactly 1; a few inputs that ``fit`` rejects; a negative seed given to
-each command, and to ``fit`` through a config file; config files that hold
+is exactly 1, and on a grid five times finer than the default; a few inputs
+that ``fit`` rejects, and an input that does not exist; a negative seed given
+to each command, and to ``fit`` through a config file; config files that hold
 ``help = yes`` or ``config = other.cfg``, which are unknown keys; and configurations that each command rejects before it reads
 input or builds an oracle: an estimator flag given to ``oracle``, a bad
 ``--alpha-error`` given to ``fit`` with a missing input, one fold given
@@ -142,6 +143,9 @@ def matrix():
     yield "oracle-lowdim-past-every-score", [
         "oracle", "--dgp", "lowdim", "--grid", "0:1.5:0.5", "--oracle-m", "2000",
         "--output", "out.csv"]
+    yield "oracle-lowdim-fine-grid", [
+        "oracle", "--dgp", "lowdim", "--grid", "0:0.3:0.01", "--oracle-m", "2000",
+        "--output", "out.csv"]
     # An oracle of two full chunks and a remainder, with wcp's points.
     yield "simulate-lowdim-oracle-450001", [
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
@@ -165,6 +169,8 @@ def matrix():
     for data in ("exact-big", "exact-big-bad", "not-utf8", "long-field"):
         yield f"fit-{data}", ["fit", "--input", f"../{data}.csv", "--method", "onestep",
                               "--output", "out.csv"]
+    yield "fit-missing-input", ["fit", "--input", "../missing.csv", "--method", "onestep",
+                                "--output", "out.csv"]
     for cfg in ("typed-under-flag", "bad-then-unknown", "help-key", "config-key"):
         yield f"fit-config-{cfg}", ["fit", "--input", "../small.csv", "--method", "onestep",
                                     "--output", "out.csv", "--config", f"../{cfg}.cfg",
