@@ -210,7 +210,7 @@ def _write_table_csv(path, rows, header):
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def _write_meta(path, meta: dict):
@@ -227,12 +227,8 @@ def _cell(value) -> str:
 
 
 def _table_rows(table: CoverageTable, selected_tau, sentinel):
-    rows = []
-    for i, tau in enumerate(table.taus):
-        selected = (not sentinel) and tau == selected_tau
-        rows.append([_fmt(tau), _fmt(table.psi[i]), _fmt(table.se[i]),
-                     _fmt(table.cub[i]), "1" if selected else "0"])
-    return rows
+    return [(tau, psi, se, cub, int(not sentinel and tau == selected_tau))
+            for tau, psi, se, cub in zip(table.taus, table.psi, table.se, table.cub)]
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +266,9 @@ def _fit(args):
             **res.info, "selected_tau": res.tau_hat, "sentinel": res.sentinel}
 
     table = res.table
+    if not res.sentinel and not table.se.any():
+        warnings.warn(f"{args.method}: the standard error is 0 at every threshold, "
+                      "so no source unit informs the bound", RuntimeWarning)
     rows = _table_rows(table, res.tau_hat, res.sentinel)
     if res.sentinel:
         return meta, rows, (f"{args.method}: no certifiable threshold (alpha_error="
@@ -289,23 +288,13 @@ def cmd_simulate(args) -> int:
             "methods": list(methods), "replications": args.reps,
             "oracle_m": cfg.oracle_m, "seed": args.seed, **_study_settings(cfg)}
 
-    rows_path = args.output + ".jsonl"
-    with open(rows_path, "w") as fh:
-        for r in report.rows:
-            record = {
-                "method": r.method, "n": r.n, "rep": r.rep,
-                "tau_hat": float(r.tau_hat), "sentinel": r.sentinel,
-                "true_error": None if r.true_error is None else float(r.true_error),
-                "covered": r.covered, "failed": r.failed,
-            }
-            if r.failure:
-                record["failure"] = r.failure
-            if r.info:
-                record["info"] = r.info
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    with open(args.output + ".jsonl", "w") as fh:
+        for r in report.rows:  # every field but the table; failure and info when set
+            record = {k: v for k, v in vars(r).items()
+                      if k != "table" and (v or k not in ("failure", "info"))}
+            fh.write(json.dumps({**record, "failed": r.failed}, sort_keys=True) + "\n")
 
-    _write_table_csv(args.output,
-                     ([_cell(v) for v in dataclasses.astuple(a)] for a in report.aggregates),
+    _write_table_csv(args.output, map(dataclasses.astuple, report.aggregates),
                      [f.name for f in dataclasses.fields(AggregateRow)])
     _write_meta(args.output + ".meta.json", meta)
     for a in report.aggregates:
@@ -323,8 +312,7 @@ def cmd_oracle(args) -> int:
     oracle = OracleEvaluator(spec, args.oracle_m, rng)
     tau0 = oracle.tau0(args.alpha_error)
     curve = oracle.psi_curve(grid)
-    rows = [[_fmt(t), _fmt(v)] for t, v in zip(grid, curve)]
-    _write_table_csv(args.output, rows, ["tau", "psi"])
+    _write_table_csv(args.output, zip(grid, curve), ["tau", "psi"])
     _write_meta(args.output + ".meta.json", {
         "command": "oracle",
         "dgp": spec.kind,

@@ -353,8 +353,9 @@ _FAILURE_ERRORS = (DegenerateFoldError, EmptyAcceptanceError,
 
 @dataclass(frozen=True)
 class ReplicationRow:
-    """One method's threshold on one replication, scored by the oracle; a
-    failed row holds only the name of its error, in ``failure``."""
+    """One method's threshold on one replication, scored by the oracle: the
+    fields of the method's MethodResult, and ``covered``.  A failed row holds only the
+    name of its error, in ``failure``."""
 
     method: str
     n: int
@@ -453,10 +454,11 @@ class Dataset:
 
 
 class MethodResult(NamedTuple):
-    """What one method selected on one dataset: ``info``, the run's facts
-    as plain ints, floats or None, goes to a ``simulate`` row and to the
-    ``fit`` metadata, ``table`` to the ``fit`` table.  Weighted conformal, which is
-    scored on its cutoffs, sets ``true_error`` and no table."""
+    """What one method selected on one dataset, under the names of the
+    ReplicationRow fields it fills: ``info``, the run's facts as plain ints,
+    floats or None, goes to a ``simulate`` row and to the ``fit`` metadata,
+    ``table`` to the ``fit`` table.  Weighted conformal, which is scored on
+    its cutoffs, sets ``true_error`` and no table."""
 
     tau_hat: float
     sentinel: bool
@@ -573,11 +575,8 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
             continue
         err = (oracle.psi_at(res.tau_hat) if res.true_error is None
                else res.true_error)
-        rows.append(ReplicationRow(
-            method=method, n=n, rep=rep, tau_hat=res.tau_hat,
-            sentinel=res.sentinel, true_error=err,
-            covered=bool(err <= cfg.targets.alpha_error),
-            info=res.info, table=res.table))
+        rows.append(ReplicationRow(method, n, rep, **{**res._asdict(), "true_error": err},
+                                   covered=bool(err <= cfg.targets.alpha_error)))
     return rows
 
 

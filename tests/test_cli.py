@@ -1,5 +1,6 @@
 import codecs
 import csv
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -765,6 +766,35 @@ class TestCmdFit:
                          f"(first at line {target + 1})"]
         assert stray[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["onestep", "tmle", "rs", "plugin", "wplugin", "icp"])
+    def test_zero_standard_error_is_flagged(self, tmp_path, method, capsys):
+        # 400 rows, 3 of them source units, each scored above every
+        # threshold of the default grid: no source unit informs psi, whose
+        # estimate and standard error are 0 everywhere.  The fold methods
+        # and rs select the top threshold on no evidence and say so; icp
+        # records its sentinel and does not.
+        gen = np.random.default_rng(3)
+        scores = {10: "0.33", 150: "0.6", 300: "0.92"}
+        lines = ["a,score,x1,x2,x3"]
+        for i, x in enumerate(gen.normal(size=(400, 3))):
+            a_score = ["1", scores[i]] if i in scores else ["0", ""]
+            lines.append(",".join(a_score + [repr(v) for v in x.tolist()]))
+        path = write(tmp_path / "three-sources.csv", "\n".join(lines) + "\n")
+        out = str(tmp_path / "out.csv")
+        assert main(["fit", "--input", path, "--method", method, "--seed", "4",
+                     "--output", out]) == 0
+        meta = json.load(open(out + ".meta.json"))
+        rows = self.read_table(out)
+        assert all(float(r["se"]) == 0.0 for r in rows)
+        if method == "icp":
+            assert meta["sentinel"] and meta["warnings"] == []
+            return
+        message = (f"{method}: the standard error is 0 at every threshold, "
+                   "so no source unit informs the bound")
+        assert meta["warnings"] == [message]
+        assert (meta["sentinel"], meta["selected_tau"]) == (False, 0.3)
+        assert f"warning: {message}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["onestep", "tmle", "rs", "icp"])
     def test_chunked_read_changes_no_output_byte(self, tmp_path, monkeypatch, capsys,
                                                  two_cpus, method):
@@ -988,6 +1018,33 @@ class TestCmdSimulate:
         assert open(out1, "rb").read() == open(out2, "rb").read()
         assert open(out1 + ".jsonl", "rb").read() == open(out2 + ".jsonl", "rb").read()
         assert open(out1 + ".meta.json", "rb").read() == open(out2 + ".meta.json", "rb").read()
+
+    def test_jsonl_rows_hold_the_row_fields(self, tmp_path):
+        # A line holds every ReplicationRow field but the table, and the
+        # derived `failed`; `failure` only on a failed row and `info` only
+        # when it is not empty.  Draws of 6 units give failed rows, icp rows
+        # with run facts and onestep rows without.
+        out = str(tmp_path / "s.csv")
+        assert main(["simulate", "--dgp", "lowdim", "--method", "icp,onestep",
+                     "--n", "6", "--reps", "12", "--oracle-m", "1000",
+                     "--workers", "1", "--output", out]) == 0
+        rows = [json.loads(line) for line in open(out + ".jsonl")]
+        fields = {f.name for f in dataclasses.fields(simbench.ReplicationRow)}
+        always = fields - {"table", "failure", "info"} | {"failed"}
+        kinds = set()
+        for row in rows:
+            kind = ("failure" if row["failed"] else
+                    "info" if row["method"] == "icp" else None)
+            kinds.add(kind)
+            assert set(row) == always | ({kind} - {None})
+            assert type(row["n"]) is int and type(row["rep"]) is int
+            if row["failed"]:
+                assert row["failure"] and row["true_error"] is None
+                assert not row["covered"]
+            elif kind == "info":
+                assert type(row["info"]["calibration_size"]) is int
+                assert row["info"]["k"] is None or type(row["info"]["k"]) is int
+        assert kinds == {"failure", "info", None}
 
     def test_meta_records_the_study_settings(self, tmp_path):
         # Exactly these 16 keys, each value from its flag; --workers changes

@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import warnings
 import weakref
@@ -37,7 +38,7 @@ from shiftset import (
     wilson_interval,
 )
 from shiftset import simbench
-from shiftset.simbench import Dataset
+from shiftset.simbench import Dataset, MethodResult
 
 TARGETS = RiskTargets(0.05, 0.05)
 GRID = ThresholdGrid.from_range(0.0, 0.3, 0.05)
@@ -589,6 +590,11 @@ def assert_same_table(got, want):
             assert other.dtype == value.dtype and other.tobytes() == value.tobytes()
         else:
             assert other == value
+
+
+def test_method_result_fields_are_row_fields():
+    # A replication row is built from its method's result by field name.
+    assert set(MethodResult._fields) <= {f.name for f in dataclasses.fields(ReplicationRow)}
 
 
 @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])

@@ -9,7 +9,7 @@ Running it on two checkouts shows whether a change keeps ``fit``,
     python tools/output_digests.py --src . > change.json
     diff parent.json change.json
 
-The matrix, 65 command cases (69 with the four demos): ``fit`` for six
+The matrix, 67 command cases (71 with the four demos): ``fit`` for six
 methods on a 20,000-row and a 400-row CSV, each with and without a config
 file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
@@ -18,7 +18,9 @@ so that the Wald bound is taken at a quantile other than the default, and of
 icp at ``--alpha-conf 0.45``, where its ``cub`` lies just above its
 ``psi_hat`` (see README, **Outputs**), and at ``--alpha-error 0.01``, where
 no order statistic of its 93 calibration scores is certifiable and it
-records the zero sentinel; ``fit`` of rs on the 400-row CSV
+records the zero sentinel; ``fit`` of onestep and rs on a 400-row CSV of
+3 source units, each scored above every threshold, where the standard
+error is 0 throughout and ``fit`` warns so; ``fit`` of rs on the 400-row CSV
 with a known bound (``--bhat-fixed 10``), and with a config file that sets
 ``bhat-mult``, a key that ``fit`` no longer takes; ``fit`` of onestep and
 icp on a valid file that only the exact reader accepts (quoted fields,
@@ -79,9 +81,22 @@ def write_csv(path: Path, n: int, p: int, seed: int) -> None:
             fh.write(",".join([str(a), score] + [format(v, ".17g") for v in x]) + "\n")
 
 
+def write_three_sources(path: Path) -> None:
+    """400 rows of which 3 are source units, scored 0.33, 0.6 and 0.92:
+    above every threshold of the default grid."""
+    gen = random.Random(3)
+    scores = {10: "0.33", 150: "0.6", 300: "0.92"}
+    with open(path, "w", newline="") as fh:
+        fh.write("a,score,x1,x2,x3\n")
+        for i in range(400):
+            x = [format(gen.gauss(0.0, 1.0), ".17g") for _ in range(3)]
+            fh.write(",".join((["1", scores[i]] if i in scores else ["0", ""]) + x) + "\n")
+
+
 def write_inputs(work: Path) -> None:
     write_csv(work / "big.csv", 20_000, 20, 1)
     write_csv(work / "small.csv", 400, 3, 2)
+    write_three_sources(work / "three-sources.csv")
     (work / "run.cfg").write_text(CONFIG)
     text = (work / "small.csv").read_bytes()
     # Valid, but only the exact reader accepts it: quoted fields, padded `a`
@@ -160,6 +175,10 @@ def matrix():
             "--alpha-conf", alpha_conf, "--output", "out.csv"]
     yield "fit-small-icp-sentinel", ["fit", "--input", "../small.csv", "--method", "icp",
                                      "--alpha-error", "0.01", "--output", "out.csv"]
+    for method in ("onestep", "rs"):
+        yield f"fit-three-sources-{method}", ["fit", "--input", "../three-sources.csv",
+                                              "--method", method, "--seed", "4",
+                                              "--output", "out.csv"]
     fit_small_rs = ["fit", "--input", "../small.csv", "--method", "rs", "--output", "out.csv"]
     yield "fit-small-rs-bhat-fixed", fit_small_rs + ["--bhat-fixed", "10"]
     yield "fit-config-bhat-mult", fit_small_rs + ["--config", "../bhat-mult.cfg"]
