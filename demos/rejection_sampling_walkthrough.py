@@ -17,7 +17,7 @@ sample = ss.dgp_draw(spec, 4000, rng.child("data"))
 grid = ss.ThresholdGrid.from_range(0.0, 0.3, 0.05)
 targets = ss.RiskTargets(0.05, 0.05)
 
-run = ss.rs_prepare(sample, ss.RsConfig(), grid, ss.BinaryLearnerSpec(),
+run = ss.rs_prepare(sample, None, grid, ss.BinaryLearnerSpec(),
                     ss.BinaryLearnerSpec(), rng.child("rs"))
 
 n_test = run.test_idx.size

@@ -45,7 +45,7 @@ from .onestep import (
     select_threshold,
     weighted_plugin_estimate,
 )
-from .rejsamp import RsConfig, RsRun, rs_estimate, rs_prepare
+from .rejsamp import RsRun, rs_estimate, rs_prepare
 from .simbench import (
     DGP_KINDS,
     METHODS,

@@ -36,7 +36,6 @@ from .core import (
 from .csvio import CsvSchemaWarning, _fmt, emit_csv, ingest_csv
 from .learners import LEARNER_KINDS, BinaryLearnerSpec
 from .onestep import CoverageTable
-from .rejsamp import RsConfig
 from .simbench import (
     DGP_KINDS,
     METHODS,
@@ -177,9 +176,7 @@ def _study_config(args, **extra) -> StudyConfig:
         targets=RiskTargets(alpha_error=args.alpha_error, alpha_conf=args.alpha_conf),
         g_spec=BinaryLearnerSpec(kind=args.g_learner, ridge=args.ridge),
         e_spec=BinaryLearnerSpec(kind=args.e_learner, ridge=args.ridge),
-        V=args.folds, delta=args.delta,
-        rs_config=RsConfig(bhat_fixed=args.bhat_fixed),
-        **extra)
+        V=args.folds, delta=args.delta, bhat_fixed=args.bhat_fixed, **extra)
 
 
 def _study_settings(cfg: StudyConfig) -> dict:
@@ -194,7 +191,7 @@ def _study_settings(cfg: StudyConfig) -> dict:
         "g_learner": cfg.g_spec.kind,
         "e_learner": cfg.e_spec.kind,
         "ridge": cfg.g_spec.ridge,  # both learners take --ridge
-        "bhat_fixed": cfg.rs_config.bhat_fixed,
+        "bhat_fixed": cfg.bhat_fixed,
     }
 
 

@@ -261,6 +261,10 @@ class RiskTargets:
             raise ConfigurationError("alpha_error must lie strictly inside (0, 1)")
         if not (0.0 < self.alpha_conf < 0.5):
             raise ConfigurationError("alpha_conf must lie strictly inside (0, 0.5)")
+        # At or below 2**-54, 1 - alpha_conf is 1.0 and its Wald quantile inf.
+        if 1.0 - self.alpha_conf == 1.0:
+            raise ConfigurationError(
+                f"alpha_conf must exceed 2**-54 (about 5.55e-17), got {self.alpha_conf!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -32,25 +32,14 @@ from .onestep import CoverageTable, _wald_cub
 
 # Fraction of the sample in the training half.
 _TRAIN_FRACTION = 0.5
-# The bound rule's multiplier when no bound is known (see RsConfig).
+# The bound rule's multiplier when no bound is known (see rs_prepare).
 _BHAT_MULT = 1.3
 
 
-@dataclass(frozen=True)
-class RsConfig:
-    """Bound rule for rejection sampling.
-
-    ``bhat_fixed`` set -> use it as the known bound B (and fail the run if an
-    observed test-half weight exceeds it); it must be finite and at least 1.
-    With no known bound, B = max(1, 1.3 * the largest test-half source
-    weight).
-    """
-
-    bhat_fixed: float | None = None
-
-    def __post_init__(self):
-        if self.bhat_fixed is not None and not (1.0 <= self.bhat_fixed < np.inf):
-            raise ConfigurationError("fixed bound must be finite and at least 1")
+def _check_bhat_fixed(bhat_fixed: float | None) -> None:
+    """Refuse a known bound B that is not finite or lies below 1."""
+    if bhat_fixed is not None and not (1.0 <= bhat_fixed < np.inf):
+        raise ConfigurationError("fixed bound must be finite and at least 1")
 
 
 @dataclass(frozen=True)
@@ -76,10 +65,17 @@ class RsRun:
         return self.test_idx[self.accepted]
 
 
-def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
-               g_spec: BinaryLearnerSpec, e_spec: BinaryLearnerSpec,
-               rng: RngStream) -> RsRun:
-    """Split, fit nuisances on the training half, and run the thinning."""
+def rs_prepare(sample: ObservedSample, bhat_fixed: float | None,
+               grid: ThresholdGrid, g_spec: BinaryLearnerSpec,
+               e_spec: BinaryLearnerSpec, rng: RngStream) -> RsRun:
+    """Split, fit nuisances on the training half, and run the thinning.
+
+    ``bhat_fixed`` set -> use it as the known bound B (and fail the run if an
+    observed test-half weight exceeds it); it must be finite and at least 1.
+    With no known bound, B = max(1, 1.3 * the largest test-half source
+    weight).
+    """
+    _check_bhat_fixed(bhat_fixed)
     n = sample.n
     perm = rng.child("rs-split").generator().permutation(n)
     # n >= 2 (a sample holds a source and a target unit), so neither half
@@ -102,8 +98,8 @@ def rs_prepare(sample: ObservedSample, config: RsConfig, grid: ThresholdGrid,
 
     src_test = a_test == 1
     w_src_max = float(what_test[src_test].max())
-    if config.bhat_fixed is not None:
-        bhat = float(config.bhat_fixed)
+    if bhat_fixed is not None:
+        bhat = float(bhat_fixed)
         if bhat < w_src_max:
             raise BoundViolationError(
                 f"fixed bound {bhat} below observed weight {w_src_max:.6g}")

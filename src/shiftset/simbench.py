@@ -61,7 +61,7 @@ from .onestep import (
     weighted_plugin_estimate,
 )
 from .parallel import run_jobs
-from .rejsamp import RsConfig, rs_estimate, rs_prepare
+from .rejsamp import _check_bhat_fixed, rs_estimate, rs_prepare
 from .tmle import tmle_estimate
 
 DGP_KINDS = ("highdim-sparse", "lowdim", "lowdim-noshift")
@@ -408,14 +408,15 @@ class StudyConfig:
     e_spec: BinaryLearnerSpec = BinaryLearnerSpec()
     V: int = 2
     delta: float = 0.01
-    rs_config: RsConfig = field(default_factory=RsConfig)
+    bhat_fixed: float | None = None
     oracle_m: int = 100_000
 
     def __post_init__(self):
-        # As make_folds and fit_nuisances check them, before any input is
-        # read or any oracle built.
+        # As make_folds, fit_nuisances and rs_prepare check them, before any
+        # input is read or any oracle built.
         _check_count(self.V, "fold count", 2)
         _check_delta(self.delta)
+        _check_bhat_fixed(self.bhat_fixed)
 
 
 @dataclass
@@ -484,7 +485,7 @@ def _run_tmle(data: Dataset) -> MethodResult:
 
 def _run_rs(data: Dataset) -> MethodResult:
     cfg = data.cfg
-    run = rs_prepare(data.sample, cfg.rs_config, cfg.grid, cfg.g_spec,
+    run = rs_prepare(data.sample, cfg.bhat_fixed, cfg.grid, cfg.g_spec,
                      cfg.e_spec, data.rs_rng)
     table = rs_estimate(run, data.sample, cfg.targets)
     return _selected(table, cfg.targets,

@@ -255,9 +255,8 @@ def test_rejection_sampling_acceptance_rate():
     ok_runs = 0
     for r in range(50):
         sample = ss.dgp_draw(ss.DgpSpec("lowdim"), 4000, rng.child("acc", r))
-        run = ss.rs_prepare(sample, ss.RsConfig(), one_grid,
-                            ss.BinaryLearnerSpec(), ss.BinaryLearnerSpec(),
-                            rng.child("accr", r))
+        run = ss.rs_prepare(sample, None, one_grid, ss.BinaryLearnerSpec(),
+                            ss.BinaryLearnerSpec(), rng.child("accr", r))
         n_test = run.test_idx.size
         freq = run.n_accepted / n_test
         pred = run.gamma_train * run.pi_hat / run.bhat
@@ -275,9 +274,8 @@ def test_rejection_sampling_distribution():
     passed = 0
     for r in range(50):
         sample = draw_discrete_shift(4000, rng.child("dd", r))
-        run = ss.rs_prepare(sample, ss.RsConfig(), one_grid,
-                            ss.BinaryLearnerSpec(), ss.BinaryLearnerSpec(),
-                            rng.child("rr", r))
+        run = ss.rs_prepare(sample, None, one_grid, ss.BinaryLearnerSpec(),
+                            ss.BinaryLearnerSpec(), rng.child("rr", r))
         a_test = sample.a[run.test_idx]
         src = a_test == 1
         x1_test = sample.x[run.test_idx, 0]
@@ -314,9 +312,8 @@ def test_variance_ordering():
                                 ss.BinaryLearnerSpec(), 0.01)
         engine = ss.FoldEngine(sample, folds, fits)
         ps_one.append(ss.onestep_estimate(engine, TARGETS).psi[0])
-        run = ss.rs_prepare(sample, ss.RsConfig(), one_grid,
-                            ss.BinaryLearnerSpec(), ss.BinaryLearnerSpec(),
-                            rng.child("r", r))
+        run = ss.rs_prepare(sample, None, one_grid, ss.BinaryLearnerSpec(),
+                            ss.BinaryLearnerSpec(), rng.child("r", r))
         ps_rs.append(ss.rs_estimate(run, sample, TARGETS).psi[0])
     v_one = float(np.var(ps_one, ddof=1))
     v_rs = float(np.var(ps_rs, ddof=1))

@@ -686,6 +686,7 @@ def sample_csv(tmp_path):
 
 NEGATIVE_SEED_ERROR = (
     "error: ConfigurationError: seed must be a nonnegative integer, got -1\n")
+ALPHA_CONF_ERROR = "alpha_conf must exceed 2**-54 (about 5.55e-17), got 1e-17"
 
 
 class TestCmdFit:
@@ -950,6 +951,9 @@ class TestCmdFit:
         # Below 1e-12 the odds weight of a propensity truncated at delta can
         # overflow.
         (("--delta", "1e-320"), "delta must be at least 1e-12, got 1e-320"),
+        # At or below 2**-54 the Wald quantile of 1 - alpha_conf is inf.
+        (("--alpha-conf", "1e-17"), ALPHA_CONF_ERROR),
+        (("--bhat-fixed", "0.5"), "fixed bound must be finite and at least 1"),
     ])
     @pytest.mark.parametrize("present", [True, False], ids=["input", "missing-input"])
     def test_configuration_checked_before_the_input_is_read(
@@ -1264,6 +1268,8 @@ class TestCmdSimulate:
         (("--delta", "0.7"), "delta must lie in (0, 0.5)"),
         (("--n", "1"), "cannot split 1 units into 2 folds"),
         (("--delta", "1e-13"), "delta must be at least 1e-12, got 1e-13"),
+        (("--alpha-conf", "1e-17"), ALPHA_CONF_ERROR),
+        (("--bhat-fixed", "0.5"), "fixed bound must be finite and at least 1"),
     ])
     def test_configuration_checked_before_the_oracle_is_built(
             self, tmp_path, capsys, monkeypatch, flags, error):

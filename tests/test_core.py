@@ -224,8 +224,11 @@ class TestThresholdGrid:
 
 
 class TestRiskTargets:
+    # At or below 2**-54, 1 - alpha_conf rounds to 1 and the Wald quantile
+    # is inf.
     @pytest.mark.parametrize("ae,ac", [(0.0, 0.05), (1.0, 0.05), (0.05, 0.0),
-                                       (0.05, 1.0), (0.05, 0.5)])
+                                       (0.05, 1.0), (0.05, 0.5), (0.05, 1e-17),
+                                       (0.05, 2**-54)])
     def test_domain(self, ae, ac):
         with pytest.raises(ConfigurationError):
             RiskTargets(alpha_error=ae, alpha_conf=ac)
@@ -256,7 +259,7 @@ PUBLIC_NAMES = """
     DGP_KINDS DataError DegenerateFoldError DgpSpec DomainError
     EmptyAcceptanceError FittedPredictor FoldEngine FoldPlan IcpThreshold
     METHODS NuisanceFits ObservedSample OracleEvaluator ReplicationReport
-    ReplicationRow RiskTargets RngStream RsConfig RsRun ShiftsetError
+    ReplicationRow RiskTargets RngStream RsRun ShiftsetError
     StudyConfig ThresholdDecision ThresholdGrid UnfittableFoldError dgp_draw
     fit_binary fit_nuisances inductive_cp_threshold
     make_folds miscoverage_vector odds_weight

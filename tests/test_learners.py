@@ -19,7 +19,6 @@ from shiftset import (
     DataError,
     DgpSpec,
     RngStream,
-    RsConfig,
     ThresholdGrid,
     dgp_draw,
     fit_binary,
@@ -429,7 +428,7 @@ class TestNuisanceGridsMatchReference:
 
     def test_rs_prepare(self):
         root, sample = self.draw()
-        run = rs_prepare(sample, RsConfig(), self.grid, self.spec, self.spec,
+        run = rs_prepare(sample, None, self.grid, self.spec, self.spec,
                          root.child("rs"))
         src = run.train_idx[sample.a[run.train_idx] == 1]
         for ti, tau in enumerate(self.grid):
@@ -530,7 +529,7 @@ class TestLogisticGridStack:
 
 _COEFFICIENT_BYTES = """
 import numpy as np
-from shiftset import (BinaryLearnerSpec, DgpSpec, RngStream, RsConfig, ThresholdGrid,
+from shiftset import (BinaryLearnerSpec, DgpSpec, RngStream, ThresholdGrid,
                       dgp_draw, fit_nuisances, make_folds, rs_prepare)
 root = RngStream(11)
 n = 20_000
@@ -538,7 +537,7 @@ grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
 spec = BinaryLearnerSpec()
 sample = dgp_draw(DgpSpec("highdim-sparse"), n, root.child("dgp"))
 fits = fit_nuisances(sample, make_folds(n, 2, root.child("folds")), grid, spec, spec, 0.01)
-run = rs_prepare(sample, RsConfig(), grid, spec, spec, root.child("rs"))
+run = rs_prepare(sample, None, grid, spec, spec, root.child("rs"))
 preds = [*fits.g_predictors, *(e for row in fits.e_predictors for e in row),
          *run.fits.g_predictors, *run.fits.e_predictors[0]]
 for p in preds:

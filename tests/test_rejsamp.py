@@ -10,7 +10,6 @@ from shiftset import (
     NuisanceFits,
     RiskTargets,
     RngStream,
-    RsConfig,
     RsRun,
     ThresholdGrid,
     dgp_draw,
@@ -18,7 +17,7 @@ from shiftset import (
     rs_estimate,
     rs_prepare,
 )
-from shiftset import crossfit
+from shiftset import crossfit, rejsamp
 from shiftset.learners import ConstantPredictor, LogisticRidgePredictor
 from tests.conftest import make_sample
 
@@ -39,18 +38,24 @@ def mean_only_fits(monkeypatch):
     monkeypatch.setattr(crossfit, "fit_binary_grid", fit_grid)
 
 
-class TestRsConfig:
-    def test_domains(self):
-        for bad in (0.5, float("nan"), float("inf"), -float("inf")):
-            with pytest.raises(ConfigurationError):
-                RsConfig(bhat_fixed=bad)
-        RsConfig(bhat_fixed=1.0)
-
-
 class TestRsPrepare:
+    def test_fixed_bound_domain(self, rng, monkeypatch):
+        # Refused before the sample is split or any nuisance fitted, with
+        # the message StudyConfig gives; B = 1 passes the check (see
+        # test_fixed_bound_violation).
+        def refuse(*args):
+            raise AssertionError("a nuisance was fitted")
+
+        monkeypatch.setattr(rejsamp, "fit_on", refuse)
+        sample = dgp_draw(DgpSpec("lowdim"), 300, rng.child("d"))
+        for bad in (0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigurationError,
+                               match="^fixed bound must be finite and at least 1$"):
+                rs_prepare(sample, bad, GRID, LOGIT, LOGIT, rng.child("r"))
+
     def test_run_mechanics(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 1000, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
         a_test = sample.a[run.test_idx]
         # accepted units are source units passing the thinning draw
         expected = (a_test == 1) & (run.zeta <= run.what_test / run.bhat)
@@ -70,21 +75,19 @@ class TestRsPrepare:
         # g fitted as the constant source share equals gamma_train, so the
         # odds transform collapses to exactly 1 everywhere.
         sample = dgp_draw(DgpSpec("lowdim"), 800, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
         np.testing.assert_allclose(run.what_test, 1.0, atol=1e-12)
 
     def test_weight_equal_to_bound_accepts_all(self, rng, mean_only_fits):
         sample = dgp_draw(DgpSpec("lowdim"), 800, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(bhat_fixed=1.0), GRID, LOGIT, LOGIT,
-                         rng.child("r"))
+        run = rs_prepare(sample, 1.0, GRID, LOGIT, LOGIT, rng.child("r"))
         a_test = sample.a[run.test_idx]
         assert run.n_accepted == int((a_test == 1).sum())
 
     def test_half_bound_accepts_about_half(self, rng, mean_only_fits):
         # unit weights with B = 2: acceptance probability is exactly 1/2
         sample = dgp_draw(DgpSpec("lowdim"), 2400, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(bhat_fixed=2.0), GRID, LOGIT, LOGIT,
-                         rng.child("r"))
+        run = rs_prepare(sample, 2.0, GRID, LOGIT, LOGIT, rng.child("r"))
         n_src = int((sample.a[run.test_idx] == 1).sum())
         assert n_src >= 500
         frac = run.n_accepted / n_src
@@ -95,8 +98,7 @@ class TestRsPrepare:
         # estimated lowdim weights exceed 1 somewhere, so B = 1 must fail
         sample = dgp_draw(DgpSpec("lowdim"), 1000, rng.child("d"))
         with pytest.raises(BoundViolationError):
-            rs_prepare(sample, RsConfig(bhat_fixed=1.0), GRID, LOGIT, LOGIT,
-                       rng.child("r"))
+            rs_prepare(sample, 1.0, GRID, LOGIT, LOGIT, rng.child("r"))
 
     def test_saturated_propensity_truncated_at_the_guard(self, rng, monkeypatch):
         # expit rounds this propensity to exactly 0 below x1 = -0.75 and to
@@ -104,7 +106,7 @@ class TestRsPrepare:
         saturated = LogisticRidgePredictor(0.0, [1e3, 0.0, 0.0], 3)
         monkeypatch.setattr(crossfit, "fit_binary", lambda spec, X, z: saturated)
         sample = dgp_draw(DgpSpec("lowdim"), 400, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
         assert run.fits.delta == crossfit.PROPENSITY_GUARD
         X = sample.x[run.test_idx]
         raw, g = saturated.predict(X), run.fits.propensity(0, X)
@@ -114,8 +116,8 @@ class TestRsPrepare:
 
     def test_determinism(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))
-        r1 = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, RngStream(3))
-        r2 = rs_prepare(sample, RsConfig(), GRID, LOGIT, LOGIT, RngStream(3))
+        r1 = rs_prepare(sample, None, GRID, LOGIT, LOGIT, RngStream(3))
+        r2 = rs_prepare(sample, None, GRID, LOGIT, LOGIT, RngStream(3))
         np.testing.assert_array_equal(r1.accepted, r2.accepted)
         np.testing.assert_array_equal(r1.zeta, r2.zeta)
 
@@ -169,7 +171,7 @@ class TestRsEstimate:
     def test_below_support_threshold_gives_exact_zero(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))
         grid = ThresholdGrid((0.0, 0.15))
-        run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
         table = rs_estimate(run, sample, TARGETS)
         assert table.psi[0] == 0.0
         assert table.se[0] == 0.0
@@ -178,8 +180,7 @@ class TestRsEstimate:
     def test_empty_acceptance_raises(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 300, rng.child("d"))
         with pytest.raises(EmptyAcceptanceError):
-            run = rs_prepare(sample, RsConfig(bhat_fixed=1e12), GRID, LOGIT,
-                             LOGIT, rng.child("r"))
+            run = rs_prepare(sample, 1e12, GRID, LOGIT, LOGIT, rng.child("r"))
             rs_estimate(run, sample, TARGETS)
 
     def test_noshift_estimated_nuisances_recover_level(self):
@@ -192,7 +193,7 @@ class TestRsEstimate:
         tau0 = OracleEvaluator(spec, 400_000, rng.child("tau0")).tau0(0.05)
         grid = ThresholdGrid((tau0,))
         sample = dgp_draw(spec, 8000, rng.child("d"))
-        run = rs_prepare(sample, RsConfig(), grid, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
         table = rs_estimate(run, sample, TARGETS)
         assert abs(table.psi[0] - 0.05) <= 3 * table.se[0]
 
@@ -237,7 +238,7 @@ class TestRsEstimateMatchesScalarReference:
         grid = ThresholdGrid.from_range(0.0, 0.3, step)
         root = RngStream(n)
         sample = dgp_draw(DgpSpec(kind), n, root.child("d"))
-        run = rs_prepare(sample, RsConfig(), grid, spec, spec, root.child("r"))
+        run = rs_prepare(sample, None, grid, spec, spec, root.child("r"))
         table = rs_estimate(run, sample, TARGETS)
         psi, sigma = reference_rs_estimate(run, sample, grid)
         assert table.psi.tobytes() == psi.tobytes()

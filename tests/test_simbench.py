@@ -611,7 +611,7 @@ def test_registry_matches_public_estimators(learner):
                              ("wplugin", weighted_plugin_estimate)]:
         assert_same_table(METHODS[method](data).table,
                           estimate(data.engine, TARGETS))
-    run = rs_prepare(data.sample, cfg.rs_config, cfg.grid, spec, spec, data.rs_rng)
+    run = rs_prepare(data.sample, cfg.bhat_fixed, cfg.grid, spec, spec, data.rs_rng)
     assert_same_table(METHODS["rs"](data).table,
                       rs_estimate(run, data.sample, TARGETS))
 

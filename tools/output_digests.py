@@ -9,7 +9,7 @@ Running it on two checkouts shows whether a change keeps ``fit``,
     python tools/output_digests.py --src . > change.json
     diff parent.json change.json
 
-The matrix, 67 command cases (71 with the four demos): ``fit`` for six
+The matrix, 69 command cases (73 with the four demos): ``fit`` for six
 methods on a 20,000-row and a 400-row CSV, each with and without a config
 file, and on the 20,000-row CSV (whose folds are
 fitted in forked workers) once more with boosted stumps and once with three
@@ -37,11 +37,12 @@ is exactly 1, and on a grid five times finer than the default; a few inputs
 that ``fit`` rejects, and an input that does not exist; a negative seed given
 to each command, and to ``fit`` through a config file; config files that hold
 ``help = yes`` or ``config = other.cfg``, which are unknown keys; and configurations that each command rejects before it reads
-input or builds an oracle: an estimator flag given to ``oracle``, a bad
-``--alpha-error`` given to ``fit`` with a missing input, one fold given
-to ``simulate`` with a large oracle, and a ``--delta`` below the propensity
-guard (1e-12) given to ``fit`` with a missing input and to ``simulate`` with
-a large oracle. Each ``demos/*.py`` script of the
+input or builds an oracle: an estimator flag given to ``oracle``; a bad
+``--alpha-error``, and an ``--alpha-conf`` at or below 2**-54, where the
+Wald quantile is infinite, each given to ``fit`` with a missing input; one
+fold, and a ``--bhat-fixed`` below 1, each given to ``simulate`` with a
+large oracle; and a ``--delta`` below the propensity guard (1e-12) given to
+``fit`` with a missing input and to ``simulate`` with a large oracle. Each ``demos/*.py`` script of the
 checkout is a ``demo-<name>`` case of its own, run with the checkout's
 ``src`` as ``PYTHONPATH``. The input files are written by this script with
 the standard library, so both trees read the same bytes. Only the standard
@@ -207,6 +208,11 @@ def matrix():
     yield "fit-bad-alpha-missing-input", ["fit", "--input", "../missing.csv",
                                           "--method", "onestep", "--alpha-error", "2",
                                           "--output", "out.csv"]
+    # At or below 2**-54 the Wald quantile of 1 - alpha_conf is inf.
+    yield "fit-alpha-conf-below-2e-54-missing-input", ["fit", "--input", "../missing.csv",
+                                                       "--method", "onestep",
+                                                       "--alpha-conf", "1e-17",
+                                                       "--output", "out.csv"]
     yield "simulate-one-fold", ["simulate", "--dgp", "lowdim", "--method", "onestep",
                                 "--n", "300", "--reps", "1", "--folds", "1",
                                 "--oracle-m", "2000000", "--output", "out.csv"]
@@ -216,6 +222,9 @@ def matrix():
     yield "simulate-delta-below-guard", ["simulate", "--dgp", "lowdim", "--method", "onestep",
                                          "--n", "300", "--reps", "1", "--delta", "1e-13",
                                          "--oracle-m", "2000000", "--output", "out.csv"]
+    yield "simulate-bhat-fixed-below-one", ["simulate", "--dgp", "lowdim", "--method", "rs",
+                                            "--n", "300", "--reps", "1", "--bhat-fixed", "0.5",
+                                            "--oracle-m", "2000000", "--output", "out.csv"]
     # Draws of 6 units, some with no source or no target unit.
     yield "simulate-degenerate-draws", ["simulate", "--dgp", "lowdim", "--method", "icp",
                                         "--n", "6", "--reps", "40", "--oracle-m", "1000",
