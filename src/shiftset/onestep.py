@@ -114,10 +114,12 @@ class FoldEngine:
                          for v in range(folds.V)]
 
 
-def _wald_cub(psi: np.ndarray, sigma: np.ndarray, n: int,
-              alpha_conf: float) -> np.ndarray:
-    """One-sided Wald confidence upper bound of each estimate."""
-    return psi + float(ndtri(1.0 - alpha_conf)) * sigma / np.sqrt(n)
+def _wald_table(taus, psi, sigma, n: int, alpha_conf: float, extras=None) -> CoverageTable:
+    """Estimates psi with se = sigma / sqrt(n) and one-sided Wald CUBs."""
+    return CoverageTable(
+        taus=np.array(taus, dtype=float), psi=psi, se=sigma / np.sqrt(n),
+        cub=psi + float(ndtri(1.0 - alpha_conf)) * sigma / np.sqrt(n),
+        extras=dict(extras or {}))
 
 
 def _run_folds(engine: FoldEngine, targets: RiskTargets, fold_fn,
@@ -129,9 +131,7 @@ def _run_folds(engine: FoldEngine, targets: RiskTargets, fold_fn,
     weights = engine.fold_sizes / engine.n
     psi = weights @ psi_by_fold
     sigma = np.sqrt(weights @ sigma2_by_fold)
-    return CoverageTable(
-        taus=np.array(engine.taus, dtype=float), psi=psi, se=sigma / np.sqrt(engine.n),
-        cub=_wald_cub(psi, sigma, engine.n, targets.alpha_conf), extras=dict(extras or {}))
+    return _wald_table(engine.taus, psi, sigma, engine.n, targets.alpha_conf, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .core import (
 )
 from .crossfit import PROPENSITY_GUARD, NuisanceFits, fit_on, odds_weight
 from .learners import BinaryLearnerSpec
-from .onestep import CoverageTable, _wald_cub
+from .onestep import CoverageTable, _wald_table
 
 # Fraction of the sample in the training half.
 _TRAIN_FRACTION = 0.5
@@ -159,7 +159,4 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
     psi_sq = (psi.astype(object) ** 2).astype(float)
     var = ((n / n_train) * train_piece_base * psi_sq
            + (n / n_test) * np.mean(test_terms**2, axis=1))
-    sigma = np.sqrt(var)
-
-    return CoverageTable(taus=taus, psi=psi, se=sigma / np.sqrt(n),
-                         cub=_wald_cub(psi, sigma, n, targets.alpha_conf))
+    return _wald_table(taus, psi, np.sqrt(var), n, targets.alpha_conf)

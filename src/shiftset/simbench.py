@@ -417,6 +417,7 @@ class StudyConfig:
         _check_count(self.V, "fold count", 2)
         _check_delta(self.delta)
         _check_bhat_fixed(self.bhat_fixed)
+        _check_count(self.oracle_m, "M")
 
 
 @dataclass
@@ -468,27 +469,22 @@ class MethodResult(NamedTuple):
     true_error: float | None = None
 
 
-def _selected(table, targets, info) -> MethodResult:
-    dec = select_threshold(table, targets)
-    return MethodResult(dec.tau_hat, dec.is_sentinel, info, table)
-
-
-def _run_fold_estimate(data: Dataset, estimate) -> MethodResult:
-    return _selected(estimate(data.engine, data.cfg.targets), data.cfg.targets, {})
+def _selected(data: Dataset, table: CoverageTable, info=None) -> MethodResult:
+    """The threshold that ``table`` certifies at the study's targets."""
+    dec = select_threshold(table, data.cfg.targets)
+    return MethodResult(dec.tau_hat, dec.is_sentinel, info or {}, table)
 
 
 def _run_tmle(data: Dataset) -> MethodResult:
     table = tmle_estimate(data.engine, data.cfg.targets)
-    return _selected(table, data.cfg.targets,
-                     {"fallback_count": int(table.extras["fallback"].sum())})
+    return _selected(data, table, {"fallback_count": int(table.extras["fallback"].sum())})
 
 
 def _run_rs(data: Dataset) -> MethodResult:
     cfg = data.cfg
     run = rs_prepare(data.sample, cfg.bhat_fixed, cfg.grid, cfg.g_spec,
                      cfg.e_spec, data.rs_rng)
-    table = rs_estimate(run, data.sample, cfg.targets)
-    return _selected(table, cfg.targets,
+    return _selected(data, rs_estimate(run, data.sample, cfg.targets),
                      {"bhat": run.bhat, "n_accepted": run.n_accepted, "pi_hat": run.pi_hat})
 
 
@@ -534,11 +530,12 @@ def _run_wcp(data: Dataset) -> MethodResult:
 # simulation studies.  Entries read their estimator from the module globals
 # when called, so perfbench's tracer, which rebinds `simbench.<name>`, sees it.
 METHODS: dict[str, Callable[[Dataset], MethodResult]] = {
-    "onestep": lambda data: _run_fold_estimate(data, onestep_estimate),
+    "onestep": lambda data: _selected(data, onestep_estimate(data.engine, data.cfg.targets)),
     "tmle": _run_tmle,
     "rs": _run_rs,
-    "plugin": lambda data: _run_fold_estimate(data, plugin_estimate),
-    "wplugin": lambda data: _run_fold_estimate(data, weighted_plugin_estimate),
+    "plugin": lambda data: _selected(data, plugin_estimate(data.engine, data.cfg.targets)),
+    "wplugin": lambda data: _selected(
+        data, weighted_plugin_estimate(data.engine, data.cfg.targets)),
     "icp": _run_icp,
     "wcp": _run_wcp,
 }

@@ -1270,6 +1270,9 @@ class TestCmdSimulate:
         (("--delta", "1e-13"), "delta must be at least 1e-12, got 1e-13"),
         (("--alpha-conf", "1e-17"), ALPHA_CONF_ERROR),
         (("--bhat-fixed", "0.5"), "fixed bound must be finite and at least 1"),
+        (("--oracle-m", "0"), "M must be an integer of at least 1, got 0"),
+        (("--reps", "0"), "replications must be an integer of at least 1, got 0"),
+        (("--method", "onestep,bogus"), "unknown method 'bogus'"),
     ])
     def test_configuration_checked_before_the_oracle_is_built(
             self, tmp_path, capsys, monkeypatch, flags, error):

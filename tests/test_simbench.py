@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 from scipy.stats import binomtest
 
 from shiftset import (
@@ -614,6 +615,22 @@ def test_registry_matches_public_estimators(learner):
     run = rs_prepare(data.sample, cfg.bhat_fixed, cfg.grid, spec, spec, data.rs_rng)
     assert_same_table(METHODS["rs"](data).table,
                       rs_estimate(run, data.sample, TARGETS))
+
+
+@pytest.mark.parametrize("alpha_conf", [0.05, 0.2])
+@pytest.mark.parametrize("method", ["onestep", "plugin", "wplugin", "tmle", "rs"])
+def test_wald_methods_share_one_bound(method, alpha_conf):
+    # Every Wald table bounds psi by the one-sided normal quantile times se.
+    cfg = StudyConfig(grid=GRID, targets=RiskTargets(0.05, alpha_conf))
+    root = RngStream(23)
+    data = Dataset(dgp_draw(DgpSpec("lowdim"), 600, root.child("d")), cfg,
+                   root.child("f"), root.child("rs"))
+    table = METHODS[method](data).table
+    assert table.taus.dtype == np.float64
+    np.testing.assert_array_equal(table.taus, np.array(list(GRID), dtype=float))
+    assert np.all(table.se >= 0)
+    np.testing.assert_allclose(table.cub - table.psi, ndtri(1 - alpha_conf) * table.se,
+                               rtol=1e-12, atol=0)
 
 
 

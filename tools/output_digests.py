@@ -9,45 +9,15 @@ Running it on two checkouts shows whether a change keeps ``fit``,
     python tools/output_digests.py --src . > change.json
     diff parent.json change.json
 
-The matrix, 69 command cases (73 with the four demos): ``fit`` for six
-methods on a 20,000-row and a 400-row CSV, each with and without a config
-file, and on the 20,000-row CSV (whose folds are
-fitted in forked workers) once more with boosted stumps and once with three
-folds; ``fit`` of onestep and rs on the 400-row CSV at ``--alpha-conf 0.2``,
-so that the Wald bound is taken at a quantile other than the default, and of
-icp at ``--alpha-conf 0.45``, where its ``cub`` lies just above its
-``psi_hat`` (see README, **Outputs**), and at ``--alpha-error 0.01``, where
-no order statistic of its 93 calibration scores is certifiable and it
-records the zero sentinel; ``fit`` of onestep and rs on a 400-row CSV of
-3 source units, each scored above every threshold, where the standard
-error is 0 throughout and ``fit`` warns so; ``fit`` of rs on the 400-row CSV
-with a known bound (``--bhat-fixed 10``), and with a config file that sets
-``bhat-mult``, a key that ``fit`` no longer takes; ``fit`` of onestep and
-icp on a valid file that only the exact reader accepts (quoted fields,
-padded ``a`` tokens, a blank line), and of onestep on the 20,000-row CSV
-with one quoted field, which the exact reader reads too, as it is and with
-a malformed number on its line 15,001; ``simulate`` of all seven methods on
-lowdim and highdim with both learners at two workers and with the default
-learners at the default worker count, on lowdim at three folds, and on
-lowdim at one worker against an oracle of two full chunks and a remainder
-(M = 450,001), and of icp on draws of 6 units, some of which hold no source
-or no target unit; ``oracle`` on both DGPs at that M, and on lowdim at
-M = 2,000 on a grid that reaches past every score, where the coverage error
-is exactly 1, and on a grid five times finer than the default; a few inputs
-that ``fit`` rejects, and an input that does not exist; a negative seed given
-to each command, and to ``fit`` through a config file; config files that hold
-``help = yes`` or ``config = other.cfg``, which are unknown keys; and configurations that each command rejects before it reads
-input or builds an oracle: an estimator flag given to ``oracle``; a bad
-``--alpha-error``, and an ``--alpha-conf`` at or below 2**-54, where the
-Wald quantile is infinite, each given to ``fit`` with a missing input; one
-fold, and a ``--bhat-fixed`` below 1, each given to ``simulate`` with a
-large oracle; and a ``--delta`` below the propensity guard (1e-12) given to
-``fit`` with a missing input and to ``simulate`` with a large oracle. Each ``demos/*.py`` script of the
-checkout is a ``demo-<name>`` case of its own, run with the checkout's
-``src`` as ``PYTHONPATH``. The input files are written by this script with
-the standard library, so both trees read the same bytes. Only the standard
-library is used here; the commands run with the interpreter that runs this
-script.
+The command cases run ``fit``, ``simulate`` and ``oracle`` on accepted
+inputs across methods, learners, worker counts, config files and input
+readers, and on inputs and configurations that each command refuses.
+:func:`matrix` names every case and its arguments.  Each ``demos/*.py``
+script of the checkout is a ``demo-<name>`` case of its own, run with the
+checkout's ``src`` as ``PYTHONPATH``. The input files are written by this
+script with the standard library, so both trees read the same bytes. Only
+the standard library is used here; the commands run with the interpreter
+that runs this script.
 """
 
 from __future__ import annotations
