@@ -42,10 +42,10 @@ from .simbench import (
     AggregateRow,
     Dataset,
     DgpSpec,
-    OracleEvaluator,
     StudyConfig,
     _check_alpha,
     _ensure_methods,
+    _study_oracle,
     run_study,
 )
 
@@ -304,9 +304,9 @@ def cmd_simulate(args) -> int:
 def cmd_oracle(args) -> int:
     grid = _parse_grid(args.grid)
     spec = _dgp_spec(args.dgp)
-    rng = RngStream(args.seed).child("oracle")  # run_study's oracle stream
+    root = RngStream(args.seed)
     _check_alpha(args.alpha_error)
-    oracle = OracleEvaluator(spec, args.oracle_m, rng)
+    oracle = _study_oracle(spec, args.oracle_m, root)
     tau0 = oracle.tau0(args.alpha_error)
     curve = oracle.psi_curve(grid)
     _write_table_csv(args.output, zip(grid, curve), ["tau", "psi"])

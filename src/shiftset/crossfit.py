@@ -80,8 +80,9 @@ class NuisanceFits:
     error predictor per (fold, threshold of ``taus``).
 
     The propensity is truncated into [delta, 1 - delta]; rejection sampling
-    (one "fold", the training half) and ``simbench.oracle_nuisances`` (the
-    DGP's true functions) truncate at ``PROPENSITY_GUARD``.
+    (fold 0's fits alone, trained on fold 0's complement) and
+    ``simbench.oracle_nuisances`` (the DGP's true functions) truncate at
+    ``PROPENSITY_GUARD``.
     """
 
     taus: tuple[float, ...]

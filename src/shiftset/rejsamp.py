@@ -1,17 +1,20 @@
 """Rejection-sampling coverage-error estimation.
 
-The sample is split once into a training half (nuisance fits) and a test
-half.  Source units in the test half are thinned by rejection sampling with
-acceptance probability w(x) / B, where w is the estimated importance weight
-and B a known upper bound on it; the accepted units mimic a draw from the
-target population.  The accepted-sample miscoverage proportion is then
-corrected for the estimation of w, and a Wald CUB built from a dedicated
-variance formula whose two pieces are scaled by the inverse half sizes.
+The cross-fit's fold 0 is the test half and its complement the training
+half, the split on which ``icp`` and ``wcp`` calibrate: the run reads the
+propensity and conditional-error fits that the cross-fit trained on the
+complement, and fits nothing itself.  Source units in the test half are
+thinned by rejection sampling with acceptance probability w(x) / B, where w
+is the estimated importance weight and B a known upper bound on it; the
+accepted units mimic a draw from the target population.  The
+accepted-sample miscoverage proportion is then corrected for the estimation
+of w, and a Wald CUB built from a dedicated variance formula whose two
+pieces are scaled by the inverse half sizes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,18 +23,15 @@ from .core import (
     ConfigurationError,
     DegenerateFoldError,
     EmptyAcceptanceError,
+    FoldPlan,
     ObservedSample,
     RiskTargets,
     RngStream,
-    ThresholdGrid,
     miscoverage_vector,
 )
-from .crossfit import PROPENSITY_GUARD, NuisanceFits, fit_on, odds_weight
-from .learners import BinaryLearnerSpec
+from .crossfit import PROPENSITY_GUARD, NuisanceFits, odds_weight
 from .onestep import CoverageTable, _wald_table
 
-# Fraction of the sample in the training half.
-_TRAIN_FRACTION = 0.5
 # The bound rule's multiplier when no bound is known (see rs_prepare).
 _BHAT_MULT = 1.3
 
@@ -44,8 +44,9 @@ def _check_bhat_fixed(bhat_fixed: float | None) -> None:
 
 @dataclass(frozen=True)
 class RsRun:
-    """Frozen state of one rejection-sampling pass; ``fits`` holds the
-    training-half nuisances as one fold truncated at ``PROPENSITY_GUARD``."""
+    """Frozen state of one rejection-sampling pass: ``test_idx`` is fold 0
+    and ``train_idx`` its complement; ``fits`` holds fold 0's nuisances as
+    one fold truncated at ``PROPENSITY_GUARD``."""
 
     train_idx: np.ndarray
     test_idx: np.ndarray
@@ -65,35 +66,35 @@ class RsRun:
         return self.test_idx[self.accepted]
 
 
-def rs_prepare(sample: ObservedSample, bhat_fixed: float | None,
-               grid: ThresholdGrid, g_spec: BinaryLearnerSpec,
-               e_spec: BinaryLearnerSpec, rng: RngStream) -> RsRun:
-    """Split, fit nuisances on the training half, and run the thinning.
-
-    ``bhat_fixed`` set -> use it as the known bound B (and fail the run if an
-    observed test-half weight exceeds it); it must be finite and at least 1.
-    With no known bound, B = max(1, 1.3 * the largest test-half source
-    weight).
-    """
-    _check_bhat_fixed(bhat_fixed)
-    n = sample.n
-    perm = rng.child("rs-split").generator().permutation(n)
-    # n >= 2 (a sample holds a source and a target unit), so neither half
-    # is empty.
-    n_train = int(round(n * _TRAIN_FRACTION))
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-
-    a_train = sample.a[train_idx]
-    a_test = sample.a[test_idx]
-    for name, a_half in (("training", a_train), ("test", a_test)):
+def _check_halves(sample: ObservedSample, folds: FoldPlan) -> None:
+    """Refuse a fold plan whose fold 0 (the test half) or its complement
+    (the training half) lacks source or target units."""
+    if folds.n != sample.n:
+        raise ConfigurationError("fold plan does not match the sample size")
+    for name, half in (("training", folds.complement(0)), ("test", folds.indices(0))):
+        a_half = sample.a[half]
         if (a_half == 1).sum() == 0 or (a_half == 0).sum() == 0:
             raise DegenerateFoldError(f"{name} half lacks source or target units")
 
-    gamma_train = float(np.mean(a_train == 1))
-    g, e = fit_on(sample, train_idx, grid, g_spec, e_spec)
-    fits = NuisanceFits(taus=tuple(grid), g_predictors=(g,), e_predictors=(e,),
-                        delta=PROPENSITY_GUARD)
+
+def rs_prepare(sample: ObservedSample, bhat_fixed: float | None,
+               folds: FoldPlan, fits: NuisanceFits, rng: RngStream) -> RsRun:
+    """Thin fold 0's source units with fold 0's nuisances, which were
+    trained on ``folds.complement(0)``; ``fits`` may hold the other folds
+    too, and only fold 0 is read.
+
+    ``bhat_fixed`` set -> use it as the known bound B (and fail the run if an
+    observed test-half weight exceeds it); it must be finite and at least 1.
+    With no known bound, B = max(1, 1.3 * the largest fold-0 source weight).
+    """
+    _check_bhat_fixed(bhat_fixed)
+    _check_halves(sample, folds)
+    train_idx, test_idx = folds.complement(0), folds.indices(0)
+    a_test = sample.a[test_idx]
+
+    gamma_train = float(np.mean(sample.a[train_idx] == 1))
+    fits = replace(fits, g_predictors=fits.g_predictors[:1],
+                   e_predictors=fits.e_predictors[:1], delta=PROPENSITY_GUARD)
     what_test = odds_weight(fits.propensity(0, sample.x[test_idx]), gamma_train)
 
     src_test = a_test == 1

@@ -49,6 +49,7 @@ from .crossfit import (
     NuisanceFits,
     _check_delta,
     fit_nuisances,
+    fit_on,
     odds_weight,
 )
 from .learners import BinaryLearnerSpec
@@ -61,7 +62,7 @@ from .onestep import (
     weighted_plugin_estimate,
 )
 from .parallel import run_jobs
-from .rejsamp import _check_bhat_fixed, rs_estimate, rs_prepare
+from .rejsamp import _check_bhat_fixed, _check_halves, rs_estimate, rs_prepare
 from .tmle import tmle_estimate
 
 DGP_KINDS = ("highdim-sparse", "lowdim", "lowdim-noshift")
@@ -321,6 +322,13 @@ class OracleEvaluator:
         return float(miss.mean())
 
 
+def _study_oracle(spec: DgpSpec, M: int, rng: RngStream, *,
+                  points: bool = False) -> OracleEvaluator:
+    """The oracle that a study seeded by ``rng`` scores against, drawn from
+    its ``oracle`` stream; ``oracle`` writes the same one."""
+    return OracleEvaluator(spec, M, rng.child("oracle"), points=points)
+
+
 # ---------------------------------------------------------------------------
 # Wilson interval
 # ---------------------------------------------------------------------------
@@ -446,6 +454,18 @@ class Dataset:
     def engine(self) -> FoldEngine:
         return FoldEngine(self.sample, self.folds, self.fits)
 
+    def fold0_fits(self) -> NuisanceFits:
+        """Fold 0's nuisances: the cross-fit's when it is built, else one
+        fit on fold 0's complement, the call that ``fit_nuisances`` makes for
+        fold 0, so the predictors are the same bits either way."""
+        if "fits" in vars(self):  # where cached_property keeps a built value
+            return self.fits
+        cfg = self.cfg
+        g, e = fit_on(self.sample, self.folds.complement(0), cfg.grid,
+                      cfg.g_spec, cfg.e_spec)
+        return NuisanceFits(taus=tuple(cfg.grid), g_predictors=(g,),
+                            e_predictors=(e,), delta=cfg.delta)
+
     def calibration(self):
         """Fold 0, the calibration fold of icp and wcp, and its source units."""
         cal_idx = self.folds.indices(0)
@@ -481,9 +501,14 @@ def _run_tmle(data: Dataset) -> MethodResult:
 
 
 def _run_rs(data: Dataset) -> MethodResult:
+    """Rejection sampling on fold 0 and its complement, the halves of icp
+    and wcp.  The halves are checked before fold 0 is fitted alone, so that
+    a complement without source units fails as a degenerate half, not in
+    the learners."""
     cfg = data.cfg
-    run = rs_prepare(data.sample, cfg.bhat_fixed, cfg.grid, cfg.g_spec,
-                     cfg.e_spec, data.rs_rng)
+    _check_halves(data.sample, data.folds)
+    run = rs_prepare(data.sample, cfg.bhat_fixed, data.folds, data.fold0_fits(),
+                     data.rs_rng)
     return _selected(data, rs_estimate(run, data.sample, cfg.targets),
                      {"bhat": run.bhat, "n_accepted": run.n_accepted, "pi_hat": run.pi_hat})
 
@@ -608,8 +633,7 @@ def run_study(spec: DgpSpec, ns, methods, replications: int,
     if workers is not None:
         _check_count(workers, "workers")
 
-    oracle = OracleEvaluator(spec, cfg.oracle_m, rng.child("oracle"),
-                             points="wcp" in methods)
+    oracle = _study_oracle(spec, cfg.oracle_m, rng, points="wcp" in methods)
     jobs = [(n, rep) for n in ns for rep in range(replications)]
     study = (spec, methods, cfg, rng, oracle)
     rows = list(chain.from_iterable(run_jobs(partial(_replicate, study), jobs, workers)))

@@ -9,6 +9,8 @@ from shiftset import (
     DegenerateFoldError,
     DgpSpec,
     FoldEngine,
+    FoldPlan,
+    NuisanceFits,
     ObservedSample,
     RngStream,
     ThresholdGrid,
@@ -16,7 +18,9 @@ from shiftset import (
     dgp_draw,
     fit_nuisances,
     make_folds,
+    rs_prepare,
 )
+from shiftset import crossfit
 
 
 @pytest.fixture
@@ -32,6 +36,28 @@ def make_sample(a, x, score):
         x = x.T
     score = np.array([np.nan if s is None else s for s in score], dtype=float)
     return ObservedSample(a=a, x=x, score=score)
+
+
+def rs_split(sample, grid, g_spec, e_spec, rng):
+    """The inputs of ``rs_prepare`` on the half-split that rejection
+    sampling once drew for itself: the permutation of ``rng``'s ``rs-split``
+    child, whose first ``round(n / 2)`` units train, as a two-fold plan whose
+    fold 0 is the test half, and one ``fit_on`` of the training half as
+    one-fold fits.  Tests made on that split keep their data."""
+    n = sample.n
+    perm = rng.child("rs-split").generator().permutation(n)
+    assignment = np.zeros(n, dtype=np.int64)
+    assignment[perm[:int(round(n * 0.5))]] = 1
+    folds = FoldPlan(2, assignment)
+    g, e = crossfit.fit_on(sample, folds.complement(0), grid, g_spec, e_spec)
+    return folds, NuisanceFits(taus=tuple(grid), g_predictors=(g,),
+                               e_predictors=(e,), delta=crossfit.PROPENSITY_GUARD)
+
+
+def rs_prepare_on_split(sample, bhat_fixed, grid, g_spec, e_spec, rng):
+    """``rs_prepare`` on :func:`rs_split`'s inputs, with the arguments that
+    it took when it drew that split."""
+    return rs_prepare(sample, bhat_fixed, *rs_split(sample, grid, g_spec, e_spec, rng), rng)
 
 
 class LookupPredictor:

@@ -1101,20 +1101,60 @@ class TestCmdSimulate:
             assert [type(meta[k]) for k in facts[row["method"]]] == [
                 type(row["info"][k]) for k in facts[row["method"]]]
 
+    @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])
+    def test_rs_rows_do_not_depend_on_the_methods_before_them(self, tmp_path, learner):
+        # Rejection sampling reuses the cross-fit's fold 0 when an earlier
+        # method built it, and fits fold 0 alone when none did: the same
+        # predictors, so the same rows, at one worker or the default count.
+        common = ["simulate", "--dgp", "lowdim", "--n", "300", "--reps", "3",
+                  "--oracle-m", "2000", "--seed", "12", "--g-learner", learner,
+                  "--e-learner", learner]
+        outputs = []
+        for methods in ("onestep,tmle,rs,plugin,wplugin,icp,wcp", "rs"):
+            for workers in (["--workers", "1"], []):
+                out = str(tmp_path / f"{methods.count(',')}-{len(workers)}.csv")
+                assert main([*common, "--method", methods, "--output", out, *workers]) == 0
+                with open(out + ".jsonl") as fh:
+                    outputs.append([line for line in fh if json.loads(line)["method"] == "rs"])
+        assert len(outputs[0]) == 3
+        assert not any(json.loads(line)["failed"] for line in outputs[0])
+        assert outputs == [outputs[0]] * 4
+
+    def test_rs_rows_fail_by_name_on_tiny_draws(self, tmp_path):
+        # At four units a fold-0 half often lacks a population: each such
+        # rs row names its error, whether fold 0 is fitted alone or taken
+        # from the cross-fit, and the study runs on.
+        rs_rows = []
+        for methods in ("rs", "onestep,rs"):
+            out = str(tmp_path / f"{len(methods)}.csv")
+            assert main(["simulate", "--dgp", "lowdim", "--n", "4", "--reps", "30",
+                         "--method", methods, "--oracle-m", "1000", "--workers", "1",
+                         "--output", out]) == 0
+            with open(out + ".jsonl") as fh:
+                rs_rows.append([line for line in fh if json.loads(line)["method"] == "rs"])
+        assert rs_rows[0] == rs_rows[1]
+        rows = [json.loads(line) for line in rs_rows[0]]
+        failures = {r["failure"] for r in rows if r["failed"]}
+        assert failures == {"DegenerateFoldError", "EmptyAcceptanceError"}
+        assert any(not r["failed"] for r in rows)
+
     # SHA-256 of each output as first recorded, the two icp tables as
-    # re-recorded when icp's psi_hat became the Beta median, and the metadata
+    # re-recorded when icp's psi_hat became the Beta median, the metadata
     # and JSONL rows as re-recorded when each run fact and setting got one
-    # key; identical with OPENBLAS_NUM_THREADS=1.  A refactor must not change
-    # them.
+    # key, and every output that carries rejection sampling (the three
+    # all-method studies' tables and rows, the three rs fits' tables and
+    # metadata) as re-recorded when rs's halves became the cross-fit's
+    # fold 0 and its complement; identical with OPENBLAS_NUM_THREADS=1.  A
+    # refactor must not change them.
     PINNED = {
         "simulate-lowdim-stumps": {
-            "": "88e908013a03960167d0247ab0a5d1cbe02f28b7eabceabb03eb21ee81ba67d6",
-            ".jsonl": "95b1c0a78803df61a339866b2aa1e476f69c6b9ef815af19eb482121451ed00f",
+            "": "f4c4ea75cbb8799dc9fb4d19e5765e128c79bdf316810ff33089707e7843809c",
+            ".jsonl": "a6dc8917407378e4b4ce24bec52d50d7411314e45f747561a70b313d58b95439",
             ".meta.json": "65aec22d1b49078ab485cb60fb310fcb214ef8ec13fbce6d4e3378f3a45ed407",
         },
         "simulate-highdim-logistic": {
-            "": "292d28574a5b6c6b201c88ea5c6f35f2b675a9b87c23efa66bba2f7b5c5edbe6",
-            ".jsonl": "f9950d52147ff7bce5cfb573af8d5ea59081ab7302340e69874f1bbdd0263561",
+            "": "87f283a889ba6499a7422425b26bcc24d4f7aec21db645792b191e8c56d9b2ac",
+            ".jsonl": "857b73872e26ea6e6c853153a0ff4599db46e7ce3ada107b08150c8d083cf9ff",
             ".meta.json": "36c3d8aecd8af97761e5414c4db71c9e1d2bf4140e0f57185797312aef0ca3c4",
         },
         "fit-onestep": {
@@ -1126,12 +1166,12 @@ class TestCmdSimulate:
             ".meta.json": "3fa2954b3269bb00b27b020c3725746efd6359eae8e5f2d94648389b508714a3",
         },
         "fit-rs": {
-            "": "5dc7c4c53aa7eb9a856af33e969b21b271bcc35da65262b3f1d287b47c3e51e3",
-            ".meta.json": "54a348f4602fb5257f35953bf4981696fc6ab1e9a1153cfe67e0049596f60806",
+            "": "8a081a9c6ba8b280875bd9bb86a5ee7caea015ff67c105d00fdb40896c585a5a",
+            ".meta.json": "e52cb6f01217226b8a6730072c92fb0a829c377a9d88583673d7d04bb58bfe8e",
         },
         "fit-rs-fine-grid": {
-            "": "9e16b7b07931495be17a1203e58d6b3c5ce6dc2dfd38ce60875350c983bc4981",
-            ".meta.json": "4e5cfe4c730dfc964143469f1ca5aab5358bdfcc8206b4cc55b44abf3441e806",
+            "": "d2abb7a82e091f370fac9dba5d892eb534514897365b72d61ddffd21c98817aa",
+            ".meta.json": "3e1168a871e95d387da1b806aa3389b7b4df10b3f49c74fe3d90901b18d1d828",
         },
         "fit-onestep-fine-grid": {
             "": "88ff24952fb81bc64073edfd1e03d0a39ad579d0b6881e761757e5f578d894f0",
@@ -1154,8 +1194,8 @@ class TestCmdSimulate:
             ".meta.json": "b25524a499ea83a62c87ac5f926831f44ad63c59b3539778c8cb3cf5697105ae",
         },
         "simulate-lowdim-noshift-logistic": {
-            "": "05dbc64fd684d837a10165482f3d30c0bca32a75130ab3123783b91ca9810333",
-            ".jsonl": "9b3f05247783df92b46f4678e7195d2e4acf0d888cc465bd2f722d44dce3d455",
+            "": "412074a1ae93235a83698267047f926e1ca331c63eec044c5641559aeb16c1d8",
+            ".jsonl": "1edec933f0e23e6f6aba32cbeca81e84a51fa26e14b142bf7c477bc31b3eb9d9",
             ".meta.json": "9424f1c1563544f45618009e8aa3dc88183f01a73ea9c9c1c54eb7db939d175c",
         },
         "fit-highdim-stumps-onestep": {
@@ -1167,8 +1207,8 @@ class TestCmdSimulate:
             ".meta.json": "a518f592c020dd40424bf3bbb4eb99977670935cc3e4edb56a1c4816854a3288",
         },
         "fit-highdim-stumps-rs": {
-            "": "d097370b9f5b15e4cdd9c20c90690023c94a2166cdc5769e998642b99b092631",
-            ".meta.json": "192ccab8bf8c37b405ed66877f926e4b3f27c590340cda929827b8aeccd65325",
+            "": "a95c13bffb93c171b5bb246f74c1c72aa54d34dcfb339b1bba857c28af57bcb3",
+            ".meta.json": "f42478f485fa651b4e48c118c73cbb14a8b91f60ecafb21f7f6fe73692e5b260",
         },
         "fit-highdim-stumps-plugin": {
             "": "0b012f713d8c88e1095f19251b60d7e938127e143ed46146543b72ffdbd50c7d",
@@ -1386,7 +1426,7 @@ class TestCmdOracle:
         assert main(["simulate", *common, "--method", "onestep,tmle,plugin,wplugin,icp,wcp",
                      "--n", "300", "--reps", "6", "--alpha-conf", "0.3", "--workers", "1",
                      "--output", sim]) == 0
-        oracle = simbench.OracleEvaluator(DgpSpec("lowdim"), m, RngStream(seed).child("oracle"))
+        oracle = simbench._study_oracle(DgpSpec("lowdim"), m, RngStream(seed))
         with open(out) as fh:
             curve = list(csv.DictReader(fh))
         assert len(curve) == 61

@@ -25,10 +25,10 @@ from shiftset import (
     fit_nuisances,
     make_folds,
     miscoverage_vector,
-    rs_prepare,
 )
 from shiftset import learners
 from shiftset.learners import BoostedStumpsPredictor, LogisticRidgePredictor, fit_binary_grid
+from tests.conftest import rs_prepare_on_split
 
 
 def predict(pred, x):
@@ -428,8 +428,8 @@ class TestNuisanceGridsMatchReference:
 
     def test_rs_prepare(self):
         root, sample = self.draw()
-        run = rs_prepare(sample, None, self.grid, self.spec, self.spec,
-                         root.child("rs"))
+        run = rs_prepare_on_split(sample, None, self.grid, self.spec, self.spec,
+                                  root.child("rs"))
         src = run.train_idx[sample.a[run.train_idx] == 1]
         for ti, tau in enumerate(self.grid):
             want = reference_fit(sample.x[src],
@@ -530,14 +530,15 @@ class TestLogisticGridStack:
 _COEFFICIENT_BYTES = """
 import numpy as np
 from shiftset import (BinaryLearnerSpec, DgpSpec, RngStream, ThresholdGrid,
-                      dgp_draw, fit_nuisances, make_folds, rs_prepare)
+                      dgp_draw, fit_nuisances, make_folds)
+from tests.conftest import rs_prepare_on_split
 root = RngStream(11)
 n = 20_000
 grid = ThresholdGrid.from_range(0.0, 0.3, 0.05)
 spec = BinaryLearnerSpec()
 sample = dgp_draw(DgpSpec("highdim-sparse"), n, root.child("dgp"))
 fits = fit_nuisances(sample, make_folds(n, 2, root.child("folds")), grid, spec, spec, 0.01)
-run = rs_prepare(sample, None, grid, spec, spec, root.child("rs"))
+run = rs_prepare_on_split(sample, None, grid, spec, spec, root.child("rs"))
 preds = [*fits.g_predictors, *(e for row in fits.e_predictors for e in row),
          *run.fits.g_predictors, *run.fits.e_predictors[0]]
 for p in preds:
@@ -557,9 +558,10 @@ def test_logistic_fits_ignore_blas_thread_count():
     """At n=20,000 OpenBLAS would split a whole-sample Gram or matrix-vector
     product across threads; the row-blocked IRLS never hands it one."""
     src = os.path.dirname(os.path.dirname(learners.__file__))
+    tests_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     out = []
     for threads in ("1", "2"):
-        path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+        path = [src, tests_root, *filter(None, [os.environ.get("PYTHONPATH")])]
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
         out.append(subprocess.run([sys.executable, "-c", _COEFFICIENT_BYTES], env=env,
                                   capture_output=True, text=True, check=True,

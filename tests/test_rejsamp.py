@@ -5,21 +5,25 @@ from shiftset import (
     BinaryLearnerSpec,
     BoundViolationError,
     ConfigurationError,
+    DegenerateFoldError,
     DgpSpec,
     EmptyAcceptanceError,
+    FoldPlan,
     NuisanceFits,
     RiskTargets,
     RngStream,
     RsRun,
     ThresholdGrid,
     dgp_draw,
+    fit_nuisances,
+    make_folds,
     miscoverage_vector,
     rs_estimate,
     rs_prepare,
 )
 from shiftset import crossfit, rejsamp
 from shiftset.learners import ConstantPredictor, LogisticRidgePredictor
-from tests.conftest import make_sample
+from tests.conftest import make_sample, rs_prepare_on_split, rs_split
 
 TARGETS = RiskTargets(0.05, 0.05)
 GRID = ThresholdGrid((0.15,))
@@ -40,22 +44,24 @@ def mean_only_fits(monkeypatch):
 
 class TestRsPrepare:
     def test_fixed_bound_domain(self, rng, monkeypatch):
-        # Refused before the sample is split or any nuisance fitted, with
+        # Refused before the halves are read or any weight computed, with
         # the message StudyConfig gives; B = 1 passes the check (see
         # test_fixed_bound_violation).
         def refuse(*args):
-            raise AssertionError("a nuisance was fitted")
+            raise AssertionError("a half was read")
 
-        monkeypatch.setattr(rejsamp, "fit_on", refuse)
         sample = dgp_draw(DgpSpec("lowdim"), 300, rng.child("d"))
+        folds, fits = rs_split(sample, GRID, LOGIT, LOGIT, rng.child("r"))
+        monkeypatch.setattr(rejsamp, "_check_halves", refuse)
+        monkeypatch.setattr(rejsamp, "odds_weight", refuse)
         for bad in (0.5, float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigurationError,
                                match="^fixed bound must be finite and at least 1$"):
-                rs_prepare(sample, bad, GRID, LOGIT, LOGIT, rng.child("r"))
+                rs_prepare(sample, bad, folds, fits, rng.child("r"))
 
     def test_run_mechanics(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 1000, rng.child("d"))
-        run = rs_prepare(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare_on_split(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
         a_test = sample.a[run.test_idx]
         # accepted units are source units passing the thinning draw
         expected = (a_test == 1) & (run.zeta <= run.what_test / run.bhat)
@@ -75,19 +81,19 @@ class TestRsPrepare:
         # g fitted as the constant source share equals gamma_train, so the
         # odds transform collapses to exactly 1 everywhere.
         sample = dgp_draw(DgpSpec("lowdim"), 800, rng.child("d"))
-        run = rs_prepare(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare_on_split(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
         np.testing.assert_allclose(run.what_test, 1.0, atol=1e-12)
 
     def test_weight_equal_to_bound_accepts_all(self, rng, mean_only_fits):
         sample = dgp_draw(DgpSpec("lowdim"), 800, rng.child("d"))
-        run = rs_prepare(sample, 1.0, GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare_on_split(sample, 1.0, GRID, LOGIT, LOGIT, rng.child("r"))
         a_test = sample.a[run.test_idx]
         assert run.n_accepted == int((a_test == 1).sum())
 
     def test_half_bound_accepts_about_half(self, rng, mean_only_fits):
         # unit weights with B = 2: acceptance probability is exactly 1/2
         sample = dgp_draw(DgpSpec("lowdim"), 2400, rng.child("d"))
-        run = rs_prepare(sample, 2.0, GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare_on_split(sample, 2.0, GRID, LOGIT, LOGIT, rng.child("r"))
         n_src = int((sample.a[run.test_idx] == 1).sum())
         assert n_src >= 500
         frac = run.n_accepted / n_src
@@ -98,7 +104,7 @@ class TestRsPrepare:
         # estimated lowdim weights exceed 1 somewhere, so B = 1 must fail
         sample = dgp_draw(DgpSpec("lowdim"), 1000, rng.child("d"))
         with pytest.raises(BoundViolationError):
-            rs_prepare(sample, 1.0, GRID, LOGIT, LOGIT, rng.child("r"))
+            rs_prepare_on_split(sample, 1.0, GRID, LOGIT, LOGIT, rng.child("r"))
 
     def test_saturated_propensity_truncated_at_the_guard(self, rng, monkeypatch):
         # expit rounds this propensity to exactly 0 below x1 = -0.75 and to
@@ -106,7 +112,7 @@ class TestRsPrepare:
         saturated = LogisticRidgePredictor(0.0, [1e3, 0.0, 0.0], 3)
         monkeypatch.setattr(crossfit, "fit_binary", lambda spec, X, z: saturated)
         sample = dgp_draw(DgpSpec("lowdim"), 400, rng.child("d"))
-        run = rs_prepare(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare_on_split(sample, None, GRID, LOGIT, LOGIT, rng.child("r"))
         assert run.fits.delta == crossfit.PROPENSITY_GUARD
         X = sample.x[run.test_idx]
         raw, g = saturated.predict(X), run.fits.propensity(0, X)
@@ -116,10 +122,49 @@ class TestRsPrepare:
 
     def test_determinism(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))
-        r1 = rs_prepare(sample, None, GRID, LOGIT, LOGIT, RngStream(3))
-        r2 = rs_prepare(sample, None, GRID, LOGIT, LOGIT, RngStream(3))
+        r1 = rs_prepare_on_split(sample, None, GRID, LOGIT, LOGIT, RngStream(3))
+        r2 = rs_prepare_on_split(sample, None, GRID, LOGIT, LOGIT, RngStream(3))
         np.testing.assert_array_equal(r1.accepted, r2.accepted)
         np.testing.assert_array_equal(r1.zeta, r2.zeta)
+
+
+class TestFoldZero:
+    """The run's halves are fold 0 and its complement, with fold 0's fits."""
+
+    @pytest.mark.parametrize("V", [2, 3])
+    def test_halves_and_fits_are_fold_zeros(self, rng, V):
+        sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))
+        folds = make_folds(sample.n, V, rng.child("f"))
+        fits = fit_nuisances(sample, folds, GRID, LOGIT, LOGIT, 0.01)
+        run = rs_prepare(sample, None, folds, fits, rng.child("r"))
+        np.testing.assert_array_equal(run.test_idx, folds.indices(0))
+        np.testing.assert_array_equal(run.train_idx, folds.complement(0))
+        # The training share is (V - 1) / V.
+        assert run.train_idx.size == sample.n - folds.sizes()[0]
+        assert run.fits.g_predictors == fits.g_predictors[:1]
+        assert run.fits.e_predictors == fits.e_predictors[:1]
+        assert run.fits.delta == crossfit.PROPENSITY_GUARD
+
+        # Fold 0 fitted alone gives the same bits.
+        g, e = crossfit.fit_on(sample, folds.complement(0), GRID, LOGIT, LOGIT)
+        alone = rs_prepare(sample, None, folds, one_fold_fits(tuple(GRID), g, e),
+                           rng.child("r"))
+        for name in ("what_test", "zeta", "accepted"):
+            assert getattr(alone, name).tobytes() == getattr(run, name).tobytes()
+        assert (alone.bhat, alone.pi_hat, alone.gamma_train) == (
+            run.bhat, run.pi_hat, run.gamma_train)
+
+    @pytest.mark.parametrize("a, half", [([1, 1, 1, 1, 1, 0, 1, 0], "test"),
+                                         ([1, 0, 1, 0, 1, 1, 1, 1], "training")])
+    def test_a_half_without_both_populations_is_named(self, rng, a, half):
+        # Fold 0 is the first four units, its complement the last four.
+        sample = make_sample(a=a, x=[[float(i)] for i in range(8)],
+                             score=[0.1 if a_i else None for a_i in a])
+        folds = FoldPlan(2, [0] * 4 + [1] * 4)
+        fits = one_fold_fits((0.15,), ConstantPredictor(0.5), (ConstantPredictor(0.0),))
+        with pytest.raises(DegenerateFoldError,
+                           match=f"^{half} half lacks source or target units$"):
+            rs_prepare(sample, None, folds, fits, rng.child("r"))
 
 
 def one_fold_fits(taus, g, e_row):
@@ -171,7 +216,7 @@ class TestRsEstimate:
     def test_below_support_threshold_gives_exact_zero(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))
         grid = ThresholdGrid((0.0, 0.15))
-        run = rs_prepare(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare_on_split(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
         table = rs_estimate(run, sample, TARGETS)
         assert table.psi[0] == 0.0
         assert table.se[0] == 0.0
@@ -180,7 +225,7 @@ class TestRsEstimate:
     def test_empty_acceptance_raises(self, rng):
         sample = dgp_draw(DgpSpec("lowdim"), 300, rng.child("d"))
         with pytest.raises(EmptyAcceptanceError):
-            run = rs_prepare(sample, 1e12, GRID, LOGIT, LOGIT, rng.child("r"))
+            run = rs_prepare_on_split(sample, 1e12, GRID, LOGIT, LOGIT, rng.child("r"))
             rs_estimate(run, sample, TARGETS)
 
     def test_noshift_estimated_nuisances_recover_level(self):
@@ -193,7 +238,7 @@ class TestRsEstimate:
         tau0 = OracleEvaluator(spec, 400_000, rng.child("tau0")).tau0(0.05)
         grid = ThresholdGrid((tau0,))
         sample = dgp_draw(spec, 8000, rng.child("d"))
-        run = rs_prepare(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
+        run = rs_prepare_on_split(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
         table = rs_estimate(run, sample, TARGETS)
         assert abs(table.psi[0] - 0.05) <= 3 * table.se[0]
 
@@ -238,7 +283,7 @@ class TestRsEstimateMatchesScalarReference:
         grid = ThresholdGrid.from_range(0.0, 0.3, step)
         root = RngStream(n)
         sample = dgp_draw(DgpSpec(kind), n, root.child("d"))
-        run = rs_prepare(sample, None, grid, spec, spec, root.child("r"))
+        run = rs_prepare_on_split(sample, None, grid, spec, spec, root.child("r"))
         table = rs_estimate(run, sample, TARGETS)
         psi, sigma = reference_rs_estimate(run, sample, grid)
         assert table.psi.tobytes() == psi.tobytes()

@@ -17,6 +17,7 @@ from shiftset import (
     BinaryLearnerSpec,
     ConfigurationError,
     DataError,
+    DegenerateFoldError,
     DgpSpec,
     NuisanceFits,
     ObservedSample,
@@ -38,7 +39,7 @@ from shiftset import (
     weighted_plugin_estimate,
     wilson_interval,
 )
-from shiftset import simbench
+from shiftset import crossfit, simbench
 from shiftset.simbench import Dataset, MethodResult
 
 TARGETS = RiskTargets(0.05, 0.05)
@@ -438,18 +439,19 @@ class TestRunStudy:
         assert (agg.wilson_lo, agg.wilson_hi) == (lo, hi)
 
     def test_degenerate_fold_fails_only_the_fold_methods(self):
-        # At this seed replication 0 puts no target unit in fold 1, while
-        # the calibration fold (0) and both rejection-sampling halves hold
-        # both populations.
-        spec, n, root = DgpSpec("lowdim"), 12, RngStream(204)
+        # At this seed and three folds, replication 0 puts no target unit in
+        # fold 1, while the calibration fold (0) and its complement, the
+        # halves of rejection sampling, hold both populations.
+        spec, n, root = DgpSpec("lowdim"), 12, RngStream(2)
         sample = dgp_draw(spec, n, root.child(f"dgp-n{n}", 0))
-        folds = make_folds(n, 2, root.child(f"folds-n{n}", 0))
+        folds = make_folds(n, 3, root.child(f"folds-n{n}", 0))
         assert not (sample.a[folds.indices(1)] == 0).any()
-        assert (sample.a[folds.indices(0)] == 0).any()
+        for half in (folds.indices(0), folds.complement(0)):
+            assert set(sample.a[half]) == {0, 1}
 
         stumps = BinaryLearnerSpec(kind="boosted-stumps")
         cfg = StudyConfig(grid=GRID, targets=TARGETS, g_spec=stumps,
-                          e_spec=stumps, oracle_m=2000)
+                          e_spec=stumps, V=3, oracle_m=2000)
         rows = {r.method: r for r in
                 run_study(spec, [n], tuple(METHODS), 1, cfg, root).rows}
         fold_methods = {"onestep", "tmle", "plugin", "wplugin"}
@@ -459,15 +461,39 @@ class TestRunStudy:
             assert rows[m] == ReplicationRow(m, n, 0, failure="DegenerateFoldError")
             assert (rows[m].tau_hat, rows[m].true_error, rows[m].info) == (0.0, None, {})
             assert not rows[m].covered and rows[m].table is None
-        # The other methods give what they give on their own, which is
-        # what they gave before the fold methods shared one engine.
+        # The other methods give what they give on their own.
         alone = run_study(spec, [n], ["rs", "icp", "wcp"], 1, cfg, root).rows
         assert [rows[r.method] for r in alone] == list(alone)
         assert (rows["rs"].tau_hat, rows["rs"].true_error, rows["rs"].info) == (
-            0.1, 0.03343439237556639, {"bhat": 1.3, "n_accepted": 3, "pi_hat": 1.0})
+            0.05, 0.011475914286043137, {"bhat": 1.3, "n_accepted": 3, "pi_hat": 1.0})
         assert (rows["icp"].sentinel, rows["icp"].info) == (
-            True, {"calibration_size": 2, "k": None})
+            True, {"calibration_size": 3, "k": None})
         assert rows["wcp"].info == {"cutoff_median": 0.0}
+
+    def test_a_degenerate_training_half_fails_rejection_sampling(self):
+        # At two folds, fold 1 is rejection sampling's training half: at
+        # this seed it holds no target unit, so rs fails with the fold
+        # methods, by name and alike whether or not they ran before it.
+        spec, n, root = DgpSpec("lowdim"), 12, RngStream(204)
+        sample = dgp_draw(spec, n, root.child(f"dgp-n{n}", 0))
+        folds = make_folds(n, 2, root.child(f"folds-n{n}", 0))
+        assert not (sample.a[folds.indices(1)] == 0).any()
+        assert set(sample.a[folds.indices(0)]) == {0, 1}
+
+        stumps = BinaryLearnerSpec(kind="boosted-stumps")
+        cfg = StudyConfig(grid=GRID, targets=TARGETS, g_spec=stumps,
+                          e_spec=stumps, oracle_m=2000)
+        every = run_study(spec, [n], tuple(METHODS), 1, cfg, root).rows
+        alone = run_study(spec, [n], ["rs"], 1, cfg, root).rows
+        rows = {r.method: r for r in every}
+        assert {m for m, r in rows.items() if r.failed} == {
+            "onestep", "tmle", "rs", "plugin", "wplugin"}
+        assert alone == (rows["rs"],)
+        assert rows["rs"] == ReplicationRow("rs", n, 0, failure="DegenerateFoldError")
+        data = Dataset(sample, cfg, root.child(f"folds-n{n}", 0), root)
+        with pytest.raises(DegenerateFoldError,
+                           match="^training half lacks source or target units$"):
+            METHODS["rs"](data)
 
     def test_wcp_fails_on_a_calibration_fold_without_target_units(self):
         # At this seed the calibration fold holds only source units, so its
@@ -612,9 +638,38 @@ def test_registry_matches_public_estimators(learner):
                              ("wplugin", weighted_plugin_estimate)]:
         assert_same_table(METHODS[method](data).table,
                           estimate(data.engine, TARGETS))
-    run = rs_prepare(data.sample, cfg.bhat_fixed, cfg.grid, spec, spec, data.rs_rng)
+    # Rejection sampling on fold 0 and fold 0's cross-fitted nuisances.
+    run = rs_prepare(data.sample, cfg.bhat_fixed, data.folds, data.fits, data.rs_rng)
     assert_same_table(METHODS["rs"](data).table,
                       rs_estimate(run, data.sample, TARGETS))
+
+
+def test_rs_fits_fold_zero_once_or_not_at_all(monkeypatch):
+    # Alone, rejection sampling fits fold 0's complement once; after a fold
+    # method has built the cross-fit, it fits nothing and gives the same table.
+    fitted = []
+    fit_on = crossfit.fit_on
+
+    def counted(sample, train, *args):
+        fitted.append(train.tolist())
+        return fit_on(sample, train, *args)
+
+    monkeypatch.setattr(crossfit, "fit_on", counted)
+    monkeypatch.setattr(simbench, "fit_on", counted)
+    root = RngStream(24)
+    sample = dgp_draw(DgpSpec("lowdim"), 400, root.child("d"))
+    alone, after = (Dataset(sample, StudyConfig(GRID, TARGETS), root.child("f"),
+                            root.child("rs")) for _ in range(2))
+    rs_alone = METHODS["rs"](alone)
+    assert fitted == [alone.folds.complement(0).tolist()]
+
+    fitted.clear()
+    METHODS["onestep"](after)
+    assert len(fitted) == after.folds.V
+    rs_after = METHODS["rs"](after)
+    assert len(fitted) == after.folds.V
+    assert_same_table(rs_after.table, rs_alone.table)
+    assert rs_after.info == rs_alone.info
 
 
 @pytest.mark.parametrize("alpha_conf", [0.05, 0.2])

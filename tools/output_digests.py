@@ -114,6 +114,9 @@ def matrix():
                                      "--e-learner", "boosted-stumps", "--output", "out.csv"]
     yield "fit-big-tmle-3-folds", ["fit", "--input", "../big.csv", "--method", "tmle",
                                    "--folds", "3", "--output", "out.csv"]
+    # Rejection sampling trains on fold 0's complement: two thirds of the units.
+    yield "fit-small-rs-3-folds", ["fit", "--input", "../small.csv", "--method", "rs",
+                                   "--folds", "3", "--output", "out.csv"]
     for dgp in ("lowdim", "highdim"):
         for learner in ("logistic-ridge", "boosted-stumps"):
             yield f"simulate-{dgp}-{learner}", [
@@ -126,6 +129,11 @@ def matrix():
             "--reps", "3", "--oracle-m", "20000", "--seed", "6", "--output", "out.csv"]
         yield f"oracle-{dgp}", ["oracle", "--dgp", dgp, "--oracle-m", "450001",
                                 "--seed", "1", "--output", "out.csv"]
+    # Rejection sampling alone fits fold 0 by itself; its rows are those of
+    # simulate-lowdim-logistic-ridge, which reuses that run's cross-fit.
+    yield "simulate-lowdim-rs-alone", [
+        "simulate", "--dgp", "lowdim", "--method", "rs", "--n", "300", "--reps", "3",
+        "--oracle-m", "20000", "--seed", "5", "--workers", "2", "--output", "out.csv"]
     yield "oracle-lowdim-past-every-score", [
         "oracle", "--dgp", "lowdim", "--grid", "0:1.5:0.5", "--oracle-m", "2000",
         "--output", "out.csv"]
