@@ -34,8 +34,5 @@ spec = ss.DgpSpec("highdim-sparse")
 gen = ss.RngStream(5).child("swap").generator()
 for a, name in ((1, "source"), (0, "target")):
     X = spec.draw_x(200_000, np.full(200_000, a), gen)
-    probs = spec.label_probs(X)
-    u = gen.uniform(size=200_000)
-    y = (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
-    q = np.quantile(spec.score_table(X)[np.arange(200_000), y], 0.05)
+    q = np.quantile(spec.draw_scores(X, gen), 0.05)
     print(f"0.05-quantile of scores in the {name} population: {q:.4f}")

@@ -77,13 +77,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_study(sp):  # the estimators' flags, for fit and simulate only
         add_common(sp)
         sp.add_argument("--alpha-conf", type=float, default=0.05)
-        sp.add_argument("--folds", type=int, default=2)
-        sp.add_argument("--delta", type=float, default=0.01,
+        sp.add_argument("--folds", type=int, default=StudyConfig.V)
+        sp.add_argument("--delta", type=float, default=StudyConfig.delta,
                         help="propensity truncation bound")
-        sp.add_argument("--g-learner", default="logistic-ridge", choices=LEARNER_KINDS)
-        sp.add_argument("--e-learner", default="logistic-ridge", choices=LEARNER_KINDS)
-        sp.add_argument("--ridge", type=float, default=1e-6)
-        sp.add_argument("--bhat-fixed", type=float, default=None)
+        sp.add_argument("--g-learner", default=BinaryLearnerSpec.kind, choices=LEARNER_KINDS)
+        sp.add_argument("--e-learner", default=BinaryLearnerSpec.kind, choices=LEARNER_KINDS)
+        sp.add_argument("--ridge", type=float, default=BinaryLearnerSpec.ridge)
+        sp.add_argument("--bhat-fixed", type=float, default=StudyConfig.bhat_fixed)
 
     sp_fit = sub.add_parser("fit", help="run one method on a CSV dataset")
     add_study(sp_fit)
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_sim.add_argument("--dgp", required=True, choices=_DGP_CHOICES)
     sp_sim.add_argument("--n", type=int, required=True)
     sp_sim.add_argument("--reps", type=int, default=200)
-    sp_sim.add_argument("--oracle-m", type=int, default=100_000)
+    sp_sim.add_argument("--oracle-m", type=int, default=StudyConfig.oracle_m)
     sp_sim.add_argument("--workers", type=int, default=None,
                         help="worker processes for the replications (default: "
                              "one per usable CPU, or one per replication when there "
@@ -111,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp_or = sub.add_parser("oracle", help="true coverage-error curve and threshold")
     add_common(sp_or)
     sp_or.add_argument("--dgp", required=True, choices=_DGP_CHOICES)
-    sp_or.add_argument("--oracle-m", type=int, default=100_000)
+    sp_or.add_argument("--oracle-m", type=int, default=StudyConfig.oracle_m)
     sp_or.set_defaults(run=cmd_oracle)
 
     return parser, {"fit": sp_fit, "simulate": sp_sim, "oracle": sp_or}
@@ -179,20 +179,16 @@ def _study_config(args, **extra) -> StudyConfig:
         V=args.folds, delta=args.delta, bhat_fixed=args.bhat_fixed, **extra)
 
 
-def _study_settings(cfg: StudyConfig) -> dict:
-    """The reverse of :func:`_study_config`: ``cfg``'s estimator settings
-    under their flag names, for the metadata of ``fit`` and ``simulate``."""
-    return {
-        "alpha_error": cfg.targets.alpha_error,
-        "alpha_conf": cfg.targets.alpha_conf,
-        "folds": cfg.V,
-        "delta": cfg.delta,
-        "grid": [float(t) for t in cfg.grid],
-        "g_learner": cfg.g_spec.kind,
-        "e_learner": cfg.e_spec.kind,
-        "ridge": cfg.g_spec.ridge,  # both learners take --ridge
-        "bhat_fixed": cfg.bhat_fixed,
-    }
+# The settings a command records in its metadata, under their flag names.
+_SETTINGS = ("alpha_error", "alpha_conf", "folds", "delta", "g_learner", "e_learner",
+             "ridge", "bhat_fixed", "oracle_m", "seed")
+
+
+def _settings(args, grid: ThresholdGrid) -> dict:
+    """Each of ``_SETTINGS`` that the command takes, as parsed, and ``grid``'s
+    thresholds: the settings part of every command's metadata."""
+    return {"grid": [float(t) for t in grid],
+            **{name: getattr(args, name) for name in _SETTINGS if hasattr(args, name)}}
 
 
 def _dgp_spec(name: str) -> DgpSpec:
@@ -258,8 +254,8 @@ def _fit(args):
                         f"({exc.reason})") from None
 
     res = METHODS[args.method](Dataset(sample, cfg, root.child("folds"), root))
-    meta = {"command": "fit", "method": args.method, "seed": args.seed, "n": sample.n,
-            "n1": sample.n_source, "n0": sample.n_target, **_study_settings(cfg),
+    meta = {"command": "fit", "method": args.method, "n": sample.n,
+            "n1": sample.n_source, "n0": sample.n_target, **_settings(args, cfg.grid),
             **res.info, "selected_tau": res.tau_hat, "sentinel": res.sentinel}
 
     table = res.table
@@ -283,7 +279,7 @@ def cmd_simulate(args) -> int:
                        RngStream(args.seed), workers=args.workers)
     meta = {"command": "simulate", "dgp": spec.kind, "ns": [args.n],
             "methods": list(methods), "replications": args.reps,
-            "oracle_m": cfg.oracle_m, "seed": args.seed, **_study_settings(cfg)}
+            **_settings(args, cfg.grid)}
 
     with open(args.output + ".jsonl", "w") as fh:
         for r in report.rows:  # every field but the table; failure and info when set
@@ -310,15 +306,8 @@ def cmd_oracle(args) -> int:
     tau0 = oracle.tau0(args.alpha_error)
     curve = oracle.psi_curve(grid)
     _write_table_csv(args.output, zip(grid, curve), ["tau", "psi"])
-    _write_meta(args.output + ".meta.json", {
-        "command": "oracle",
-        "dgp": spec.kind,
-        "alpha_error": args.alpha_error,
-        "grid": [float(t) for t in grid],
-        "oracle_m": args.oracle_m,
-        "seed": args.seed,
-        "tau0": tau0,
-    })
+    _write_meta(args.output + ".meta.json", {"command": "oracle", "dgp": spec.kind,
+                                             "tau0": tau0, **_settings(args, grid)})
     print(f"{spec.kind}: tau0={tau0:.4g} at alpha_error={args.alpha_error:.4g} "
           f"(M={args.oracle_m})")
     return 0

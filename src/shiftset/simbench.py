@@ -207,13 +207,18 @@ class _OracleFits(NuisanceFits):
 
     dgp: DgpSpec
 
-    def propensity(self, v, X):
+    def _covariates(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.dgp.p:
             raise DataError(f"expected {self.dgp.p} covariates, got {X.shape[1]}")
+        return X
+
+    def propensity(self, v, X):
+        X = self._covariates(X)
         return np.clip(self.dgp.true_propensity(X), self.delta, 1.0 - self.delta)
 
     def cond_error(self, v, X):
+        X = self._covariates(X)
         return np.clip(self.dgp.true_cond_errors(X, self.taus), 0.0, 1.0)
 
     def constant_mask(self, v):

@@ -19,7 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftset import (DataError, DgpSpec, ObservedSample, RngStream, cli, csvio, dgp_draw,
+from shiftset import (BinaryLearnerSpec, DataError, DgpSpec, ObservedSample, RiskTargets,
+                      RngStream, StudyConfig, ThresholdGrid, cli, csvio, dgp_draw,
                       parallel, simbench)
 from shiftset.cli import CsvSchemaWarning, emit_csv, ingest_csv, main
 
@@ -707,6 +708,22 @@ class TestCmdFit:
         assert code == 0
         rows = self.read_table(out)
         assert len(rows) == 7  # default grid 0:0.3:0.05
+
+    def test_default_settings_are_the_library_defaults(self, tmp_path, sample_csv):
+        # With no estimator flag, the metadata records the defaults of the
+        # config types that hold them, JSON types included.
+        code, out = self.run_fit(tmp_path, sample_csv, "onestep")
+        assert code == 0
+        meta = json.load(open(out + ".meta.json"))
+        cfg = StudyConfig(ThresholdGrid((0.1,)), RiskTargets(0.05, 0.05))
+        spec = BinaryLearnerSpec()
+        want = {"folds": cfg.V, "delta": cfg.delta, "g_learner": cfg.g_spec.kind,
+                "e_learner": cfg.e_spec.kind, "ridge": spec.ridge,
+                "bhat_fixed": cfg.bhat_fixed}
+        assert cfg.g_spec == cfg.e_spec == spec
+        got = {k: meta[k] for k in want}
+        assert got == want
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
     def test_tmle_estimates_in_unit_interval(self, tmp_path, sample_csv):
         code, out = self.run_fit(tmp_path, sample_csv, "tmle")
@@ -1440,6 +1457,26 @@ class TestCmdOracle:
         assert {r["covered"] for r in scored} == {True, False}
         for r in scored:
             assert r["covered"] == (r["tau_hat"] <= tau0)
+
+    def test_meta_records_the_oracle_settings(self, tmp_path):
+        # Exactly these 7 keys, each setting from its flag or, alike, from
+        # its config line.
+        settings = {"alpha_error": 0.1, "grid": "0:0.2:0.1", "oracle_m": 1000, "seed": 8}
+        tau0 = simbench._study_oracle(DgpSpec("highdim-sparse"), 1000, RngStream(8)).tau0(0.1)
+        want = {"command": "oracle", "dgp": "highdim-sparse", "tau0": tau0,
+                **settings, "grid": [0.0, 0.1, 0.2]}
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in settings.items()]
+        cfg = write(tmp_path / "run.cfg", "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        for i, source in enumerate((flags, ["--config", cfg])):
+            out = str(tmp_path / f"oracle-{i}.csv")
+            assert main(["oracle", "--dgp", "highdim", *source, "--output", out]) == 0
+            assert json.load(open(out + ".meta.json")) == want
+
+    def test_oracle_and_simulate_default_to_the_study_oracle_m(self):
+        parser, _ = cli._build_parser()
+        for argv in (["oracle", "--dgp", "lowdim"],
+                     ["simulate", "--dgp", "lowdim", "--method", "icp", "--n", "9"]):
+            assert parser.parse_args(argv).oracle_m == StudyConfig.oracle_m
 
     @pytest.mark.parametrize("alpha", ["1.5", "-0.1", "nan"])
     def test_alpha_outside_unit_interval_rejected(self, tmp_path, capsys, alpha):

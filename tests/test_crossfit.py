@@ -221,6 +221,21 @@ class TestOracleNuisances:
         with pytest.raises(DataError, match="expected 3 covariates, got 20"):
             fits.propensity(0, np.zeros((2, 20)))
 
+    @pytest.mark.parametrize("kind, p, wrong", [("lowdim", 3, 20), ("highdim-sparse", 20, 3)])
+    def test_both_nuisances_check_the_dgp_width(self, kind, p, wrong):
+        # A wrong width is refused alike by both; the right one gives the
+        # clipped true functions bit for bit.
+        spec, grid = DgpSpec(kind), ThresholdGrid.from_range(0.0, 0.3, 0.05)
+        fits = oracle_nuisances(spec, grid)
+        for method in (fits.propensity, fits.cond_error):
+            with pytest.raises(DataError, match=f"^expected {p} covariates, got {wrong}$"):
+                method(0, np.zeros((2, wrong)))
+        X = spec.draw_x(50, np.zeros(50, dtype=int), np.random.default_rng(4))
+        g = np.clip(spec.true_propensity(X), fits.delta, 1.0 - fits.delta)
+        E = np.clip(spec.true_cond_errors(X, grid), 0.0, 1.0)
+        assert fits.propensity(0, X).tobytes() == g.tobytes()
+        assert fits.cond_error(0, X).tobytes() == E.tobytes()
+
     def test_oracle_fits_answer_every_fold(self):
         spec, grid = DgpSpec("lowdim"), ThresholdGrid.from_range(0.0, 0.3, 0.05)
         root = RngStream(8)

@@ -100,6 +100,8 @@ def write_inputs(work: Path) -> None:
     (work / "help-key.cfg").write_text("help = yes\n")
     (work / "config-key.cfg").write_text("config = other.cfg\n")
     (work / "bhat-mult.cfg").write_text("bhat-mult = 1.3\n")
+    (work / "simulate.cfg").write_text("oracle-m = 20000\nseed = 3\nfolds = 3\n")
+    (work / "oracle.cfg").write_text("oracle-m = 3000\nseed = 2\n")
 
 
 def matrix():
@@ -148,6 +150,12 @@ def matrix():
     yield "simulate-lowdim-3-folds", [
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
         "--reps", "3", "--oracle-m", "20000", "--folds", "3", "--output", "out.csv"]
+    # Settings from a config file reach each command's metadata as flags do.
+    yield "simulate-config", [
+        "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
+        "--reps", "2", "--workers", "1", "--config", "../simulate.cfg", "--output", "out.csv"]
+    yield "oracle-config", ["oracle", "--dgp", "highdim", "--config", "../oracle.cfg",
+                            "--output", "out.csv"]
     for method, alpha_conf in (("onestep", "0.2"), ("rs", "0.2"), ("icp", "0.45")):
         yield f"fit-small-{method}-alpha-conf-{alpha_conf}", [
             "fit", "--input", "../small.csv", "--method", method,
