@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import betainc
 
-from .core import SENTINEL_TAU, ConfigurationError, DomainError, RiskTargets
+from .core import SENTINEL_TAU, ConfigurationError, DomainError, RiskTargets, _rank_left
 
 
 class IcpThreshold(NamedTuple):
@@ -79,8 +79,14 @@ def weighted_quantile_cutoffs(cal_scores: np.ndarray, cal_weights: np.ndarray,
     order = np.argsort(cal_scores, kind="stable")
     sorted_scores = cal_scores[order]
     cum = np.cumsum(cal_weights[order])
-    levels = alpha_error * (w_total + test_weights) - test_weights
-    pos = np.searchsorted(cum, levels, side="left")
-    pos = np.minimum(pos, cal_scores.size - 1)
-    out = sorted_scores[pos]
-    return np.where(levels <= 0.0, -np.inf, out)
+    # alpha_error * (w_total + test_weights) - test_weights, in one buffer,
+    # which then takes the cutoffs: each fresh test-sized array costs time.
+    levels = test_weights + w_total
+    levels *= alpha_error
+    levels -= test_weights
+    pos = _rank_left(cum, levels)
+    reached = levels <= 0.0
+    # Past every cumulative weight, the largest score.
+    out = np.take(sorted_scores, pos, mode="clip", out=levels)
+    out[reached] = -np.inf
+    return out

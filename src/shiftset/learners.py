@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, logit
 
-from .core import ConfigurationError, DataError
+from .core import ConfigurationError, DataError, _rank_left
 
 LEARNER_KINDS = ("logistic-ridge", "boosted-stumps")
 
@@ -65,6 +65,24 @@ class BinaryLearnerSpec:
             raise ConfigurationError(f"unknown learner kind {self.kind!r}")
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ConfigurationError("ridge strength must be finite and nonnegative")
+
+
+def _blocked_matmul(X: np.ndarray, B: np.ndarray, step: int) -> np.ndarray:
+    """``X @ B`` in blocks of ``step`` rows, a multiple of 64, so that no
+    product is large enough for BLAS to start its threads: the full blocks as
+    one batched product, then the rest.  Each output row is the one a single
+    product over all rows gives: blocks start at multiples of 64 rows, and a
+    last block of one row, which numpy sends to another kernel, joins the
+    block before it.  The batch is a view of C-ordered X; X in other layouts
+    is copied once by the reshape."""
+    n = X.shape[0]
+    blocks = n // step - (n % step == 1 and n > step)
+    cut = blocks * step
+    out = np.empty((n,) + B.shape[1:])
+    np.matmul(X[:cut].reshape(blocks, step, X.shape[1]), B,
+              out=out[:cut].reshape((blocks, step) + B.shape[1:]))
+    np.matmul(X[cut:], B, out=out[cut:])
+    return out
 
 
 class FittedPredictor:
@@ -119,22 +137,8 @@ class LogisticRidgePredictor(FittedPredictor):
         self.converged = bool(converged)
 
     def _predict(self, X):
-        # Row blocks, so that no product is large enough for BLAS to start
-        # its threads: the full blocks as one batched product, then the rest.
-        # Each output is the dot product one product over all rows gives:
-        # blocks start at multiples of 64 rows, and a last block of one row,
-        # which numpy sends to another kernel, joins the block before it.
-        # The batch is a view of C-ordered X; X in other layouts is copied
-        # once by the reshape.
-        n = X.shape[0]
         step = max(64, _IRLS_BLOCK // (self.p + 1) // 64 * 64)
-        blocks = n // step - (n % step == 1 and n > step)
-        cut = blocks * step
-        eta = np.empty(n)
-        np.matmul(X[:cut].reshape(blocks, step, self.p), self.coef,
-                  out=eta[:cut].reshape(blocks, step))
-        np.matmul(X[cut:], self.coef, out=eta[cut:])
-        return expit(self.intercept + eta)
+        return expit(self.intercept + _blocked_matmul(X, self.coef, step))
 
 
 class BoostedStumpsPredictor(FittedPredictor):
@@ -172,7 +176,7 @@ class BoostedStumpsPredictor(FittedPredictor):
         feature counts that feature's thresholds below the row's value."""
         code = np.zeros(X.shape[0], dtype=np.intp)
         for j, cuts, stride in zip(self._used, self._cuts, self._strides):
-            rank = np.searchsorted(cuts, X[:, j], side="left")
+            rank = _rank_left(cuts, X[:, j])
             rank *= stride
             code += rank
         return code
@@ -290,7 +294,7 @@ def _fit_logistic(X: np.ndarray, Z: np.ndarray, ridge: float):
             resp = eta + (Z - mu) / w
             lhs = rhs = 0.0
             for s, D in zip(range(0, n, step), blocks):
-                Dw = D.T * w[:, None, s:s + step]
+                Dw = _weighted_transpose(D, w[:, s:s + step])
                 lhs += np.matmul(Dw, D)
                 rhs += np.matmul(Dw, resp[:, s:s + step, None])
             new = _solve(lhs + np.diag(penalty), rhs)
@@ -318,6 +322,13 @@ def _fit_logistic(X: np.ndarray, Z: np.ndarray, ridge: float):
     return [LogisticRidgePredictor(b[0], b[1:], p, fallback=not row_ok, n_iter=k,
                                    converged=c)
             for b, row_ok, k, c in zip(beta, ok, n_iter, converged)]
+
+
+def _weighted_transpose(D, w):
+    """``D.T * w[:, None, :]``, a design block weighted by each row of ``w``.
+    einsum makes the same products in the same strides, so every matrix
+    product gets the same operands, and it is faster for stacks of rows."""
+    return np.einsum("rc,lr->lcr", D, w)
 
 
 def _solve(lhs, rhs):

@@ -42,6 +42,7 @@ from .core import (
     UnfittableFoldError,
     _check_count,
     _is_count,
+    _rank_window,
     make_folds,
 )
 from .crossfit import (
@@ -52,7 +53,7 @@ from .crossfit import (
     fit_on,
     odds_weight,
 )
-from .learners import BinaryLearnerSpec
+from .learners import BinaryLearnerSpec, _blocked_matmul
 from .onestep import (
     CoverageTable,
     FoldEngine,
@@ -74,6 +75,9 @@ _LOWDIM_COV = np.array([
 ])
 _LOWDIM_CHOL = np.linalg.cholesky(_LOWDIM_COV)
 _LOWDIM_PREC = np.linalg.inv(_LOWDIM_COV)
+# Rows per product of lowdim's covariate draw: an oracle chunk's 200,000 rows
+# in one product would be large enough for OpenBLAS to split across threads.
+_DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -102,8 +106,7 @@ class DgpSpec:
             X[:, 0] *= shift_scale
             X[:, 1] *= shift_scale
             return X
-        Z = gen.standard_normal((n, 3))
-        X = Z @ _LOWDIM_CHOL.T
+        X = _blocked_matmul(gen.standard_normal((n, 3)), _LOWDIM_CHOL.T, _DRAW_BLOCK)
         if self.kind == "lowdim":
             factor = np.where(a == 1, 1.0, np.sqrt(0.5))
             X *= factor[:, None]
@@ -536,6 +539,32 @@ def _run_icp(data: Dataset) -> MethodResult:
                         CoverageTable(*map(np.atleast_1d, (res.tau, psi_hat, se, cub))))
 
 
+def _cutoff_median(cutoffs: np.ndarray, cal_scores: np.ndarray) -> float:
+    """``np.median(np.maximum(cutoffs, 0.0))`` for cutoffs that are
+    calibration scores or -inf, bit for bit, from the counts of their few
+    distinct values where that pays.
+
+    Each value is 0.0 or a positive calibration score.  Among those sorted
+    candidates, the values lie from the least one's rank to the greatest
+    one's, and counting the values at most each candidate there finds the
+    two middle order statistics (the one, for an odd count), whose mean is
+    what ``np.median`` returns.  A score of -0.0 could leave either zero in
+    the values, so it is left to ``np.median``.
+    """
+    kept = np.maximum(cutoffs, 0.0)
+    window = None
+    if not np.any(np.signbit(cal_scores) & (cal_scores == 0.0)):
+        candidates = np.unique(np.append(cal_scores[cal_scores > 0.0], 0.0))
+        window = _rank_window(candidates, kept)
+    if window is None:
+        return float(np.median(kept))
+    lo, hi = window
+    n, le = kept.size, np.empty(kept.shape, dtype=bool)
+    at_most = [np.count_nonzero(np.less_equal(kept, c, out=le)) for c in candidates[lo:hi]]
+    middle = lo + np.searchsorted(at_most + [n], [(n - 1) // 2, n // 2], side="right")
+    return float(np.mean(candidates[middle[:2 - n % 2]]))
+
+
 def _run_wcp(data: Dataset) -> MethodResult:
     # Importance weights from the fold-0 (out-of-fold) propensity fit,
     # evaluated at calibration and oracle covariates.
@@ -548,9 +577,10 @@ def _run_wcp(data: Dataset) -> MethodResult:
     gamma0 = cal_src.size / cal_idx.size
     w_cal = odds_weight(fits.propensity(0, data.sample.x[cal_src]), gamma0)
     w_eval = odds_weight(fits.propensity(0, data.oracle.X), gamma0)
-    cutoffs = weighted_quantile_cutoffs(data.sample.score[cal_src], w_cal,
-                                        w_eval, data.cfg.targets.alpha_error)
-    tau_descr = float(np.median(np.maximum(cutoffs, 0.0)))
+    cal_scores = data.sample.score[cal_src]
+    cutoffs = weighted_quantile_cutoffs(cal_scores, w_cal, w_eval,
+                                        data.cfg.targets.alpha_error)
+    tau_descr = _cutoff_median(cutoffs, cal_scores)
     return MethodResult(tau_descr, False, {"cutoff_median": tau_descr},
                         true_error=data.oracle.psi_of_cutoffs(cutoffs))
 

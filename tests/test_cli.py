@@ -1389,6 +1389,36 @@ class TestCmdSimulate:
         assert any(row["failed"] and row["failure"] == "DataError" for row in rows)
 
 
+@pytest.mark.skipif(parallel.usable_cpus() < 2, reason="needs 2 CPUs")
+def test_blas_thread_count_changes_no_output_byte(tmp_path):
+    """An oracle of 450,001 lowdim draws (two chunks of 200,000 rows and a
+    remainder) and a boosted-stumps study with wcp, whose propensities are
+    looked up by cell at the oracle points: the same bytes with one BLAS
+    thread or two."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    commands = {
+        "oracle": ["oracle", "--dgp", "lowdim", "--oracle-m", "450001", "--seed", "1"],
+        "simulate": ["simulate", "--dgp", "lowdim", "--method", "onestep,icp,wcp",
+                     "--n", "600", "--reps", "2", "--workers", "1", "--seed", "3",
+                     "--g-learner", "boosted-stumps", "--e-learner", "boosted-stumps"],
+    }
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(path))
+        for name, argv in commands.items():
+            out = str(tmp_path / f"{name}-{threads}.csv")
+            proc = subprocess.run([sys.executable, "-m", "shiftset.cli", *argv, "--output", out],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            outputs = [open(out + suffix, "rb").read() for suffix in ("", ".meta.json")]
+            if name == "simulate":
+                outputs.append(open(out + ".jsonl", "rb").read())
+            runs[name, threads] = (proc.returncode, proc.stdout, proc.stderr, *outputs)
+    for name in commands:
+        assert runs[name, "1"][0] == 0
+        assert runs[name, "1"] == runs[name, "2"]
+
+
 class TestCmdOracle:
     def test_curve_and_tau0(self, tmp_path):
         out = str(tmp_path / "oracle.csv")

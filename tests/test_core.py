@@ -237,6 +237,69 @@ class TestRiskTargets:
         RiskTargets(alpha_error=0.05, alpha_conf=0.05)
 
 
+# Cut values with duplicates, signed zeros and infinities, so that drawn
+# keys often equal a cut.
+RANK_VALUES = (st.sampled_from([-np.inf, -1.5, -1.0, -0.0, 0.0, 0.25, 1.0, 2.0, np.inf])
+               | st.floats(-3.0, 3.0))
+
+
+@st.composite
+def rank_cases(draw):
+    """Sorted cuts, and keys drawn from a few values (NaN among them), some
+    strided; at 2,048 keys and more the kernel may count."""
+    cuts = np.sort(np.array(draw(st.lists(RANK_VALUES, max_size=100)), dtype=float))
+    pool = np.array(draw(st.lists(RANK_VALUES | st.just(np.nan), min_size=1, max_size=6)))
+    n = draw(st.sampled_from([0, 1, 5, 2047, 2048, 5000, 40_000]))
+    step = draw(st.sampled_from([1, 3]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cuts, gen.choice(pool, size=n * step)[::step]
+
+
+class TestRankLeft:
+    """``core._rank_left`` is ``np.searchsorted(cuts, keys, side="left")``,
+    whether it counts or searches."""
+
+    @staticmethod
+    def assert_searchsorted(cuts, keys):
+        got = core._rank_left(cuts, keys)
+        want = np.searchsorted(cuts, keys, side="left")
+        assert got.dtype == want.dtype == np.intp
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rank_cases())
+    def test_matches_searchsorted(self, case):
+        self.assert_searchsorted(*case)
+
+    @pytest.mark.parametrize("n", [2048, 40_000])
+    @pytest.mark.parametrize("past", [-1, 0, 1])
+    def test_counts_up_to_the_gate(self, n, past):
+        # Keys from 99.5 to 99.5 + width span `width` of the cuts 0..199.
+        gate = min(core._RANK_WINDOW, n // core._KEYS_PER_CUT)
+        width = {-1: 0, 0: gate, 1: gate + 1}[past]
+        keys = np.random.default_rng(n).uniform(99.5, 99.5 + width, n)
+        keys[:2] = 99.5, 99.5 + width
+        cuts = np.arange(200.0)
+        assert (core._rank_window(cuts, keys) is None) == (past == 1)
+        self.assert_searchsorted(cuts, keys)
+        # Duplicate cuts count as one cut each.
+        self.assert_searchsorted(np.repeat(cuts, 2), keys)
+
+    @pytest.mark.parametrize("keys", [
+        np.full(3000, np.nan),
+        np.r_[np.full(2999, 199.5), np.nan],
+        np.r_[np.full(1500, np.inf), np.full(1500, -np.inf)],
+        np.r_[np.full(1500, 0.0), np.full(1500, -0.0)],
+        np.empty(0),
+    ], ids=["all-nan", "nan-past-every-cut", "infinities", "signed-zeros", "empty"])
+    @pytest.mark.parametrize("cuts", [
+        np.arange(200.0), np.r_[-np.inf, -0.0, 0.0, np.inf], np.empty(0),
+    ], ids=["range", "infinities-and-zeros", "no-cuts"])
+    def test_edge_keys_and_cuts(self, keys, cuts):
+        self.assert_searchsorted(cuts, keys)
+        self.assert_searchsorted(cuts, np.repeat(keys, 2)[::2])
+
+
 class TestFoldPlan:
     def test_bad_assignment_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -570,6 +570,25 @@ def test_logistic_fits_ignore_blas_thread_count():
     assert out[0] == out[1]
 
 
+@pytest.mark.parametrize("L", [1, 2, 7])
+@pytest.mark.parametrize("rows", [1, 2, 110, 195])
+@pytest.mark.parametrize("p", [3, 20])
+def test_weighted_transpose_is_the_broadcast_product(L, rows, p):
+    # A block of the design and of the weights as the IRLS slices them.
+    gen = np.random.default_rng(rows * p + L)
+    design = np.column_stack([np.ones(400), gen.standard_normal((400, p))])
+    w = np.clip(gen.uniform(size=(L, 400)) * 0.25, 1e-10, None)
+    resp = gen.standard_normal((L, 400))
+    D, block = design[7:7 + rows], slice(7, 7 + rows)
+    got = learners._weighted_transpose(D, w[:, block])
+    want = D.T * w[:, None, block]
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert np.matmul(got, D).tobytes() == np.matmul(want, D).tobytes()
+    rhs = resp[:, block, None]
+    assert np.matmul(got, rhs).tobytes() == np.matmul(want, rhs).tobytes()
+
+
 class TestSpecValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):

@@ -39,7 +39,7 @@ from shiftset import (
     weighted_plugin_estimate,
     wilson_interval,
 )
-from shiftset import crossfit, simbench
+from shiftset import core, crossfit, simbench
 from shiftset.simbench import Dataset, MethodResult
 
 TARGETS = RiskTargets(0.05, 0.05)
@@ -112,6 +112,59 @@ class TestDgpDraw:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             DgpSpec("mediumdim")
+
+
+    @pytest.mark.parametrize("n", [1, 2, 8191, 8193, 16_385, 99_999, 100_000, 200_000])
+    def test_lowdim_draw_is_one_product(self, n):
+        # The draw multiplies in blocks of rows, each row as one product of
+        # all of them gives it.
+        want_gen, got_gen = (RngStream(5).generator() for _ in range(2))
+        want = want_gen.standard_normal((n, 3)) @ simbench._LOWDIM_CHOL.T
+        assert DgpSpec("lowdim").draw_x(n, np.ones(n), got_gen).tobytes() == want.tobytes()
+
+
+class TestCutoffMedian:
+    """wcp's ``cutoff_median`` is ``np.median(np.maximum(cutoffs, 0.0))``,
+    sign of zero included, whether it counts or partitions."""
+
+    @staticmethod
+    def assert_median(cutoffs, cal_scores):
+        want = np.median(np.maximum(cutoffs, 0.0))
+        got = simbench._cutoff_median(cutoffs, cal_scores)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(scores=st.lists(st.floats(-1.0, 1.0) | st.sampled_from([0.0, -0.0, 0.5]),
+                           min_size=1, max_size=80),
+           n=st.sampled_from([1, 2, 3, 4, 2048, 2049, 5000, 5001]),
+           share_inf=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_np_median(self, scores, n, share_inf, seed):
+        cal = np.array(scores)
+        gen = np.random.default_rng(seed)
+        cutoffs = np.where(gen.uniform(size=n) < share_inf, -np.inf,
+                           gen.choice(np.sort(cal), size=n))
+        self.assert_median(cutoffs, cal)
+
+    @pytest.mark.parametrize("n", [1, 2, 4999, 5000])
+    @pytest.mark.parametrize("values", [[-np.inf], [0.3], [-np.inf, 0.3], [0.1, 0.2, 0.3]])
+    def test_counts_few_values(self, monkeypatch, n, values):
+        counted, original = [], simbench._rank_window
+
+        def spy(cuts, keys):
+            window = original(cuts, keys)
+            counted.append(window is not None)
+            return window
+
+        monkeypatch.setattr(simbench, "_rank_window", spy)
+        cutoffs = np.resize(np.array(values), n)
+        self.assert_median(cutoffs, np.array([0.1, 0.2, 0.3, 0.4]))
+        assert counted == [n >= core._RANK_MIN_KEYS]
+
+    def test_a_negative_zero_score_is_left_to_np_median(self):
+        cutoffs = np.resize([-0.0, 0.0, -np.inf, 0.2], 5000)
+        self.assert_median(cutoffs, np.array([-0.0, 0.0, 0.2]))
 
 
 class TestOracles:

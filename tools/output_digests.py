@@ -147,6 +147,15 @@ def matrix():
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
         "--reps", "2", "--oracle-m", "450001", "--seed", "7", "--workers", "1",
         "--output", "out.csv"]
+    # At 3,000 oracle points the rank kernel counts at most 5 cuts per key
+    # set: here wcp's cutoffs and median count on one replication and fall
+    # back to the binary search and np.median on the other, and the stumps'
+    # cell codes do both.
+    for dgp, learner in (("highdim", "logistic-ridge"), ("lowdim", "boosted-stumps")):
+        yield f"simulate-{dgp}-{learner}-rank-fallback", [
+            "simulate", "--dgp", dgp, "--method", "wcp", "--n", "2000", "--reps", "2",
+            "--oracle-m", "3000", "--seed", "5", "--workers", "1", "--g-learner", learner,
+            "--e-learner", learner, "--output", "out.csv"]
     yield "simulate-lowdim-3-folds", [
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
         "--reps", "3", "--oracle-m", "20000", "--folds", "3", "--output", "out.csv"]
