@@ -125,6 +125,10 @@ class ObservedSample:
     score: np.ndarray
 
     def __post_init__(self):
+        # Checked before the cast, which would truncate 1.7 to 1, wrap 256 to
+        # 0 and turn NaN into 0.
+        if not np.isin(self.a, (0, 1)).all():
+            raise DataError("population indicator must be 0/1")
         a = np.asarray(self.a, dtype=np.int8)
         x = np.atleast_2d(np.asarray(self.x, dtype=float))
         score = np.asarray(self.score, dtype=float)
@@ -134,8 +138,6 @@ class ObservedSample:
         n = a.shape[0]
         if x.shape[0] != n or score.shape[0] != n:
             raise DataError("a, x and score must have one row per unit")
-        if not np.isin(a, (0, 1)).all():
-            raise DataError("population indicator must be 0/1")
         has_score = np.isfinite(score)
         if not np.array_equal(has_score, a == 1):
             raise DataError("a score must be present exactly for source units")
@@ -221,12 +223,14 @@ class FoldPlan:
     assignment: np.ndarray
 
     def __post_init__(self):
+        _check_count(self.V, "fold count", 2)
+        # Checked before the cast, which would truncate 0.5 to fold 0.
+        if not np.isin(self.assignment, np.arange(self.V)).all():
+            raise ConfigurationError(f"fold assignment must hold integers in [0, {self.V})")
         assignment = np.asarray(self.assignment, dtype=np.int64)
         object.__setattr__(self, "assignment", assignment)
-        if self.V < 2:
-            raise ConfigurationError("fold count must be at least 2")
         counts = np.bincount(assignment, minlength=self.V)
-        if counts.size > self.V or counts.min() == 0:
+        if counts.min() == 0:
             raise ConfigurationError("assignment does not cover every fold")
         if counts.max() - counts.min() > 1:
             raise ConfigurationError("fold sizes must differ by at most one")

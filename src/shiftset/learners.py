@@ -85,6 +85,15 @@ def _blocked_matmul(X: np.ndarray, B: np.ndarray, step: int) -> np.ndarray:
     return out
 
 
+def _covariates(X, p: int | None) -> np.ndarray:
+    """``X`` as a float matrix of one row per unit; DataError unless it has
+    ``p`` columns (any number for None)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if p is not None and X.shape[1] != p:
+        raise DataError(f"expected {p} covariates, got {X.shape[1]}")
+    return X
+
+
 class FittedPredictor:
     """A fitted x -> probability map.  Immutable and safe to share.  Each
     ``_predict`` keeps its own range in [0, 1]; ``p = None`` takes any width."""
@@ -92,13 +101,7 @@ class FittedPredictor:
     p: int | None
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._predict(self._check(X))
-
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if self.p is not None and X.shape[1] != self.p:
-            raise DataError(f"expected {self.p} covariates, got {X.shape[1]}")
-        return X
+        return self._predict(_covariates(X, self.p))
 
     def _predict(self, X: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 from scipy.special import betaincinv, ndtri
@@ -53,7 +53,7 @@ from .crossfit import (
     fit_on,
     odds_weight,
 )
-from .learners import BinaryLearnerSpec, _blocked_matmul
+from .learners import BinaryLearnerSpec, _blocked_matmul, _covariates
 from .onestep import (
     CoverageTable,
     FoldEngine,
@@ -210,18 +210,12 @@ class _OracleFits(NuisanceFits):
 
     dgp: DgpSpec
 
-    def _covariates(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.dgp.p:
-            raise DataError(f"expected {self.dgp.p} covariates, got {X.shape[1]}")
-        return X
-
     def propensity(self, v, X):
-        X = self._covariates(X)
+        X = _covariates(X, self.dgp.p)
         return np.clip(self.dgp.true_propensity(X), self.delta, 1.0 - self.delta)
 
     def cond_error(self, v, X):
-        X = self._covariates(X)
+        X = _covariates(X, self.dgp.p)
         return np.clip(self.dgp.true_cond_errors(X, self.taus), 0.0, 1.0)
 
     def constant_mask(self, v):
@@ -367,23 +361,33 @@ _FAILURE_ERRORS = (DegenerateFoldError, EmptyAcceptanceError,
                    BoundViolationError, UnfittableFoldError)
 
 
+@dataclass(frozen=True, kw_only=True)
+class MethodResult:
+    """What one method selected on one dataset: ``info``, the run's facts as
+    plain ints, floats or None, goes to a ``simulate`` row and to the ``fit``
+    metadata, ``table`` to the ``fit`` table.  Weighted conformal, which is
+    scored on its cutoffs, sets ``true_error`` and no table.  The defaults
+    are a failed row's."""
+
+    tau_hat: float = 0.0
+    sentinel: bool = False
+    info: dict = field(default_factory=dict)
+    # The method's estimated curve: fit's table, and no part of a JSONL row.
+    table: CoverageTable | None = field(default=None, repr=False, compare=False)
+    true_error: float | None = None
+
+
 @dataclass(frozen=True)
-class ReplicationRow:
-    """One method's threshold on one replication, scored by the oracle: the
-    fields of the method's MethodResult, and ``covered``.  A failed row holds only the
-    name of its error, in ``failure``."""
+class ReplicationRow(MethodResult):
+    """One method's result on one replication, scored by the oracle in
+    ``covered``.  A failed row holds only the name of its error, in
+    ``failure``."""
 
     method: str
     n: int
     rep: int
-    tau_hat: float = 0.0
-    sentinel: bool = False
-    true_error: float | None = None
     covered: bool = False
     failure: str = ""
-    info: dict = field(default_factory=dict)
-    # The method's estimated curve, for callers of run_study; not serialized.
-    table: CoverageTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def failed(self) -> bool:
@@ -483,24 +487,11 @@ class Dataset:
         return cal_idx, cal_src
 
 
-class MethodResult(NamedTuple):
-    """What one method selected on one dataset, under the names of the
-    ReplicationRow fields it fills: ``info``, the run's facts as plain ints,
-    floats or None, goes to a ``simulate`` row and to the ``fit`` metadata,
-    ``table`` to the ``fit`` table.  Weighted conformal, which is scored on
-    its cutoffs, sets ``true_error`` and no table."""
-
-    tau_hat: float
-    sentinel: bool
-    info: dict
-    table: CoverageTable | None = None
-    true_error: float | None = None
-
-
 def _selected(data: Dataset, table: CoverageTable, info=None) -> MethodResult:
     """The threshold that ``table`` certifies at the study's targets."""
     dec = select_threshold(table, data.cfg.targets)
-    return MethodResult(dec.tau_hat, dec.is_sentinel, info or {}, table)
+    return MethodResult(tau_hat=dec.tau_hat, sentinel=dec.is_sentinel,
+                        info=info or {}, table=table)
 
 
 def _run_tmle(data: Dataset) -> MethodResult:
@@ -535,8 +526,9 @@ def _run_icp(data: Dataset) -> MethodResult:
         psi_hat = float(betaincinv(k, m + 1 - k, 0.5))
         se = float(np.sqrt(k * (m + 1 - k) / ((m + 1) ** 2 * (m + 2))))
         cub = float(betaincinv(k, m + 1 - k, 1 - data.cfg.targets.alpha_conf))
-    return MethodResult(res.tau, res.is_sentinel, {"calibration_size": m, "k": k},
-                        CoverageTable(*map(np.atleast_1d, (res.tau, psi_hat, se, cub))))
+    return MethodResult(
+        tau_hat=res.tau, sentinel=res.is_sentinel, info={"calibration_size": m, "k": k},
+        table=CoverageTable(*map(np.atleast_1d, (res.tau, psi_hat, se, cub))))
 
 
 def _cutoff_median(cutoffs: np.ndarray, cal_scores: np.ndarray) -> float:
@@ -581,7 +573,7 @@ def _run_wcp(data: Dataset) -> MethodResult:
     cutoffs = weighted_quantile_cutoffs(cal_scores, w_cal, w_eval,
                                         data.cfg.targets.alpha_error)
     tau_descr = _cutoff_median(cutoffs, cal_scores)
-    return MethodResult(tau_descr, False, {"cutoff_median": tau_descr},
+    return MethodResult(tau_hat=tau_descr, info={"cutoff_median": tau_descr},
                         true_error=data.oracle.psi_of_cutoffs(cutoffs))
 
 
@@ -633,8 +625,8 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
             continue
         err = (oracle.psi_at(res.tau_hat) if res.true_error is None
                else res.true_error)
-        rows.append(ReplicationRow(method, n, rep, **{**res._asdict(), "true_error": err},
-                                   covered=bool(err <= cfg.targets.alpha_error)))
+        rows.append(ReplicationRow(method, n, rep, covered=bool(err <= cfg.targets.alpha_error),
+                                   **{**vars(res), "true_error": err}))
     return rows
 
 

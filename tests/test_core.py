@@ -1,5 +1,6 @@
 import tracemalloc
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ class TestSampleTypes:
     def test_rows_and_indicator_checked(self, a, x, score, message):
         with pytest.raises(DataError, match=message):
             ObservedSample(a=np.array(a), x=np.array(x), score=np.array(score))
+
+    @pytest.mark.parametrize("a", [[1, 1.7, 0], [1, 256, 0], [1, np.nan, 0]],
+                             ids=["fraction", "wraps-to-0", "nan"])
+    def test_indicator_checked_before_the_cast(self, a):
+        # An int8 cast would make these [1, 1, 0], [1, 0, 0] and [1, 0, 0].
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^population indicator must be 0/1$"):
+                ObservedSample(a=np.array(a), x=np.zeros((3, 1)), score=[0.5, 0.5, np.nan])
+
+    def test_bool_indicator_accepted(self):
+        s = ObservedSample(a=np.array([True, False]), x=[[1.0], [2.0]], score=[0.5, np.nan])
+        assert s.a.dtype == np.int8 and s.a.tolist() == [1, 0]
 
     def test_unit_round_trip(self):
         # Each row of the arrays is one unit: (a, x, score), NaN for targets.
@@ -308,12 +322,32 @@ class TestFoldPlan:
             FoldPlan(V=3, assignment=np.array([0, 1, 0, 1]))
 
     @pytest.mark.parametrize("V, assignment, message", [
-        (1, [0, 0, 0], "^fold count must be at least 2$"),
+        (1, [0, 0, 0], "^fold count must be an integer of at least 2, got 1$"),
         (2, [0, 0, 0, 1], "^fold sizes must differ by at most one$"),
     ])
     def test_fold_count_and_balance_checked(self, V, assignment, message):
         with pytest.raises(ConfigurationError, match=message):
             FoldPlan(V=V, assignment=np.array(assignment))
+
+    @pytest.mark.parametrize("V", [2.0, 2.5, True, "2"])
+    def test_fold_count_must_be_an_integer(self, V):
+        with pytest.raises(ConfigurationError,
+                           match=f"^fold count must be an integer of at least 2, got {V!r}$"):
+            FoldPlan(V=V, assignment=np.array([0, 1]))
+
+    @pytest.mark.parametrize("assignment", [
+        [0.5, 1.5, 0.2, 1.9], [0, 1, -1], [0, 1, 2], [0, 1, np.nan],
+    ], ids=["fractions", "negative", "past-V", "nan"])
+    def test_assignment_must_hold_fold_indices(self, assignment):
+        # Cast first, the fractions became folds [0, 1, 0, 1], -1 and NaN
+        # a bare ValueError from np.bincount, and 2 "does not cover every fold".
+        with pytest.raises(ConfigurationError,
+                           match=r"^fold assignment must hold integers in \[0, 2\)$"):
+            FoldPlan(V=2, assignment=np.array(assignment))
+
+    def test_integral_floats_are_fold_indices(self):
+        plan = FoldPlan(V=2, assignment=np.array([1.0, 0.0, 1.0]))
+        assert plan.assignment.dtype == np.int64 and plan.assignment.tolist() == [1, 0, 1]
 
 
 PUBLIC_NAMES = """

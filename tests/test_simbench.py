@@ -673,8 +673,18 @@ def assert_same_table(got, want):
 
 
 def test_method_result_fields_are_row_fields():
-    # A replication row is built from its method's result by field name.
-    assert set(MethodResult._fields) <= {f.name for f in dataclasses.fields(ReplicationRow)}
+    # A row declares only its replication, its score and its failure; every
+    # fact a method computes is a MethodResult field, and a failed row holds
+    # the result's defaults.
+    result = [f.name for f in dataclasses.fields(MethodResult)]
+    row = [f.name for f in dataclasses.fields(ReplicationRow)]
+    assert issubclass(ReplicationRow, MethodResult)
+    assert row == result + ["method", "n", "rep", "covered", "failure"]
+    failed = ReplicationRow("icp", 6, 3, failure="DataError")
+    assert vars(failed) == {"tau_hat": 0.0, "sentinel": False, "info": {}, "table": None,
+                            "true_error": None, "method": "icp", "n": 6, "rep": 3,
+                            "covered": False, "failure": "DataError"}
+    assert failed.failed
 
 
 @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])

@@ -224,6 +224,10 @@ def matrix():
     yield "simulate-degenerate-draws", ["simulate", "--dgp", "lowdim", "--method", "icp",
                                         "--n", "6", "--reps", "40", "--oracle-m", "1000",
                                         "--workers", "1", "--output", "out.csv"]
+    # The same draws for every method: failed and scored rows of each.
+    yield "simulate-degenerate-draws-all-methods", [
+        "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "6", "--reps", "40",
+        "--oracle-m", "1000", "--workers", "1", "--output", "out.csv"]
 
 
 def cases(src: Path):
