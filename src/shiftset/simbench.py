@@ -443,8 +443,9 @@ class StudyConfig:
 @dataclass
 class Dataset:
     """One sample and what every method run on it shares: the fold plan,
-    the nuisance fits and the fold engine, each built on first use.  A build
-    that fails is tried again, and fails alike, for the next method."""
+    the nuisance fits, fold 0's fits and the fold engine, each built on
+    first use.  A build that fails is tried again, and fails alike, for the
+    next method."""
 
     sample: ObservedSample
     cfg: StudyConfig
@@ -466,10 +467,13 @@ class Dataset:
     def engine(self) -> FoldEngine:
         return FoldEngine(self.sample, self.folds, self.fits)
 
+    @cached_property
     def fold0_fits(self) -> NuisanceFits:
-        """Fold 0's nuisances: the cross-fit's when it is built, else one
-        fit on fold 0's complement, the call that ``fit_nuisances`` makes for
-        fold 0, so the predictors are the same bits either way."""
+        """Fold 0's nuisances, which rs and wcp read, once fold 0 and its
+        complement are checked to hold both populations: the cross-fit's when
+        it is built, else one fit on fold 0's complement, the call that
+        ``fit_nuisances`` makes for fold 0, so the bits are the same either way."""
+        _check_halves(self.sample, self.folds)
         if "fits" in vars(self):  # where cached_property keeps a built value
             return self.fits
         cfg = self.cfg
@@ -501,12 +505,9 @@ def _run_tmle(data: Dataset) -> MethodResult:
 
 def _run_rs(data: Dataset) -> MethodResult:
     """Rejection sampling on fold 0 and its complement, the halves of icp
-    and wcp.  The halves are checked before fold 0 is fitted alone, so that
-    a complement without source units fails as a degenerate half, not in
-    the learners."""
+    and wcp."""
     cfg = data.cfg
-    _check_halves(data.sample, data.folds)
-    run = rs_prepare(data.sample, cfg.bhat_fixed, data.folds, data.fold0_fits(),
+    run = rs_prepare(data.sample, cfg.bhat_fixed, data.folds, data.fold0_fits,
                      data.rs_rng)
     return _selected(data, rs_estimate(run, data.sample, cfg.targets),
                      {"bhat": run.bhat, "n_accepted": run.n_accepted, "pi_hat": run.pi_hat})
@@ -558,14 +559,12 @@ def _cutoff_median(cutoffs: np.ndarray, cal_scores: np.ndarray) -> float:
 
 
 def _run_wcp(data: Dataset) -> MethodResult:
-    # Importance weights from the fold-0 (out-of-fold) propensity fit,
+    # Importance weights from fold 0's propensity, trained on its complement,
     # evaluated at calibration and oracle covariates.
     if data.oracle is None or data.oracle.X is None:
         raise ConfigurationError(_NEEDS_POINTS)
-    fits = data.fits
+    fits = data.fold0_fits
     cal_idx, cal_src = data.calibration()
-    if cal_src.size == cal_idx.size:
-        raise DegenerateFoldError("calibration fold has no target units")
     gamma0 = cal_src.size / cal_idx.size
     w_cal = odds_weight(fits.propensity(0, data.sample.x[cal_src]), gamma0)
     w_eval = odds_weight(fits.propensity(0, data.oracle.X), gamma0)

@@ -525,8 +525,8 @@ class TestRunStudy:
 
     def test_a_degenerate_training_half_fails_rejection_sampling(self):
         # At two folds, fold 1 is rejection sampling's training half: at
-        # this seed it holds no target unit, so rs fails with the fold
-        # methods, by name and alike whether or not they ran before it.
+        # this seed it holds no target unit, so rs and wcp fail with the fold
+        # methods, by name and alike whether or not they ran before them.
         spec, n, root = DgpSpec("lowdim"), 12, RngStream(204)
         sample = dgp_draw(spec, n, root.child(f"dgp-n{n}", 0))
         folds = make_folds(n, 2, root.child(f"folds-n{n}", 0))
@@ -537,12 +537,12 @@ class TestRunStudy:
         cfg = StudyConfig(grid=GRID, targets=TARGETS, g_spec=stumps,
                           e_spec=stumps, oracle_m=2000)
         every = run_study(spec, [n], tuple(METHODS), 1, cfg, root).rows
-        alone = run_study(spec, [n], ["rs"], 1, cfg, root).rows
         rows = {r.method: r for r in every}
         assert {m for m, r in rows.items() if r.failed} == {
-            "onestep", "tmle", "rs", "plugin", "wplugin"}
-        assert alone == (rows["rs"],)
-        assert rows["rs"] == ReplicationRow("rs", n, 0, failure="DegenerateFoldError")
+            "onestep", "tmle", "rs", "plugin", "wplugin", "wcp"}
+        for m in ("rs", "wcp"):
+            assert run_study(spec, [n], [m], 1, cfg, root).rows == (rows[m],)
+            assert rows[m] == ReplicationRow(m, n, 0, failure="DegenerateFoldError")
         data = Dataset(sample, cfg, root.child(f"folds-n{n}", 0), root)
         with pytest.raises(DegenerateFoldError,
                            match="^training half lacks source or target units$"):
@@ -707,9 +707,11 @@ def test_registry_matches_public_estimators(learner):
                       rs_estimate(run, data.sample, TARGETS))
 
 
-def test_rs_fits_fold_zero_once_or_not_at_all(monkeypatch):
-    # Alone, rejection sampling fits fold 0's complement once; after a fold
-    # method has built the cross-fit, it fits nothing and gives the same table.
+@pytest.mark.parametrize("readers", [["rs"], ["wcp"], ["rs", "wcp"], ["rs", "icp", "wcp"]],
+                         ids="-".join)
+def test_fold_zero_readers_fit_it_once_or_not_at_all(monkeypatch, readers):
+    # Alone, rs and wcp share one fit of fold 0's complement; after a fold
+    # method has built the cross-fit, they fit nothing and give the same rows.
     fitted = []
     fit_on = crossfit.fit_on
 
@@ -721,18 +723,40 @@ def test_rs_fits_fold_zero_once_or_not_at_all(monkeypatch):
     monkeypatch.setattr(simbench, "fit_on", counted)
     root = RngStream(24)
     sample = dgp_draw(DgpSpec("lowdim"), 400, root.child("d"))
+    oracle = OracleEvaluator(DgpSpec("lowdim"), 2000, root.child("ev"), points=True)
     alone, after = (Dataset(sample, StudyConfig(GRID, TARGETS), root.child("f"),
-                            root.child("rs")) for _ in range(2))
-    rs_alone = METHODS["rs"](alone)
+                            root.child("rs"), oracle) for _ in range(2))
+    got_alone = [METHODS[m](alone) for m in readers]
     assert fitted == [alone.folds.complement(0).tolist()]
 
     fitted.clear()
     METHODS["onestep"](after)
     assert len(fitted) == after.folds.V
-    rs_after = METHODS["rs"](after)
+    got_after = [METHODS[m](after) for m in readers]
     assert len(fitted) == after.folds.V
-    assert_same_table(rs_after.table, rs_alone.table)
-    assert rs_after.info == rs_alone.info
+    for res_after, res_alone in zip(got_after, got_alone):
+        if res_alone.table is not None:
+            assert_same_table(res_after.table, res_alone.table)
+        assert (res_after.info, res_after.true_error) == (res_alone.info, res_alone.true_error)
+
+
+@pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])
+def test_fold_zero_fits_alone_are_the_forked_cross_fits(learner):
+    # At the fork gate the cross-fit fits its folds in forked workers; fold
+    # 0's standalone fit, made in this process, gives the same bits.
+    spec, n = DgpSpec("highdim-sparse"), 8000
+    assert n * spec.p >= crossfit._FORK_ELEMENTS
+    fitter = BinaryLearnerSpec(kind=learner)
+    cfg = StudyConfig(GRID, TARGETS, fitter, fitter)
+    root = RngStream(25)
+    sample = dgp_draw(spec, n, root.child("d"))
+    alone, after = (Dataset(sample, cfg, root.child("f"), root.child("rs"))
+                    for _ in range(2))
+    want, got = after.fits, alone.fold0_fits
+    assert after.fold0_fits is want and len(got.g_predictors) == 1
+    X = spec.draw_x(20_000, np.ones(20_000), root.child("x").generator())
+    assert np.array_equal(got.propensity(0, X), want.propensity(0, X))
+    assert np.array_equal(got.cond_error(0, X), want.cond_error(0, X))
 
 
 @pytest.mark.parametrize("alpha_conf", [0.05, 0.2])

@@ -156,6 +156,11 @@ def matrix():
             "simulate", "--dgp", dgp, "--method", "wcp", "--n", "2000", "--reps", "2",
             "--oracle-m", "3000", "--seed", "5", "--workers", "1", "--g-learner", learner,
             "--e-learner", learner, "--output", "out.csv"]
+    # The conformal halves alone: rs and wcp share one fit of fold 0's
+    # complement and build no cross-fit.
+    yield "simulate-highdim-conformal-alone", [
+        "simulate", "--dgp", "highdim", "--method", "rs,icp,wcp", "--n", "300", "--reps", "3",
+        "--oracle-m", "20000", "--seed", "5", "--workers", "2", "--output", "out.csv"]
     yield "simulate-lowdim-3-folds", [
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
         "--reps", "3", "--oracle-m", "20000", "--folds", "3", "--output", "out.csv"]
