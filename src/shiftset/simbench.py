@@ -590,6 +590,9 @@ METHODS: dict[str, Callable[[Dataset], MethodResult]] = {
     "icp": _run_icp,
     "wcp": _run_wcp,
 }
+# The methods that read ``Dataset.fold0_fits``.  A replication runs them last,
+# so they reuse the cross-fit's fold 0 whenever a fold method runs.
+_FOLD0_READERS = ("rs", "wcp")
 
 
 def _ensure_methods(methods) -> tuple[str, ...]:
@@ -606,7 +609,7 @@ def _ensure_methods(methods) -> tuple[str, ...]:
 
 def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
     """Every method on replication ``rep`` at sample size ``n``, seeded from
-    that job's own streams."""
+    that job's own streams, its rows in the order of ``methods``."""
     spec, methods, cfg, rng, oracle = study
     try:
         sample = dgp_draw(spec, n, rng.child(f"dgp-n{n}", rep))
@@ -615,18 +618,18 @@ def _replicate(study, n: int, rep: int) -> list[ReplicationRow]:
                 for method in methods]
     data = Dataset(sample, cfg, rng.child(f"folds-n{n}", rep),
                    rng.child(f"method-rs-n{n}", rep), oracle)
-    rows = []
-    for method in methods:
+    rows = {}
+    for method in sorted(methods, key=_FOLD0_READERS.__contains__):
         try:
             res = METHODS[method](data)
         except _FAILURE_ERRORS as exc:
-            rows.append(ReplicationRow(method, n, rep, failure=type(exc).__name__))
+            rows[method] = ReplicationRow(method, n, rep, failure=type(exc).__name__)
             continue
         err = (oracle.psi_at(res.tau_hat) if res.true_error is None
                else res.true_error)
-        rows.append(ReplicationRow(method, n, rep, covered=bool(err <= cfg.targets.alpha_error),
-                                   **{**vars(res), "true_error": err}))
-    return rows
+        rows[method] = ReplicationRow(method, n, rep, covered=bool(err <= cfg.targets.alpha_error),
+                                      **{**vars(res), "true_error": err})
+    return [rows[method] for method in methods]
 
 
 def run_study(spec: DgpSpec, ns, methods, replications: int,

@@ -37,6 +37,13 @@ def pid_of(i):
     return os.getpid(), i
 
 
+def ran_here_unless_one_in_a_worker(i):
+    """Whether job ``i`` ran here; job 1 raises in a worker."""
+    if in_worker() and i == 1:
+        raise DataError("job 1 failed in a worker")
+    return i, not in_worker()
+
+
 def fail_at_two(i):
     if i == 2:
         raise DataError("job 2 failed")
@@ -64,6 +71,11 @@ class TestRunJobs:
     def test_the_earliest_error_is_raised_here(self, workers):
         with pytest.raises(DataError, match="^job 2 failed$"):
             list(parallel.run_jobs(fail_at_two, [(i,) for i in range(6)], workers))
+
+    def test_a_job_failing_only_in_a_worker_keeps_its_run_here(self):
+        got = list(parallel.run_jobs(ran_here_unless_one_in_a_worker,
+                                     [(i,) for i in range(3)], 2))
+        assert got == [(0, False), (1, True), (2, False)]
 
     def test_a_closed_runner_leaves_no_worker(self):
         jobs = parallel.run_jobs(square, [(i,) for i in range(6)], 2)

@@ -166,6 +166,19 @@ class TestFoldZero:
                            match=f"^{half} half lacks source or target units$"):
             rs_prepare(sample, None, folds, fits, rng.child("r"))
 
+    def test_a_fold_plan_of_another_size_is_refused(self, rng, monkeypatch):
+        # Refused before any weight is computed.
+        def refuse(*args):
+            raise AssertionError("a weight was computed")
+
+        sample = dgp_draw(DgpSpec("lowdim"), 200, rng.child("d"))
+        folds = make_folds(201, 2, rng.child("f"))
+        fits = one_fold_fits(tuple(GRID), ConstantPredictor(0.5), (ConstantPredictor(0.0),))
+        monkeypatch.setattr(rejsamp, "odds_weight", refuse)
+        with pytest.raises(ConfigurationError,
+                           match="^fold plan does not match the sample size$"):
+            rs_prepare(sample, None, folds, fits, rng.child("r"))
+
 
 def one_fold_fits(taus, g, e_row):
     return NuisanceFits(taus=taus, g_predictors=(g,), e_predictors=(e_row,), delta=0.0)

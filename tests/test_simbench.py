@@ -3,6 +3,7 @@ import multiprocessing
 import warnings
 import weakref
 from functools import partial
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -738,6 +739,48 @@ def test_fold_zero_readers_fit_it_once_or_not_at_all(monkeypatch, readers):
         if res_alone.table is not None:
             assert_same_table(res_after.table, res_alone.table)
         assert (res_after.info, res_after.true_error) == (res_alone.info, res_alone.true_error)
+
+
+def test_the_fit_plan_depends_on_the_method_set_alone(monkeypatch):
+    # A replication runs fold 0's readers after the fold methods, so in any
+    # order it fits the V folds' complements when a fold method runs, fold
+    # 0's complement once for the readers alone and nothing for icp alone.
+    # Each row is the one the canonical order gives, in the requested order.
+    fitted = []
+    fit_on = crossfit.fit_on
+
+    def counted(sample, train, *args):
+        fitted.append(train.tolist())
+        return fit_on(sample, train, *args)
+
+    monkeypatch.setattr(crossfit, "fit_on", counted)
+    monkeypatch.setattr(simbench, "fit_on", counted)
+    spec, cfg, root = DgpSpec("highdim-sparse"), StudyConfig(GRID, TARGETS), RngStream(26)
+    oracle = OracleEvaluator(spec, 20_000, root.child("ev"), points=True)
+
+    def replicate(methods):
+        fitted.clear()
+        return simbench._replicate((spec, methods, cfg, root, oracle), 400, 0), len(fitted)
+
+    others = [m for m in METHODS if m != "onestep"]
+    plans = [*((order, cfg.V) for order in permutations(("onestep", "rs", "icp", "wcp"))),
+             *(((m, "onestep"), cfg.V) for m in others),
+             *((("onestep", m), cfg.V) for m in others),
+             (("rs", "wcp"), 1), (("wcp", "rs"), 1), (("icp",), 0)]
+    want = {}
+    for order, fits in plans:
+        canonical = tuple(m for m in METHODS if m in order)
+        if canonical not in want:
+            want[canonical] = dict(zip(canonical, replicate(canonical)[0]))
+        rows, count = replicate(order)
+        assert count == fits, order
+        assert [row.method for row in rows] == list(order)
+        for row in rows:
+            expected = want[canonical][row.method]
+            assert not expected.failed
+            if expected.table is not None:
+                assert_same_table(row.table, expected.table)
+            assert {**vars(row), "table": None} == {**vars(expected), "table": None}
 
 
 @pytest.mark.parametrize("learner", ["logistic-ridge", "boosted-stumps"])

@@ -161,6 +161,12 @@ def matrix():
     yield "simulate-highdim-conformal-alone", [
         "simulate", "--dgp", "highdim", "--method", "rs,icp,wcp", "--n", "300", "--reps", "3",
         "--oracle-m", "20000", "--seed", "5", "--workers", "2", "--output", "out.csv"]
+    # Fold 0's readers listed before the fold methods, which a replication
+    # runs first: the outputs keep the listed order.
+    yield "simulate-highdim-readers-first", [
+        "simulate", "--dgp", "highdim", "--method", "wcp,rs,icp,wplugin,plugin,tmle,onestep",
+        "--n", "300", "--reps", "3", "--oracle-m", "20000", "--seed", "5", "--workers", "2",
+        "--output", "out.csv"]
     yield "simulate-lowdim-3-folds", [
         "simulate", "--dgp", "lowdim", "--method", ALL_METHODS, "--n", "300",
         "--reps", "3", "--oracle-m", "20000", "--folds", "3", "--output", "out.csv"]
