@@ -37,7 +37,7 @@ predicted = run.gamma_train * run.pi_hat / run.bhat
 print(f"acceptance frequency {run.n_accepted / n_test:.4f} vs predicted "
       f"{predicted:.4f}")
 
-table = ss.rs_estimate(run, sample, targets)
+table = ss.rs_estimate(run, targets)
 decision = ss.select_threshold(table, targets)
 print(f"\nrejection-sampling threshold: {decision.tau_hat}"
       f"{' (sentinel)' if decision.is_sentinel else ''}")

@@ -117,7 +117,7 @@ class ObservedSample:
     """Array-backed sample of n units.
 
     ``score`` holds NaN exactly where ``a == 0``; no estimator ever reads
-    those entries.  Both populations must be represented.
+    those entries.  Covariates must be finite, both populations present.
     """
 
     a: np.ndarray
@@ -138,6 +138,8 @@ class ObservedSample:
         n = a.shape[0]
         if x.shape[0] != n or score.shape[0] != n:
             raise DataError("a, x and score must have one row per unit")
+        if not np.isfinite(x).all():
+            raise DataError("covariates must be finite")
         has_score = np.isfinite(score)
         if not np.array_equal(has_score, a == 1):
             raise DataError("a score must be present exactly for source units")

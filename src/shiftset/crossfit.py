@@ -58,6 +58,16 @@ def _check_delta(delta: float) -> None:
             f"delta must be at least {PROPENSITY_GUARD:g}, got {delta!r}")
 
 
+def _check_plan(sample: ObservedSample, folds: FoldPlan, fits=None, fold0=False) -> None:
+    """Refuse a fold plan not over the sample's units, and fits of other than its V folds
+    (or of 1, for a ``fold0`` reader); oracle fits hold no folds and answer any."""
+    if folds.n != sample.n:
+        raise ConfigurationError("fold plan does not match the sample size")
+    held = len(fits.g_predictors) if fits is not None else 0
+    if held not in ((0, folds.V, 1) if fold0 else (0, folds.V)):
+        raise ConfigurationError(f"nuisance fits hold {held} folds, the fold plan {folds.V}")
+
+
 def odds_weight(g, gamma):
     """Importance weight ((1 - g) / g) * (gamma / (1 - gamma)).
 
@@ -145,8 +155,7 @@ def fit_nuisances(sample: ObservedSample, folds: FoldPlan, grid: ThresholdGrid,
     errors are those of the serial loop, in fold order.
     """
     _check_delta(delta)
-    if folds.n != sample.n:
-        raise ConfigurationError("fold plan does not match the sample size")
+    _check_plan(sample, folds)
 
     jobs = []
     for v in range(folds.V):

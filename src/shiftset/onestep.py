@@ -37,7 +37,7 @@ from .core import (
     RiskTargets,
     miscoverage_vector,
 )
-from .crossfit import NuisanceFits, odds_weight
+from .crossfit import NuisanceFits, _check_plan, odds_weight
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,7 @@ class FoldEngine:
     cross-fit estimators (one-step, TMLE, plug-in and weighted plug-in)."""
 
     def __init__(self, sample: ObservedSample, folds: FoldPlan, fits: NuisanceFits):
+        _check_plan(sample, folds, fits)
         self.taus = fits.taus
         self.n = sample.n
         self.fold_sizes = folds.sizes().astype(float)

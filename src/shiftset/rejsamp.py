@@ -14,7 +14,7 @@ pieces are scaled by the inverse half sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .core import (
     RngStream,
     miscoverage_vector,
 )
-from .crossfit import PROPENSITY_GUARD, NuisanceFits, odds_weight
+from .crossfit import PROPENSITY_GUARD, NuisanceFits, _check_plan, odds_weight
 from .onestep import CoverageTable, _wald_table
 
 # The bound rule's multiplier when no bound is known (see rs_prepare).
@@ -44,10 +44,11 @@ def _check_bhat_fixed(bhat_fixed: float | None) -> None:
 
 @dataclass(frozen=True)
 class RsRun:
-    """Frozen state of one rejection-sampling pass: ``test_idx`` is fold 0
-    and ``train_idx`` its complement; ``fits`` holds fold 0's nuisances as
-    one fold truncated at ``PROPENSITY_GUARD``."""
+    """Frozen state of one rejection-sampling pass on ``sample``:
+    ``test_idx`` is fold 0 and ``train_idx`` its complement; ``fits`` holds
+    fold 0's nuisances as one fold truncated at ``PROPENSITY_GUARD``."""
 
+    sample: ObservedSample = field(repr=False)
     train_idx: np.ndarray
     test_idx: np.ndarray
     fits: NuisanceFits
@@ -66,11 +67,11 @@ class RsRun:
         return self.test_idx[self.accepted]
 
 
-def _check_halves(sample: ObservedSample, folds: FoldPlan) -> None:
-    """Refuse a fold plan whose fold 0 (the test half) or its complement
-    (the training half) lacks source or target units."""
-    if folds.n != sample.n:
-        raise ConfigurationError("fold plan does not match the sample size")
+def _check_halves(sample: ObservedSample, folds: FoldPlan, fits=None) -> None:
+    """Refuse a fold plan or fits that ``crossfit._check_plan`` refuses for
+    a reader of fold 0, and a plan whose fold 0 (the test half) or its
+    complement (the training half) lacks source or target units."""
+    _check_plan(sample, folds, fits, fold0=True)
     for name, half in (("training", folds.complement(0)), ("test", folds.indices(0))):
         a_half = sample.a[half]
         if (a_half == 1).sum() == 0 or (a_half == 0).sum() == 0:
@@ -88,7 +89,7 @@ def rs_prepare(sample: ObservedSample, bhat_fixed: float | None,
     With no known bound, B = max(1, 1.3 * the largest fold-0 source weight).
     """
     _check_bhat_fixed(bhat_fixed)
-    _check_halves(sample, folds)
+    _check_halves(sample, folds, fits)
     train_idx, test_idx = folds.complement(0), folds.indices(0)
     a_test = sample.a[test_idx]
 
@@ -112,16 +113,15 @@ def rs_prepare(sample: ObservedSample, bhat_fixed: float | None,
     pi_hat = float(what_test[src_test].mean())
 
     return RsRun(
-        train_idx=train_idx, test_idx=test_idx, fits=fits,
+        sample=sample, train_idx=train_idx, test_idx=test_idx, fits=fits,
         gamma_train=gamma_train, bhat=bhat, zeta=zeta, what_test=what_test,
         accepted=accepted, pi_hat=pi_hat,
     )
 
 
-def rs_estimate(run: RsRun, sample: ObservedSample,
-                targets: RiskTargets) -> CoverageTable:
+def rs_estimate(run: RsRun, targets: RiskTargets) -> CoverageTable:
     """Corrected accepted-proportion estimates with Wald CUBs, one per
-    threshold of the run's fits.
+    threshold of the run's fits, on the sample the run was prepared on.
 
     The variance estimate is evaluated term by term: a training-half piece
     from the source-fraction estimate and a test-half piece combining the
@@ -130,9 +130,8 @@ def rs_estimate(run: RsRun, sample: ObservedSample,
     if run.n_accepted == 0:
         raise EmptyAcceptanceError("rejection sampling accepted no units")
 
-    n = sample.n
-    n_train = run.train_idx.size
-    n_test = run.test_idx.size
+    sample = run.sample
+    n, n_train, n_test = sample.n, run.train_idx.size, run.test_idx.size
     gamma = run.gamma_train
     a_test = sample.a[run.test_idx].astype(float)
     X_test = sample.x[run.test_idx]

@@ -509,7 +509,7 @@ def _run_rs(data: Dataset) -> MethodResult:
     cfg = data.cfg
     run = rs_prepare(data.sample, cfg.bhat_fixed, data.folds, data.fold0_fits,
                      data.rs_rng)
-    return _selected(data, rs_estimate(run, data.sample, cfg.targets),
+    return _selected(data, rs_estimate(run, cfg.targets),
                      {"bhat": run.bhat, "n_accepted": run.n_accepted, "pi_hat": run.pi_hat})
 
 

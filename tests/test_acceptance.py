@@ -315,7 +315,7 @@ def test_variance_ordering():
         ps_one.append(ss.onestep_estimate(engine, TARGETS).psi[0])
         run = rs_prepare_on_split(sample, None, one_grid, ss.BinaryLearnerSpec(),
                                   ss.BinaryLearnerSpec(), rng.child("r", r))
-        ps_rs.append(ss.rs_estimate(run, sample, TARGETS).psi[0])
+        ps_rs.append(ss.rs_estimate(run, TARGETS).psi[0])
     v_one = float(np.var(ps_one, ddof=1))
     v_rs = float(np.var(ps_rs, ddof=1))
     ok = v_rs > v_one

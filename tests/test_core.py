@@ -144,6 +144,10 @@ class TestSampleTypes:
         ([1, 0], [[0.0], [0.0], [0.0]], [0.5, np.nan], "one row per unit"),
         ([1, 0], [[0.0], [0.0]], [0.5, np.nan, 0.2], "one row per unit"),
         ([1, 2], [[0.0], [0.0]], [0.5, np.nan], "must be 0/1"),
+        *(pytest.param([1, 0], x, [0.5, np.nan], "^covariates must be finite$",
+                       id=f"{bad}-on-{row}")
+          for bad in (np.nan, np.inf, -np.inf)
+          for row, x in (("source", [[bad], [0.0]]), ("target", [[0.0], [bad]]))),
     ])
     def test_rows_and_indicator_checked(self, a, x, score, message):
         with pytest.raises(DataError, match=message):

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import warnings
@@ -26,6 +27,7 @@ from shiftset import (
     odds_weight,
     onestep_estimate,
     oracle_nuisances,
+    rs_prepare,
     tmle_estimate,
 )
 from shiftset import FoldPlan, RngStream, crossfit, parallel, simbench
@@ -171,6 +173,62 @@ class TestFitNuisances:
         with pytest.raises(error, match=f"^{message}$"):
             fit_nuisances(sample, folds, ThresholdGrid((0.1,)),
                           BinaryLearnerSpec(), BinaryLearnerSpec(), 0.01)
+
+
+LOGIT = BinaryLearnerSpec()
+
+
+@functools.cache
+def pairing_inputs():
+    """A 400-unit lowdim sample with its 2- and 3-fold cross-fits and the
+    one-fold fit that ``Dataset.fold0_fits`` makes on its 2-fold plan."""
+    root = RngStream(7)
+    sample = dgp_draw(DgpSpec("lowdim"), 400, root.child("d"))
+    grid = ThresholdGrid((0.1, 0.3))
+    fits = {f"{V}-fold": fit_nuisances(sample, make_folds(400, V, root.child("folds")),
+                                       grid, LOGIT, LOGIT, 0.01)
+            for V in (2, 3)}
+    data = simbench.Dataset(sample, simbench.StudyConfig(grid, RiskTargets(0.1, 0.05)),
+                            root.child("folds"), root.child("rs"))
+    fits["fold0"] = data.fold0_fits
+    fits["oracle"] = oracle_nuisances(DgpSpec("lowdim"), grid)
+    return root, sample, fits
+
+
+PLAN_SIZE = "fold plan does not match the sample size"
+
+
+class TestPlanPairing:
+    """A fold plan must cover exactly the sample's units, and nuisance fits
+    must hold the plan's V folds (or one, for rejection sampling, which
+    reads fold 0 alone); oracle fits answer any fold."""
+
+    @pytest.mark.parametrize("consumer, plan_n, V, fits, message", [
+        *((consumer, plan_n, 2, "2-fold", PLAN_SIZE)
+          for consumer in ("fit_nuisances", "FoldEngine", "rs_prepare")
+          for plan_n in (200, 600)),
+        ("FoldEngine", 400, 2, "3-fold", "nuisance fits hold 3 folds, the fold plan 2"),
+        ("FoldEngine", 400, 3, "2-fold", "nuisance fits hold 2 folds, the fold plan 3"),
+        ("rs_prepare", 400, 2, "3-fold", "nuisance fits hold 3 folds, the fold plan 2"),
+        ("rs_prepare", 400, 2, "fold0", None),
+        *((consumer, 400, V, "oracle", None)
+          for consumer in ("FoldEngine", "rs_prepare") for V in (2, 3)),
+    ])
+    def test_pairing(self, consumer, plan_n, V, fits, message):
+        root, sample, all_fits = pairing_inputs()
+        folds = make_folds(plan_n, V, root.child("folds"))
+        call = {
+            "fit_nuisances": lambda: fit_nuisances(
+                sample, folds, ThresholdGrid((0.1,)), LOGIT, LOGIT, 0.01),
+            "FoldEngine": lambda: FoldEngine(sample, folds, all_fits[fits]),
+            "rs_prepare": lambda: rs_prepare(sample, None, folds, all_fits[fits],
+                                             root.child("rs")),
+        }[consumer]
+        if message is None:
+            call()
+        else:
+            with pytest.raises(ConfigurationError, match=f"^{message}$"):
+                call()
 
 
 class TestOracleNuisances:

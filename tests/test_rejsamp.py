@@ -189,7 +189,8 @@ def hand_run():
     sample = make_sample(a=[1, 0, 0, 1, 1, 1],
                          x=[[float(i)] for i in range(6)],
                          score=[0.4, None, None, 0.1, 0.8, 0.6])
-    return sample, RsRun(
+    return RsRun(
+        sample=sample,
         train_idx=np.array([0, 1, 2]),
         test_idx=np.array([3, 4, 5]),
         fits=one_fold_fits((0.5,), ConstantPredictor(0.5), (ConstantPredictor(0.0),)),
@@ -204,25 +205,22 @@ def hand_run():
 
 class TestRsEstimate:
     def test_pi_hat_of_hand_example(self):
-        _, run = hand_run()
+        run = hand_run()
         assert run.pi_hat == pytest.approx(4 / 3)
 
     def test_zero_conditional_error_reduces_to_proportion(self):
         # with the trained conditional-error fit identically zero, the
         # correction vanishes and psi is the accepted-sample proportion
-        sample, run = hand_run()
-        table = rs_estimate(run, sample, TARGETS)
+        table = rs_estimate(hand_run(), TARGETS)
         # accepted scores are 0.1 (Z=1) and 0.8 (Z=0) -> proportion 1/2
         assert table.psi[0] == pytest.approx(0.5)
 
     def test_table_carries_no_extras(self):
         # The bound, pi_hat and the acceptance count are read from the run.
-        sample, run = hand_run()
-        assert rs_estimate(run, sample, TARGETS).extras == {}
+        assert rs_estimate(hand_run(), TARGETS).extras == {}
 
     def test_variance_is_positive_here(self):
-        sample, run = hand_run()
-        table = rs_estimate(run, sample, TARGETS)
+        table = rs_estimate(hand_run(), TARGETS)
         assert table.se[0] > 0
         assert table.cub[0] > table.psi[0]
 
@@ -230,7 +228,7 @@ class TestRsEstimate:
         sample = dgp_draw(DgpSpec("lowdim"), 600, rng.child("d"))
         grid = ThresholdGrid((0.0, 0.15))
         run = rs_prepare_on_split(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
-        table = rs_estimate(run, sample, TARGETS)
+        table = rs_estimate(run, TARGETS)
         assert table.psi[0] == 0.0
         assert table.se[0] == 0.0
         assert table.cub[0] == 0.0
@@ -239,7 +237,7 @@ class TestRsEstimate:
         sample = dgp_draw(DgpSpec("lowdim"), 300, rng.child("d"))
         with pytest.raises(EmptyAcceptanceError):
             run = rs_prepare_on_split(sample, 1e12, GRID, LOGIT, LOGIT, rng.child("r"))
-            rs_estimate(run, sample, TARGETS)
+            rs_estimate(run, TARGETS)
 
     def test_noshift_estimated_nuisances_recover_level(self):
         # threshold at the true 0.05-quantile: corrected estimate within
@@ -252,12 +250,13 @@ class TestRsEstimate:
         grid = ThresholdGrid((tau0,))
         sample = dgp_draw(spec, 8000, rng.child("d"))
         run = rs_prepare_on_split(sample, None, grid, LOGIT, LOGIT, rng.child("r"))
-        table = rs_estimate(run, sample, TARGETS)
+        table = rs_estimate(run, TARGETS)
         assert abs(table.psi[0] - 0.05) <= 3 * table.se[0]
 
 
-def reference_rs_estimate(run, sample, grid):
+def reference_rs_estimate(run, grid):
     """(psi, sigma) of :func:`rs_estimate`, one threshold at a time."""
+    sample = run.sample
     n, n_train, n_test = sample.n, run.train_idx.size, run.test_idx.size
     gamma = run.gamma_train
     a_test = sample.a[run.test_idx].astype(float)
@@ -297,8 +296,8 @@ class TestRsEstimateMatchesScalarReference:
         root = RngStream(n)
         sample = dgp_draw(DgpSpec(kind), n, root.child("d"))
         run = rs_prepare_on_split(sample, None, grid, spec, spec, root.child("r"))
-        table = rs_estimate(run, sample, TARGETS)
-        psi, sigma = reference_rs_estimate(run, sample, grid)
+        table = rs_estimate(run, TARGETS)
+        psi, sigma = reference_rs_estimate(run, grid)
         assert table.psi.tobytes() == psi.tobytes()
         assert table.se.tobytes() == (sigma / np.sqrt(n)).tobytes()
 
@@ -310,15 +309,16 @@ class TestRsEstimateMatchesScalarReference:
         score = [0.4, None] + [0.1 * (i % 9) if a_i else None
                                for i, a_i in enumerate(a[2:])]
         sample = make_sample(a=a, x=[[float(i)] for i in range(42)], score=score)
-        run = RsRun(train_idx=np.array([0, 1]), test_idx=np.arange(2, 42),
+        run = RsRun(sample=sample, train_idx=np.array([0, 1]),
+                    test_idx=np.arange(2, 42),
                     fits=one_fold_fits((0.5,), ConstantPredictor(0.5),
                                        (ConstantPredictor(0.2329),)),
                     gamma_train=0.5,
                     bhat=2.0, zeta=np.full(40, 0.1), what_test=np.ones(40),
                     accepted=np.array(a[2:]) == 1, pi_hat=1.0)
         grid = ThresholdGrid((0.5,))
-        table = rs_estimate(run, sample, TARGETS)
+        table = rs_estimate(run, TARGETS)
         psi = float(table.psi[0])
         assert psi == 0.8329 and psi**2 != psi * psi
-        sigma = reference_rs_estimate(run, sample, grid)[1]
+        sigma = reference_rs_estimate(run, grid)[1]
         assert table.se.tobytes() == (sigma / np.sqrt(42)).tobytes()

@@ -705,7 +705,7 @@ def test_registry_matches_public_estimators(learner):
     # Rejection sampling on fold 0 and fold 0's cross-fitted nuisances.
     run = rs_prepare(data.sample, cfg.bhat_fixed, data.folds, data.fits, data.rs_rng)
     assert_same_table(METHODS["rs"](data).table,
-                      rs_estimate(run, data.sample, TARGETS))
+                      rs_estimate(run, TARGETS))
 
 
 @pytest.mark.parametrize("readers", [["rs"], ["wcp"], ["rs", "wcp"], ["rs", "icp", "wcp"]],
